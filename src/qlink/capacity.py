@@ -10,7 +10,6 @@ channel, maximized over Gaussian input ensembles under the photon budget.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,8 +42,9 @@ class CapacityResult:
 
 
 class GHSearchError(RuntimeError):
-    """Raised when no Gordon-Holevo search start converges; carries the best
-    value found so far."""
+    """Raised when no Gordon-Holevo input meets the photon budget, or the
+    achieving input fails the re-propagation audit; carries the best value
+    found (-inf when no input is feasible)."""
 
     def __init__(self, message: str, best_value: float):
         super().__init__(message)
@@ -109,114 +109,109 @@ def scenario_input(scenario: Scenario, nbar: float) -> QuadState:
     return conventional_input(nbar)
 
 
-# Canonical Gordon-Holevo starting points: conventional single-quadrature,
-# even coherent split, and two squeezed-floor variants.
-_GH_BASE_STARTS = ((1.0, 0.0), (0.5, 0.0), (1.0, 0.3), (0.75, 0.3))
+# Squeezing grid that brackets the best r before the golden-section refinement.
+_GH_R_GRID = 33
+_GH_R_TOL = 1e-10
+
+
+def _squeezed_floor(r: float, nbar: float) -> tuple[float, float, float]:
+    """(noise_i, noise_q, signal budget) for squeezing exponent ``r``.
+
+    The noise floor is a pure squeezed vacuum (product exactly 1/4) and the
+    signal power is what the photon budget leaves; negative means the floor
+    alone overshoots the budget.
+    """
+    return (0.5 * math.exp(-2.0 * r), 0.5 * math.exp(2.0 * r),
+            2.0 * nbar + 1.0 - math.cosh(2.0 * r))
 
 
 class _GhChannel:
     """Affine channel data for the Gordon-Holevo maximization.
 
-    The arrays hold the per-checkpoint multipliers and added noise so that
-    the photon budget can be audited for a candidate input in one vector
-    operation; the final checkpoint is the channel output.
+    For a fixed squeezing r, the photon excess at every checkpoint is affine
+    in the split fraction p (the share of the signal budget in the I
+    quadrature), so the budget confines p to an interval.  Checkpoints are
+    ordered by the sign of that slope (falling, flat, rising), so that each
+    group's bound on p is one reduction over a view.  The final checkpoint
+    is the channel output.
     """
 
-    def __init__(self, mult_i, add_i, mult_q, add_q):
-        self.mult_i = np.asarray(mult_i, dtype=float)
-        self.mult_q = np.asarray(mult_q, dtype=float)
-        self.add_sum = np.asarray(add_i, dtype=float) + np.asarray(add_q, dtype=float)
+    def __init__(self, mult_i, add_i, mult_q, add_q, nbar: float):
+        mult_i = np.asarray(mult_i, dtype=float)
+        mult_q = np.asarray(mult_q, dtype=float)
+        add_sum = np.asarray(add_i, dtype=float) + np.asarray(add_q, dtype=float)
+        self.nbar = nbar
         self.out = (float(mult_i[-1]), float(add_i[-1]),
                     float(mult_q[-1]), float(add_q[-1]))
+        slope = 0.5 * (mult_i - mult_q)
+        order = np.argsort(np.sign(slope), kind="stable")
+        flat_start = int(np.count_nonzero(slope < 0.0))
+        rise_start = len(slope) - int(np.count_nonzero(slope > 0.0))
+        self.falling = slice(0, flat_start)
+        self.flat = slice(flat_start, rise_start)
+        self.rising = slice(rise_start, None)
+        self.half_i = 0.5 * mult_i[order]
+        self.half_q = 0.5 * mult_q[order]
+        # Search with half the audit tolerance so boundary optima survive the
+        # exact re-propagation audit with margin to spare.
+        self.offset = (0.5 * add_sum - 0.5 - nbar - 0.5 * POWER_TOL)[order]
+        with np.errstate(divide="ignore"):
+            self.inv_slope = 1.0 / slope[order]  # flat entries are never read
 
-    def max_excess(self, power_i: float, power_q: float, nbar: float) -> float:
-        photons = 0.5 * (self.mult_i * power_i + self.mult_q * power_q + self.add_sum) - 0.5
-        return float(photons.max()) - nbar
-
-    def chi(self, sig_i, sig_q, noise_i, noise_q) -> float:
+    def best_split(self, r: float) -> tuple[float, float]:
+        """(chi, p) of the best feasible split at squeezing ``r``, or
+        (-inf, 0) when no split meets the budget."""
+        noise_i, noise_q, budget = _squeezed_floor(r, self.nbar)
+        if budget <= 0.0:
+            return -math.inf, 0.0
+        # Excess of the all-Q input (p = 0) less the margin; at split p the
+        # excess is excess0 + p * budget * slope.
+        excess0 = self.offset + self.half_i * noise_i + self.half_q * (noise_q + budget)
+        if excess0[self.flat].max(initial=-math.inf) > 0.0:
+            return -math.inf, 0.0
+        lo = max(0.0, -float((excess0[self.falling] * self.inv_slope[self.falling])
+                             .min(initial=math.inf)) / budget)
+        hi = min(1.0, -float((excess0[self.rising] * self.inv_slope[self.rising])
+                             .max(initial=-math.inf)) / budget)
+        if lo > hi:
+            return -math.inf, 0.0
+        # chi grows with the product of the output variances,
+        # (noise_out_i + mi*B*p) * (all_q - mq*B*p), a concave quadratic in p.
         mi, ai, mq, aq = self.out
-        total = (mi * (sig_i + noise_i) + ai, mq * (sig_q + noise_q) + aq)
-        noise = (mi * noise_i + ai, mq * noise_q + aq)
-        return holevo_chi(total, noise)
+        noise_out = (mi * noise_i + ai, mq * noise_q + aq)
+        all_q = mq * (budget + noise_q) + aq
+        lever = 2.0 * budget * mi * mq  # 0 once mi*mq underflows, past ~1600 dB
+        peak = mi * all_q - mq * noise_out[0]
+        p = peak / lever if lever > 0.0 else math.copysign(math.inf, peak)
+        p = min(max(p, lo), hi)
+        total = (noise_out[0] + mi * p * budget, mq * ((1.0 - p) * budget + noise_q) + aq)
+        return holevo_chi(total, noise_out), p
 
 
-def _gh_input(p: float, r: float, nbar: float) -> tuple[float, float, float, float]:
-    """Input moments for split fraction ``p`` and squeezing exponent ``r``.
+def _gh_search(channel: _GhChannel) -> tuple[float, float, float]:
+    """Maximize chi over the squeezing r, each r with its best split.
 
-    The noise floor is a pure squeezed vacuum (product exactly 1/4) and the
-    signal powers saturate the photon budget.
+    A uniform grid over the physical range |r| <= r_cap brackets the best
+    r; golden-section search refines it between the best grid point's
+    neighbours.  Returns (chi, p, r); chi is -inf when no input is feasible.
     """
-    noise_i = 0.5 * math.exp(-2.0 * r)
-    noise_q = 0.5 * math.exp(2.0 * r)
-    budget = max(2.0 * nbar + 1.0 - math.cosh(2.0 * r), 0.0)
-    return p * budget, (1.0 - p) * budget, noise_i, noise_q
-
-
-def _gh_search(
-    channel: _GhChannel,
-    nbar: float,
-    seed: int,
-    n_starts: int,
-    param_tol: float,
-    warm_starts: tuple[tuple[float, float], ...],
-    max_rounds: int = 100,
-) -> tuple[float, float, float]:
-    """Multistart coordinate descent over (split fraction, squeezing).
-
-    Returns (chi, p, r) of the best converged start; deterministic for a
-    fixed seed (ordered reduction over the start list).
-    """
-    r_cap = 0.5 * math.acosh(2.0 * nbar + 1.0)
-    # The optimum often sits on the budget boundary, where line-search
-    # midpoints may fall a hair onto the penalized side; keep the best
-    # feasible point seen anywhere during the search, not the final iterate.
-    best = {"value": -math.inf, "p": 1.0, "r": 0.0}
-
-    def objective(p: float, r: float) -> float:
-        sig_i, sig_q, noise_i, noise_q = _gh_input(p, r, nbar)
-        excess = channel.max_excess(sig_i + noise_i, sig_q + noise_q, nbar)
-        # Search with half the audit tolerance so recorded boundary optima
-        # survive the exact re-propagation audit with margin to spare.
-        if excess > 0.5 * POWER_TOL:
-            # Steer infeasible iterates back toward the budget boundary.
-            return -1000.0 * excess - 1.0
-        value = channel.chi(sig_i, sig_q, noise_i, noise_q)
-        if value > best["value"]:
-            best.update(value=value, p=p, r=r)
-        return value
-
-    rng = random.Random(seed)
-    starts = list(_GH_BASE_STARTS)
-    while len(starts) < n_starts:
-        starts.append((rng.uniform(0.0, 1.0), rng.uniform(-0.25, 0.75) * r_cap))
-    starts = starts[:n_starts] + list(warm_starts)
-
-    any_converged = False
-    for p0, r0 in starts:
-        p = min(max(p0, 0.0), 1.0)
-        r = min(max(r0, -r_cap), r_cap)
-        objective(p, r)
-        converged = False
-        previous = -math.inf
-        for _ in range(max_rounds):
-            p_new, _ = golden_section_maximize(lambda x: objective(x, r), 0.0, 1.0, param_tol)
-            r_new, value = golden_section_maximize(lambda x: objective(p_new, x), -r_cap, r_cap, param_tol)
-            moved = max(abs(p_new - p), abs(r_new - r))
-            p, r = p_new, r_new
-            # Degenerate ridges (e.g. the identity channel) never settle in
-            # parameters; value stagnation is convergence there.
-            if moved < param_tol or abs(value - previous) <= 1e-12 * max(1.0, abs(value)):
-                converged = True
-                break
-            previous = value
-        any_converged = any_converged or converged
-    if not any_converged:
-        raise GHSearchError(
-            f"no Gordon-Holevo start converged within {max_rounds} rounds "
-            f"(best value {best['value']})",
-            best["value"],
+    r_cap = 0.5 * math.acosh(2.0 * channel.nbar + 1.0)
+    step = 2.0 * r_cap / (_GH_R_GRID - 1)
+    grid = [-r_cap + k * step for k in range(_GH_R_GRID)]
+    values = [channel.best_split(r)[0] for r in grid]
+    # ties (e.g. zero capacity) go to the least squeezed input
+    best = max(range(_GH_R_GRID), key=lambda k: (values[k], -abs(grid[k])))
+    r, value = grid[best], values[best]
+    if value > -math.inf:
+        lo = grid[max(best - 1, 0)]
+        hi = grid[min(best + 1, _GH_R_GRID - 1)]
+        r_ref, value_ref = golden_section_maximize(
+            lambda x: channel.best_split(x)[0], lo, hi, _GH_R_TOL
         )
-    return best["value"], best["p"], best["r"]
+        if value_ref > value:
+            r, value = r_ref, value_ref
+    value, p = channel.best_split(r)
+    return value, p, r
 
 
 def gh_capacity_for_channel(
@@ -227,34 +222,26 @@ def gh_capacity_for_channel(
     nbar: float,
     *,
     seed: int = 0,
-    n_starts: int = 8,
-    param_tol: float = 1e-9,
-    warm_starts: tuple[tuple[float, float], ...] = (),
 ) -> CapacityResult:
     """Gordon-Holevo capacity of an affine Gaussian channel given its
-    per-checkpoint coefficient arrays (last checkpoint = output)."""
+    per-checkpoint coefficient arrays (last checkpoint = output).
+
+    The search is exact and deterministic; ``seed`` is accepted for
+    interface stability and changes no result.
+    """
     if nbar <= 0:
         return CapacityResult(0.0, Scenario.GORDON_HOLEVO, QuadState(0, 0, 0.5, 0.5))
-    channel = _GhChannel(mult_i, add_i, mult_q, add_q)
-    chi, p, r = _gh_search(channel, nbar, seed, n_starts, param_tol, warm_starts)
-    # Only the -inf sentinel lives below zero by more than rounding noise;
-    # a genuinely feasible channel may evaluate to chi = -1e-16.
-    if chi < -0.5:
+    chi, p, r = _gh_search(_GhChannel(mult_i, add_i, mult_q, add_q, nbar))
+    if chi == -math.inf:
         raise GHSearchError(
-            f"no feasible Gordon-Holevo input found (best value {chi})", chi
+            "no squeezed input meets the photon budget at every checkpoint", chi
         )
-    achieving = QuadState(*_gh_input(p, r, nbar))
+    noise_i, noise_q, budget = _squeezed_floor(r, nbar)
+    achieving = QuadState(p * budget, (1.0 - p) * budget, noise_i, noise_q)
     return CapacityResult(max(chi, 0.0), Scenario.GORDON_HOLEVO, achieving)
 
 
-def gh_capacity(
-    plan: LinkPlan,
-    *,
-    seed: int = 0,
-    n_starts: int = 8,
-    param_tol: float = 1e-9,
-    warm_starts: tuple[tuple[float, float], ...] = (),
-) -> CapacityResult:
+def gh_capacity(plan: LinkPlan, *, seed: int = 0) -> CapacityResult:
     """Gordon-Holevo capacity of a link plan.
 
     Maximizes the Holevo information of the propagated output over the input
@@ -270,9 +257,6 @@ def gh_capacity(
         [cm.add_q for _, cm in points],
         plan.nbar,
         seed=seed,
-        n_starts=n_starts,
-        param_tol=param_tol,
-        warm_starts=warm_starts,
     )
     _, trace = propagate(plan, result.achieving_input)
     violations = check_power_constraint(trace, plan.nbar)

@@ -9,6 +9,7 @@ every run is reproducible from its log.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -16,6 +17,7 @@ from dataclasses import dataclass, fields
 from .capacity import Scenario, shannon_single_quadrature, shannon_two_quadrature
 from .distributed import (
     DEFAULT_STEP_KM,
+    GRID_TOL_KM,
     OdeProfile,
     gh_capacity_at,
     integrate_pia,
@@ -33,6 +35,7 @@ _SCENARIOS = {
     "gordon-holevo": Scenario.GORDON_HOLEVO,
 }
 _COMMANDS = ("sweep", "optimize", "distributed", "crossover")
+_FLOAT_KEYS = ("nbar", "alpha_db_km", "l_min_km", "l_max_km", "l_step_km", "ode_step_km")
 
 # Bound on the worker pool used for independent grid points.
 _MAX_WORKERS = 8
@@ -71,8 +74,11 @@ class RunConfig:
 
 def _coerce(key: str, value: str):
     try:
-        if key in ("nbar", "alpha_db_km", "l_min_km", "l_max_km", "l_step_km", "ode_step_km"):
-            return float(value)
+        if key in _FLOAT_KEYS:
+            number = float(value)
+            if not math.isfinite(number):
+                raise UsageError(f"malformed value for '{key}': must be finite, got {value!r}")
+            return number
         if key == "seed":
             return int(value)
         if key == "amps":
@@ -130,9 +136,22 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--kind", help="amplifier kind: psa or pia")
     parser.add_argument("--scenario", help="|".join(_SCENARIOS))
     parser.add_argument("--ode-step-km", dest="ode_step_km", help="integration step")
-    parser.add_argument("--seed", help="seed for the capacity-search multistarts")
+    parser.add_argument("--seed", help="accepted for compatibility; no result depends on it")
     parser.add_argument("--out", help="output CSV path")
     return parser
+
+
+def _check_on_integration_grid(config: RunConfig) -> None:
+    # Gordon-Holevo channel maps exist only at integration samples: the
+    # multiples of the step, and the integrated length (the last distance).
+    step = config.ode_step_km
+    for length in config.grid()[:-1]:
+        if abs(length - round(length / step) * step) > GRID_TOL_KM:
+            raise UsageError(
+                f"gordon-holevo distributed rows need every distance on the "
+                f"integration grid; {length:g} km is not a multiple of "
+                f"--ode-step-km {step:g}"
+            )
 
 
 def parse_config(argv: list[str]) -> RunConfig:
@@ -168,6 +187,14 @@ def parse_config(argv: list[str]) -> RunConfig:
         raise UsageError("--amps inf is only valid for the distributed/sweep commands")
     if config.command == "crossover" and config.l_max_km <= config.l_min_km:
         raise UsageError("crossover needs l_min_km < l_max_km to bracket the crossing")
+    integrates_psa = config.command == "crossover" or (
+        config.amps is None and config.kind is AmpKind.PSA)
+    if integrates_psa and config.nbar == 0:
+        raise UsageError("distributed PSA needs nbar > 0: its feedback gain is singular "
+                         "without signal power")
+    if (config.amps is None and config.command != "crossover"
+            and config.scenario is Scenario.GORDON_HOLEVO):
+        _check_on_integration_grid(config)
 
     for field in fields(RunConfig):
         value = getattr(config, field.name)

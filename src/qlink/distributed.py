@@ -24,6 +24,8 @@ from .quadmodel import QuadState
 _LN2 = math.log(2.0)
 
 DEFAULT_STEP_KM = 0.1
+# Distance within which a position counts as an integration sample.
+GRID_TOL_KM = 1e-6
 
 
 class IntegrationError(RuntimeError):
@@ -99,7 +101,7 @@ class OdeProfile:
         total = self.sig_i + self.sig_q + self.noise_i + self.noise_q
         return total / 2.0 - 0.5
 
-    def index_at(self, position_km: float, tol: float = 1e-6) -> int:
+    def index_at(self, position_km: float, tol: float = GRID_TOL_KM) -> int:
         idx = int(np.argmin(np.abs(self.positions - position_km)))
         if abs(float(self.positions[idx]) - position_km) > tol:
             raise ValueError(f"{position_km} km is not on the integration grid")

@@ -89,7 +89,6 @@ class _PlanScorer:
         self.scenario = scenario
         self.seed = seed
         self.ref_input = _reference_input(scenario, nbar)
-        self.warm: tuple[tuple[float, float], ...] = ()
 
     def repair_gains(self, positions, gains) -> list[float]:
         """Scale down any gain that would push the reference input above the
@@ -106,16 +105,17 @@ class _PlanScorer:
             prev = pos
         return repaired
 
-    def state_before_amp(self, positions, gains, index) -> QuadState:
+    def gain_ceiling(self, positions, gains, index) -> float:
+        """Largest feasible gain of amplifier ``index`` for the reference
+        input, given the amplifiers before it."""
         state = self.ref_input
         prev = 0.0
         for pos, gain in zip(positions[:index], gains[:index]):
             state = apply_loss(state, math.exp(-self.alpha_nat * (pos - prev)))
             state = apply_amp(state, AmpSpec(self.kind, gain))
             prev = pos
-        return apply_loss(
-            state, math.exp(-self.alpha_nat * (positions[index] - prev))
-        )
+        state = apply_loss(state, math.exp(-self.alpha_nat * (positions[index] - prev)))
+        return max_feasible_gain(state, self.nbar, self.kind)
 
     def _plan(self, positions, gains) -> LinkPlan:
         return LinkPlan.from_amp_positions(
@@ -123,35 +123,16 @@ class _PlanScorer:
             positions, gains, self.kind,
         )
 
-    def score(self, positions, gains, *, final: bool = False) -> tuple[float, list[float]]:
-        """Score repaired coordinates.
-
-        During line searches the Gordon-Holevo inner search runs with few
-        starts and a loose tolerance, warm-started from the best input seen;
-        ``final=True`` applies the full multistart search.
-        """
+    def score(self, positions, gains) -> tuple[float, list[float]]:
+        """Score repaired coordinates; returns (score, repaired gains)."""
         gains = self.repair_gains(positions, gains)
         plan = self._plan(positions, gains)
         if self.scenario is Scenario.GORDON_HOLEVO:
-            if final:
-                result = gh_capacity(plan, seed=self.seed)
-            else:
-                result = gh_capacity(
-                    plan, seed=self.seed, n_starts=2, param_tol=1e-6,
-                    warm_starts=self.warm,
-                )
-            self._remember_warm(result.achieving_input)
-            return result.bits_per_mode, gains
+            return gh_capacity(plan, seed=self.seed).bits_per_mode, gains
         out, _ = propagate(plan, self.ref_input)
         if self.scenario is Scenario.CONVENTIONAL:
             return shannon_single_quadrature(out), gains
         return shannon_two_quadrature(out), gains
-
-    def _remember_warm(self, achieving: QuadState) -> None:
-        total_sig = achieving.sig_i + achieving.sig_q
-        p = achieving.sig_i / total_sig if total_sig > 0 else 0.5
-        r = -0.5 * math.log(2.0 * achieving.noise_i)
-        self.warm = ((p, r),)
 
 
 def equidistant_saturating_plan(
@@ -173,7 +154,7 @@ def equidistant_saturating_plan(
     scorer = _PlanScorer(length_km, nbar, alpha_db_per_km, kind, scenario, seed)
     positions = [i * length_km / (amp_count + 1) for i in range(1, amp_count + 1)]
     gains = scorer.repair_gains(positions, [math.inf] * amp_count)
-    score, gains = scorer.score(positions, gains, final=True)
+    score, gains = scorer.score(positions, gains)
     return PlanCandidate(
         length_km, nbar, alpha_db_per_km, kind, scenario,
         tuple(positions), tuple(gains), score,
@@ -207,7 +188,12 @@ def optimize_plan(
     scorer = _PlanScorer(length_km, nbar, alpha_db_per_km, kind, scenario, seed)
     positions = list(seed_candidate.positions)
     gains = list(seed_candidate.gains)
-    current, gains = scorer.score(positions, gains)
+    current = seed_candidate.score
+    # A Gordon-Holevo optimum tends to hold a gain on its budget ceiling; a
+    # position move at fixed gain leaves that ridge, so there the trial gain
+    # follows the ceiling (repair_gains clips inf to it).  The conventional
+    # scenarios keep fixed-gain moves, which the ridge rule only slows.
+    ride_ceiling = scenario is Scenario.GORDON_HOLEVO
 
     for _ in range(max_sweeps):
         moved = 0.0
@@ -215,18 +201,21 @@ def optimize_plan(
             lo = (positions[i - 1] if i > 0 else 0.0) + _POSITION_GAP_KM
             hi = (positions[i + 1] if i + 1 < amp_count else length_km) - _POSITION_GAP_KM
             if hi > lo:
+                move_gains = list(gains)
+                if ride_ceiling and scorer.gain_ceiling(positions, gains, i) - gains[i] <= param_tol:
+                    move_gains[i] = math.inf
+
                 def eval_position(x: float) -> float:
                     trial = positions[:i] + [x] + positions[i + 1 :]
-                    return scorer.score(trial, gains)[0]
+                    return scorer.score(trial, move_gains)[0]
 
                 best_x, best_fx = golden_section_maximize(eval_position, lo, hi, param_tol)
                 if best_fx > current:
                     moved = max(moved, abs(best_x - positions[i]))
                     positions[i] = best_x
-                    current, gains = scorer.score(positions, gains)
+                    current, gains = best_fx, scorer.repair_gains(positions, move_gains)
 
-            before = scorer.state_before_amp(positions, gains, i)
-            ceiling = max_feasible_gain(before, nbar, kind)
+            ceiling = scorer.gain_ceiling(positions, gains, i)
             if ceiling - 1.0 > param_tol:
                 def eval_gain(g: float) -> float:
                     trial = gains[:i] + [g] + gains[i + 1 :]
@@ -236,16 +225,13 @@ def optimize_plan(
                 if best_fg > current:
                     moved = max(moved, abs(best_g - gains[i]))
                     trial = gains[:i] + [best_g] + gains[i + 1 :]
-                    current, gains = scorer.score(positions, trial)
+                    current, gains = best_fg, scorer.repair_gains(positions, trial)
         if moved < param_tol:
             break
 
-    score, gains = scorer.score(positions, gains, final=True)
-    if score < seed_candidate.score:
-        return seed_candidate
     return PlanCandidate(
         length_km, nbar, alpha_db_per_km, kind, scenario,
-        tuple(positions), tuple(gains), score,
+        tuple(positions), tuple(gains), current,
     )
 
 

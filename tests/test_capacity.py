@@ -1,27 +1,35 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from qlink import (
+    AmpKind,
     GHSearchError,
     LinkPlan,
     QuadState,
     Scenario,
     apply_psa,
     attenuation_to_natural,
+    channel_checkpoints,
+    check_power_constraint,
     conventional_input,
     entropy_g,
     gaussian_state_entropy,
     gh_capacity,
+    gh_capacity_at,
     holevo_chi,
+    integrate_pia,
+    integrate_psa,
     plan_capacity,
     propagate,
     shannon_single_quadrature,
     shannon_two_quadrature,
     vacuum_state,
 )
+from qlink.linkchain import POWER_TOL
 from qlink.optimizer import equidistant_saturating_plan
 
 from conftest import quad_states
@@ -177,6 +185,76 @@ class TestGhCapacity:
             (out_noise.noise_i, out_noise.noise_q),
         )
         assert chi == pytest.approx(result.bits_per_mode, rel=1e-9, abs=1e-12)
+
+
+def _grid_oracle(mult_i, add_i, mult_q, add_q, nbar, n_p=201, n_r=201):
+    """Best Holevo chi over a dense (split, squeezing) grid of inputs that
+    keep every checkpoint within the photon budget."""
+    mult_i, add_i, mult_q, add_q = (np.asarray(a, dtype=float)
+                                    for a in (mult_i, add_i, mult_q, add_q))
+    r_cap = 0.5 * math.acosh(2.0 * nbar + 1.0)
+    splits = np.linspace(0.0, 1.0, n_p)
+    best = -math.inf
+    for r in np.linspace(-r_cap, r_cap, n_r):
+        noise_i, noise_q = 0.5 * math.exp(-2.0 * r), 0.5 * math.exp(2.0 * r)
+        budget = 2.0 * nbar + 1.0 - math.cosh(2.0 * r)
+        if budget <= 0.0:
+            continue
+        power_i = splits[:, None] * budget + noise_i
+        power_q = (1.0 - splits[:, None]) * budget + noise_q
+        photons = 0.5 * (mult_i * power_i + add_i + mult_q * power_q + add_q) - 0.5
+        # slack for rounding only: budget-saturating inputs land within it
+        for p in splits[(photons <= nbar + 1e-12).all(axis=1)]:
+            total = (mult_i[-1] * (p * budget + noise_i) + add_i[-1],
+                     mult_q[-1] * ((1.0 - p) * budget + noise_q) + add_q[-1])
+            noise = (mult_i[-1] * noise_i + add_i[-1], mult_q[-1] * noise_q + add_q[-1])
+            best = max(best, holevo_chi(total, noise))
+    return best
+
+
+def _checkpoint_arrays(plan):
+    points = channel_checkpoints(plan)
+    return tuple([getattr(cm, name) for _, cm in points]
+                 for name in ("mult_i", "add_i", "mult_q", "add_q"))
+
+
+DISCRETE_ORACLE_PLANS = {
+    "equidistant-100km-R2": lambda: equidistant_saturating_plan(100.0, 2, 100.0, 0.2).plan(),
+    "equidistant-300km-R4": lambda: equidistant_saturating_plan(300.0, 4, 100.0, 0.2).plan(),
+    "pia-150km-R1": lambda: equidistant_saturating_plan(
+        150.0, 1, 100.0, 0.2, AmpKind.PIA, Scenario.GORDON_HOLEVO).plan(),
+    "uneven-80km": lambda: LinkPlan.from_amp_positions(
+        0.2, 80.0, 100.0, [20.0, 50.0], [3.0, 2.0]),
+    "loss-only-40km": lambda: loss_only_plan(40.0, nbar=10.0),
+}
+
+
+class TestGhExactSearch:
+    @pytest.mark.parametrize("name", sorted(DISCRETE_ORACLE_PLANS))
+    def test_discrete_beats_dense_grid_and_meets_budget(self, name):
+        plan = DISCRETE_ORACLE_PLANS[name]()
+        result = gh_capacity(plan)
+        assert result.bits_per_mode >= _grid_oracle(*_checkpoint_arrays(plan), plan.nbar) - 1e-12
+        _, trace = propagate(plan, result.achieving_input)
+        assert check_power_constraint(trace, plan.nbar) == []
+
+    @pytest.mark.parametrize("integrate", [integrate_psa, integrate_pia])
+    def test_distributed_beats_dense_grid_and_meets_budget(self, integrate):
+        profile = integrate(200.0, 100.0, 0.2, 0.5, track_channel=True)
+        arrays = (profile.mult_i, profile.add_i, profile.mult_q, profile.add_q)
+        result = gh_capacity_at(profile)
+        assert result.bits_per_mode >= _grid_oracle(*arrays, 100.0, n_p=101, n_r=101) - 1e-12
+        state = result.achieving_input
+        photons = 0.5 * (profile.mult_i * (state.sig_i + state.noise_i) + profile.add_i
+                         + profile.mult_q * (state.sig_q + state.noise_q) + profile.add_q) - 0.5
+        assert photons.max() <= 100.0 + POWER_TOL
+
+    def test_zero_capacity_edge_is_finite(self):
+        # 400 dB of loss behind four budget-restoring amplifiers
+        plan = equidistant_saturating_plan(2000.0, 4, 100.0, 0.2).plan()
+        result = gh_capacity(plan)
+        assert math.isfinite(result.bits_per_mode)
+        assert result.bits_per_mode >= 0.0
 
 
 class TestPlanCapacity:

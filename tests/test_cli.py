@@ -57,6 +57,59 @@ class TestParsing:
     def test_negative_amps_rejected(self):
         assert run_cli(["sweep", "--amps", "-2"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--nbar", "--alpha-db-km", "--l-min-km",
+                                      "--l-max-km", "--l-step-km", "--ode-step-km"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_is_usage_error(self, flag, value, capsys):
+        # --l-max-km inf used to loop forever building the grid.
+        assert run_cli(["sweep", f"{flag}={value}"]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_non_finite_config_value_is_usage_error(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("alpha_db_km=nan\n")
+        assert run_cli(["sweep", "--config", str(conf)]) == 2
+        assert "'alpha_db_km'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--amps", "inf"],
+        ["distributed", "--kind", "psa"],
+        ["crossover", "--kind", "pia"],
+    ])
+    def test_zero_budget_distributed_psa_is_usage_error(self, args, capsys):
+        assert run_cli(args + ["--nbar", "0"]) == 2
+        assert "nbar > 0" in capsys.readouterr().err
+
+    def test_zero_budget_distributed_pia_runs(self, tmp_path):
+        out = tmp_path / "pia.csv"
+        code = run_cli(
+            ["distributed", "--kind", "pia", "--nbar", "0", "--l-min-km", "10",
+             "--l-max-km", "20", "--l-step-km", "10", "--ode-step-km", "0.5",
+             "--out", str(out)]
+        )
+        assert code == 0
+        assert [line.split(",")[4] for line in out.read_text().splitlines()[1:]] == ["0", "0"]
+
+    def test_off_lattice_gordon_holevo_distance_is_usage_error(self, capsys):
+        code = run_cli(
+            ["sweep", "--amps", "inf", "--scenario", "gordon-holevo",
+             "--l-min-km", "10", "--l-max-km", "10.3", "--l-step-km", "0.15"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "10.15 km" in err
+        assert "--ode-step-km" in err
+
+    def test_gordon_holevo_last_distance_may_end_off_lattice(self, tmp_path):
+        # the integration stops at the last distance, so it is always a sample
+        out = tmp_path / "gh.csv"
+        code = run_cli(
+            ["distributed", "--scenario", "gordon-holevo", "--l-min-km", "10",
+             "--l-max-km", "10.25", "--l-step-km", "0.25", "--out", str(out)]
+        )
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 3
+
     def test_amps_inf_allowed_for_sweep(self, tmp_path):
         out = tmp_path / "t.csv"
         code = run_cli(

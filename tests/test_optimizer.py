@@ -139,6 +139,13 @@ class TestOptimizePlan:
         assert cand.score >= best - 1e-6
 
 
+    def test_gordon_holevo_position_moves_follow_gain_ceiling(self):
+        # At 50 km the optimum holds amplifier 2's gain on its budget ceiling;
+        # moving it at fixed gain leaves that ridge and stalls at 4.8344832.
+        cand = optimize_plan(50.0, 2, 100.0, 0.2, AmpKind.PSA, Scenario.GORDON_HOLEVO)
+        assert cand.score >= 4.834484960152672 - 1e-9
+
+
 class TestSweep:
     def test_single_point_reduces_to_optimize(self):
         table = sweep_distance([120.0], 1, 100.0, 0.2)
