@@ -12,7 +12,7 @@ import argparse
 import sys
 import time
 
-from qlink import AmpKind, Scenario, SweepRow, SweepTable, sweep_distance
+from qlink import AmpKind, Scenario, SweepRow, SweepTable, distance_grid, sweep_distance
 from qlink.cli import RunConfig, _distributed_rows
 
 
@@ -33,11 +33,7 @@ def main() -> int:
         args.l_step_km = max(args.l_step_km, 100.0)
         args.amps = [r for r in args.amps if r <= 2]
 
-    grid = []
-    value = args.l_step_km
-    while value <= args.l_max_km + 1e-9:
-        grid.append(value)
-        value += args.l_step_km
+    grid = distance_grid(args.l_step_km, args.l_max_km, args.l_step_km)
 
     rows: list[SweepRow] = []
     for scenario in (Scenario.CONVENTIONAL, Scenario.GORDON_HOLEVO):

@@ -11,7 +11,7 @@ psa_ode, psa_approx, pia_ode, pia_approx:
 import argparse
 import sys
 
-from qlink import shannon_single_quadrature, shannon_two_quadrature
+from qlink import distance_grid, shannon_single_quadrature, shannon_two_quadrature
 from qlink.distributed import (
     approx_capacity_pia,
     approx_capacity_psa,
@@ -30,11 +30,7 @@ def main() -> int:
     parser.add_argument("--out", default="distributed_comparison.csv")
     args = parser.parse_args()
 
-    grid = []
-    value = args.l_step_km
-    while value <= args.l_max_km + 1e-9:
-        grid.append(value)
-        value += args.l_step_km
+    grid = distance_grid(args.l_step_km, args.l_max_km, args.l_step_km)
 
     lines = ["distance_km,nbar,curve,capacity_bits_per_mode"]
     for nbar in args.nbar:

@@ -102,8 +102,21 @@ def holevo_chi(
     return gaussian_state_entropy(*out_total) - gaussian_state_entropy(*out_noise)
 
 
+def shannon_capacity(state: QuadState, scenario: Scenario) -> float:
+    """Shannon rate of an output ``state`` under a fixed-input scenario."""
+    if scenario is Scenario.TWO_QUADRATURE:
+        return shannon_two_quadrature(state)
+    if scenario is Scenario.CONVENTIONAL:
+        return shannon_single_quadrature(state)
+    raise ValueError(f"{scenario.value} has no fixed input")
+
+
 def scenario_input(scenario: Scenario, nbar: float) -> QuadState:
-    """Reference input carrying the full budget for a fixed-input scenario."""
+    """Reference input carrying the full budget, shared by discrete chains
+    and the continuum of either amplifier kind.  Gordon-Holevo plans are
+    kept feasible for the conventional input; the PSA continuum has no limit
+    for the symmetric one, as its feedback needs the I quadrature to
+    dominate."""
     if scenario is Scenario.TWO_QUADRATURE:
         return symmetric_coherent_input(nbar)
     return conventional_input(nbar)
@@ -274,8 +287,4 @@ def plan_capacity(plan: LinkPlan, scenario: Scenario, *, seed: int = 0) -> Capac
         return gh_capacity(plan, seed=seed)
     state = scenario_input(scenario, plan.nbar)
     out, _ = propagate(plan, state)
-    if scenario is Scenario.CONVENTIONAL:
-        bits = shannon_single_quadrature(out)
-    else:
-        bits = shannon_two_quadrature(out)
-    return CapacityResult(bits, scenario, state)
+    return CapacityResult(shannon_capacity(out, scenario), scenario, state)

@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
 
-from .capacity import Scenario, shannon_single_quadrature, shannon_two_quadrature
+from .capacity import Scenario, shannon_capacity
 from .distributed import (
     DEFAULT_STEP_KM,
     GRID_TOL_KM,
@@ -25,8 +26,7 @@ from .distributed import (
     state_at_position,
 )
 from .linkchain import AmpKind
-from .optimizer import SweepRow, SweepTable, optimize_plan, sweep_distance
-from .quadmodel import QuadState
+from .optimizer import SweepRow, SweepTable, distance_grid, optimize_plan, sweep_distance
 
 _KINDS = {"psa": AmpKind.PSA, "pia": AmpKind.PIA}
 _SCENARIOS = {
@@ -39,6 +39,11 @@ _FLOAT_KEYS = ("nbar", "alpha_db_km", "l_min_km", "l_max_km", "l_step_km", "ode_
 
 # Bound on the worker pool used for independent grid points.
 _MAX_WORKERS = 8
+# Largest grid, and most RK4 steps of a continuum run, that a run may ask for.
+MAX_GRID_POINTS = 100_000
+MAX_RK4_STEPS = 1_000_000
+# A '#' starts a comment at the start of a line or after whitespace.
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 class UsageError(Exception):
@@ -61,15 +66,7 @@ class RunConfig:
     out: str = "qlink.csv"
 
     def grid(self) -> list[float]:
-        points = []
-        k = 0
-        while True:
-            value = self.l_min_km + k * self.l_step_km
-            if value > self.l_max_km + 1e-9:
-                break
-            points.append(value)
-            k += 1
-        return points
+        return distance_grid(self.l_min_km, self.l_max_km, self.l_step_km)
 
 
 def _coerce(key: str, value: str):
@@ -108,7 +105,7 @@ def _read_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
+                line = _COMMENT.split(raw, 1)[0].strip()
                 if not line:
                     continue
                 if "=" not in line:
@@ -187,13 +184,30 @@ def parse_config(argv: list[str]) -> RunConfig:
         raise UsageError("--amps inf is only valid for the distributed/sweep commands")
     if config.command == "crossover" and config.l_max_km <= config.l_min_km:
         raise UsageError("crossover needs l_min_km < l_max_km to bracket the crossing")
+    points = (config.l_max_km - config.l_min_km) / config.l_step_km + 1.0
+    if points > MAX_GRID_POINTS:
+        raise UsageError(
+            f"--l-min-km {config.l_min_km:g} to --l-max-km {config.l_max_km:g} in steps "
+            f"of --l-step-km {config.l_step_km:g} is a grid of {points:.0f} points; "
+            f"at most {MAX_GRID_POINTS} are allowed")
+    integrates = config.command == "crossover" or config.amps is None
+    steps = config.l_max_km / config.ode_step_km
+    if integrates and steps > MAX_RK4_STEPS:
+        raise UsageError(
+            f"--l-max-km {config.l_max_km:g} in steps of --ode-step-km "
+            f"{config.ode_step_km:g} is {steps:.0f} RK4 steps; at most "
+            f"{MAX_RK4_STEPS} are allowed")
+    sweeps_continuum = config.amps is None and config.command != "crossover"
+    if (sweeps_continuum and config.kind is AmpKind.PSA
+            and config.scenario is Scenario.TWO_QUADRATURE):
+        raise UsageError("psa with two-quadrature-snl has no continuum limit: the "
+                         "phase-sensitive feedback is singular for the symmetric input")
     integrates_psa = config.command == "crossover" or (
         config.amps is None and config.kind is AmpKind.PSA)
     if integrates_psa and config.nbar == 0:
         raise UsageError("distributed PSA needs nbar > 0: its feedback gain is singular "
                          "without signal power")
-    if (config.amps is None and config.command != "crossover"
-            and config.scenario is Scenario.GORDON_HOLEVO):
+    if sweeps_continuum and config.scenario is Scenario.GORDON_HOLEVO:
         _check_on_integration_grid(config)
 
     for field in fields(RunConfig):
@@ -208,16 +222,13 @@ def parse_config(argv: list[str]) -> RunConfig:
     return config
 
 
-def _scenario_capacity(state: QuadState, scenario: Scenario) -> float:
-    if scenario is Scenario.TWO_QUADRATURE:
-        return shannon_two_quadrature(state)
-    return shannon_single_quadrature(state)
-
-
-def _integrate(config: RunConfig, kind: AmpKind, length_km: float, track=False) -> OdeProfile:
-    integrate = integrate_psa if kind is AmpKind.PSA else integrate_pia
-    return integrate(length_km, config.nbar, config.alpha_db_km,
-                     config.ode_step_km, track_channel=track)
+def _integrate(config: RunConfig, kind: AmpKind, scenario: Scenario, length_km: float,
+               track=False) -> OdeProfile:
+    if kind is AmpKind.PSA:
+        return integrate_psa(length_km, config.nbar, config.alpha_db_km,
+                             config.ode_step_km, track_channel=track)
+    return integrate_pia(length_km, config.nbar, config.alpha_db_km, config.ode_step_km,
+                         scenario=scenario, track_channel=track)
 
 
 def _distributed_rows(config: RunConfig, grid: list[float], kind: AmpKind,
@@ -225,7 +236,7 @@ def _distributed_rows(config: RunConfig, grid: list[float], kind: AmpKind,
     if not grid:
         return []
     wants_gh = scenario is Scenario.GORDON_HOLEVO
-    profile = _integrate(config, kind, grid[-1], track=wants_gh)
+    profile = _integrate(config, kind, scenario, grid[-1], track=wants_gh)
     rows = []
     for length in grid:
         if wants_gh:
@@ -233,29 +244,29 @@ def _distributed_rows(config: RunConfig, grid: list[float], kind: AmpKind,
             idx = profile.index_at(length)
             bits = gh_capacity_at(profile, idx, seed=config.seed).bits_per_mode
         else:
-            bits = _scenario_capacity(state_at_position(profile, length), scenario)
+            bits = shannon_capacity(state_at_position(profile, length), scenario)
         rows.append(SweepRow(length, scenario, kind, None, bits))
     return rows
 
 
 def _run_crossover(config: RunConfig) -> tuple[list[SweepRow], float]:
     grid = config.grid()
-    psa = _integrate(config, AmpKind.PSA, config.l_max_km)
-    pia = _integrate(config, AmpKind.PIA, config.l_max_km)
+    psa = _integrate(config, AmpKind.PSA, Scenario.CONVENTIONAL, config.l_max_km)
+    pia = _integrate(config, AmpKind.PIA, Scenario.TWO_QUADRATURE, config.l_max_km)
+
+    def capacities(length: float) -> tuple[float, float]:
+        return (shannon_capacity(state_at_position(psa, length), Scenario.CONVENTIONAL),
+                shannon_capacity(state_at_position(pia, length), Scenario.TWO_QUADRATURE))
+
     rows = []
     for length in grid:
-        rows.append(SweepRow(length, Scenario.CONVENTIONAL, AmpKind.PSA, None,
-                             _scenario_capacity(state_at_position(psa, length),
-                                                Scenario.CONVENTIONAL)))
-        rows.append(SweepRow(length, Scenario.TWO_QUADRATURE, AmpKind.PIA, None,
-                             _scenario_capacity(state_at_position(pia, length),
-                                                Scenario.TWO_QUADRATURE)))
+        psa_bits, pia_bits = capacities(length)
+        rows.append(SweepRow(length, Scenario.CONVENTIONAL, AmpKind.PSA, None, psa_bits))
+        rows.append(SweepRow(length, Scenario.TWO_QUADRATURE, AmpKind.PIA, None, pia_bits))
 
     def difference(length: float) -> float:
-        return (
-            _scenario_capacity(state_at_position(pia, length), Scenario.TWO_QUADRATURE)
-            - _scenario_capacity(state_at_position(psa, length), Scenario.CONVENTIONAL)
-        )
+        psa_bits, pia_bits = capacities(length)
+        return pia_bits - psa_bits
 
     lo, hi = config.l_min_km, config.l_max_km
     f_lo, f_hi = difference(lo), difference(hi)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import CapacityResult, gh_capacity_for_channel
-from .linkchain import AmpKind, attenuation_to_natural
+from .capacity import CapacityResult, Scenario, gh_capacity_for_channel, scenario_input
+from .linkchain import _PSA, AmpKind, attenuation_to_natural
 from .quadmodel import QuadState
 
 _LN2 = math.log(2.0)
@@ -36,27 +36,37 @@ class IntegrationError(RuntimeError):
         self.position_km = position_km
 
 
-def feedback_gain_psa(state: QuadState, alpha_nat: float) -> float:
-    """Per-km phase-sensitive gain that holds the total photon number fixed.
+def _feedback_gain(kind: AmpKind, y, alpha: float) -> float:
+    """Per-km gain that holds the total photon number fixed.
 
-    Derived by zeroing the length-derivative of the photon number: the gain
-    must replace, via the dominant quadrature, exactly what attenuation
-    drains from the whole mode.
+    ``y`` starts with a raw (sig_i, sig_q, noise_i, noise_q) tuple.  Zeroing
+    the length-derivative of the photon number, the gain must replace what
+    attenuation drains from the whole mode: a PSA through the excess of the
+    amplified over the deamplified quadrature, a PIA through both
+    quadratures at the price of its added noise.
     """
-    total = state.sig_i + state.sig_q + state.noise_i + state.noise_q
-    lever = (state.sig_i + state.noise_i) - (state.sig_q + state.noise_q)
-    if lever <= 0.0:
-        raise ValueError(
-            "phase-sensitive feedback needs the amplified quadrature to "
-            f"dominate, got I-Q power difference {lever}"
-        )
-    return alpha_nat * (total - 1.0) / lever
+    if kind is _PSA:
+        lever = (y[0] + y[2]) - (y[1] + y[3])
+        if lever <= 0.0:
+            raise ValueError(
+                "phase-sensitive feedback singular: it needs the amplified "
+                f"quadrature to dominate, got I-Q power difference {lever}"
+            )
+        return alpha * (y[0] + y[1] + y[2] + y[3] - 1.0) / lever
+    total = (y[0] + y[2]) + (y[1] + y[3])
+    return alpha * (total - 1.0) / (total + 1.0)
+
+
+def feedback_gain_psa(state: QuadState, alpha_nat: float) -> float:
+    """Per-km phase-sensitive gain that holds the total photon number fixed;
+    the amplified (I) quadrature must carry more power than the Q one."""
+    return _feedback_gain(AmpKind.PSA, state.as_tuple(), alpha_nat)
 
 
 def feedback_gain_pia(state: QuadState, alpha_nat: float) -> float:
-    """Per-km phase-insensitive gain holding each quadrature's power fixed."""
-    power = state.sig_i + state.noise_i
-    return alpha_nat * (power - 0.5) / (power + 0.5)
+    """Per-km phase-insensitive gain that holds the total photon number
+    fixed."""
+    return _feedback_gain(AmpKind.PIA, state.as_tuple(), alpha_nat)
 
 
 @dataclass
@@ -108,60 +118,40 @@ class OdeProfile:
         return idx
 
 
-def _psa_rhs(y, alpha):
-    # Feedback inlined: RK stage points are raw tuples, not validated states.
-    sig_i, sig_q, noise_i, noise_q = y[:4]
-    total = sig_i + sig_q + noise_i + noise_q
-    lever = (sig_i + noise_i) - (sig_q + noise_q)
-    if lever <= 0.0:
-        raise ValueError("phase-sensitive feedback singular")
-    gamma = alpha * (total - 1.0) / lever
+def _drift(y, k, rate_i, rate_q, inject):
+    # sig -> rate*sig, noise -> rate*noise + inject for the block y[k:k+4];
+    # a tracked channel map's (mult, add) obey the same equations.
+    return (rate_i * y[k], rate_q * y[k + 1],
+            rate_i * y[k + 2] + inject, rate_q * y[k + 3] + inject)
+
+
+def _rhs(kind: AmpKind, y, alpha: float) -> tuple:
+    gamma = _feedback_gain(kind, y, alpha)
     up = gamma - alpha
-    down = -gamma - alpha
-    out = [up * sig_i, down * sig_q, up * noise_i + alpha / 2.0, down * noise_q + alpha / 2.0]
+    if kind is _PSA:
+        down, inject = -gamma - alpha, alpha / 2.0
+    else:
+        down, inject = up, alpha / 2.0 + gamma / 2.0
     if len(y) > 4:
-        mult_i, add_i, mult_q, add_q = y[4:]
-        out += [up * mult_i, up * add_i + alpha / 2.0,
-                down * mult_q, down * add_q + alpha / 2.0]
-    return tuple(out)
+        return _drift(y, 0, up, down, inject) + _drift(y, 4, up, down, inject)
+    return _drift(y, 0, up, down, inject)
 
 
-def _pia_rhs(y, alpha):
-    sig_i, sig_q, noise_i, noise_q = y[:4]
-    power = sig_i + noise_i
-    gamma = alpha * (power - 0.5) / (power + 0.5)
-    up = gamma - alpha
-    inject = alpha / 2.0 + gamma / 2.0
-    out = [up * sig_i, up * sig_q, up * noise_i + inject, up * noise_q + inject]
-    if len(y) > 4:
-        mult_i, add_i, mult_q, add_q = y[4:]
-        out += [up * mult_i, up * add_i + inject, up * mult_q, up * add_q + inject]
-    return tuple(out)
-
-
-def _gamma_of(y, alpha, kind: AmpKind) -> float:
-    if kind is AmpKind.PSA:
-        lever = (y[0] + y[2]) - (y[1] + y[3])
-        if lever <= 0.0:
-            raise ValueError("phase-sensitive feedback singular")
-        return alpha * (y[0] + y[1] + y[2] + y[3] - 1.0) / lever
-    power = y[0] + y[2]
-    return alpha * (power - 0.5) / (power + 0.5)
-
-
-def _rk4_step(y, h, rhs, alpha):
-    k1 = rhs(y, alpha)
-    k2 = rhs(tuple(v + 0.5 * h * k for v, k in zip(y, k1)), alpha)
-    k3 = rhs(tuple(v + 0.5 * h * k for v, k in zip(y, k2)), alpha)
-    k4 = rhs(tuple(v + h * k for v, k in zip(y, k3)), alpha)
-    return tuple(
-        v + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-        for v, a, b, c, d in zip(y, k1, k2, k3, k4)
-    )
+def _rk4_step(y, h, kind, alpha):
+    half = 0.5 * h
+    k1 = _rhs(kind, y, alpha)
+    k2 = _rhs(kind, [v + half * k for v, k in zip(y, k1)], alpha)
+    k3 = _rhs(kind, [v + half * k for v, k in zip(y, k2)], alpha)
+    k4 = _rhs(kind, [v + h * k for v, k in zip(y, k3)], alpha)
+    sixth = h / 6.0
+    # a tuple: the samples kept per step are smaller than lists
+    return tuple([v + sixth * (a + 2.0 * b + 2.0 * c + d)
+                  for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
 
 
 def _integrate(
     kind: AmpKind,
+    scenario: Scenario,
     length_km: float,
     nbar: float,
     alpha_db_per_km: float,
@@ -173,13 +163,9 @@ def _integrate(
     if length_km < 0:
         raise ValueError(f"length must be non-negative, got {length_km}")
     alpha = attenuation_to_natural(alpha_db_per_km)
-    rhs = _psa_rhs if kind is AmpKind.PSA else _pia_rhs
-    if kind is AmpKind.PSA:
-        y = (2.0 * nbar, 0.0, 0.5, 0.5)
-    else:
-        y = (nbar, nbar, 0.5, 0.5)
+    y = scenario_input(scenario, nbar).as_tuple()
     if track_channel:
-        y = y + (1.0, 0.0, 1.0, 0.0)
+        y = y + (1.0, 1.0, 0.0, 0.0)  # identity map: (mult_i, mult_q, add_i, add_q)
 
     n_full = int(math.floor(length_km / step_km + 1e-9))
     remainder = length_km - n_full * step_km
@@ -190,7 +176,7 @@ def _integrate(
     pos = 0.0
     for h in steps:
         try:
-            y = _rk4_step(y, h, rhs, alpha)
+            y = _rk4_step(y, h, kind, alpha)
         except ValueError as err:
             raise IntegrationError(f"{err} at {pos} km", pos) from err
         pos += h
@@ -201,13 +187,13 @@ def _integrate(
 
     arr = np.asarray(samples, dtype=float)
     try:
-        gammas = np.asarray([_gamma_of(s, alpha, kind) for s in samples])
+        gammas = np.asarray([_feedback_gain(kind, s, alpha) for s in samples])
     except ValueError as err:
         raise IntegrationError(f"{err} at {positions[-1]} km", positions[-1]) from err
     channel = {}
     if track_channel:
         channel = dict(
-            mult_i=arr[:, 4], add_i=arr[:, 5], mult_q=arr[:, 6], add_q=arr[:, 7]
+            mult_i=arr[:, 4], mult_q=arr[:, 5], add_i=arr[:, 6], add_q=arr[:, 7]
         )
     return OdeProfile(
         nbar=nbar,
@@ -231,13 +217,15 @@ def integrate_psa(
     *,
     track_channel: bool = False,
 ) -> OdeProfile:
-    """Integrate the distributed-PSA system from a conventional input.
+    """Integrate the distributed-PSA system from the conventional input
+    (``scenario_input``; a symmetric input leaves the feedback singular).
 
     Classical fixed-step RK4; the feedback gain is re-evaluated at every
     stage point, so the total photon number is conserved to the integrator's
     order.
     """
-    return _integrate(AmpKind.PSA, length_km, nbar, alpha_db_per_km, step_km, track_channel)
+    return _integrate(AmpKind.PSA, Scenario.CONVENTIONAL, length_km, nbar, alpha_db_per_km,
+                      step_km, track_channel)
 
 
 def integrate_pia(
@@ -246,11 +234,14 @@ def integrate_pia(
     alpha_db_per_km: float = 0.2,
     step_km: float = DEFAULT_STEP_KM,
     *,
+    scenario: Scenario = Scenario.TWO_QUADRATURE,
     track_channel: bool = False,
 ) -> OdeProfile:
-    """Integrate the distributed-PIA system from a symmetric coherent input;
-    the feedback holds each quadrature's total power fixed."""
-    return _integrate(AmpKind.PIA, length_km, nbar, alpha_db_per_km, step_km, track_channel)
+    """Integrate the distributed-PIA system from the reference input of
+    ``scenario`` (``scenario_input``); the feedback holds the total photon
+    number fixed."""
+    return _integrate(AmpKind.PIA, scenario, length_km, nbar, alpha_db_per_km,
+                      step_km, track_channel)
 
 
 def state_at_position(profile: OdeProfile, position_km: float) -> QuadState:
@@ -266,11 +257,8 @@ def state_at_position(profile: OdeProfile, position_km: float) -> QuadState:
     h = position_km - float(profile.positions[idx])
     if h <= 1e-12:
         return state
-    rhs = _psa_rhs if profile.kind is AmpKind.PSA else _pia_rhs
-    y = _rk4_step(
-        (state.sig_i, state.sig_q, state.noise_i, state.noise_q),
-        h, rhs, attenuation_to_natural(profile.alpha_db_per_km),
-    )
+    y = _rk4_step(state.as_tuple(), h, profile.kind,
+                  attenuation_to_natural(profile.alpha_db_per_km))
     return QuadState(*y)
 
 

@@ -15,24 +15,17 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .capacity import (
-    Scenario,
-    gh_capacity,
-    scenario_input,
-    shannon_single_quadrature,
-    shannon_two_quadrature,
-)
+from .capacity import Scenario, gh_capacity, scenario_input, shannon_capacity
 from .linkchain import (
     AmpKind,
     LinkPlan,
-    apply_amp,
-    apply_loss,
-    AmpSpec,
+    _amplify,
+    _loss,
     attenuation_to_natural,
     max_feasible_gain,
     propagate,
 )
-from .quadmodel import QuadState, conventional_input
+from .quadmodel import QuadState
 from .search import golden_section_maximize
 
 log = logging.getLogger(__name__)
@@ -69,14 +62,6 @@ class PlanCandidate:
         )
 
 
-def _reference_input(scenario: Scenario, nbar: float) -> QuadState:
-    # The Gordon-Holevo search picks its own input; plans are kept feasible
-    # for the conventional reference it is seeded from.
-    if scenario is Scenario.GORDON_HOLEVO:
-        return conventional_input(nbar)
-    return scenario_input(scenario, nbar)
-
-
 class _PlanScorer:
     """Builds feasible plans from raw coordinates and scores them."""
 
@@ -88,34 +73,26 @@ class _PlanScorer:
         self.kind = kind
         self.scenario = scenario
         self.seed = seed
-        self.ref_input = _reference_input(scenario, nbar)
+        self.ref_input = scenario_input(scenario, nbar)
 
-    def repair_gains(self, positions, gains) -> list[float]:
+    def repair_gains(self, positions, gains) -> tuple[list[float], list[float]]:
         """Scale down any gain that would push the reference input above the
-        photon budget; walks the chain input to output."""
-        state = self.ref_input
+        photon budget; walks the chain input to output.  Returns the repaired
+        gains and each amplifier's ceiling, its largest feasible gain given
+        the amplifiers before it."""
+        y = self.ref_input.as_tuple()
         prev = 0.0
         repaired = []
+        ceilings = []
         for pos, gain in zip(positions, gains):
-            state = apply_loss(state, math.exp(-self.alpha_nat * (pos - prev)))
-            ceiling = max_feasible_gain(state, self.nbar, self.kind)
+            y = _loss(y, math.exp(-self.alpha_nat * (pos - prev)))
+            ceiling = max_feasible_gain(QuadState(*y), self.nbar, self.kind)
             gain = min(max(gain, 1.0), ceiling)
             repaired.append(gain)
-            state = apply_amp(state, AmpSpec(self.kind, gain))
+            ceilings.append(ceiling)
+            y = _amplify(y, self.kind, gain)
             prev = pos
-        return repaired
-
-    def gain_ceiling(self, positions, gains, index) -> float:
-        """Largest feasible gain of amplifier ``index`` for the reference
-        input, given the amplifiers before it."""
-        state = self.ref_input
-        prev = 0.0
-        for pos, gain in zip(positions[:index], gains[:index]):
-            state = apply_loss(state, math.exp(-self.alpha_nat * (pos - prev)))
-            state = apply_amp(state, AmpSpec(self.kind, gain))
-            prev = pos
-        state = apply_loss(state, math.exp(-self.alpha_nat * (positions[index] - prev)))
-        return max_feasible_gain(state, self.nbar, self.kind)
+        return repaired, ceilings
 
     def _plan(self, positions, gains) -> LinkPlan:
         return LinkPlan.from_amp_positions(
@@ -125,14 +102,12 @@ class _PlanScorer:
 
     def score(self, positions, gains) -> tuple[float, list[float]]:
         """Score repaired coordinates; returns (score, repaired gains)."""
-        gains = self.repair_gains(positions, gains)
+        gains, _ = self.repair_gains(positions, gains)
         plan = self._plan(positions, gains)
         if self.scenario is Scenario.GORDON_HOLEVO:
             return gh_capacity(plan, seed=self.seed).bits_per_mode, gains
         out, _ = propagate(plan, self.ref_input)
-        if self.scenario is Scenario.CONVENTIONAL:
-            return shannon_single_quadrature(out), gains
-        return shannon_two_quadrature(out), gains
+        return shannon_capacity(out, self.scenario), gains
 
 
 def equidistant_saturating_plan(
@@ -153,7 +128,7 @@ def equidistant_saturating_plan(
         raise ValueError(f"amplifier count must be non-negative, got {amp_count}")
     scorer = _PlanScorer(length_km, nbar, alpha_db_per_km, kind, scenario, seed)
     positions = [i * length_km / (amp_count + 1) for i in range(1, amp_count + 1)]
-    gains = scorer.repair_gains(positions, [math.inf] * amp_count)
+    gains, _ = scorer.repair_gains(positions, [math.inf] * amp_count)
     score, gains = scorer.score(positions, gains)
     return PlanCandidate(
         length_km, nbar, alpha_db_per_km, kind, scenario,
@@ -187,7 +162,7 @@ def optimize_plan(
 
     scorer = _PlanScorer(length_km, nbar, alpha_db_per_km, kind, scenario, seed)
     positions = list(seed_candidate.positions)
-    gains = list(seed_candidate.gains)
+    gains, ceilings = scorer.repair_gains(positions, seed_candidate.gains)
     current = seed_candidate.score
     # A Gordon-Holevo optimum tends to hold a gain on its budget ceiling; a
     # position move at fixed gain leaves that ridge, so there the trial gain
@@ -202,7 +177,7 @@ def optimize_plan(
             hi = (positions[i + 1] if i + 1 < amp_count else length_km) - _POSITION_GAP_KM
             if hi > lo:
                 move_gains = list(gains)
-                if ride_ceiling and scorer.gain_ceiling(positions, gains, i) - gains[i] <= param_tol:
+                if ride_ceiling and ceilings[i] - gains[i] <= param_tol:
                     move_gains[i] = math.inf
 
                 def eval_position(x: float) -> float:
@@ -213,9 +188,10 @@ def optimize_plan(
                 if best_fx > current:
                     moved = max(moved, abs(best_x - positions[i]))
                     positions[i] = best_x
-                    current, gains = best_fx, scorer.repair_gains(positions, move_gains)
+                    current = best_fx
+                    gains, ceilings = scorer.repair_gains(positions, move_gains)
 
-            ceiling = scorer.gain_ceiling(positions, gains, i)
+            ceiling = ceilings[i]
             if ceiling - 1.0 > param_tol:
                 def eval_gain(g: float) -> float:
                     trial = gains[:i] + [g] + gains[i + 1 :]
@@ -225,7 +201,8 @@ def optimize_plan(
                 if best_fg > current:
                     moved = max(moved, abs(best_g - gains[i]))
                     trial = gains[:i] + [best_g] + gains[i + 1 :]
-                    current, gains = best_fg, scorer.repair_gains(positions, trial)
+                    current = best_fg
+                    gains, ceilings = scorer.repair_gains(positions, trial)
         if moved < param_tol:
             break
 
@@ -272,6 +249,20 @@ class SweepTable:
                 f"{row.amp_kind.value},{amps},{row.capacity_bits_per_mode:.9g}"
             )
         return lines
+
+
+def distance_grid(start: float, stop: float, step: float) -> list[float]:
+    """Distances start, start + step, ... up to ``stop`` (within 1e-9 km);
+    each is computed from its index, so no rounding accumulates."""
+    if not (step > 0.0 and math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"grid needs finite ends and a positive step, got "
+                         f"{start}, {stop}, {step}")
+    points = []
+    k = 0
+    while (value := start + k * step) <= stop + 1e-9:
+        points.append(value)
+        k += 1
+    return points
 
 
 def _sweep_point(args) -> SweepRow:

@@ -48,6 +48,11 @@ class QuadState:
         if mean_photon_number(self) < -HEISENBERG_TOL:
             raise ValueError(f"negative mean photon number for {self!r}")
 
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        """(sig_i, sig_q, noise_i, noise_q), the layout the stage and
+        continuum arithmetic works on."""
+        return (self.sig_i, self.sig_q, self.noise_i, self.noise_q)
+
 
 def mean_photon_number(state: QuadState) -> float:
     """Mean photon number of the mode; vacuum carries zero photons."""

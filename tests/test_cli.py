@@ -25,6 +25,13 @@ class TestParsing:
         assert "# nbar=200.0" in err
         assert "# command=sweep" in err
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("out=run#2.csv\n  # indented comment\nnbar=50\t# tab comment\n")
+        config = parse_config(["sweep", "--config", str(conf)])
+        assert config.out == "run#2.csv"
+        assert config.nbar == 50.0
+
     def test_amp_count_flag(self):
         config = parse_config(["sweep", "--nbar", "100", "--alpha-db-km", "0.2", "--amps", "4"])
         assert config.amps == 4
@@ -110,6 +117,51 @@ class TestParsing:
         assert code == 0
         assert len(out.read_text().splitlines()) == 3
 
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--l-step-km", "1e-9"],
+        ["optimize", "--amps", "1", "--l-min-km", "1", "--l-max-km", "100001",
+         "--l-step-km", "1"],
+        ["distributed", "--l-step-km", "0.01", "--l-max-km", "1100"],
+    ])
+    def test_oversized_grid_is_usage_error(self, args, capsys):
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert "--l-step-km" in err
+        assert "grid of" in err
+        assert "at most 100000" in err
+
+    def test_largest_grid_is_accepted(self):
+        config = parse_config(["sweep", "--l-min-km", "1", "--l-max-km", "100000",
+                               "--l-step-km", "1"])
+        assert len(config.grid()) == 100_000
+
+    @pytest.mark.parametrize("args", [
+        ["distributed", "--ode-step-km", "1e-9"],
+        ["sweep", "--amps", "inf", "--l-max-km", "200001", "--l-step-km", "1000",
+         "--ode-step-km", "0.2"],
+        ["crossover", "--ode-step-km", "1e-9"],
+    ])
+    def test_oversized_integration_is_usage_error(self, args, capsys):
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert "--ode-step-km" in err
+        assert "RK4 steps" in err
+
+    def test_step_bound_applies_only_to_continuum_runs(self):
+        assert parse_config(["distributed", "--l-max-km", "100000", "--l-step-km", "1000",
+                             "--ode-step-km", "0.1"]).amps is None
+        assert parse_config(["sweep", "--amps", "2", "--ode-step-km", "1e-9"]).amps == 2
+
+    @pytest.mark.parametrize("args", [
+        ["distributed", "--kind", "psa", "--scenario", "two-quadrature-snl"],
+        ["sweep", "--amps", "inf", "--scenario", "two-quadrature-snl"],
+    ])
+    def test_psa_two_quadrature_continuum_is_refused(self, args, capsys):
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert "psa with two-quadrature-snl" in err
+        assert "continuum" in err
+
     def test_amps_inf_allowed_for_sweep(self, tmp_path):
         out = tmp_path / "t.csv"
         code = run_cli(
@@ -190,6 +242,20 @@ class TestDistributedCommand:
             assert float(capacity) == pytest.approx(
                 shannon_single_quadrature(profile.final_state), rel=1e-8
             )
+
+    def test_pia_conventional_row_is_the_dense_chain_limit(self, tmp_path):
+        # 500 km equidistant PIA chains give 1.524/1.547/1.552 bits at
+        # R = 256/1024/4096, converging on 1.554
+        out = tmp_path / "pia.csv"
+        code = run_cli(
+            ["distributed", "--kind", "pia", "--scenario", "conventional-snl",
+             "--l-min-km", "500", "--l-max-km", "500", "--l-step-km", "500",
+             "--out", str(out)]
+        )
+        assert code == 0
+        dist, scenario, kind, amps, capacity = out.read_text().splitlines()[1].split(",")
+        assert (dist, scenario, kind, amps) == ("500", "ConventionalSNL", "PIA", "inf")
+        assert float(capacity) == pytest.approx(1.554, abs=0.01)
 
 
 class TestCrossoverCommand:

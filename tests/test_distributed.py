@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from qlink import (
+    AmpKind,
     QuadState,
+    Scenario,
     attenuation_to_natural,
     conventional_input,
+    equidistant_saturating_plan,
     gh_capacity_at,
+    shannon_capacity,
     shannon_single_quadrature,
     shannon_two_quadrature,
 )
@@ -170,6 +174,12 @@ class TestIntegratePia:
         profile = integrate_pia(100.0, 100.0)
         assert np.allclose(profile.gain_coeff / ALPHA, 100.0 / 101.0, atol=1e-9)
 
+    def test_total_photon_number_conserved_from_conventional_input(self):
+        profile = integrate_pia(500.0, 100.0, scenario=Scenario.CONVENTIONAL)
+        assert profile.state_at(0) == conventional_input(100.0)
+        assert np.abs(profile.photon_numbers() - 100.0).max() < 1e-9
+        assert (profile.sig_q == 0.0).all()
+
     def test_capacity_matches_approximation_at_range(self):
         for length in (1000.0, 3000.0, 5000.0):
             profile = integrate_pia(length, 100.0, step_km=0.25)
@@ -190,6 +200,36 @@ class TestPsaVsPia:
         profile = integrate_psa(2000.0, 100.0, step_km=0.25)
         exact = shannon_single_quadrature(profile.final_state)
         assert exact == pytest.approx(approx_capacity_psa(2000.0, 100.0), rel=0.05)
+
+
+class TestContinuumLimit:
+    """Dense equidistant chains converge to the continuum for every
+    (kind, scenario) pair that has one: both start from the same reference
+    input (``scenario_input``)."""
+
+    @pytest.mark.parametrize("kind, scenario", [
+        (AmpKind.PSA, Scenario.CONVENTIONAL),
+        (AmpKind.PSA, Scenario.GORDON_HOLEVO),
+        (AmpKind.PIA, Scenario.CONVENTIONAL),
+        (AmpKind.PIA, Scenario.TWO_QUADRATURE),
+        (AmpKind.PIA, Scenario.GORDON_HOLEVO),
+    ])
+    def test_discrete_chain_converges_to_continuum(self, kind, scenario):
+        gh = scenario is Scenario.GORDON_HOLEVO
+        if kind is AmpKind.PSA:
+            profile = integrate_psa(500.0, 100.0, track_channel=gh)
+        else:
+            profile = integrate_pia(500.0, 100.0, scenario=scenario, track_channel=gh)
+        if gh:
+            limit = gh_capacity_at(profile).bits_per_mode
+        else:
+            limit = shannon_capacity(profile.final_state, scenario)
+        gaps = [
+            abs(limit - equidistant_saturating_plan(500.0, amps, 100.0, 0.2, kind, scenario).score)
+            for amps in (64, 256, 1024)
+        ]
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[2] < 0.02
 
 
 class TestStateAtPosition:

@@ -19,6 +19,7 @@ from qlink import (
 from qlink.optimizer import (
     SweepRow,
     SweepTable,
+    distance_grid,
     equidistant_saturating_plan,
     optimize_plan,
     sweep_distance,
@@ -132,7 +133,7 @@ class TestOptimizePlan:
             pos = 100.0 * i / 20
             scorer = _PlanScorer(100.0, 100.0, 0.2, AmpKind.PSA, Scenario.GORDON_HOLEVO, 0)
             plan = LinkPlan.from_amp_positions(
-                0.2, 100.0, 100.0, [pos], scorer.repair_gains([pos], [math.inf])
+                0.2, 100.0, 100.0, [pos], scorer.repair_gains([pos], [math.inf])[0]
             )
             best = max(best, gh_capacity(plan).bits_per_mode)
         cand = optimize_plan(100.0, 1, 100.0, 0.2, scenario=Scenario.GORDON_HOLEVO)
@@ -185,6 +186,21 @@ class TestSweep:
         with caplog.at_level("WARNING", logger="qlink.optimizer"):
             opt.sweep_distance([10.0, 20.0], 0, 100.0, 0.2)
         assert any("capacity increased" in record.message for record in caplog.records)
+
+
+class TestDistanceGrid:
+    def test_points_are_computed_from_their_index(self):
+        grid = distance_grid(0.1, 1.0, 0.1)
+        assert grid == [0.1 + k * 0.1 for k in range(10)]
+        assert distance_grid(10.0, 30.0 + 5e-10, 10.0) == [10.0, 20.0, 30.0]
+        assert distance_grid(100.0, 50.0, 10.0) == []
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (10.0, 20.0, 0.0), (10.0, 20.0, -1.0), (10.0, math.inf, 1.0), (math.nan, 20.0, 1.0),
+    ])
+    def test_rejects_a_grid_without_end(self, start, stop, step):
+        with pytest.raises(ValueError, match="positive step"):
+            distance_grid(start, stop, step)
 
 
 class TestSweepTable:
