@@ -23,7 +23,6 @@ def main() -> int:
     parser.add_argument("--l-max-km", type=float, default=500.0)
     parser.add_argument("--l-step-km", type=float, default=25.0)
     parser.add_argument("--amps", type=int, nargs="*", default=[0, 1, 2, 4, 8])
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="capacity_vs_distance.csv")
     parser.add_argument("--quick", action="store_true",
                         help="coarser grid and fewer amplifier counts")
@@ -40,14 +39,12 @@ def main() -> int:
         for amps in args.amps:
             started = time.time()
             table = sweep_distance(grid, amps, args.nbar, args.alpha_db_km,
-                                   AmpKind.PSA, scenario, seed=args.seed,
-                                   max_workers=8)
+                                   AmpKind.PSA, scenario, max_workers=8)
             rows.extend(table.rows)
             print(f"{scenario.value} R={amps}: {time.time() - started:.1f}s",
                   file=sys.stderr)
         config = RunConfig(command="distributed", nbar=args.nbar,
-                           alpha_db_km=args.alpha_db_km, scenario=scenario,
-                           seed=args.seed)
+                           alpha_db_km=args.alpha_db_km, scenario=scenario)
         rows.extend(_distributed_rows(config, grid, AmpKind.PSA, scenario))
         print(f"{scenario.value} R=inf done", file=sys.stderr)
 

@@ -233,15 +233,10 @@ def gh_capacity_for_channel(
     mult_q,
     add_q,
     nbar: float,
-    *,
-    seed: int = 0,
 ) -> CapacityResult:
     """Gordon-Holevo capacity of an affine Gaussian channel given its
-    per-checkpoint coefficient arrays (last checkpoint = output).
-
-    The search is exact and deterministic; ``seed`` is accepted for
-    interface stability and changes no result.
-    """
+    per-checkpoint coefficient arrays (last checkpoint = output); the search
+    is exact and deterministic."""
     if nbar <= 0:
         return CapacityResult(0.0, Scenario.GORDON_HOLEVO, QuadState(0, 0, 0.5, 0.5))
     chi, p, r = _gh_search(_GhChannel(mult_i, add_i, mult_q, add_q, nbar))
@@ -254,7 +249,7 @@ def gh_capacity_for_channel(
     return CapacityResult(max(chi, 0.0), Scenario.GORDON_HOLEVO, achieving)
 
 
-def gh_capacity(plan: LinkPlan, *, seed: int = 0) -> CapacityResult:
+def gh_capacity(plan: LinkPlan) -> CapacityResult:
     """Gordon-Holevo capacity of a link plan.
 
     Maximizes the Holevo information of the propagated output over the input
@@ -269,7 +264,6 @@ def gh_capacity(plan: LinkPlan, *, seed: int = 0) -> CapacityResult:
         [cm.mult_q for _, cm in points],
         [cm.add_q for _, cm in points],
         plan.nbar,
-        seed=seed,
     )
     _, trace = propagate(plan, result.achieving_input)
     violations = check_power_constraint(trace, plan.nbar)
@@ -281,10 +275,10 @@ def gh_capacity(plan: LinkPlan, *, seed: int = 0) -> CapacityResult:
     return result
 
 
-def plan_capacity(plan: LinkPlan, scenario: Scenario, *, seed: int = 0) -> CapacityResult:
+def plan_capacity(plan: LinkPlan, scenario: Scenario) -> CapacityResult:
     """Capacity of a plan under the requested detection scenario."""
     if scenario is Scenario.GORDON_HOLEVO:
-        return gh_capacity(plan, seed=seed)
+        return gh_capacity(plan)
     state = scenario_input(scenario, plan.nbar)
     out, _ = propagate(plan, state)
     return CapacityResult(shannon_capacity(out, scenario), scenario, state)

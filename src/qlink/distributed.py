@@ -262,9 +262,7 @@ def state_at_position(profile: OdeProfile, position_km: float) -> QuadState:
     return QuadState(*y)
 
 
-def gh_capacity_at(
-    profile: OdeProfile, index: int = -1, *, seed: int = 0
-) -> CapacityResult:
+def gh_capacity_at(profile: OdeProfile, index: int = -1) -> CapacityResult:
     """Gordon-Holevo capacity of the distributed channel truncated at a grid
     sample; requires the profile to carry channel maps."""
     if profile.mult_i is None:
@@ -276,7 +274,6 @@ def gh_capacity_at(
         profile.mult_q[:stop],
         profile.add_q[:stop],
         profile.nbar,
-        seed=seed,
     )
 
 

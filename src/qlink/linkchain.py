@@ -42,7 +42,9 @@ class SpanSpec:
     """Passive span of ``length_km`` fiber with power transmission ``tau``.
 
     Zero-length spans (tau = 1) are allowed so that degenerate links such as
-    the identity channel can be expressed.
+    the identity channel can be expressed.  tau = 0 is allowed too: it is the
+    correctly rounded transmission of a very long span (past about 16,180 km
+    at 0.2 dB/km, exp(-alpha*L) lies below the smallest double).
     """
 
     length_km: float
@@ -51,8 +53,8 @@ class SpanSpec:
     def __post_init__(self) -> None:
         if self.length_km < 0:
             raise ValueError(f"span length must be non-negative, got {self.length_km}")
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError(f"transmission must lie in (0, 1], got {self.tau}")
+        if not 0.0 <= self.tau <= 1.0:
+            raise ValueError(f"transmission must lie in [0, 1], got {self.tau}")
 
 
 @dataclass(frozen=True)

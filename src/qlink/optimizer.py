@@ -23,7 +23,7 @@ from .linkchain import (
     _loss,
     attenuation_to_natural,
     max_feasible_gain,
-    propagate,
+    propagate,  # noqa: F401 - unused here; kept as a patch point for perfbench/traced_run.py
 )
 from .quadmodel import QuadState
 from .search import golden_section_maximize
@@ -32,6 +32,9 @@ log = logging.getLogger(__name__)
 
 # Amplifiers are kept strictly inside the link and strictly ordered.
 _POSITION_GAP_KM = 1e-6
+# Line-search tolerance (km or gain) and the cap on coordinate-descent sweeps.
+_PARAM_TOL = 1e-6
+_MAX_SWEEPS = 200
 
 
 @dataclass(frozen=True)
@@ -65,21 +68,20 @@ class PlanCandidate:
 class _PlanScorer:
     """Builds feasible plans from raw coordinates and scores them."""
 
-    def __init__(self, length_km, nbar, alpha_db_per_km, kind, scenario, seed):
+    def __init__(self, length_km, nbar, alpha_db_per_km, kind, scenario):
         self.length_km = length_km
         self.nbar = nbar
         self.alpha_db_per_km = alpha_db_per_km
         self.alpha_nat = attenuation_to_natural(alpha_db_per_km)
         self.kind = kind
         self.scenario = scenario
-        self.seed = seed
         self.ref_input = scenario_input(scenario, nbar)
 
-    def repair_gains(self, positions, gains) -> tuple[list[float], list[float]]:
+    def repair_gains(self, positions, gains) -> tuple[list[float], list[float], tuple]:
         """Scale down any gain that would push the reference input above the
         photon budget; walks the chain input to output.  Returns the repaired
-        gains and each amplifier's ceiling, its largest feasible gain given
-        the amplifiers before it."""
+        gains, each amplifier's ceiling (its largest feasible gain given the
+        amplifiers before it) and the reference output as a raw tuple."""
         y = self.ref_input.as_tuple()
         prev = 0.0
         repaired = []
@@ -92,22 +94,19 @@ class _PlanScorer:
             ceilings.append(ceiling)
             y = _amplify(y, self.kind, gain)
             prev = pos
-        return repaired, ceilings
-
-    def _plan(self, positions, gains) -> LinkPlan:
-        return LinkPlan.from_amp_positions(
-            self.alpha_db_per_km, self.length_km, self.nbar,
-            positions, gains, self.kind,
-        )
+        y = _loss(y, math.exp(-self.alpha_nat * (self.length_km - prev)))
+        return repaired, ceilings, y
 
     def score(self, positions, gains) -> tuple[float, list[float]]:
         """Score repaired coordinates; returns (score, repaired gains)."""
-        gains, _ = self.repair_gains(positions, gains)
-        plan = self._plan(positions, gains)
+        gains, _, out = self.repair_gains(positions, gains)
         if self.scenario is Scenario.GORDON_HOLEVO:
-            return gh_capacity(plan, seed=self.seed).bits_per_mode, gains
-        out, _ = propagate(plan, self.ref_input)
-        return shannon_capacity(out, self.scenario), gains
+            plan = LinkPlan.from_amp_positions(
+                self.alpha_db_per_km, self.length_km, self.nbar,
+                positions, gains, self.kind,
+            )
+            return gh_capacity(plan).bits_per_mode, gains
+        return shannon_capacity(QuadState(*out), self.scenario), gains
 
 
 def equidistant_saturating_plan(
@@ -117,8 +116,6 @@ def equidistant_saturating_plan(
     alpha_db_per_km: float,
     kind: AmpKind = AmpKind.PSA,
     scenario: Scenario = Scenario.CONVENTIONAL,
-    *,
-    seed: int = 0,
 ) -> PlanCandidate:
     """Evenly spaced amplifiers, each restoring the photon number exactly to
     the budget; feasible by construction and the optimizer's seed."""
@@ -126,10 +123,9 @@ def equidistant_saturating_plan(
         raise ValueError(f"link length must be positive, got {length_km}")
     if amp_count < 0:
         raise ValueError(f"amplifier count must be non-negative, got {amp_count}")
-    scorer = _PlanScorer(length_km, nbar, alpha_db_per_km, kind, scenario, seed)
+    scorer = _PlanScorer(length_km, nbar, alpha_db_per_km, kind, scenario)
     positions = [i * length_km / (amp_count + 1) for i in range(1, amp_count + 1)]
-    gains, _ = scorer.repair_gains(positions, [math.inf] * amp_count)
-    score, gains = scorer.score(positions, gains)
+    score, gains = scorer.score(positions, [math.inf] * amp_count)
     return PlanCandidate(
         length_km, nbar, alpha_db_per_km, kind, scenario,
         tuple(positions), tuple(gains), score,
@@ -143,10 +139,6 @@ def optimize_plan(
     alpha_db_per_km: float,
     kind: AmpKind = AmpKind.PSA,
     scenario: Scenario = Scenario.CONVENTIONAL,
-    *,
-    seed: int = 0,
-    param_tol: float = 1e-6,
-    max_sweeps: int = 200,
 ) -> PlanCandidate:
     """Locally optimal amplifier positions and gains.
 
@@ -155,14 +147,13 @@ def optimize_plan(
     the seed when no coordinate move improves on it.
     """
     seed_candidate = equidistant_saturating_plan(
-        length_km, amp_count, nbar, alpha_db_per_km, kind, scenario, seed=seed
-    )
+        length_km, amp_count, nbar, alpha_db_per_km, kind, scenario)
     if amp_count == 0:
         return seed_candidate
 
-    scorer = _PlanScorer(length_km, nbar, alpha_db_per_km, kind, scenario, seed)
+    scorer = _PlanScorer(length_km, nbar, alpha_db_per_km, kind, scenario)
     positions = list(seed_candidate.positions)
-    gains, ceilings = scorer.repair_gains(positions, seed_candidate.gains)
+    gains, ceilings, _ = scorer.repair_gains(positions, seed_candidate.gains)
     current = seed_candidate.score
     # A Gordon-Holevo optimum tends to hold a gain on its budget ceiling; a
     # position move at fixed gain leaves that ridge, so there the trial gain
@@ -170,40 +161,40 @@ def optimize_plan(
     # scenarios keep fixed-gain moves, which the ridge rule only slows.
     ride_ceiling = scenario is Scenario.GORDON_HOLEVO
 
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         moved = 0.0
         for i in range(amp_count):
             lo = (positions[i - 1] if i > 0 else 0.0) + _POSITION_GAP_KM
             hi = (positions[i + 1] if i + 1 < amp_count else length_km) - _POSITION_GAP_KM
             if hi > lo:
                 move_gains = list(gains)
-                if ride_ceiling and ceilings[i] - gains[i] <= param_tol:
+                if ride_ceiling and ceilings[i] - gains[i] <= _PARAM_TOL:
                     move_gains[i] = math.inf
 
                 def eval_position(x: float) -> float:
                     trial = positions[:i] + [x] + positions[i + 1 :]
                     return scorer.score(trial, move_gains)[0]
 
-                best_x, best_fx = golden_section_maximize(eval_position, lo, hi, param_tol)
+                best_x, best_fx = golden_section_maximize(eval_position, lo, hi, _PARAM_TOL)
                 if best_fx > current:
                     moved = max(moved, abs(best_x - positions[i]))
                     positions[i] = best_x
                     current = best_fx
-                    gains, ceilings = scorer.repair_gains(positions, move_gains)
+                    gains, ceilings, _ = scorer.repair_gains(positions, move_gains)
 
             ceiling = ceilings[i]
-            if ceiling - 1.0 > param_tol:
+            if ceiling - 1.0 > _PARAM_TOL:
                 def eval_gain(g: float) -> float:
                     trial = gains[:i] + [g] + gains[i + 1 :]
                     return scorer.score(positions, trial)[0]
 
-                best_g, best_fg = golden_section_maximize(eval_gain, 1.0, ceiling, param_tol)
+                best_g, best_fg = golden_section_maximize(eval_gain, 1.0, ceiling, _PARAM_TOL)
                 if best_fg > current:
                     moved = max(moved, abs(best_g - gains[i]))
                     trial = gains[:i] + [best_g] + gains[i + 1 :]
                     current = best_fg
-                    gains, ceilings = scorer.repair_gains(positions, trial)
-        if moved < param_tol:
+                    gains, ceilings, _ = scorer.repair_gains(positions, trial)
+        if moved < _PARAM_TOL:
             break
 
     return PlanCandidate(
@@ -266,11 +257,8 @@ def distance_grid(start: float, stop: float, step: float) -> list[float]:
 
 
 def _sweep_point(args) -> SweepRow:
-    length_km, amp_count, nbar, alpha_db_per_km, kind, scenario, seed = args
-    candidate = optimize_plan(
-        length_km, amp_count, nbar, alpha_db_per_km, kind, scenario, seed=seed
-    )
-    return SweepRow(length_km, scenario, kind, amp_count, candidate.score)
+    length_km, amp_count, _, _, kind, scenario = args
+    return SweepRow(length_km, scenario, kind, amp_count, optimize_plan(*args).score)
 
 
 def sweep_distance(
@@ -281,7 +269,6 @@ def sweep_distance(
     kind: AmpKind = AmpKind.PSA,
     scenario: Scenario = Scenario.CONVENTIONAL,
     *,
-    seed: int = 0,
     max_workers: int = 1,
 ) -> SweepTable:
     """Optimize one plan per grid distance; rows come back in grid order."""
@@ -289,10 +276,7 @@ def sweep_distance(
         raise ValueError("distance grid must be strictly increasing")
     if any(length <= 0 for length in grid):
         raise ValueError("distances must be positive")
-    jobs = [
-        (length, amp_count, nbar, alpha_db_per_km, kind, scenario, seed)
-        for length in grid
-    ]
+    jobs = [(length, amp_count, nbar, alpha_db_per_km, kind, scenario) for length in grid]
     if max_workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(max_workers, len(jobs))) as pool:
             rows = list(pool.map(_sweep_point, jobs))

@@ -154,8 +154,8 @@ class TestGhCapacity:
 
     def test_deterministic(self):
         plan = equidistant_saturating_plan(150.0, 2, 100.0, 0.2).plan()
-        first = gh_capacity(plan, seed=7)
-        second = gh_capacity(plan, seed=7)
+        first = gh_capacity(plan)
+        second = gh_capacity(plan)
         assert first == second
 
     def test_unreachable_budget_raises_with_diagnostic(self):

@@ -209,6 +209,22 @@ class TestSweepCommand:
         assert run_cli(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @pytest.mark.parametrize("args", [
+        ["--amps", "0", "--l-min-km", "17000", "--l-max-km", "17000"],
+        ["--amps", "0", "--scenario", "gordon-holevo", "--l-min-km", "17000",
+         "--l-max-km", "17000"],
+        ["--amps", "0", "--kind", "pia", "--scenario", "gordon-holevo", "--l-min-km", "17000",
+         "--l-max-km", "17000"],
+        ["--amps", "1", "--scenario", "gordon-holevo", "--l-min-km", "20000",
+         "--l-max-km", "20000"],
+    ])
+    def test_span_whose_transmission_underflows_gives_a_row(self, args, tmp_path):
+        # exp(-alpha*L) rounds to 0.0 past about 16,180 km at 0.2 dB/km
+        out = tmp_path / "long.csv"
+        assert run_cli(["sweep", *args, "--out", str(out)]) == 0
+        capacity = float(out.read_text().splitlines()[1].split(",")[-1])
+        assert math.isfinite(capacity) and capacity >= 0.0
+
 
 class TestOptimizeCommand:
     def test_single_point_row_and_plan_echo(self, tmp_path, capsys):
@@ -257,6 +273,17 @@ class TestDistributedCommand:
         assert (dist, scenario, kind, amps) == ("500", "ConventionalSNL", "PIA", "inf")
         assert float(capacity) == pytest.approx(1.554, abs=0.01)
 
+    def test_singular_feedback_is_usage_error(self, tmp_path, capsys):
+        # RK4 stage points overshoot the PSA feedback at a budget this small
+        code = run_cli(
+            ["distributed", "--kind", "psa", "--nbar", "1e-6", "--l-min-km", "10",
+             "--l-max-km", "20", "--l-step-km", "10", "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "qlink: usage error:" in err and "--nbar" in err and "--ode-step-km" in err
+        assert "Traceback" not in err
+
 
 class TestCrossoverCommand:
     def test_reports_bracketed_crossing(self, tmp_path, capsys):
@@ -287,3 +314,11 @@ class TestCrossoverCommand:
 
     def test_degenerate_range_is_usage_error(self):
         assert run_cli(["crossover", "--l-min-km", "100", "--l-max-km", "100"]) == 2
+
+    def test_singular_feedback_is_usage_error(self, tmp_path, capsys):
+        # a 50 km step overshoots the PSA feedback at 150 km
+        code = run_cli(["crossover", "--ode-step-km", "50", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "qlink: usage error:" in err and "--nbar" in err and "--ode-step-km" in err
+        assert "Traceback" not in err

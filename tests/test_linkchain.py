@@ -155,6 +155,17 @@ class TestLinkPlan:
         with pytest.raises(ValueError, match="inconsistent"):
             LinkPlan(0.2, 50.0, 100.0, stages)
 
+    def test_span_whose_transmission_underflows_is_vacuum(self):
+        # exp(-alpha*L) rounds to 0.0 past about 16,180 km at 0.2 dB/km
+        plan = LinkPlan.from_amp_positions(0.2, 17000.0, 100.0, [500.0], [2.0])
+        assert plan.stages[-1].tau == 0.0
+        out, _ = propagate(plan, conventional_input(100.0))
+        assert out == vacuum_state()
+
+    def test_zero_transmission_must_match_the_length(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            LinkPlan(0.2, 10.0, 100.0, (SpanSpec(10.0, 0.0),))
+
     def test_rejects_trailing_amplifier(self):
         alpha = attenuation_to_natural(0.2)
         stages = (SpanSpec(50.0, math.exp(-alpha * 50.0)), AmpSpec(AmpKind.PSA, 2.0))

@@ -12,6 +12,7 @@ from qlink import (
     conventional_input,
     max_feasible_psa_gain,
     mean_photon_number,
+    plan_capacity,
     propagate,
     shannon_single_quadrature,
     symmetric_coherent_input,
@@ -19,6 +20,7 @@ from qlink import (
 from qlink.optimizer import (
     SweepRow,
     SweepTable,
+    _PlanScorer,
     distance_grid,
     equidistant_saturating_plan,
     optimize_plan,
@@ -84,6 +86,32 @@ class TestEquidistantSeed:
             assert mean_photon_number(trace.states[idx]) == pytest.approx(100.0, abs=1e-9)
 
 
+SHANNON_PAIRS = [(kind, scenario) for kind in AmpKind
+                 for scenario in (Scenario.CONVENTIONAL, Scenario.TWO_QUADRATURE)]
+
+
+class TestPlanScorer:
+    """The scorer's own walk of the chain gives exactly the library's score."""
+
+    @pytest.mark.parametrize("kind, scenario", SHANNON_PAIRS)
+    @pytest.mark.parametrize("positions, gains, clipped", [
+        ([35.0, 160.0, 250.0], [3.0, 1.5, 8.0], False),  # uneven spacing
+        ([60.0, 200.0], [2.0, 1e6], True),  # second gain above its ceiling
+    ])
+    def test_score_is_plan_capacity(self, kind, scenario, positions, gains, clipped):
+        scorer = _PlanScorer(300.0, 100.0, 0.2, kind, scenario)
+        score, repaired = scorer.score(positions, gains)
+        assert (repaired[-1] < gains[-1]) == clipped
+        plan = LinkPlan.from_amp_positions(0.2, 300.0, 100.0, positions, repaired, kind)
+        assert score == plan_capacity(plan, scenario).bits_per_mode
+
+    @pytest.mark.parametrize("kind, scenario", SHANNON_PAIRS)
+    @pytest.mark.parametrize("amps", range(4))
+    def test_seed_score_is_plan_capacity(self, kind, scenario, amps):
+        cand = equidistant_saturating_plan(400.0, amps, 100.0, 0.2, kind, scenario)
+        assert cand.score == plan_capacity(cand.plan(), scenario).bits_per_mode
+
+
 class TestOptimizePlan:
     def test_no_amplifier_returns_the_unique_plan(self):
         cand = optimize_plan(100.0, 0, 100.0, 0.2)
@@ -115,8 +143,8 @@ class TestOptimizePlan:
         assert low <= high + 1e-9
 
     def test_deterministic(self):
-        a = optimize_plan(150.0, 2, 100.0, 0.2, seed=3)
-        b = optimize_plan(150.0, 2, 100.0, 0.2, seed=3)
+        a = optimize_plan(150.0, 2, 100.0, 0.2)
+        b = optimize_plan(150.0, 2, 100.0, 0.2)
         assert a == b
 
     def test_gordon_holevo_scenario_dominates_conventional(self):
@@ -131,7 +159,7 @@ class TestOptimizePlan:
         best = -1.0
         for i in range(1, 20):
             pos = 100.0 * i / 20
-            scorer = _PlanScorer(100.0, 100.0, 0.2, AmpKind.PSA, Scenario.GORDON_HOLEVO, 0)
+            scorer = _PlanScorer(100.0, 100.0, 0.2, AmpKind.PSA, Scenario.GORDON_HOLEVO)
             plan = LinkPlan.from_amp_positions(
                 0.2, 100.0, 100.0, [pos], scorer.repair_gains([pos], [math.inf])[0]
             )

@@ -28,3 +28,15 @@ def test_script_writes_csv(script, args, header, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == header
     assert len(lines) > 1
+
+
+def test_benchmark_tracer_finds_its_patch_points():
+    # perfbench/traced_run.py wraps library functions by attribute name; run
+    # its installer in a fresh interpreter so the patches stay there.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = ('import sys; sys.path.insert(0, "perfbench"); import traced_run; '
+            'traced_run.install(traced_run.Tracer())')
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
