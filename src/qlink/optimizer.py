@@ -66,7 +66,7 @@ class PlanCandidate:
 
 
 class _PlanScorer:
-    """Builds feasible plans from raw coordinates and scores them."""
+    """Repairs raw coordinates into feasible ones and scores them."""
 
     def __init__(self, length_km, nbar, alpha_db_per_km, kind, scenario):
         self.length_km = length_km
