@@ -12,8 +12,15 @@ import argparse
 import sys
 import time
 
-from qlink import AmpKind, Scenario, SweepRow, SweepTable, distance_grid, sweep_distance
-from qlink.cli import RunConfig, _distributed_rows
+from qlink import (
+    AmpKind,
+    Scenario,
+    SweepRow,
+    SweepTable,
+    distance_grid,
+    distributed_rows,
+    sweep_distance,
+)
 
 
 def main() -> int:
@@ -43,9 +50,7 @@ def main() -> int:
             rows.extend(table.rows)
             print(f"{scenario.value} R={amps}: {time.time() - started:.1f}s",
                   file=sys.stderr)
-        config = RunConfig(command="distributed", nbar=args.nbar,
-                           alpha_db_km=args.alpha_db_km, scenario=scenario)
-        rows.extend(_distributed_rows(config, grid, AmpKind.PSA, scenario))
+        rows.extend(distributed_rows(grid, args.nbar, args.alpha_db_km, AmpKind.PSA, scenario))
         print(f"{scenario.value} R=inf done", file=sys.stderr)
 
     lines = SweepTable(rows).sort().csv_lines()

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Distributed-amplification comparison: exact integrations versus the
-closed-form approximations, for PSA and PIA regeneration.
+"""Distributed-amplification comparison: the exact continuum versus the
+constant-rate approximations, for PSA and PIA regeneration.
 
 Emits one row per (distance, photon budget, curve), where curve is one of
 psa_ode, psa_approx, pia_ode, pia_approx:
@@ -11,13 +11,8 @@ psa_ode, psa_approx, pia_ode, pia_approx:
 import argparse
 import sys
 
-from qlink import distance_grid, shannon_single_quadrature, shannon_two_quadrature
-from qlink.distributed import (
-    approx_capacity_pia,
-    approx_capacity_psa,
-    integrate_pia,
-    integrate_psa,
-)
+from qlink import AmpKind, Scenario, distance_grid, distributed_rows
+from qlink.distributed import approx_capacity_pia, approx_capacity_psa
 
 
 def main() -> int:
@@ -26,7 +21,6 @@ def main() -> int:
     parser.add_argument("--alpha-db-km", type=float, default=0.2)
     parser.add_argument("--l-max-km", type=float, default=5000.0)
     parser.add_argument("--l-step-km", type=float, default=100.0)
-    parser.add_argument("--ode-step-km", type=float, default=0.1)
     parser.add_argument("--out", default="distributed_comparison.csv")
     args = parser.parse_args()
 
@@ -34,13 +28,14 @@ def main() -> int:
 
     lines = ["distance_km,nbar,curve,capacity_bits_per_mode"]
     for nbar in args.nbar:
-        psa = integrate_psa(args.l_max_km, nbar, args.alpha_db_km, args.ode_step_km)
-        pia = integrate_pia(args.l_max_km, nbar, args.alpha_db_km, args.ode_step_km)
-        for length in grid:
+        psa = distributed_rows(grid, nbar, args.alpha_db_km, AmpKind.PSA, Scenario.CONVENTIONAL)
+        pia = distributed_rows(grid, nbar, args.alpha_db_km, AmpKind.PIA,
+                               Scenario.TWO_QUADRATURE)
+        for length, psa_row, pia_row in zip(grid, psa, pia):
             values = {
-                "psa_ode": shannon_single_quadrature(psa.state_at(psa.index_at(length))),
+                "psa_ode": psa_row.capacity_bits_per_mode,
                 "psa_approx": approx_capacity_psa(length, nbar, args.alpha_db_km),
-                "pia_ode": shannon_two_quadrature(pia.state_at(pia.index_at(length))),
+                "pia_ode": pia_row.capacity_bits_per_mode,
                 "pia_approx": approx_capacity_pia(length, nbar, args.alpha_db_km),
             }
             for curve, capacity in values.items():

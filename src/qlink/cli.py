@@ -15,16 +15,14 @@ import re
 import sys
 from dataclasses import dataclass, fields
 
-from .capacity import Scenario, shannon_capacity
+from .capacity import Scenario
 from .distributed import (
     DEFAULT_STEP_KM,
-    GRID_TOL_KM,
-    IntegrationError,
-    OdeProfile,
-    gh_capacity_at,
-    integrate_pia,
-    integrate_psa,
-    state_at_position,
+    distributed_rows,
+    integrate_pia,  # noqa: F401 - unused here; kept as a patch point for perfbench/traced_run.py
+    integrate_psa,  # noqa: F401 - unused here; kept as a patch point for perfbench/traced_run.py
+    psa_pia_crossover,
+    state_at_position,  # noqa: F401 - unused here; kept as a patch point for perfbench/traced_run.py
 )
 from .linkchain import AmpKind
 from .optimizer import SweepRow, SweepTable, distance_grid, optimize_plan, sweep_distance
@@ -40,9 +38,10 @@ _FLOAT_KEYS = ("nbar", "alpha_db_km", "l_min_km", "l_max_km", "l_step_km", "ode_
 
 # Bound on the worker pool used for independent grid points.
 _MAX_WORKERS = 8
-# Largest grid, and most RK4 steps of a continuum run, that a run may ask for.
+# Largest grid, and most budget checkpoints of a Gordon-Holevo continuum
+# channel, that a run may ask for.
 MAX_GRID_POINTS = 100_000
-MAX_RK4_STEPS = 1_000_000
+MAX_CHECKPOINTS = 1_000_000
 # A '#' starts a comment at the start of a line or after whitespace.
 _COMMENT = re.compile(r"(?:^|\s)#")
 
@@ -133,23 +132,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--amps", help="amplifier count, or 'inf' for distributed")
     parser.add_argument("--kind", help="amplifier kind: psa or pia")
     parser.add_argument("--scenario", help="|".join(_SCENARIOS))
-    parser.add_argument("--ode-step-km", dest="ode_step_km", help="integration step")
+    parser.add_argument("--ode-step-km", dest="ode_step_km",
+                        help="budget checkpoint spacing of a gordon-holevo continuum channel")
     parser.add_argument("--seed", help="accepted for compatibility; no result depends on it")
     parser.add_argument("--out", help="output CSV path")
     return parser
-
-
-def _check_on_integration_grid(config: RunConfig) -> None:
-    # Gordon-Holevo channel maps exist only at integration samples: the
-    # multiples of the step, and the integrated length (the last distance).
-    step = config.ode_step_km
-    for length in config.grid()[:-1]:
-        if abs(length - round(length / step) * step) > GRID_TOL_KM:
-            raise UsageError(
-                f"gordon-holevo distributed rows need every distance on the "
-                f"integration grid; {length:g} km is not a multiple of "
-                f"--ode-step-km {step:g}"
-            )
 
 
 def parse_config(argv: list[str]) -> RunConfig:
@@ -191,14 +178,14 @@ def parse_config(argv: list[str]) -> RunConfig:
             f"--l-min-km {config.l_min_km:g} to --l-max-km {config.l_max_km:g} in steps "
             f"of --l-step-km {config.l_step_km:g} is a grid of {points:.0f} points; "
             f"at most {MAX_GRID_POINTS} are allowed")
-    integrates = config.command == "crossover" or config.amps is None
-    steps = config.l_max_km / config.ode_step_km
-    if integrates and steps > MAX_RK4_STEPS:
+    sweeps_continuum = config.amps is None and config.command != "crossover"
+    checkpoints = config.l_max_km / config.ode_step_km
+    if (sweeps_continuum and config.scenario is Scenario.GORDON_HOLEVO
+            and checkpoints > MAX_CHECKPOINTS):
         raise UsageError(
             f"--l-max-km {config.l_max_km:g} in steps of --ode-step-km "
-            f"{config.ode_step_km:g} is {steps:.0f} RK4 steps; at most "
-            f"{MAX_RK4_STEPS} are allowed")
-    sweeps_continuum = config.amps is None and config.command != "crossover"
+            f"{config.ode_step_km:g} is {checkpoints:.0f} budget checkpoints; at most "
+            f"{MAX_CHECKPOINTS} are allowed")
     if (sweeps_continuum and config.kind is AmpKind.PSA
             and config.scenario is Scenario.TWO_QUADRATURE):
         raise UsageError("psa with two-quadrature-snl has no continuum limit: the "
@@ -208,8 +195,6 @@ def parse_config(argv: list[str]) -> RunConfig:
     if integrates_psa and config.nbar == 0:
         raise UsageError("distributed PSA needs nbar > 0: its feedback gain is singular "
                          "without signal power")
-    if sweeps_continuum and config.scenario is Scenario.GORDON_HOLEVO:
-        _check_on_integration_grid(config)
 
     for field in fields(RunConfig):
         value = getattr(config, field.name)
@@ -223,76 +208,16 @@ def parse_config(argv: list[str]) -> RunConfig:
     return config
 
 
-def _integrate(config: RunConfig, kind: AmpKind, scenario: Scenario, length_km: float,
-               track=False) -> OdeProfile:
-    if kind is AmpKind.PSA:
-        return integrate_psa(length_km, config.nbar, config.alpha_db_km,
-                             config.ode_step_km, track_channel=track)
-    return integrate_pia(length_km, config.nbar, config.alpha_db_km, config.ode_step_km,
-                         scenario=scenario, track_channel=track)
-
-
-def _distributed_rows(config: RunConfig, grid: list[float], kind: AmpKind,
-                      scenario: Scenario) -> list[SweepRow]:
-    if not grid:
-        return []
-    wants_gh = scenario is Scenario.GORDON_HOLEVO
-    profile = _integrate(config, kind, scenario, grid[-1], track=wants_gh)
-    rows = []
-    for length in grid:
-        if wants_gh:
-            # channel coefficients exist only at grid samples
-            idx = profile.index_at(length)
-            bits = gh_capacity_at(profile, idx).bits_per_mode
-        else:
-            bits = shannon_capacity(state_at_position(profile, length), scenario)
-        rows.append(SweepRow(length, scenario, kind, None, bits))
-    return rows
-
-
-def _run_crossover(config: RunConfig) -> tuple[list[SweepRow], float]:
-    grid = config.grid()
-    psa = _integrate(config, AmpKind.PSA, Scenario.CONVENTIONAL, config.l_max_km)
-    pia = _integrate(config, AmpKind.PIA, Scenario.TWO_QUADRATURE, config.l_max_km)
-
-    def capacities(length: float) -> tuple[float, float]:
-        return (shannon_capacity(state_at_position(psa, length), Scenario.CONVENTIONAL),
-                shannon_capacity(state_at_position(pia, length), Scenario.TWO_QUADRATURE))
-
-    rows = []
-    for length in grid:
-        psa_bits, pia_bits = capacities(length)
-        rows.append(SweepRow(length, Scenario.CONVENTIONAL, AmpKind.PSA, None, psa_bits))
-        rows.append(SweepRow(length, Scenario.TWO_QUADRATURE, AmpKind.PIA, None, pia_bits))
-
-    def difference(length: float) -> float:
-        psa_bits, pia_bits = capacities(length)
-        return pia_bits - psa_bits
-
-    lo, hi = config.l_min_km, config.l_max_km
-    f_lo, f_hi = difference(lo), difference(hi)
-    if f_lo <= 0.0 or f_hi >= 0.0:
-        raise RuntimeError(
-            f"no PSA/PIA crossover bracketed in [{lo}, {hi}] km "
-            f"(difference {f_lo:.4g} -> {f_hi:.4g})"
-        )
-    while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if difference(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return rows, 0.5 * (lo + hi)
-
-
 def run(config: RunConfig) -> int:
     """Execute the configured command and write the CSV dataset."""
     grid = config.grid()
     crossing = None
     if config.command == "crossover":
-        rows, crossing = _run_crossover(config)
+        rows, crossing = psa_pia_crossover(config.l_min_km, config.l_max_km, config.l_step_km,
+                                           config.nbar, config.alpha_db_km)
     elif config.amps is None:
-        rows = _distributed_rows(config, grid, config.kind, config.scenario)
+        rows = distributed_rows(grid, config.nbar, config.alpha_db_km, config.kind,
+                                config.scenario, config.ode_step_km)
     elif config.command == "optimize":
         rows = []
         for length in grid:
@@ -332,12 +257,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return run(config)
-    except IntegrationError as err:
-        # RK4 stage points overshoot the PSA feedback when the budget is small
-        # for the step; no exact check can refuse these inputs beforehand.
-        print(f"qlink: usage error: {err}; raise --nbar or lower --ode-step-km",
-              file=sys.stderr)
-        return 2
     except Exception as err:  # noqa: BLE001 - boundary: report and set exit status
         print(f"qlink: error: {err}", file=sys.stderr)
         return 1

@@ -6,8 +6,10 @@ system in the span coordinate: each quadrature's signal and noise power gains
 loss continuously injects half a vacuum unit per attenuation constant.  The
 per-km gain profile is chosen by exact algebraic feedback so that the total
 photon number stays pinned at the budget, rather than by the constant-rate
-shortcut; the closed-form approximations of both are provided alongside for
-comparison.
+shortcut.  Under that feedback the system solves in closed form
+(``channel_maps``), which every continuum analysis uses; the RK4 integrators
+are kept as the reference the closed form is tested against.  The
+constant-rate approximations are provided alongside for comparison.
 """
 
 from __future__ import annotations
@@ -17,8 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import CapacityResult, Scenario, gh_capacity_for_channel, scenario_input
+from .capacity import (
+    CapacityResult,
+    Scenario,
+    gh_capacity_for_channel,
+    scenario_input,
+    shannon_capacity,
+)
 from .linkchain import _PSA, AmpKind, attenuation_to_natural
+from .optimizer import SweepRow, distance_grid
 from .quadmodel import QuadState
 
 _LN2 = math.log(2.0)
@@ -149,6 +158,25 @@ def _rk4_step(y, h, kind, alpha):
                   for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
 
 
+def _lattice_below(length_km: float, step_km: float) -> int:
+    """Number of lattice points k*step (k = 0, 1, ...) that lie below
+    ``length_km``; a point up to 1e-9 steps past the length, or less than
+    1e-12 km short of it, counts as the length itself."""
+    n = math.floor(length_km / step_km + 1e-9)
+    return n + 1 if length_km - n * step_km > 1e-12 else n
+
+
+def checkpoint_positions(length_km: float, step_km: float) -> np.ndarray:
+    """The lattice points k*step below ``length_km``, then the length itself:
+    the RK4 samples of an integration to that length, and the budget
+    checkpoints of a Gordon-Holevo continuum channel."""
+    if step_km <= 0:
+        raise ValueError(f"step must be positive, got {step_km}")
+    if length_km < 0:
+        raise ValueError(f"length must be non-negative, got {length_km}")
+    return np.append(np.arange(_lattice_below(length_km, step_km)) * step_km, length_km)
+
+
 def _integrate(
     kind: AmpKind,
     scenario: Scenario,
@@ -158,32 +186,19 @@ def _integrate(
     step_km: float,
     track_channel: bool,
 ) -> OdeProfile:
-    if step_km <= 0:
-        raise ValueError(f"step must be positive, got {step_km}")
-    if length_km < 0:
-        raise ValueError(f"length must be non-negative, got {length_km}")
+    positions = checkpoint_positions(length_km, step_km).tolist()
     alpha = attenuation_to_natural(alpha_db_per_km)
     y = scenario_input(scenario, nbar).as_tuple()
     if track_channel:
         y = y + (1.0, 1.0, 0.0, 0.0)  # identity map: (mult_i, mult_q, add_i, add_q)
 
-    n_full = int(math.floor(length_km / step_km + 1e-9))
-    remainder = length_km - n_full * step_km
-    steps = [step_km] * n_full + ([remainder] if remainder > 1e-12 else [])
-
-    positions = [0.0]
     samples = [y]
-    pos = 0.0
-    for h in steps:
+    for pos, nxt in zip(positions, positions[1:]):
         try:
-            y = _rk4_step(y, h, kind, alpha)
+            y = _rk4_step(y, nxt - pos, kind, alpha)
         except ValueError as err:
             raise IntegrationError(f"{err} at {pos} km", pos) from err
-        pos += h
-        positions.append(pos)
         samples.append(y)
-    if positions[-1] != length_km and abs(positions[-1] - length_km) < 1e-9:
-        positions[-1] = length_km
 
     arr = np.asarray(samples, dtype=float)
     try:
@@ -220,9 +235,12 @@ def integrate_psa(
     """Integrate the distributed-PSA system from the conventional input
     (``scenario_input``; a symmetric input leaves the feedback singular).
 
-    Classical fixed-step RK4; the feedback gain is re-evaluated at every
-    stage point, so the total photon number is conserved to the integrator's
-    order.
+    Classical fixed-step RK4 on the samples ``checkpoint_positions(length_km,
+    step_km)``; the feedback gain is re-evaluated at every stage point, so
+    the total photon number is conserved to the integrator's order.  This
+    is the oracle that ``channel_maps`` is tested against; analyses use the
+    closed form, which has no step error and keeps the Heisenberg limit at
+    budgets where RK4 steps overshoot the feedback.
     """
     return _integrate(AmpKind.PSA, Scenario.CONVENTIONAL, length_km, nbar, alpha_db_per_km,
                       step_km, track_channel)
@@ -238,15 +256,17 @@ def integrate_pia(
     track_channel: bool = False,
 ) -> OdeProfile:
     """Integrate the distributed-PIA system from the reference input of
-    ``scenario`` (``scenario_input``); the feedback holds the total photon
-    number fixed."""
+    ``scenario`` (``scenario_input``) with RK4; the feedback holds the total
+    photon number fixed.  Like ``integrate_psa``, an oracle for
+    ``channel_maps``."""
     return _integrate(AmpKind.PIA, scenario, length_km, nbar, alpha_db_per_km,
                       step_km, track_channel)
 
 
 def state_at_position(profile: OdeProfile, position_km: float) -> QuadState:
-    """State at an arbitrary position along a trajectory, taken with one RK4
-    sub-step from the nearest grid sample at or below it."""
+    """State at an arbitrary position along an RK4 trajectory, taken with
+    one RK4 sub-step from the nearest grid sample at or below it (the exact
+    state is ``continuum_states``)."""
     if position_km < 0 or position_km > float(profile.positions[-1]) + 1e-9:
         raise ValueError(
             f"{position_km} km lies outside the integrated range "
@@ -275,6 +295,148 @@ def gh_capacity_at(profile: OdeProfile, index: int = -1) -> CapacityResult:
         profile.add_q[:stop],
         profile.nbar,
     )
+
+
+def _mult_expm1(log_mult: np.ndarray, mult: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # mult * expm1(x), with no overflow where x is large and mult tiny
+    out = mult * np.expm1(np.minimum(x, 1.0))
+    big = x > 1.0
+    out[big] = np.exp(log_mult[big] + x[big]) - mult[big]
+    return out
+
+
+def channel_maps(
+    kind: AmpKind, positions_km, nbar: float, alpha_db_per_km: float = 0.2
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact channel maps (mult_i, add_i, mult_q, add_q) of the continuum
+    from its input to each position, as arrays over ``positions_km``.
+
+    A quadrature's signal power at z is mult * (its input signal) and its
+    noise variance mult * (input noise) + add.  With T = 2*nbar + 1 held by
+    the feedback, the PIA gain is the constant alpha*(T-1)/(T+1).  The PSA
+    feedback is set by the conventional input: its gain is alpha*beta/u with
+    beta = u(0) and u = sqrt(1 - e^(-2 alpha z)/T), and the maps are
+    elementary functions of delta = -2 alpha z - 2 log((1+u)/(1+beta)).
+    Every term is formed without cancellation or overflow, so the states
+    keep the Heisenberg product from nbar = 1e-6 to 1e8 out to 20,000 km.
+    """
+    z = np.asarray(positions_km, dtype=float)
+    if nbar < 0 or (kind is _PSA and nbar == 0):
+        raise ValueError(f"photon budget must be non-negative, and positive for "
+                         f"distributed PSA; got {nbar}")
+    if (z < 0).any():
+        raise ValueError("positions must be non-negative")
+    alpha = attenuation_to_natural(alpha_db_per_km)
+    if kind is not _PSA:
+        rate_z = -alpha / (nbar + 1.0) * z
+        mult, add = np.exp(rate_z), -(nbar + 0.5) * np.expm1(rate_z)
+        return mult, add, mult, add
+    total = 2.0 * nbar + 1.0
+    k = 1.0 / total
+    beta_sq = 2.0 * nbar / total
+    beta = math.sqrt(beta_sq)
+    az = alpha * z
+    grow = -np.expm1(-2.0 * az)
+    u = np.sqrt(beta_sq + k * grow)
+    # u - beta = k * grow / (u + beta), without cancellation
+    delta = -2.0 * az - 2.0 * np.log1p(k * grow / ((u + beta) * (1.0 + beta)))
+    root_t0 = math.sqrt(k) / (1.0 + beta)
+    # Per quadrature (s = +1 for I, -1 for Q): mult = exp(-s*beta*delta/2 - alpha z)
+    # and add = mult * integral of (alpha/2)/mult, which is a polynomial in
+    # tau = (1-u)/(1+u) times a power of it; e1, e2 = (s*beta -+ 1)/2, where
+    # beta - 1 = -k/(1+beta) keeps the small exponent exact.
+    maps = []
+    for sign, e1, e2 in ((1.0, -0.5 * k / (1.0 + beta), 0.5 * (1.0 + beta)),
+                         (-1.0, -0.5 * (1.0 + beta), 0.5 * k / (1.0 + beta))):
+        log_mult = -0.5 * sign * beta * delta - az
+        mult = np.exp(log_mult)
+        add = -(math.sqrt(k) / 8.0) * (
+            _mult_expm1(log_mult, mult, e1 * delta) / (e1 * root_t0)
+            - root_t0 * _mult_expm1(log_mult, mult, e2 * delta) / e2)
+        maps += [mult, add]
+    return tuple(maps)
+
+
+def continuum_states(
+    kind: AmpKind, scenario: Scenario, positions_km, nbar: float,
+    alpha_db_per_km: float = 0.2,
+) -> list[QuadState]:
+    """States of the continuum at each position, from the reference input
+    of ``scenario`` (``scenario_input``)."""
+    if kind is _PSA and scenario is Scenario.TWO_QUADRATURE:
+        raise ValueError("psa with two-quadrature detection has no continuum limit: the "
+                         "phase-sensitive feedback is singular for the symmetric input")
+    mult_i, add_i, mult_q, add_q = channel_maps(kind, positions_km, nbar, alpha_db_per_km)
+    sig_i, sig_q, noise_i, noise_q = scenario_input(scenario, nbar).as_tuple()
+    columns = (sig_i * mult_i, sig_q * mult_q, noise_i * mult_i + add_i, noise_q * mult_q + add_q)
+    return [QuadState(*state) for state in zip(*(c.tolist() for c in columns))]
+
+
+def distributed_rows(
+    grid: list[float],
+    nbar: float,
+    alpha_db_per_km: float,
+    kind: AmpKind,
+    scenario: Scenario,
+    step_km: float = DEFAULT_STEP_KM,
+) -> list[SweepRow]:
+    """Continuum (R = infinity) capacity rows at each grid distance.
+
+    A Gordon-Holevo row at L holds the budget at ``checkpoint_positions(L,
+    step_km)``; Shannon rows need only the output state, so ``step_km``
+    does not enter them.
+    """
+    if not grid:
+        return []
+    if scenario is not Scenario.GORDON_HOLEVO:
+        states = continuum_states(kind, scenario, grid, nbar, alpha_db_per_km)
+        return [SweepRow(length, scenario, kind, None, shannon_capacity(state, scenario))
+                for length, state in zip(grid, states)]
+    # Every row's checkpoints are a prefix of one lattice, then its own end.
+    lattice = channel_maps(kind, np.arange(_lattice_below(max(grid), step_km)) * step_km,
+                           nbar, alpha_db_per_km)
+    ends = channel_maps(kind, grid, nbar, alpha_db_per_km)
+    rows = []
+    for j, length in enumerate(grid):
+        below = _lattice_below(length, step_km)
+        maps = [np.append(points[:below], end[j]) for points, end in zip(lattice, ends)]
+        bits = gh_capacity_for_channel(*maps, nbar).bits_per_mode
+        rows.append(SweepRow(length, scenario, kind, None, bits))
+    return rows
+
+
+def psa_pia_crossover(
+    l_min_km: float, l_max_km: float, l_step_km: float, nbar: float,
+    alpha_db_per_km: float = 0.2,
+) -> tuple[list[SweepRow], float]:
+    """Continuum PSA (conventional detection) and PIA (two-quadrature
+    detection) rows on the distance grid, and the distance where their
+    capacities cross, bisected inside [l_min_km, l_max_km]."""
+    pairs = ((AmpKind.PSA, Scenario.CONVENTIONAL), (AmpKind.PIA, Scenario.TWO_QUADRATURE))
+
+    def rows_at(lengths: list[float]) -> list[list[SweepRow]]:
+        return [distributed_rows(lengths, nbar, alpha_db_per_km, kind, scenario)
+                for kind, scenario in pairs]
+
+    def difference(length: float) -> float:
+        (psa,), (pia,) = rows_at([length])
+        return pia.capacity_bits_per_mode - psa.capacity_bits_per_mode
+
+    lo, hi = l_min_km, l_max_km
+    f_lo, f_hi = difference(lo), difference(hi)
+    if f_lo <= 0.0 or f_hi >= 0.0:
+        raise RuntimeError(
+            f"no PSA/PIA crossover bracketed in [{lo}, {hi}] km "
+            f"(difference {f_lo:.4g} -> {f_hi:.4g})"
+        )
+    while hi - lo > 1e-3:
+        mid = 0.5 * (lo + hi)
+        if difference(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    psa_rows, pia_rows = rows_at(distance_grid(l_min_km, l_max_km, l_step_km))
+    return psa_rows + pia_rows, 0.5 * (lo + hi)
 
 
 def closed_form_psa(

@@ -1,9 +1,21 @@
 import math
 
+import numpy as np
 import pytest
 
-from qlink import attenuation_to_natural, integrate_psa, shannon_single_quadrature
+from qlink import (
+    AmpKind,
+    Scenario,
+    attenuation_to_natural,
+    channel_maps,
+    continuum_states,
+    distance_grid,
+    integrate_psa,
+    shannon_single_quadrature,
+)
+from qlink.capacity import gh_capacity_for_channel
 from qlink.cli import main, parse_config
+from qlink.quadmodel import HEISENBERG_LIMIT, HEISENBERG_TOL
 
 ALPHA = attenuation_to_natural(0.2)
 
@@ -97,18 +109,26 @@ class TestParsing:
         assert code == 0
         assert [line.split(",")[4] for line in out.read_text().splitlines()[1:]] == ["0", "0"]
 
-    def test_off_lattice_gordon_holevo_distance_is_usage_error(self, capsys):
+    def test_off_lattice_gordon_holevo_distance_is_computed(self, tmp_path):
+        out = tmp_path / "gh.csv"
         code = run_cli(
             ["sweep", "--amps", "inf", "--scenario", "gordon-holevo",
-             "--l-min-km", "10", "--l-max-km", "10.3", "--l-step-km", "0.15"]
+             "--l-min-km", "10", "--l-max-km", "10.3", "--l-step-km", "0.15",
+             "--out", str(out)]
         )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "10.15 km" in err
-        assert "--ode-step-km" in err
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 3
+        bits = [float(row[4]) for row in rows]
+        assert bits[0] >= bits[1] >= bits[2]
+        # 10.15 km: the 0.1 km lattice points 0 to 10.1 km, then 10.15 km itself
+        length = distance_grid(10.0, 10.3, 0.15)[1]
+        positions = np.append(np.arange(102) * 0.1, length)
+        expected = gh_capacity_for_channel(*channel_maps(AmpKind.PSA, positions, 100.0), 100.0)
+        assert rows[1][4] == f"{expected.bits_per_mode:.9g}"
 
     def test_gordon_holevo_last_distance_may_end_off_lattice(self, tmp_path):
-        # the integration stops at the last distance, so it is always a sample
+        # every row's last checkpoint is its own distance
         out = tmp_path / "gh.csv"
         code = run_cli(
             ["distributed", "--scenario", "gordon-holevo", "--l-min-km", "10",
@@ -136,16 +156,30 @@ class TestParsing:
         assert len(config.grid()) == 100_000
 
     @pytest.mark.parametrize("args", [
+        ["distributed", "--scenario", "gordon-holevo", "--ode-step-km", "1e-9"],
+        ["sweep", "--amps", "inf", "--scenario", "gordon-holevo", "--l-max-km", "200001",
+         "--l-step-km", "1000", "--ode-step-km", "0.2"],
+        ["distributed", "--kind", "pia", "--scenario", "gordon-holevo", "--ode-step-km",
+         "1e-9"],
+    ])
+    def test_oversized_integration_is_usage_error(self, args, capsys):
+        # only a Gordon-Holevo continuum channel is built on the checkpoint lattice
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert "--ode-step-km" in err
+        assert "budget checkpoints" in err
+
+    @pytest.mark.parametrize("args", [
         ["distributed", "--ode-step-km", "1e-9"],
         ["sweep", "--amps", "inf", "--l-max-km", "200001", "--l-step-km", "1000",
          "--ode-step-km", "0.2"],
         ["crossover", "--ode-step-km", "1e-9"],
     ])
-    def test_oversized_integration_is_usage_error(self, args, capsys):
-        assert run_cli(args) == 2
-        err = capsys.readouterr().err
-        assert "--ode-step-km" in err
-        assert "RK4 steps" in err
+    def test_shannon_continuum_has_no_checkpoint_bound(self, args, tmp_path):
+        out = tmp_path / "run.csv"
+        assert run_cli(args + ["--out", str(out)]) == 0
+        bits = [float(line.split(",")[4]) for line in out.read_text().splitlines()[1:]]
+        assert bits and all(math.isfinite(b) and b >= 0.0 for b in bits)
 
     def test_step_bound_applies_only_to_continuum_runs(self):
         assert parse_config(["distributed", "--l-max-km", "100000", "--l-step-km", "1000",
@@ -273,16 +307,26 @@ class TestDistributedCommand:
         assert (dist, scenario, kind, amps) == ("500", "ConventionalSNL", "PIA", "inf")
         assert float(capacity) == pytest.approx(1.554, abs=0.01)
 
-    def test_singular_feedback_is_usage_error(self, tmp_path, capsys):
-        # RK4 stage points overshoot the PSA feedback at a budget this small
-        code = run_cli(
-            ["distributed", "--kind", "psa", "--nbar", "1e-6", "--l-min-km", "10",
-             "--l-max-km", "20", "--l-step-km", "10", "--out", str(tmp_path / "x.csv")]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "qlink: usage error:" in err and "--nbar" in err and "--ode-step-km" in err
-        assert "Traceback" not in err
+    @pytest.mark.parametrize("args", [
+        ["--nbar", "1e-6", "--l-min-km", "10", "--l-max-km", "20", "--l-step-km", "10"],
+        ["--nbar", "3e-4", "--ode-step-km", "1", "--l-min-km", "10", "--l-max-km", "30",
+         "--l-step-km", "10"],
+        ["--nbar", "3e-4", "--l-min-km", "0.37", "--l-max-km", "0.37"],
+    ])
+    def test_small_budget_gives_valid_rows(self, args, tmp_path):
+        # RK4 failed on all three: its stage points overshot the feedback at
+        # 1e-6, and its truncation error broke the Heisenberg limit at 3e-4
+        out = tmp_path / "small.csv"
+        assert run_cli(["distributed", "--kind", "psa", *args, "--out", str(out)]) == 0
+        config = parse_config(["distributed", *args])
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [float(row[0]) for row in rows] == pytest.approx(config.grid())
+        bits = [float(row[4]) for row in rows]
+        assert all(math.isfinite(b) and b >= 0.0 for b in bits)
+        assert bits == sorted(bits, reverse=True)
+        for state in continuum_states(AmpKind.PSA, Scenario.CONVENTIONAL, config.grid(),
+                                      config.nbar):
+            assert state.noise_i * state.noise_q >= HEISENBERG_LIMIT - HEISENBERG_TOL
 
 
 class TestCrossoverCommand:
@@ -315,10 +359,12 @@ class TestCrossoverCommand:
     def test_degenerate_range_is_usage_error(self):
         assert run_cli(["crossover", "--l-min-km", "100", "--l-max-km", "100"]) == 2
 
-    def test_singular_feedback_is_usage_error(self, tmp_path, capsys):
-        # a 50 km step overshoots the PSA feedback at 150 km
-        code = run_cli(["crossover", "--ode-step-km", "50", "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "qlink: usage error:" in err and "--nbar" in err and "--ode-step-km" in err
-        assert "Traceback" not in err
+    def test_ode_step_does_not_change_the_result(self, tmp_path, capsys):
+        # a 50 km RK4 step used to overshoot the PSA feedback at 150 km
+        default, coarse = tmp_path / "default.csv", tmp_path / "coarse.csv"
+        assert run_cli(["crossover", "--out", str(default)]) == 0
+        default_out = capsys.readouterr().out
+        assert run_cli(["crossover", "--ode-step-km", "50", "--out", str(coarse)]) == 0
+        assert capsys.readouterr().out == default_out
+        assert "crossover_km=" in default_out
+        assert coarse.read_bytes() == default.read_bytes()

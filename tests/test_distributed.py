@@ -1,7 +1,9 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from qlink import (
     AmpKind,
@@ -11,6 +13,8 @@ from qlink import (
     conventional_input,
     equidistant_saturating_plan,
     gh_capacity_at,
+    mean_photon_number,
+    scenario_input,
     shannon_capacity,
     shannon_single_quadrature,
     shannon_two_quadrature,
@@ -19,15 +23,36 @@ from qlink.distributed import (
     IntegrationError,
     approx_capacity_pia,
     approx_capacity_psa,
+    channel_maps,
+    checkpoint_positions,
     closed_form_psa,
+    continuum_states,
+    distributed_rows,
     feedback_gain_pia,
     feedback_gain_psa,
     integrate_pia,
     integrate_psa,
     state_at_position,
 )
+from qlink.quadmodel import HEISENBERG_LIMIT, HEISENBERG_TOL
 
 ALPHA = attenuation_to_natural(0.2)
+
+# Every (kind, scenario) pair with a continuum limit.
+CONTINUUM_PAIRS = [
+    (AmpKind.PSA, Scenario.CONVENTIONAL),
+    (AmpKind.PSA, Scenario.GORDON_HOLEVO),
+    (AmpKind.PIA, Scenario.CONVENTIONAL),
+    (AmpKind.PIA, Scenario.TWO_QUADRATURE),
+    (AmpKind.PIA, Scenario.GORDON_HOLEVO),
+]
+
+
+def _rk4(kind, scenario, length, nbar, step):
+    gh = scenario is Scenario.GORDON_HOLEVO
+    if kind is AmpKind.PSA:
+        return integrate_psa(length, nbar, 0.2, step, track_channel=gh)
+    return integrate_pia(length, nbar, 0.2, step, scenario=scenario, track_channel=gh)
 
 
 class TestFeedbackGain:
@@ -207,13 +232,7 @@ class TestContinuumLimit:
     (kind, scenario) pair that has one: both start from the same reference
     input (``scenario_input``)."""
 
-    @pytest.mark.parametrize("kind, scenario", [
-        (AmpKind.PSA, Scenario.CONVENTIONAL),
-        (AmpKind.PSA, Scenario.GORDON_HOLEVO),
-        (AmpKind.PIA, Scenario.CONVENTIONAL),
-        (AmpKind.PIA, Scenario.TWO_QUADRATURE),
-        (AmpKind.PIA, Scenario.GORDON_HOLEVO),
-    ])
+    @pytest.mark.parametrize("kind, scenario", CONTINUUM_PAIRS)
     def test_discrete_chain_converges_to_continuum(self, kind, scenario):
         gh = scenario is Scenario.GORDON_HOLEVO
         if kind is AmpKind.PSA:
@@ -270,3 +289,90 @@ class TestDistributedGh:
         assert gh_capacity_at(long, idx).bits_per_mode == pytest.approx(
             gh_capacity_at(short).bits_per_mode, rel=1e-9
         )
+
+
+class TestClosedFormContinuum:
+    """The closed-form channel maps against the RK4 oracle, and the
+    properties every continuum state must keep."""
+
+    @staticmethod
+    def _endpoint_error(kind, scenario, nbar, length, step):
+        # What a row at `length` is computed from: the output state for a
+        # Shannon row, the output channel map for a Gordon-Holevo one.
+        profile = _rk4(kind, scenario, length, nbar, step)
+        exact = [float(m[0]) for m in channel_maps(kind, [length], nbar)]
+        if scenario is Scenario.GORDON_HOLEVO:
+            got = [float(m[-1]) for m in (profile.mult_i, profile.add_i,
+                                          profile.mult_q, profile.add_q)]
+            want = exact
+        else:
+            got = profile.final_state.as_tuple()
+            sig_i, sig_q, noise_i, noise_q = scenario_input(scenario, nbar).as_tuple()
+            mult_i, add_i, mult_q, add_q = exact
+            want = (sig_i * mult_i, sig_q * mult_q, noise_i * mult_i + add_i,
+                    noise_q * mult_q + add_q)
+        return max(abs(g - w) / abs(w) for g, w in zip(got, want) if w != 0.0)
+
+    @pytest.mark.parametrize("kind, scenario", CONTINUUM_PAIRS)
+    def test_rk4_converges_to_it_at_fourth_order(self, kind, scenario):
+        coarse = self._endpoint_error(kind, scenario, 0.01, 300.0, 0.5)
+        fine = self._endpoint_error(kind, scenario, 0.01, 300.0, 0.25)
+        assert coarse / fine >= 12.0
+
+    @pytest.mark.parametrize("kind, scenario", CONTINUUM_PAIRS)
+    def test_rows_match_rk4(self, kind, scenario):
+        lengths = [50.0, 250.0, 500.0]
+        profile = _rk4(kind, scenario, lengths[-1], 100.0, 0.1)
+        exact = [row.capacity_bits_per_mode
+                 for row in distributed_rows(lengths, 100.0, 0.2, kind, scenario, 0.1)]
+        if scenario is Scenario.GORDON_HOLEVO:
+            oracle = [gh_capacity_at(profile, profile.index_at(L)).bits_per_mode
+                      for L in lengths]
+        else:
+            oracle = [shannon_capacity(profile.state_at(profile.index_at(L)), scenario)
+                      for L in lengths]
+        # The PSA GH row at 50 km carries RK4's own error at h = 0.1 km:
+        # 2.9e-11 relative, falling to 1.8e-12 at h = 0.05 km.
+        rel = 1e-10 if (kind, scenario) == (AmpKind.PSA, Scenario.GORDON_HOLEVO) else 1e-12
+        assert exact == pytest.approx(oracle, rel=rel, abs=0.0)
+
+    @given(nbar_exp=st.floats(-6.0, 8.0), length=st.floats(0.0, 20000.0),
+           pair=st.sampled_from([p for p in CONTINUUM_PAIRS
+                                 if p[1] is not Scenario.GORDON_HOLEVO]))
+    def test_states_keep_budget_and_heisenberg_limit(self, nbar_exp, length, pair):
+        kind, scenario = pair
+        nbar = 10.0 ** nbar_exp
+        # QuadState refuses a noise product below the Heisenberg limit
+        states = continuum_states(kind, scenario, np.linspace(0.0, length, 33), nbar)
+        for state in states:
+            assert abs(mean_photon_number(state) - nbar) <= 1e-9 * max(1.0, nbar)
+        bits = [shannon_capacity(state, scenario) for state in states]
+        assert all(later <= earlier for earlier, later in zip(bits, bits[1:]))
+
+    def test_large_budget_near_the_input_keeps_the_heisenberg_limit(self):
+        # Offsets formed as P(z) - mult*P(0) cancel here: they come out 2.7e-7
+        # off relative, and the noise product 4e-13 below 1/4.
+        nbar, z = 1e4, 2.5e-4
+        oracle = integrate_psa(z, nbar, 0.2, z, track_channel=True)
+        maps = [float(m[0]) for m in channel_maps(AmpKind.PSA, [z], nbar)]
+        want = [float(m[-1]) for m in (oracle.mult_i, oracle.add_i,
+                                       oracle.mult_q, oracle.add_q)]
+        assert maps == pytest.approx(want, rel=1e-12, abs=0.0)
+        (state,) = continuum_states(AmpKind.PSA, Scenario.CONVENTIONAL, [z], nbar)
+        assert state.noise_i * state.noise_q >= HEISENBERG_LIMIT - HEISENBERG_TOL
+
+    def test_checkpoints_are_the_lattice_below_the_length_then_the_length(self):
+        assert checkpoint_positions(0.0, 0.1).tolist() == [0.0]
+        assert checkpoint_positions(0.3, 0.1) == pytest.approx([0.0, 0.1, 0.2, 0.3])
+        assert checkpoint_positions(0.25, 0.1) == pytest.approx([0.0, 0.1, 0.2, 0.25])
+        assert len(checkpoint_positions(10.15, 0.1)) == 103
+
+    def test_psa_two_quadrature_has_no_continuum(self):
+        with pytest.raises(ValueError, match="no continuum limit"):
+            continuum_states(AmpKind.PSA, Scenario.TWO_QUADRATURE, [1.0], 100.0)
+
+    def test_psa_needs_a_positive_budget(self):
+        with pytest.raises(ValueError, match="photon budget"):
+            channel_maps(AmpKind.PSA, [1.0], 0.0)
+        assert channel_maps(AmpKind.PIA, [1.0], 0.0)[1][0] == pytest.approx(
+            -0.5 * math.expm1(-ALPHA))

@@ -15,6 +15,9 @@ ROOT = Path(__file__).resolve().parent.parent
      "distance_km,scenario,amp_kind,amp_count,capacity_bits_per_mode"),
     ("distributed_comparison.py", ["--nbar", "100", "--l-max-km", "100", "--l-step-km", "100"],
      "distance_km,nbar,curve,capacity_bits_per_mode"),
+    # 0.15 km is off the 0.1 km lattice the script used to integrate on
+    ("distributed_comparison.py", ["--nbar", "100", "--l-max-km", "0.3", "--l-step-km", "0.15"],
+     "distance_km,nbar,curve,capacity_bits_per_mode"),
 ])
 def test_script_writes_csv(script, args, header, tmp_path):
     env = dict(os.environ)
