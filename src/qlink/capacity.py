@@ -125,6 +125,11 @@ def scenario_input(scenario: Scenario, nbar: float) -> QuadState:
 # Squeezing grid that brackets the best r before the golden-section refinement.
 _GH_R_GRID = 33
 _GH_R_TOL = 1e-10
+_INFEASIBLE = "no squeezed input meets the photon budget at every checkpoint"
+# Largest budget a Gordon-Holevo run accepts: the largest power of ten at
+# which the rounding of a photon count, eps*(2*nbar + 1) per stage, stays
+# within a tenth of the search's 0.5*POWER_TOL budget slack.
+MAX_GH_NBAR = 1e5
 
 
 def _squeezed_floor(r: float, nbar: float) -> tuple[float, float, float]:
@@ -141,12 +146,11 @@ def _squeezed_floor(r: float, nbar: float) -> tuple[float, float, float]:
 class _GhChannel:
     """Affine channel data for the Gordon-Holevo maximization.
 
-    For a fixed squeezing r, the photon excess at every checkpoint is affine
-    in the split fraction p (the share of the signal budget in the I
-    quadrature), so the budget confines p to an interval.  Checkpoints are
-    ordered by the sign of that slope (falling, flat, rising), so that each
-    group's bound on p is one reduction over a view.  The final checkpoint
-    is the channel output.
+    The input's I variance X and Q variance Y sum to T = 2*nbar + 1 for
+    every squeezing r and split p, so the photon excess at every checkpoint
+    is affine in X alone.  The budget is therefore one interval
+    [x_lo, x_hi] on X, found in one pass when the channel is built; each
+    ``best_split`` is O(1).  The final checkpoint is the channel output.
     """
 
     def __init__(self, mult_i, add_i, mult_q, add_q, nbar: float):
@@ -156,20 +160,17 @@ class _GhChannel:
         self.nbar = nbar
         self.out = (float(mult_i[-1]), float(add_i[-1]),
                     float(mult_q[-1]), float(add_q[-1]))
+        # Excess at X is excess0 + slope * X.  Search with half the audit
+        # tolerance so boundary optima survive the exact re-propagation audit
+        # with margin to spare.
         slope = 0.5 * (mult_i - mult_q)
-        order = np.argsort(np.sign(slope), kind="stable")
-        flat_start = int(np.count_nonzero(slope < 0.0))
-        rise_start = len(slope) - int(np.count_nonzero(slope > 0.0))
-        self.falling = slice(0, flat_start)
-        self.flat = slice(flat_start, rise_start)
-        self.rising = slice(rise_start, None)
-        self.half_i = 0.5 * mult_i[order]
-        self.half_q = 0.5 * mult_q[order]
-        # Search with half the audit tolerance so boundary optima survive the
-        # exact re-propagation audit with margin to spare.
-        self.offset = (0.5 * add_sum - 0.5 - nbar - 0.5 * POWER_TOL)[order]
-        with np.errstate(divide="ignore"):
-            self.inv_slope = 1.0 / slope[order]  # flat entries are never read
+        excess0 = (0.5 * add_sum - 0.5 - nbar - 0.5 * POWER_TOL
+                   + 0.5 * mult_q * (2.0 * nbar + 1.0))
+        falling, rising = slope < 0.0, slope > 0.0
+        self.x_lo = float((-excess0[falling] / slope[falling]).max(initial=-math.inf))
+        self.x_hi = float((-excess0[rising] / slope[rising]).min(initial=math.inf))
+        if excess0[~(falling | rising)].max(initial=-math.inf) > 0.0 or self.x_lo > self.x_hi:
+            raise GHSearchError(_INFEASIBLE, -math.inf)
 
     def best_split(self, r: float) -> tuple[float, float]:
         """(chi, p) of the best feasible split at squeezing ``r``, or
@@ -177,15 +178,8 @@ class _GhChannel:
         noise_i, noise_q, budget = _squeezed_floor(r, self.nbar)
         if budget <= 0.0:
             return -math.inf, 0.0
-        # Excess of the all-Q input (p = 0) less the margin; at split p the
-        # excess is excess0 + p * budget * slope.
-        excess0 = self.offset + self.half_i * noise_i + self.half_q * (noise_q + budget)
-        if excess0[self.flat].max(initial=-math.inf) > 0.0:
-            return -math.inf, 0.0
-        lo = max(0.0, -float((excess0[self.falling] * self.inv_slope[self.falling])
-                             .min(initial=math.inf)) / budget)
-        hi = min(1.0, -float((excess0[self.rising] * self.inv_slope[self.rising])
-                             .max(initial=-math.inf)) / budget)
+        lo = max(0.0, (self.x_lo - noise_i) / budget)
+        hi = min(1.0, (self.x_hi - noise_i) / budget)
         if lo > hi:
             return -math.inf, 0.0
         # chi grows with the product of the output variances,
@@ -241,9 +235,7 @@ def gh_capacity_for_channel(
         return CapacityResult(0.0, Scenario.GORDON_HOLEVO, QuadState(0, 0, 0.5, 0.5))
     chi, p, r = _gh_search(_GhChannel(mult_i, add_i, mult_q, add_q, nbar))
     if chi == -math.inf:
-        raise GHSearchError(
-            "no squeezed input meets the photon budget at every checkpoint", chi
-        )
+        raise GHSearchError(_INFEASIBLE, chi)
     noise_i, noise_q, budget = _squeezed_floor(r, nbar)
     achieving = QuadState(p * budget, (1.0 - p) * budget, noise_i, noise_q)
     return CapacityResult(max(chi, 0.0), Scenario.GORDON_HOLEVO, achieving)

@@ -15,7 +15,7 @@ import re
 import sys
 from dataclasses import dataclass, fields
 
-from .capacity import Scenario
+from .capacity import MAX_GH_NBAR, Scenario
 from .distributed import (
     DEFAULT_STEP_KM,
     distributed_rows,
@@ -178,6 +178,11 @@ def parse_config(argv: list[str]) -> RunConfig:
             f"--l-min-km {config.l_min_km:g} to --l-max-km {config.l_max_km:g} in steps "
             f"of --l-step-km {config.l_step_km:g} is a grid of {points:.0f} points; "
             f"at most {MAX_GRID_POINTS} are allowed")
+    if (config.scenario is Scenario.GORDON_HOLEVO and config.command != "crossover"
+            and config.nbar > MAX_GH_NBAR):
+        raise UsageError(f"gordon-holevo runs need nbar <= {MAX_GH_NBAR:g}: above it "
+                         "photon counts round by more than a tenth of the search's "
+                         "budget margin")
     sweeps_continuum = config.amps is None and config.command != "crossover"
     checkpoints = config.l_max_km / config.ode_step_km
     if (sweeps_continuum and config.scenario is Scenario.GORDON_HOLEVO

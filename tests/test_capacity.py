@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from qlink import (
@@ -29,8 +30,10 @@ from qlink import (
     shannon_two_quadrature,
     vacuum_state,
 )
+from qlink.capacity import MAX_GH_NBAR, _GhChannel, _squeezed_floor, gh_capacity_for_channel
+from qlink.distributed import channel_maps
 from qlink.linkchain import POWER_TOL
-from qlink.optimizer import equidistant_saturating_plan
+from qlink.optimizer import _PlanScorer, equidistant_saturating_plan
 
 from conftest import quad_states
 
@@ -255,6 +258,102 @@ class TestGhExactSearch:
         result = gh_capacity(plan)
         assert math.isfinite(result.bits_per_mode)
         assert result.bits_per_mode >= 0.0
+
+
+def _photons(arrays, r, p, nbar):
+    """Photon count at every checkpoint for the input at squeezing r and
+    split p, straight from the four channel maps."""
+    mult_i, add_i, mult_q, add_q = (np.asarray(a, dtype=float) for a in arrays)
+    noise_i, noise_q, budget = _squeezed_floor(r, nbar)
+    return 0.5 * (mult_i * (noise_i + p * budget) + add_i
+                  + mult_q * (noise_q + (1.0 - p) * budget) + add_q) - 0.5
+
+
+@st.composite
+def feasible_gh_channels(draw):
+    """(checkpoint arrays, nbar) of a plan whose amplifier gains are clipped
+    to keep the Gordon-Holevo reference input within the budget."""
+    kind = draw(st.sampled_from([AmpKind.PSA, AmpKind.PIA]))
+    amps = draw(st.integers(0, 6))
+    length = draw(st.floats(10.0, 3000.0))
+    nbar = 10.0 ** draw(st.floats(-3.0, math.log10(MAX_GH_NBAR)))
+    permille = draw(st.lists(st.integers(1, 999), min_size=amps, max_size=amps, unique=True))
+    positions = [length * k / 1000.0 for k in sorted(permille)]
+    raw_gains = draw(st.lists(st.floats(1.0, 1e12), min_size=amps, max_size=amps))
+    scorer = _PlanScorer(length, nbar, 0.2, kind, Scenario.GORDON_HOLEVO)
+    gains, _, _ = scorer.repair_gains(positions, raw_gains)
+    plan = LinkPlan.from_amp_positions(0.2, length, nbar, positions, gains, kind)
+    arrays = _checkpoint_arrays(plan)
+    if draw(st.booleans()):  # the mirror image amplifies Q, so its checkpoints fall
+        arrays = (arrays[2], arrays[3], arrays[0], arrays[1])
+    return arrays, nbar
+
+
+class TestGhBudgetInterval:
+    @settings(max_examples=300)
+    @given(feasible_gh_channels(), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.data())
+    def test_interval_holds_exactly_the_budget(self, channel_data, r_share, p, data):
+        arrays, nbar = channel_data
+        channel = _GhChannel(*arrays, nbar)
+        total = 2.0 * nbar + 1.0
+        r_lo, r_hi = -0.5 * math.acosh(total), 0.5 * math.acosh(total)
+        # half the draws put X next to an end of the interval, at a squeezing
+        # whose inputs reach it: noise_i < X and noise_q < T - X
+        edges = [x for x in (channel.x_lo, channel.x_hi) if 0.0 < x < total]
+        edge = data.draw(st.sampled_from(edges)) if edges and data.draw(st.booleans()) else None
+        if edge is not None:
+            r_lo = max(r_lo, -0.5 * math.log(2.0 * edge))
+            r_hi = min(r_hi, 0.5 * math.log(2.0 * (total - edge)))
+            assume(r_lo < r_hi)
+        r = r_lo + r_share * (r_hi - r_lo)
+        noise_i, _, budget = _squeezed_floor(r, nbar)
+        assume(budget > 0.0)
+        if edge is not None:
+            x = edge + data.draw(st.floats(-1e-6, 1e-6)) * total
+            p = min(max((x - noise_i) / budget, 0.0), 1.0)
+        x = noise_i + p * budget
+        limit = nbar + 0.5 * POWER_TOL
+        # The interval and the direct count round apart by a few eps*T in
+        # photons.  Near a checkpoint of small slope that is wider than any
+        # fixed distance in X, so draws that close to the limit are skipped.
+        rounding = 8.0 * sys.float_info.epsilon * total
+        excess = _photons(arrays, r, p, nbar).max() - limit
+        assume(abs(excess) > rounding)
+        assert (channel.x_lo <= x <= channel.x_hi) == (excess <= 0.0)
+        chi, best = channel.best_split(r)
+        if chi > -math.inf:
+            assert _photons(arrays, r, best, nbar).max() <= limit + rounding
+
+    @pytest.mark.parametrize("kind", [AmpKind.PSA, AmpKind.PIA])
+    def test_interior_checkpoint_order_and_repeats_do_not_matter(self, kind):
+        maps = np.array(channel_maps(kind, np.linspace(0.0, 3000.0, 30_001), 100.0))
+        shuffled = maps.copy()
+        shuffled[:, 1:-1] = maps[:, 1 + np.random.default_rng(0).permutation(29_999)]
+        repeated = np.concatenate([maps[:, :-1], maps[:, 1:-1], maps[:, -1:]], axis=1)
+        expected = gh_capacity_for_channel(*maps, 100.0)
+        for variant in (shuffled, repeated):
+            assert gh_capacity_for_channel(*variant, 100.0) == expected
+
+    @pytest.mark.parametrize("arrays", [
+        # a flat checkpoint that doubles every input's photon count
+        ([1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [0.0, 0.0]),
+        # a rising checkpoint needs X <= T/3 and a falling one X >= 2T/3
+        ([1.0, 2.0, 0.5], [0.0, 0.0, 0.0], [1.0, 0.5, 2.0], [0.0, 0.0, 0.0]),
+    ])
+    def test_empty_interval_fails_before_the_search(self, arrays, monkeypatch):
+        calls = []
+        monkeypatch.setattr(_GhChannel, "best_split", lambda self, r: calls.append(r))
+        with pytest.raises(GHSearchError) as err:
+            gh_capacity_for_channel(*arrays, 100.0)
+        assert err.value.best_value == -math.inf
+        assert calls == []
+
+    def test_budget_bound_keeps_rounding_within_the_search_margin(self):
+        # one rounding of a photon count fits ten times in the 0.5*POWER_TOL
+        # margin at MAX_GH_NBAR, and no longer at ten times the budget
+        eps = sys.float_info.epsilon
+        margin = 0.1 * 0.5 * POWER_TOL
+        assert eps * (2.0 * MAX_GH_NBAR + 1.0) <= margin < eps * (20.0 * MAX_GH_NBAR + 1.0)
 
 
 class TestPlanCapacity:

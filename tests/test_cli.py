@@ -187,6 +187,42 @@ class TestParsing:
         assert parse_config(["sweep", "--amps", "2", "--ode-step-km", "1e-9"]).amps == 2
 
     @pytest.mark.parametrize("args", [
+        # failed at runtime: "no squeezed input meets the photon budget"
+        ["optimize", "--amps", "6", "--kind", "pia", "--l-min-km", "50", "--l-max-km", "50"],
+        ["sweep", "--amps", "2", "--l-min-km", "50", "--l-max-km", "50"],
+        ["sweep", "--amps", "inf", "--l-min-km", "50", "--l-max-km", "50"],
+        ["distributed", "--kind", "pia", "--l-min-km", "50", "--l-max-km", "50"],
+    ])
+    def test_gordon_holevo_budget_above_bound_is_usage_error(self, args, tmp_path, capsys):
+        out = tmp_path / "gh.csv"
+        assert run_cli(args + ["--scenario", "gordon-holevo", "--nbar", "1e6",
+                               "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "nbar <= 100000" in err
+        assert "round" in err
+
+    def test_gordon_holevo_budget_bound_spares_other_scenarios(self):
+        assert parse_config(["sweep", "--nbar", "1e6"]).nbar == 1e6
+        # crossover compares fixed-input scenarios whatever --scenario says
+        assert parse_config(["crossover", "--scenario", "gordon-holevo",
+                             "--nbar", "1e6"]).nbar == 1e6
+
+    @pytest.mark.parametrize("kind", ["psa", "pia"])
+    @pytest.mark.parametrize("args", [
+        ["optimize", "--amps", "2", "--l-min-km", "50", "--l-max-km", "300",
+         "--l-step-km", "250"],
+        ["optimize", "--amps", "6", "--l-min-km", "50", "--l-max-km", "50"],
+        ["distributed", "--l-min-km", "10", "--l-max-km", "1010", "--l-step-km", "500"],
+    ])
+    def test_gordon_holevo_at_budget_bound_runs(self, kind, args, tmp_path):
+        out = tmp_path / "gh.csv"
+        assert run_cli(args + ["--kind", kind, "--scenario", "gordon-holevo",
+                               "--nbar", "1e5", "--out", str(out)]) == 0
+        bits = [float(line.split(",")[4]) for line in out.read_text().splitlines()[1:]]
+        assert bits and all(math.isfinite(b) and b > 0.0 for b in bits)
+
+    @pytest.mark.parametrize("args", [
         ["distributed", "--kind", "psa", "--scenario", "two-quadrature-snl"],
         ["sweep", "--amps", "inf", "--scenario", "two-quadrature-snl"],
     ])
