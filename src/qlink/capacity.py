@@ -73,18 +73,35 @@ def entropy_g(x: float) -> float:
     return ((x + 1.0) * math.log1p(x) - x * math.log(x)) / _LN2
 
 
+def _symplectic(var_i: float, var_q: float) -> float:
+    if var_i <= 0 or var_q <= 0:
+        raise ValueError(f"variances must be positive, got ({var_i}, {var_q})")
+    if var_i * var_q < HEISENBERG_LIMIT - HEISENBERG_TOL:
+        raise ValueError(f"covariance product {var_i * var_q} lies below the Heisenberg limit")
+    return math.sqrt(var_i * var_q)
+
+
 def gaussian_state_entropy(var_i: float, var_q: float) -> float:
     """Von Neumann entropy of a single-mode Gaussian state with diagonal
     covariance (var_i, var_q) in vacuum-=1/2 units."""
-    if var_i <= 0 or var_q <= 0:
-        raise ValueError(f"variances must be positive, got ({var_i}, {var_q})")
-    product = var_i * var_q
-    if product < HEISENBERG_LIMIT - HEISENBERG_TOL:
-        raise ValueError(
-            f"covariance product {product} lies below the Heisenberg limit"
-        )
     # The symplectic eigenvalue of a pure state may dip below 1/2 by rounding.
-    return entropy_g(max(math.sqrt(product) - 0.5, 0.0))
+    return entropy_g(max(_symplectic(var_i, var_q) - 0.5, 0.0))
+
+
+def _chi(noise: tuple[float, float], sig_i: float, sig_q: float) -> float:
+    # g(b + d) - g(b) for the noise state's b = nu - 1/2 and the rise d of nu
+    # that the signal powers bring, formed from d so that it keeps its
+    # relative precision when the signal is far below the noise:
+    # d*log1p(1/(b+d)) + (b+1)*log1p(d/(b+1)) - b*log1p(d/b).
+    nu = _symplectic(*noise)
+    rise = ((sig_i * noise[1] + sig_q * noise[0] + sig_i * sig_q)
+            / (math.sqrt((noise[0] + sig_i) * (noise[1] + sig_q)) + nu))
+    if rise == 0.0:
+        return 0.0
+    b = max(nu - 0.5, 0.0)
+    chi = (rise * math.log1p(1.0 / (b + rise)) + (b + 1.0) * math.log1p(rise / (b + 1.0))
+           - (b * math.log1p(rise / b) if b > 0.0 else 0.0))
+    return chi / _LN2
 
 
 def holevo_chi(
@@ -99,7 +116,8 @@ def holevo_chi(
         raise ValueError(
             f"ensemble variances {out_total} must dominate noise variances {out_noise}"
         )
-    return gaussian_state_entropy(*out_total) - gaussian_state_entropy(*out_noise)
+    return _chi(out_noise, max(out_total[0] - out_noise[0], 0.0),
+                max(out_total[1] - out_noise[1], 0.0))
 
 
 def shannon_capacity(state: QuadState, scenario: Scenario) -> float:
@@ -136,11 +154,12 @@ def _squeezed_floor(r: float, nbar: float) -> tuple[float, float, float]:
     """(noise_i, noise_q, signal budget) for squeezing exponent ``r``.
 
     The noise floor is a pure squeezed vacuum (product exactly 1/4) and the
-    signal power is what the photon budget leaves; negative means the floor
-    alone overshoots the budget.
+    signal power is what the photon budget leaves, 2*nbar + 1 - cosh(2r),
+    formed without cancellation so that tiny budgets keep it; negative means
+    the floor alone overshoots the budget.
     """
     return (0.5 * math.exp(-2.0 * r), 0.5 * math.exp(2.0 * r),
-            2.0 * nbar + 1.0 - math.cosh(2.0 * r))
+            2.0 * nbar - 2.0 * math.sinh(r) ** 2)
 
 
 class _GhChannel:
@@ -167,8 +186,11 @@ class _GhChannel:
         excess0 = (0.5 * add_sum - 0.5 - nbar - 0.5 * POWER_TOL
                    + 0.5 * mult_q * (2.0 * nbar + 1.0))
         falling, rising = slope < 0.0, slope > 0.0
-        self.x_lo = float((-excess0[falling] / slope[falling]).max(initial=-math.inf))
-        self.x_hi = float((-excess0[rising] / slope[rising]).min(initial=math.inf))
+        # A subnormal slope overflows its bound to +-inf of the right sign;
+        # a bound that large lies outside [0, T] anyway.
+        with np.errstate(over="ignore"):
+            self.x_lo = float((-excess0[falling] / slope[falling]).max(initial=-math.inf))
+            self.x_hi = float((-excess0[rising] / slope[rising]).min(initial=math.inf))
         if excess0[~(falling | rising)].max(initial=-math.inf) > 0.0 or self.x_lo > self.x_hi:
             raise GHSearchError(_INFEASIBLE, -math.inf)
 
@@ -191,8 +213,7 @@ class _GhChannel:
         peak = mi * all_q - mq * noise_out[0]
         p = peak / lever if lever > 0.0 else math.copysign(math.inf, peak)
         p = min(max(p, lo), hi)
-        total = (noise_out[0] + mi * p * budget, mq * ((1.0 - p) * budget + noise_q) + aq)
-        return holevo_chi(total, noise_out), p
+        return _chi(noise_out, mi * p * budget, mq * (1.0 - p) * budget), p
 
 
 def _gh_search(channel: _GhChannel) -> tuple[float, float, float]:
@@ -202,7 +223,7 @@ def _gh_search(channel: _GhChannel) -> tuple[float, float, float]:
     r; golden-section search refines it between the best grid point's
     neighbours.  Returns (chi, p, r); chi is -inf when no input is feasible.
     """
-    r_cap = 0.5 * math.acosh(2.0 * channel.nbar + 1.0)
+    r_cap = math.asinh(math.sqrt(channel.nbar))  # cosh(2 r_cap) = 2*nbar + 1
     step = 2.0 * r_cap / (_GH_R_GRID - 1)
     grid = [-r_cap + k * step for k in range(_GH_R_GRID)]
     values = [channel.best_split(r)[0] for r in grid]
@@ -230,7 +251,11 @@ def gh_capacity_for_channel(
 ) -> CapacityResult:
     """Gordon-Holevo capacity of an affine Gaussian channel given its
     per-checkpoint coefficient arrays (last checkpoint = output); the search
-    is exact and deterministic."""
+    is exact and deterministic.  Budgets above ``MAX_GH_NBAR`` are refused
+    with a ``ValueError``."""
+    if nbar > MAX_GH_NBAR:
+        raise ValueError(f"Gordon-Holevo capacity needs nbar <= MAX_GH_NBAR = {MAX_GH_NBAR:g}, "
+                         f"got {nbar:g}: above it photon counts round past the search margin")
     if nbar <= 0:
         return CapacityResult(0.0, Scenario.GORDON_HOLEVO, QuadState(0, 0, 0.5, 0.5))
     chi, p, r = _gh_search(_GhChannel(mult_i, add_i, mult_q, add_q, nbar))

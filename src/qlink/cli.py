@@ -17,7 +17,6 @@ from dataclasses import dataclass, fields
 
 from .capacity import MAX_GH_NBAR, Scenario
 from .distributed import (
-    DEFAULT_STEP_KM,
     distributed_rows,
     integrate_pia,  # noqa: F401 - unused here; kept as a patch point for perfbench/traced_run.py
     integrate_psa,  # noqa: F401 - unused here; kept as a patch point for perfbench/traced_run.py
@@ -34,14 +33,12 @@ _SCENARIOS = {
     "gordon-holevo": Scenario.GORDON_HOLEVO,
 }
 _COMMANDS = ("sweep", "optimize", "distributed", "crossover")
-_FLOAT_KEYS = ("nbar", "alpha_db_km", "l_min_km", "l_max_km", "l_step_km", "ode_step_km")
+_FLOAT_KEYS = ("nbar", "alpha_db_km", "l_min_km", "l_max_km", "l_step_km")
 
 # Bound on the worker pool used for independent grid points.
 _MAX_WORKERS = 8
-# Largest grid, and most budget checkpoints of a Gordon-Holevo continuum
-# channel, that a run may ask for.
+# Largest grid that a run may ask for.
 MAX_GRID_POINTS = 100_000
-MAX_CHECKPOINTS = 1_000_000
 # A '#' starts a comment at the start of a line or after whitespace.
 _COMMENT = re.compile(r"(?:^|\s)#")
 
@@ -61,7 +58,6 @@ class RunConfig:
     amps: int | None = 0  # None encodes the distributed R=infinity limit
     kind: AmpKind = AmpKind.PSA
     scenario: Scenario = Scenario.CONVENTIONAL
-    ode_step_km: float = DEFAULT_STEP_KM
     seed: int = 0  # accepted for compatibility; no result depends on it
     out: str = "qlink.csv"
 
@@ -132,8 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--amps", help="amplifier count, or 'inf' for distributed")
     parser.add_argument("--kind", help="amplifier kind: psa or pia")
     parser.add_argument("--scenario", help="|".join(_SCENARIOS))
-    parser.add_argument("--ode-step-km", dest="ode_step_km",
-                        help="budget checkpoint spacing of a gordon-holevo continuum channel")
     parser.add_argument("--seed", help="accepted for compatibility; no result depends on it")
     parser.add_argument("--out", help="output CSV path")
     return parser
@@ -146,7 +140,7 @@ def parse_config(argv: list[str]) -> RunConfig:
     if args.config:
         merged.update(_read_config_file(args.config))
     for key in ("nbar", "alpha_db_km", "l_min_km", "l_max_km", "l_step_km",
-                "amps", "kind", "scenario", "ode_step_km", "seed", "out"):
+                "amps", "kind", "scenario", "seed", "out"):
         value = getattr(args, key)
         if value is not None:
             merged[key] = _coerce(key, value)
@@ -164,8 +158,6 @@ def parse_config(argv: list[str]) -> RunConfig:
         raise UsageError(f"malformed value for 'l_step_km': must be > 0, got {config.l_step_km}")
     if config.l_min_km <= 0:
         raise UsageError(f"malformed value for 'l_min_km': must be > 0, got {config.l_min_km}")
-    if config.ode_step_km <= 0:
-        raise UsageError(f"malformed value for 'ode_step_km': must be > 0, got {config.ode_step_km}")
     if config.command == "distributed":
         config.amps = None
     if config.amps is None and config.command == "optimize":
@@ -183,15 +175,7 @@ def parse_config(argv: list[str]) -> RunConfig:
         raise UsageError(f"gordon-holevo runs need nbar <= {MAX_GH_NBAR:g}: above it "
                          "photon counts round by more than a tenth of the search's "
                          "budget margin")
-    sweeps_continuum = config.amps is None and config.command != "crossover"
-    checkpoints = config.l_max_km / config.ode_step_km
-    if (sweeps_continuum and config.scenario is Scenario.GORDON_HOLEVO
-            and checkpoints > MAX_CHECKPOINTS):
-        raise UsageError(
-            f"--l-max-km {config.l_max_km:g} in steps of --ode-step-km "
-            f"{config.ode_step_km:g} is {checkpoints:.0f} budget checkpoints; at most "
-            f"{MAX_CHECKPOINTS} are allowed")
-    if (sweeps_continuum and config.kind is AmpKind.PSA
+    if (config.amps is None and config.command != "crossover" and config.kind is AmpKind.PSA
             and config.scenario is Scenario.TWO_QUADRATURE):
         raise UsageError("psa with two-quadrature-snl has no continuum limit: the "
                          "phase-sensitive feedback is singular for the symmetric input")
@@ -222,7 +206,7 @@ def run(config: RunConfig) -> int:
                                            config.nbar, config.alpha_db_km)
     elif config.amps is None:
         rows = distributed_rows(grid, config.nbar, config.alpha_db_km, config.kind,
-                                config.scenario, config.ode_step_km)
+                                config.scenario)
     elif config.command == "optimize":
         rows = []
         for length in grid:

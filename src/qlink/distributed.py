@@ -158,23 +158,19 @@ def _rk4_step(y, h, kind, alpha):
                   for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
 
 
-def _lattice_below(length_km: float, step_km: float) -> int:
-    """Number of lattice points k*step (k = 0, 1, ...) that lie below
-    ``length_km``; a point up to 1e-9 steps past the length, or less than
-    1e-12 km short of it, counts as the length itself."""
-    n = math.floor(length_km / step_km + 1e-9)
-    return n + 1 if length_km - n * step_km > 1e-12 else n
-
-
 def checkpoint_positions(length_km: float, step_km: float) -> np.ndarray:
     """The lattice points k*step below ``length_km``, then the length itself:
-    the RK4 samples of an integration to that length, and the budget
-    checkpoints of a Gordon-Holevo continuum channel."""
+    the RK4 samples of an integration to that length.  A lattice point up to
+    1e-9 steps past the length, or less than 1e-12 km short of it, counts as
+    the length itself."""
     if step_km <= 0:
         raise ValueError(f"step must be positive, got {step_km}")
     if length_km < 0:
         raise ValueError(f"length must be non-negative, got {length_km}")
-    return np.append(np.arange(_lattice_below(length_km, step_km)) * step_km, length_km)
+    below = math.floor(length_km / step_km + 1e-9)
+    if length_km - below * step_km > 1e-12:
+        below += 1
+    return np.append(np.arange(below) * step_km, length_km)
 
 
 def _integrate(
@@ -378,13 +374,17 @@ def distributed_rows(
     alpha_db_per_km: float,
     kind: AmpKind,
     scenario: Scenario,
-    step_km: float = DEFAULT_STEP_KM,
 ) -> list[SweepRow]:
     """Continuum (R = infinity) capacity rows at each grid distance.
 
-    A Gordon-Holevo row at L holds the budget at ``checkpoint_positions(L,
-    step_km)``; Shannon rows need only the output state, so ``step_km``
-    does not enter them.
+    Shannon rows need only the output state.  A Gordon-Holevo row holds the
+    budget along the whole link with one closed-form bound: an input of I
+    variance X and Q variance T - X (T = 2*nbar + 1) has photon excess
+    slope(z) * (X - 2*nbar - 1/2) at z, slope = (mult_i - mult_q)/2.  That
+    is 0 for PIA and lies in [0, 1/2] for PSA (0 <= mult_q <= mult_i <= 1;
+    mult_i <= 1 as the conventional state's Heisenberg-limited noise leaves
+    its I signal at most 2*nbar), so the checkpoint (1, 0, 0, 1/2) of slope
+    1/2, which passes I and replaces Q by vacuum, bounds every z in (0, L].
     """
     if not grid:
         return []
@@ -392,14 +392,12 @@ def distributed_rows(
         states = continuum_states(kind, scenario, grid, nbar, alpha_db_per_km)
         return [SweepRow(length, scenario, kind, None, shannon_capacity(state, scenario))
                 for length, state in zip(grid, states)]
-    # Every row's checkpoints are a prefix of one lattice, then its own end.
-    lattice = channel_maps(kind, np.arange(_lattice_below(max(grid), step_km)) * step_km,
-                           nbar, alpha_db_per_km)
+    # A row's checkpoints: the bound (PSA only), then its output map.
+    bound = [[1.0], [0.0], [0.0], [0.5]] if kind is _PSA else [[], [], [], []]
     ends = channel_maps(kind, grid, nbar, alpha_db_per_km)
     rows = []
     for j, length in enumerate(grid):
-        below = _lattice_below(length, step_km)
-        maps = [np.append(points[:below], end[j]) for points, end in zip(lattice, ends)]
+        maps = [first + [end[j]] for first, end in zip(bound, ends)]
         bits = gh_capacity_for_channel(*maps, nbar).bits_per_mode
         rows.append(SweepRow(length, scenario, kind, None, bits))
     return rows

@@ -143,7 +143,7 @@ def test_criterion_4_crossover_command_brackets_crossing(tmp_path, capsys):
     out = tmp_path / "crossover.csv"
     code = cli_main(
         ["crossover", "--nbar", "100", "--l-min-km", "10", "--l-max-km", "5000",
-         "--l-step-km", "2495", "--ode-step-km", "0.5", "--out", str(out)]
+         "--l-step-km", "2495", "--out", str(out)]
     )
     captured = capsys.readouterr()
     crossing = float(captured.out.split("crossover_km=")[1].split()[0])

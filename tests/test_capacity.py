@@ -30,10 +30,16 @@ from qlink import (
     shannon_two_quadrature,
     vacuum_state,
 )
-from qlink.capacity import MAX_GH_NBAR, _GhChannel, _squeezed_floor, gh_capacity_for_channel
-from qlink.distributed import channel_maps
+from qlink.capacity import (
+    MAX_GH_NBAR,
+    _chi,
+    _GhChannel,
+    _squeezed_floor,
+    gh_capacity_for_channel,
+)
+from qlink.distributed import channel_maps, distributed_rows
 from qlink.linkchain import POWER_TOL
-from qlink.optimizer import _PlanScorer, equidistant_saturating_plan
+from qlink.optimizer import _PlanScorer, equidistant_saturating_plan, optimize_plan
 
 from conftest import quad_states
 
@@ -128,6 +134,16 @@ class TestHolevoChi:
     def test_rejects_non_dominating_total(self):
         with pytest.raises(ValueError, match="dominate"):
             holevo_chi((0.4, 0.5), (0.5, 0.5))
+
+    @pytest.mark.parametrize("nbar", [1e-3, 1.0, 100.0, 1e5])
+    @pytest.mark.parametrize("signal", [1e-12, 1e-30, 1e-300])
+    def test_signal_far_below_the_noise_keeps_its_precision(self, nbar, signal):
+        # As a difference of two entropies, chi at nbar = 100 came out in
+        # steps of 8.2e-14 bits, and a Gordon-Holevo row 1e-15 bits deep
+        # could rise with distance.  Here nu rises by signal/2 to first order.
+        expected = 0.5 * signal * math.log2((nbar + 1.0) / nbar)
+        chi = _chi((nbar + 0.5, nbar + 0.5), signal, 0.0)
+        assert chi == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     @given(st.floats(0.3, 10.0), st.floats(0.0, 50.0), st.floats(0.0, 50.0))
     def test_chi_non_negative(self, noise, add_i, add_q):
@@ -354,6 +370,30 @@ class TestGhBudgetInterval:
         eps = sys.float_info.epsilon
         margin = 0.1 * 0.5 * POWER_TOL
         assert eps * (2.0 * MAX_GH_NBAR + 1.0) <= margin < eps * (20.0 * MAX_GH_NBAR + 1.0)
+
+
+class TestGhBudgetRange:
+    @pytest.mark.parametrize("run", [
+        lambda: optimize_plan(50.0, 4, 1e6, 0.2, AmpKind.PIA, Scenario.GORDON_HOLEVO),
+        lambda: distributed_rows([100.0], 1e6, 0.2, AmpKind.PSA, Scenario.GORDON_HOLEVO),
+        lambda: gh_capacity_for_channel([1.0], [0.0], [1.0], [0.0], 1e6),
+    ], ids=["optimize_plan", "distributed_rows", "gh_capacity_for_channel"])
+    def test_budget_above_bound_is_refused(self, run):
+        # the first raised GHSearchError by chance of rounding, the second
+        # returned a row
+        with pytest.raises(ValueError, match="MAX_GH_NBAR"):
+            run()
+
+    @pytest.mark.parametrize("nbar", [1e-17, 1e-20, 1e-300])
+    @pytest.mark.parametrize("kind", [AmpKind.PSA, AmpKind.PIA])
+    def test_tiny_budget_gives_a_row(self, kind, nbar):
+        # 2*nbar + 1 - cosh(2r) and acosh(2*nbar + 1) cancelled to 0, so no
+        # input met the budget
+        assert _squeezed_floor(0.0, nbar)[2] == 2.0 * nbar
+        discrete = optimize_plan(50.0, 1, nbar, 0.2, kind, Scenario.GORDON_HOLEVO).score
+        (row,) = distributed_rows([50.0], nbar, 0.2, kind, Scenario.GORDON_HOLEVO)
+        for bits in (discrete, row.capacity_bits_per_mode):
+            assert 0.0 <= bits <= entropy_g(nbar)
 
 
 class TestPlanCapacity:

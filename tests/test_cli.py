@@ -77,7 +77,7 @@ class TestParsing:
         assert run_cli(["sweep", "--amps", "-2"]) == 2
 
     @pytest.mark.parametrize("flag", ["--nbar", "--alpha-db-km", "--l-min-km",
-                                      "--l-max-km", "--l-step-km", "--ode-step-km"])
+                                      "--l-max-km", "--l-step-km"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_float_is_usage_error(self, flag, value, capsys):
         # --l-max-km inf used to loop forever building the grid.
@@ -103,7 +103,7 @@ class TestParsing:
         out = tmp_path / "pia.csv"
         code = run_cli(
             ["distributed", "--kind", "pia", "--nbar", "0", "--l-min-km", "10",
-             "--l-max-km", "20", "--l-step-km", "10", "--ode-step-km", "0.5",
+             "--l-max-km", "20", "--l-step-km", "10",
              "--out", str(out)]
         )
         assert code == 0
@@ -155,36 +155,39 @@ class TestParsing:
                                "--l-step-km", "1"])
         assert len(config.grid()) == 100_000
 
-    @pytest.mark.parametrize("args", [
-        ["distributed", "--scenario", "gordon-holevo", "--ode-step-km", "1e-9"],
-        ["sweep", "--amps", "inf", "--scenario", "gordon-holevo", "--l-max-km", "200001",
-         "--l-step-km", "1000", "--ode-step-km", "0.2"],
-        ["distributed", "--kind", "pia", "--scenario", "gordon-holevo", "--ode-step-km",
-         "1e-9"],
-    ])
-    def test_oversized_integration_is_usage_error(self, args, capsys):
-        # only a Gordon-Holevo continuum channel is built on the checkpoint lattice
-        assert run_cli(args) == 2
-        err = capsys.readouterr().err
-        assert "--ode-step-km" in err
-        assert "budget checkpoints" in err
+    @pytest.mark.parametrize("kind", ["psa", "pia"])
+    def test_gordon_holevo_continuum_has_no_checkpoint_bound(self, kind, tmp_path):
+        # refused while the budget was held on a 0.1 km checkpoint lattice
+        # (2,000,010 checkpoints, over its bound of 1,000,000)
+        out = tmp_path / "gh.csv"
+        assert run_cli(["sweep", "--amps", "inf", "--kind", kind, "--scenario",
+                        "gordon-holevo", "--l-max-km", "200001", "--l-step-km", "1000",
+                        "--out", str(out)]) == 0
+        bits = [float(line.split(",")[4]) for line in out.read_text().splitlines()[1:]]
+        assert len(bits) == 200
+        assert all(math.isfinite(b) and b >= 0.0 for b in bits)
+        assert bits == sorted(bits, reverse=True)
+
+    def test_ode_step_is_no_longer_accepted(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:  # argparse's exit for an unknown flag
+            run_cli(["distributed", "--ode-step-km", "0.1"])
+        assert exc.value.code == 2
+        assert "--ode-step-km" in capsys.readouterr().err
+        conf = tmp_path / "run.conf"
+        conf.write_text("ode_step_km=0.1\n")
+        assert run_cli(["distributed", "--config", str(conf)]) == 2
+        assert "unknown configuration key 'ode_step_km'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
-        ["distributed", "--ode-step-km", "1e-9"],
-        ["sweep", "--amps", "inf", "--l-max-km", "200001", "--l-step-km", "1000",
-         "--ode-step-km", "0.2"],
-        ["crossover", "--ode-step-km", "1e-9"],
+        ["distributed"],
+        ["sweep", "--amps", "inf", "--l-max-km", "200001", "--l-step-km", "1000"],
+        ["crossover"],
     ])
     def test_shannon_continuum_has_no_checkpoint_bound(self, args, tmp_path):
         out = tmp_path / "run.csv"
         assert run_cli(args + ["--out", str(out)]) == 0
         bits = [float(line.split(",")[4]) for line in out.read_text().splitlines()[1:]]
         assert bits and all(math.isfinite(b) and b >= 0.0 for b in bits)
-
-    def test_step_bound_applies_only_to_continuum_runs(self):
-        assert parse_config(["distributed", "--l-max-km", "100000", "--l-step-km", "1000",
-                             "--ode-step-km", "0.1"]).amps is None
-        assert parse_config(["sweep", "--amps", "2", "--ode-step-km", "1e-9"]).amps == 2
 
     @pytest.mark.parametrize("args", [
         # failed at runtime: "no squeezed input meets the photon budget"
@@ -316,7 +319,7 @@ class TestDistributedCommand:
         out = tmp_path / "dist.csv"
         code = run_cli(
             ["distributed", "--kind", "psa", "--l-min-km", "50", "--l-max-km", "100",
-             "--l-step-km", "50", "--ode-step-km", "0.5", "--out", str(out)]
+             "--l-step-km", "50", "--out", str(out)]
         )
         assert code == 0
         lines = out.read_text().splitlines()
@@ -345,7 +348,7 @@ class TestDistributedCommand:
 
     @pytest.mark.parametrize("args", [
         ["--nbar", "1e-6", "--l-min-km", "10", "--l-max-km", "20", "--l-step-km", "10"],
-        ["--nbar", "3e-4", "--ode-step-km", "1", "--l-min-km", "10", "--l-max-km", "30",
+        ["--nbar", "3e-4", "--l-min-km", "10", "--l-max-km", "30",
          "--l-step-km", "10"],
         ["--nbar", "3e-4", "--l-min-km", "0.37", "--l-max-km", "0.37"],
     ])
@@ -364,13 +367,22 @@ class TestDistributedCommand:
                                       config.nbar):
             assert state.noise_i * state.noise_q >= HEISENBERG_LIMIT - HEISENBERG_TOL
 
+    def test_subnormal_output_slope_gives_a_row(self, tmp_path):
+        # the budget bound of the 20,000 km output map overflowed in a divide,
+        # and RuntimeWarning is an error here
+        out = tmp_path / "gh.csv"
+        assert run_cli(["distributed", "--scenario", "gordon-holevo", "--nbar", "1e-6",
+                        "--l-min-km", "20000", "--l-max-km", "20000", "--out", str(out)]) == 0
+        capacity = float(out.read_text().splitlines()[1].split(",")[4])
+        assert math.isfinite(capacity) and capacity >= 0.0
+
 
 class TestCrossoverCommand:
     def test_reports_bracketed_crossing(self, tmp_path, capsys):
         out = tmp_path / "cross.csv"
         code = run_cli(
             ["crossover", "--l-min-km", "400", "--l-max-km", "1000",
-             "--l-step-km", "300", "--ode-step-km", "0.5", "--out", str(out)]
+             "--l-step-km", "300", "--out", str(out)]
         )
         assert code == 0
         stdout = capsys.readouterr().out
@@ -385,7 +397,7 @@ class TestCrossoverCommand:
         out = tmp_path / "nope.csv"
         code = run_cli(
             ["crossover", "--l-min-km", "10", "--l-max-km", "50",
-             "--l-step-km", "20", "--ode-step-km", "0.5", "--out", str(out)]
+             "--l-step-km", "20", "--out", str(out)]
         )
         assert code == 1
         assert "no PSA/PIA crossover" in capsys.readouterr().err
@@ -394,13 +406,3 @@ class TestCrossoverCommand:
 
     def test_degenerate_range_is_usage_error(self):
         assert run_cli(["crossover", "--l-min-km", "100", "--l-max-km", "100"]) == 2
-
-    def test_ode_step_does_not_change_the_result(self, tmp_path, capsys):
-        # a 50 km RK4 step used to overshoot the PSA feedback at 150 km
-        default, coarse = tmp_path / "default.csv", tmp_path / "coarse.csv"
-        assert run_cli(["crossover", "--out", str(default)]) == 0
-        default_out = capsys.readouterr().out
-        assert run_cli(["crossover", "--ode-step-km", "50", "--out", str(coarse)]) == 0
-        assert capsys.readouterr().out == default_out
-        assert "crossover_km=" in default_out
-        assert coarse.read_bytes() == default.read_bytes()

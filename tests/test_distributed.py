@@ -19,6 +19,7 @@ from qlink import (
     shannon_single_quadrature,
     shannon_two_quadrature,
 )
+from qlink.capacity import gh_capacity_for_channel
 from qlink.distributed import (
     IntegrationError,
     approx_capacity_pia,
@@ -324,7 +325,7 @@ class TestClosedFormContinuum:
         lengths = [50.0, 250.0, 500.0]
         profile = _rk4(kind, scenario, lengths[-1], 100.0, 0.1)
         exact = [row.capacity_bits_per_mode
-                 for row in distributed_rows(lengths, 100.0, 0.2, kind, scenario, 0.1)]
+                 for row in distributed_rows(lengths, 100.0, 0.2, kind, scenario)]
         if scenario is Scenario.GORDON_HOLEVO:
             oracle = [gh_capacity_at(profile, profile.index_at(L)).bits_per_mode
                       for L in lengths]
@@ -360,6 +361,30 @@ class TestClosedFormContinuum:
         assert maps == pytest.approx(want, rel=1e-12, abs=0.0)
         (state,) = continuum_states(AmpKind.PSA, Scenario.CONVENTIONAL, [z], nbar)
         assert state.noise_i * state.noise_q >= HEISENBERG_LIMIT - HEISENBERG_TOL
+
+    @given(nbar_exp=st.floats(-6.0, 5.0), z=st.floats(0.0, 20000.0),
+           kind=st.sampled_from([AmpKind.PSA, AmpKind.PIA]))
+    def test_budget_slope_lies_between_zero_and_one_half(self, nbar_exp, z, kind):
+        # distributed_rows holds the Gordon-Holevo budget with one checkpoint
+        # of slope 1/2 because no position has a steeper one
+        mult_i, _, mult_q, _ = channel_maps(kind, [z], 10.0 ** nbar_exp)
+        slope = 0.5 * (float(mult_i[0]) - float(mult_q[0]))
+        if kind is AmpKind.PIA:
+            assert slope == 0.0
+        else:
+            assert 0.0 <= slope <= 0.5
+
+    @pytest.mark.parametrize("kind", [AmpKind.PSA, AmpKind.PIA])
+    def test_gordon_holevo_rows_equal_the_dense_checkpoint_lattice(self, kind):
+        lengths = [0.05, 0.37, 1.0, 10.0, 10.15, 55.55, 100.0, 300.0, 777.0, 1500.0,
+                   3000.0, 6000.0]
+        for nbar in (1e-6, 1e-3, 0.1, 1.0, 3.2, 100.0, 1e3, 1e4, 1e5):
+            rows = distributed_rows(lengths, nbar, 0.2, kind, Scenario.GORDON_HOLEVO)
+            lattice = [gh_capacity_for_channel(
+                *channel_maps(kind, checkpoint_positions(length, 0.1), nbar), nbar)
+                for length in lengths]
+            assert ([row.capacity_bits_per_mode for row in rows]
+                    == [result.bits_per_mode for result in lattice])
 
     def test_checkpoints_are_the_lattice_below_the_length_then_the_length(self):
         assert checkpoint_positions(0.0, 0.1).tolist() == [0.0]
