@@ -274,14 +274,7 @@ def gh_capacity(plan: LinkPlan) -> CapacityResult:
     at the input and at every point along the chain.  The winning input is
     re-propagated and audited before being returned.
     """
-    points = channel_checkpoints(plan)
-    result = gh_capacity_for_channel(
-        [cm.mult_i for _, cm in points],
-        [cm.add_i for _, cm in points],
-        [cm.mult_q for _, cm in points],
-        [cm.add_q for _, cm in points],
-        plan.nbar,
-    )
+    result = gh_capacity_for_channel(*channel_checkpoints(plan), plan.nbar)
     _, trace = propagate(plan, result.achieving_input)
     violations = check_power_constraint(trace, plan.nbar)
     if violations:

@@ -23,7 +23,7 @@ from .distributed import (
     psa_pia_crossover,
     state_at_position,  # noqa: F401 - unused here; kept as a patch point for perfbench/traced_run.py
 )
-from .linkchain import AmpKind
+from .linkchain import MAX_NBAR, AmpKind
 from .optimizer import SweepRow, SweepTable, distance_grid, optimize_plan, sweep_distance
 
 _KINDS = {"psa": AmpKind.PSA, "pia": AmpKind.PIA}
@@ -45,6 +45,11 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # unknown or malformed flags: exit 2 from main
+        raise UsageError(message)
 
 
 @dataclass
@@ -114,7 +119,7 @@ def _read_config_file(path: str) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qlink",
         description="Capacity of multispan optical links with quantum-limited amplification.",
     )
@@ -150,14 +155,17 @@ def parse_config(argv: list[str]) -> RunConfig:
         raise UsageError("no command given (sweep|optimize|distributed|crossover)")
 
     config = RunConfig(**merged)
-    if config.nbar < 0:
-        raise UsageError(f"malformed value for 'nbar': must be >= 0, got {config.nbar}")
+    if not 0 <= config.nbar <= MAX_NBAR:
+        raise UsageError(f"malformed value for 'nbar': must lie in [0, MAX_NBAR = "
+                         f"{MAX_NBAR:g}], got {config.nbar}")
     if config.alpha_db_km <= 0:
         raise UsageError(f"malformed value for 'alpha_db_km': must be > 0, got {config.alpha_db_km}")
     if config.l_step_km <= 0:
         raise UsageError(f"malformed value for 'l_step_km': must be > 0, got {config.l_step_km}")
-    if config.l_min_km <= 0:
-        raise UsageError(f"malformed value for 'l_min_km': must be > 0, got {config.l_min_km}")
+    # amplifiers spaced evenly over a subnormal length would coincide
+    if not config.l_min_km >= sys.float_info.min:
+        raise UsageError(f"malformed value for 'l_min_km': must be >= {sys.float_info.min:g}, "
+                         f"got {config.l_min_km}")
     if config.command == "distributed":
         config.amps = None
     if config.amps is None and config.command == "optimize":
@@ -212,8 +220,8 @@ def run(config: RunConfig) -> int:
         for length in grid:
             candidate = optimize_plan(length, config.amps, config.nbar, config.alpha_db_km,
                                       config.kind, config.scenario)
-            print(f"# optimized L={length:g} km: positions={list(candidate.positions)} "
-                  f"gains={list(candidate.gains)}", file=sys.stderr)
+            print(f"# optimized L={length:g} km: positions={list(candidate.plan.positions)} "
+                  f"gains={list(candidate.plan.gains)}", file=sys.stderr)
             rows.append(SweepRow(length, config.scenario, config.kind,
                                  config.amps, candidate.score))
     else:

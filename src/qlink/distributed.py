@@ -26,7 +26,7 @@ from .capacity import (
     scenario_input,
     shannon_capacity,
 )
-from .linkchain import _PSA, AmpKind, attenuation_to_natural
+from .linkchain import _PSA, MAX_NBAR, AmpKind, attenuation_to_natural
 from .optimizer import SweepRow, distance_grid
 from .quadmodel import QuadState
 
@@ -315,11 +315,16 @@ def channel_maps(
     elementary functions of delta = -2 alpha z - 2 log((1+u)/(1+beta)).
     Every term is formed without cancellation or overflow, so the states
     keep the Heisenberg product from nbar = 1e-6 to 1e8 out to 20,000 km.
+    Budgets above ``MAX_NBAR`` are refused: past about 1e215 the divisor
+    e1 * root_t0 underflows to 0 and the add maps become infinite.
     """
     z = np.asarray(positions_km, dtype=float)
     if nbar < 0 or (kind is _PSA and nbar == 0):
         raise ValueError(f"photon budget must be non-negative, and positive for "
                          f"distributed PSA; got {nbar}")
+    if nbar > MAX_NBAR:
+        raise ValueError(f"continuum channel maps need nbar <= MAX_NBAR = {MAX_NBAR:g}, "
+                         f"got {nbar:g}")
     if (z < 0).any():
         raise ValueError("positions must be non-negative")
     alpha = attenuation_to_natural(alpha_db_per_km)

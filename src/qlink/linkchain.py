@@ -1,7 +1,9 @@
 """Discrete propagation through attenuating spans and quantum-limited amplifiers.
 
-A link is an alternating sequence of passive fiber spans and amplifiers,
-starting and ending with a span (the final span is unamplified).  Loss mixes
+A link is its amplifiers' positions and gains, all of one kind; the passive
+fiber spans lie between consecutive positions, and the final span is
+unamplified.  Channel maps of every chain prefix (``channel_checkpoints``)
+have the layout of the continuum's ``distributed.channel_maps``.  Loss mixes
 each quadrature with vacuum; a phase-sensitive amplifier (PSA) multiplies the
 I quadrature by its gain and divides the Q quadrature, adding no excess
 noise; a phase-insensitive amplifier (PIA) multiplies both quadratures and
@@ -18,6 +20,10 @@ from .quadmodel import QuadState, mean_photon_number
 
 # Slack used when auditing the photon budget along a chain.
 POWER_TOL = 1e-9
+# Largest photon budget the model accepts: a power of ten well below where
+# the PSA gain ceiling's (2*nbar + 1)**2 overflows (about 1.3e154) and the
+# continuum's PSA channel maps underflow a divisor (about 1e215).
+MAX_NBAR = 1e150
 
 
 class AmpKind(str, Enum):
@@ -38,129 +44,41 @@ def attenuation_to_natural(alpha_db_per_km: float) -> float:
 
 
 @dataclass(frozen=True)
-class SpanSpec:
-    """Passive span of ``length_km`` fiber with power transmission ``tau``.
-
-    Zero-length spans (tau = 1) are allowed so that degenerate links such as
-    the identity channel can be expressed.  tau = 0 is allowed too: it is the
-    correctly rounded transmission of a very long span (past about 16,180 km
-    at 0.2 dB/km, exp(-alpha*L) lies below the smallest double).
-    """
-
-    length_km: float
-    tau: float
-
-    def __post_init__(self) -> None:
-        if self.length_km < 0:
-            raise ValueError(f"span length must be non-negative, got {self.length_km}")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"transmission must lie in [0, 1], got {self.tau}")
-
-
-@dataclass(frozen=True)
-class AmpSpec:
-    kind: AmpKind
-    gain: float
-
-    def __post_init__(self) -> None:
-        if self.gain < 1.0:
-            raise ValueError(f"amplifier gain must be >= 1, got {self.gain}")
-
-
-def _check_amp_positions(positions: tuple[float, ...], length_km: float) -> None:
-    prev = 0.0
-    for pos in positions:
-        if not prev < pos < length_km:
-            raise ValueError(
-                f"amplifier positions must be strictly increasing inside "
-                f"(0, {length_km}), got {positions}"
-            )
-        prev = pos
-
-
-@dataclass(frozen=True)
 class LinkPlan:
-    """A concrete link: attenuation, total length, photon budget and the
-    ordered span/amplifier stages."""
+    """A concrete link: attenuation, total length, photon budget, and the
+    positions (km from the input) and gains of its amplifiers, all of one
+    kind.  The fiber spans lie between consecutive positions; the last span
+    is unamplified.  A span's transmission exp(-alpha*length) may round to
+    0.0 (past about 16,180 km at 0.2 dB/km), which leaves vacuum behind it.
+    """
 
     alpha_db_per_km: float
     length_km: float
     nbar: float
-    stages: tuple[SpanSpec | AmpSpec, ...]
+    positions: tuple[float, ...] = ()
+    gains: tuple[float, ...] = ()
+    kind: AmpKind = AmpKind.PSA
 
     def __post_init__(self) -> None:
         if self.length_km < 0:
             raise ValueError(f"total length must be non-negative, got {self.length_km}")
         if self.nbar < 0:
             raise ValueError(f"photon budget must be non-negative, got {self.nbar}")
-        alpha = attenuation_to_natural(self.alpha_db_per_km)
-        expect_span = True
-        total = 0.0
-        for stage in self.stages:
-            if expect_span:
-                if not isinstance(stage, SpanSpec):
-                    raise ValueError("stages must alternate span/amplifier starting with a span")
-                if not math.isclose(stage.tau, math.exp(-alpha * stage.length_km), rel_tol=1e-9):
-                    raise ValueError(
-                        f"span transmission {stage.tau} inconsistent with "
-                        f"{self.alpha_db_per_km} dB/km over {stage.length_km} km"
-                    )
-                total += stage.length_km
-            elif not isinstance(stage, AmpSpec):
-                raise ValueError("stages must alternate span/amplifier starting with a span")
-            expect_span = not expect_span
-        if not self.stages or not isinstance(self.stages[-1], SpanSpec):
-            raise ValueError("stage list must end with a span")
-        if not math.isclose(total, self.length_km, rel_tol=1e-9, abs_tol=1e-9):
-            raise ValueError(f"span lengths sum to {total}, expected {self.length_km}")
-        _check_amp_positions(self.amp_positions, self.length_km)
-
-    @property
-    def amp_count(self) -> int:
-        return sum(1 for s in self.stages if isinstance(s, AmpSpec))
-
-    @property
-    def amp_positions(self) -> tuple[float, ...]:
-        out = []
-        pos = 0.0
-        for stage in self.stages:
-            if isinstance(stage, SpanSpec):
-                pos += stage.length_km
-            else:
-                out.append(pos)
-        return tuple(out)
-
-    @property
-    def amp_gains(self) -> tuple[float, ...]:
-        return tuple(s.gain for s in self.stages if isinstance(s, AmpSpec))
-
-    @classmethod
-    def from_amp_positions(
-        cls,
-        alpha_db_per_km: float,
-        length_km: float,
-        nbar: float,
-        positions: tuple[float, ...] | list[float] = (),
-        gains: tuple[float, ...] | list[float] = (),
-        kind: AmpKind = AmpKind.PSA,
-    ) -> "LinkPlan":
-        """Build a plan from amplifier positions (km from the input) and gains."""
-        if len(positions) != len(gains):
+        attenuation_to_natural(self.alpha_db_per_km)
+        object.__setattr__(self, "positions", tuple(self.positions))
+        object.__setattr__(self, "gains", tuple(self.gains))
+        if len(self.positions) != len(self.gains):
             raise ValueError("positions and gains must have equal length")
-        # checked before the spans are built, which would reject a negative
-        # length with a less telling message
-        _check_amp_positions(tuple(positions), length_km)
-        alpha = attenuation_to_natural(alpha_db_per_km)
-        stages: list[SpanSpec | AmpSpec] = []
         prev = 0.0
-        for pos, gain in zip(positions, gains):
-            seg = pos - prev
-            stages.append(SpanSpec(seg, math.exp(-alpha * seg)))
-            stages.append(AmpSpec(kind, gain))
+        for pos in self.positions:
+            if not prev < pos < self.length_km:
+                raise ValueError(
+                    f"amplifier positions must be strictly increasing inside "
+                    f"(0, {self.length_km}), got {self.positions}"
+                )
             prev = pos
-        seg = length_km - prev
-        stages.append(SpanSpec(seg, math.exp(-alpha * seg)))
-        return cls(alpha_db_per_km, length_km, nbar, tuple(stages))
+        if not all(gain >= 1.0 for gain in self.gains):
+            raise ValueError(f"amplifier gains must be >= 1, got {self.gains}")
 
 
 @dataclass(frozen=True)
@@ -194,18 +112,21 @@ def _amplify(y: tuple, kind: AmpKind, gain: float) -> tuple:
 
 
 def _fold(plan: LinkPlan, y: tuple) -> tuple[list[float], list[tuple]]:
-    """Positions and raw tuples at the input and after every stage."""
+    """Positions and raw tuples at the input and after every span and
+    amplifier."""
+    alpha = attenuation_to_natural(plan.alpha_db_per_km)
     positions = [0.0]
     points = [y]
-    pos = 0.0
-    for stage in plan.stages:
-        if isinstance(stage, SpanSpec):
-            y = _loss(y, stage.tau)
-            pos += stage.length_km
-        else:
-            y = _amplify(y, stage.kind, stage.gain)
-        positions.append(pos)
+    prev = 0.0
+    for pos, gain in zip(plan.positions, plan.gains):
+        y = _loss(y, math.exp(-alpha * (pos - prev)))
         points.append(y)
+        y = _amplify(y, plan.kind, gain)
+        points.append(y)
+        positions += [pos, pos]
+        prev = pos
+    positions.append(plan.length_km)
+    points.append(_loss(y, math.exp(-alpha * (plan.length_km - prev))))
     return positions, points
 
 
@@ -263,6 +184,9 @@ def max_feasible_psa_gain(state: QuadState, nbar: float) -> float:
     Solves gain*(sig_i+noise_i) + (sig_q+noise_q)/gain = 2*nbar + 1 for the
     larger root, i.e. the gain that lands exactly on the budget.
     """
+    if nbar > MAX_NBAR:
+        raise ValueError(f"the PSA gain ceiling needs nbar <= MAX_NBAR = {MAX_NBAR:g}, "
+                         f"got {nbar:g}")
     power_i = state.sig_i + state.noise_i
     power_q = state.sig_q + state.noise_q
     if mean_photon_number(state) > nbar + POWER_TOL:
@@ -298,45 +222,16 @@ def max_feasible_gain(state: QuadState, nbar: float, kind: AmpKind) -> float:
     return max_feasible_pia_gain(state, nbar)
 
 
-@dataclass(frozen=True)
-class ChannelMap:
-    """Affine per-quadrature action of a chain prefix.
+def channel_checkpoints(plan: LinkPlan) -> tuple[list[float], ...]:
+    """Channel maps (mult_i, add_i, mult_q, add_q) from the input to every
+    trace point of the plan, as four lists in the layout of
+    ``distributed.channel_maps``.
 
-    Signal powers transform multiplicatively (sig -> mult*sig) while noise
-    picks up the accumulated vacuum/amplifier contributions
-    (noise -> mult*noise + add).  Composition of the stage maps above.
-    """
-
-    mult_i: float = 1.0
-    add_i: float = 0.0
-    mult_q: float = 1.0
-    add_q: float = 0.0
-
-    def apply(self, state: QuadState) -> QuadState:
-        return QuadState(
-            self.mult_i * state.sig_i,
-            self.mult_q * state.sig_q,
-            self.mult_i * state.noise_i + self.add_i,
-            self.mult_q * state.noise_q + self.add_q,
-        )
-
-    def photon_number(self, state: QuadState) -> float:
-        total = (
-            self.mult_i * (state.sig_i + state.noise_i) + self.add_i
-            + self.mult_q * (state.sig_q + state.noise_q) + self.add_q
-        )
-        return total / 2.0 - 0.5
-
-
-def channel_checkpoints(plan: LinkPlan) -> list[tuple[float, ChannelMap]]:
-    """Affine maps from the input to every trace point of the plan.
-
-    ``propagate(plan, s)`` visits exactly the states ``cm.apply(s)`` for the
-    checkpoints returned here, which lets input ensembles be evaluated
+    A quadrature's signal power at a point is mult * (its input signal) and
+    its noise variance mult * (input noise) + add; ``propagate(plan, s)``
+    visits exactly these states, which lets input ensembles be evaluated
     without re-folding the chain.
     """
-    positions, points = _fold(plan, (1.0, 1.0, 0.0, 0.0))
-    return [
-        (pos, ChannelMap(mult_i, add_i, mult_q, add_q))
-        for pos, (mult_i, mult_q, add_i, add_q) in zip(positions, points)
-    ]
+    _, points = _fold(plan, (1.0, 1.0, 0.0, 0.0))
+    mult_i, mult_q, add_i, add_q = (list(column) for column in zip(*points))
+    return mult_i, add_i, mult_q, add_q

@@ -39,30 +39,11 @@ _MAX_SWEEPS = 200
 
 @dataclass(frozen=True)
 class PlanCandidate:
-    """A scored assignment of amplifier positions and gains."""
+    """A link plan and its score under a detection scenario."""
 
-    length_km: float
-    nbar: float
-    alpha_db_per_km: float
-    kind: AmpKind
+    plan: LinkPlan
     scenario: Scenario
-    positions: tuple[float, ...]
-    gains: tuple[float, ...]
     score: float
-
-    @property
-    def amp_count(self) -> int:
-        return len(self.positions)
-
-    def plan(self) -> LinkPlan:
-        return LinkPlan.from_amp_positions(
-            self.alpha_db_per_km,
-            self.length_km,
-            self.nbar,
-            self.positions,
-            self.gains,
-            self.kind,
-        )
 
 
 class _PlanScorer:
@@ -97,15 +78,15 @@ class _PlanScorer:
         y = _loss(y, math.exp(-self.alpha_nat * (self.length_km - prev)))
         return repaired, ceilings, y
 
+    def plan(self, positions, gains) -> LinkPlan:
+        return LinkPlan(self.alpha_db_per_km, self.length_km, self.nbar,
+                        positions, gains, self.kind)
+
     def score(self, positions, gains) -> tuple[float, list[float]]:
         """Score repaired coordinates; returns (score, repaired gains)."""
         gains, _, out = self.repair_gains(positions, gains)
         if self.scenario is Scenario.GORDON_HOLEVO:
-            plan = LinkPlan.from_amp_positions(
-                self.alpha_db_per_km, self.length_km, self.nbar,
-                positions, gains, self.kind,
-            )
-            return gh_capacity(plan).bits_per_mode, gains
+            return gh_capacity(self.plan(positions, gains)).bits_per_mode, gains
         return shannon_capacity(QuadState(*out), self.scenario), gains
 
 
@@ -126,10 +107,7 @@ def equidistant_saturating_plan(
     scorer = _PlanScorer(length_km, nbar, alpha_db_per_km, kind, scenario)
     positions = [i * length_km / (amp_count + 1) for i in range(1, amp_count + 1)]
     score, gains = scorer.score(positions, [math.inf] * amp_count)
-    return PlanCandidate(
-        length_km, nbar, alpha_db_per_km, kind, scenario,
-        tuple(positions), tuple(gains), score,
-    )
+    return PlanCandidate(scorer.plan(positions, gains), scenario, score)
 
 
 def optimize_plan(
@@ -152,8 +130,8 @@ def optimize_plan(
         return seed_candidate
 
     scorer = _PlanScorer(length_km, nbar, alpha_db_per_km, kind, scenario)
-    positions = list(seed_candidate.positions)
-    gains, ceilings, _ = scorer.repair_gains(positions, seed_candidate.gains)
+    positions = list(seed_candidate.plan.positions)
+    gains, ceilings, _ = scorer.repair_gains(positions, seed_candidate.plan.gains)
     current = seed_candidate.score
     # A Gordon-Holevo optimum tends to hold a gain on its budget ceiling; a
     # position move at fixed gain leaves that ridge, so there the trial gain
@@ -197,10 +175,7 @@ def optimize_plan(
         if moved < _PARAM_TOL:
             break
 
-    return PlanCandidate(
-        length_km, nbar, alpha_db_per_km, kind, scenario,
-        tuple(positions), tuple(gains), current,
-    )
+    return PlanCandidate(scorer.plan(positions, gains), scenario, current)
 
 
 CSV_HEADER = "distance_km,scenario,amp_kind,amp_count,capacity_bits_per_mode"

@@ -169,7 +169,7 @@ def test_criterion_5_gh_dominance_and_loss_only_oracle():
     failures = []
     for length in (50.0, 100.0, 200.0, 400.0, 800.0):
         for amps in (0, 1, 2, 4):
-            plan = equidistant_saturating_plan(length, amps, 100.0, 0.2).plan()
+            plan = equidistant_saturating_plan(length, amps, 100.0, 0.2).plan
             out, _ = propagate(plan, conventional_input(100.0))
             conventional = shannon_single_quadrature(out)
             gh = gh_capacity(plan).bits_per_mode
@@ -179,7 +179,7 @@ def test_criterion_5_gh_dominance_and_loss_only_oracle():
                 oracle = entropy_g(100.0 * math.exp(-ALPHA * length))
                 if abs(gh - oracle) >= 1e-4:
                     failures.append((length, amps, gh, oracle))
-    identity = LinkPlan.from_amp_positions(0.2, 0.0, 100.0)
+    identity = LinkPlan(0.2, 0.0, 100.0)
     gh_zero = gh_capacity(identity).bits_per_mode
     conv_zero = shannon_single_quadrature(
         propagate(identity, conventional_input(100.0))[0]

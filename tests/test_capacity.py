@@ -47,7 +47,7 @@ ALPHA = attenuation_to_natural(0.2)
 
 
 def loss_only_plan(length_km, nbar=100.0):
-    return LinkPlan.from_amp_positions(0.2, length_km, nbar)
+    return LinkPlan(0.2, length_km, nbar)
 
 
 class TestShannon:
@@ -168,31 +168,31 @@ class TestGhCapacity:
         assert achieved.noise_q == pytest.approx(0.5, abs=1e-3)
 
     def test_zero_budget(self):
-        plan = LinkPlan.from_amp_positions(0.2, 10.0, 0.0)
+        plan = LinkPlan(0.2, 10.0, 0.0)
         assert gh_capacity(plan).bits_per_mode == 0.0
 
     def test_deterministic(self):
-        plan = equidistant_saturating_plan(150.0, 2, 100.0, 0.2).plan()
+        plan = equidistant_saturating_plan(150.0, 2, 100.0, 0.2).plan
         first = gh_capacity(plan)
         second = gh_capacity(plan)
         assert first == second
 
     def test_unreachable_budget_raises_with_diagnostic(self):
         # gain so large that every input, however squeezed, overshoots
-        plan = LinkPlan.from_amp_positions(0.2, 10.0, 100.0, [5.0], [1e6])
+        plan = LinkPlan(0.2, 10.0, 100.0, [5.0], [1e6])
         with pytest.raises(GHSearchError) as err:
             gh_capacity(plan)
         assert err.value.best_value < 0.0
 
     @pytest.mark.parametrize("length,amps", [(30.0, 0), (100.0, 1), (300.0, 2), (150.0, 4)])
     def test_dominates_conventional_shannon(self, length, amps):
-        plan = equidistant_saturating_plan(length, amps, 100.0, 0.2).plan()
+        plan = equidistant_saturating_plan(length, amps, 100.0, 0.2).plan
         out, _ = propagate(plan, conventional_input(100.0))
         conventional = shannon_single_quadrature(out)
         assert gh_capacity(plan).bits_per_mode >= conventional - 1e-6
 
     def test_achieving_input_reproduces_score_by_propagation(self):
-        plan = equidistant_saturating_plan(200.0, 2, 100.0, 0.2).plan()
+        plan = equidistant_saturating_plan(200.0, 2, 100.0, 0.2).plan
         result = gh_capacity(plan)
         out_total, _ = propagate(plan, result.achieving_input)
         noise_in = QuadState(
@@ -231,29 +231,40 @@ def _grid_oracle(mult_i, add_i, mult_q, add_q, nbar, n_p=201, n_r=201):
     return best
 
 
-def _checkpoint_arrays(plan):
-    points = channel_checkpoints(plan)
-    return tuple([getattr(cm, name) for _, cm in points]
-                 for name in ("mult_i", "add_i", "mult_q", "add_q"))
-
-
 DISCRETE_ORACLE_PLANS = {
-    "equidistant-100km-R2": lambda: equidistant_saturating_plan(100.0, 2, 100.0, 0.2).plan(),
-    "equidistant-300km-R4": lambda: equidistant_saturating_plan(300.0, 4, 100.0, 0.2).plan(),
+    "equidistant-100km-R2": lambda: equidistant_saturating_plan(100.0, 2, 100.0, 0.2).plan,
+    "equidistant-300km-R4": lambda: equidistant_saturating_plan(300.0, 4, 100.0, 0.2).plan,
     "pia-150km-R1": lambda: equidistant_saturating_plan(
-        150.0, 1, 100.0, 0.2, AmpKind.PIA, Scenario.GORDON_HOLEVO).plan(),
-    "uneven-80km": lambda: LinkPlan.from_amp_positions(
-        0.2, 80.0, 100.0, [20.0, 50.0], [3.0, 2.0]),
+        150.0, 1, 100.0, 0.2, AmpKind.PIA, Scenario.GORDON_HOLEVO).plan,
+    "uneven-80km": lambda: LinkPlan(0.2, 80.0, 100.0, [20.0, 50.0], [3.0, 2.0]),
     "loss-only-40km": lambda: loss_only_plan(40.0, nbar=10.0),
+}
+
+
+# gh_capacity and conventional plan_capacity of each plan above, frozen as
+# float.hex: a change to the span transmissions or to the fold order shows here.
+PINNED_CAPACITIES = {
+    "equidistant-100km-R2": ("0x1.5e83322b44240p+1", "0x1.466d74df212e2p+1"),
+    "equidistant-300km-R4": ("0x1.57c8dbb7ee2fcp+0", "0x1.495d105d00540p+0"),
+    "loss-only-40km": ("0x1.3e8a3f722113dp+1", "0x1.7016cf347f291p+0"),
+    "pia-150km-R1": ("0x1.9ab67685c238bp+0", "0x1.2681031b01821p+0"),
+    "uneven-80km": ("0x1.8d0be284a20dcp+1", "0x1.5718ac7f46b2cp+1"),
 }
 
 
 class TestGhExactSearch:
     @pytest.mark.parametrize("name", sorted(DISCRETE_ORACLE_PLANS))
+    def test_capacities_are_bit_identical_to_the_pinned_values(self, name):
+        plan = DISCRETE_ORACLE_PLANS[name]()
+        gh, conventional = PINNED_CAPACITIES[name]
+        assert gh_capacity(plan).bits_per_mode.hex() == gh
+        assert plan_capacity(plan, Scenario.CONVENTIONAL).bits_per_mode.hex() == conventional
+
+    @pytest.mark.parametrize("name", sorted(DISCRETE_ORACLE_PLANS))
     def test_discrete_beats_dense_grid_and_meets_budget(self, name):
         plan = DISCRETE_ORACLE_PLANS[name]()
         result = gh_capacity(plan)
-        assert result.bits_per_mode >= _grid_oracle(*_checkpoint_arrays(plan), plan.nbar) - 1e-12
+        assert result.bits_per_mode >= _grid_oracle(*channel_checkpoints(plan), plan.nbar) - 1e-12
         _, trace = propagate(plan, result.achieving_input)
         assert check_power_constraint(trace, plan.nbar) == []
 
@@ -270,7 +281,7 @@ class TestGhExactSearch:
 
     def test_zero_capacity_edge_is_finite(self):
         # 400 dB of loss behind four budget-restoring amplifiers
-        plan = equidistant_saturating_plan(2000.0, 4, 100.0, 0.2).plan()
+        plan = equidistant_saturating_plan(2000.0, 4, 100.0, 0.2).plan
         result = gh_capacity(plan)
         assert math.isfinite(result.bits_per_mode)
         assert result.bits_per_mode >= 0.0
@@ -298,8 +309,8 @@ def feasible_gh_channels(draw):
     raw_gains = draw(st.lists(st.floats(1.0, 1e12), min_size=amps, max_size=amps))
     scorer = _PlanScorer(length, nbar, 0.2, kind, Scenario.GORDON_HOLEVO)
     gains, _, _ = scorer.repair_gains(positions, raw_gains)
-    plan = LinkPlan.from_amp_positions(0.2, length, nbar, positions, gains, kind)
-    arrays = _checkpoint_arrays(plan)
+    plan = LinkPlan(0.2, length, nbar, positions, gains, kind)
+    arrays = channel_checkpoints(plan)
     if draw(st.booleans()):  # the mirror image amplifies Q, so its checkpoints fall
         arrays = (arrays[2], arrays[3], arrays[0], arrays[1])
     return arrays, nbar

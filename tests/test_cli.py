@@ -65,6 +65,49 @@ class TestParsing:
         assert run_cli(["sweep", "--nbar", "lots"]) == 2
         assert "'nbar'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [["sweep", "--nbr", "10"], ["sweeep"], ["sweep", "--nbar"]])
+    def test_bad_flag_returns_usage_error(self, args, capsys):
+        assert run_cli(args) == 2
+        assert capsys.readouterr().err.startswith("qlink: usage error: ")
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--help"])
+        assert exc.value.code == 0
+        assert "usage: qlink" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args", [
+        # wrote a 0-bit row: the continuum's PSA add map became infinite
+        ["distributed", "--nbar", "1e215", "--l-min-km", "10", "--l-max-km", "10"],
+        # failed at runtime: the PSA gain ceiling's (2n+1)**2 overflowed
+        ["sweep", "--amps", "2", "--nbar", "1e154", "--l-min-km", "100", "--l-max-km", "100"],
+    ])
+    def test_budget_above_max_nbar_is_usage_error(self, args, tmp_path, capsys):
+        out = tmp_path / "big.csv"
+        assert run_cli(args + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert "MAX_NBAR = 1e+150" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["distributed"],
+        ["sweep", "--amps", "2"],
+    ])
+    def test_psa_rows_at_max_nbar_rise_with_the_budget(self, args, tmp_path):
+        bits = []
+        for nbar in ("1e149", "1e150"):
+            out = tmp_path / f"{nbar}.csv"
+            assert run_cli(args + ["--nbar", nbar, "--l-min-km", "100", "--l-max-km", "100",
+                                   "--out", str(out)]) == 0
+            bits.append(float(out.read_text().splitlines()[1].split(",")[4]))
+        assert all(math.isfinite(b) for b in bits)
+        assert bits[1] > bits[0]
+
+    @pytest.mark.parametrize("l_min", ["0", "-10", "5e-324", "2e-308"])
+    def test_non_normal_first_distance_is_usage_error(self, l_min, capsys):
+        # 5e-324 km used to give an 8-amplifier plan with coinciding positions
+        assert run_cli(["sweep", "--amps", "8", "--l-min-km", l_min, "--l-max-km", "10"]) == 2
+        assert "'l_min_km'" in capsys.readouterr().err
+
     def test_missing_command_is_usage_error(self, capsys):
         assert run_cli(["--nbar", "10"]) == 2
         assert "usage" in capsys.readouterr().err
@@ -169,10 +212,9 @@ class TestParsing:
         assert bits == sorted(bits, reverse=True)
 
     def test_ode_step_is_no_longer_accepted(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:  # argparse's exit for an unknown flag
-            run_cli(["distributed", "--ode-step-km", "0.1"])
-        assert exc.value.code == 2
-        assert "--ode-step-km" in capsys.readouterr().err
+        assert run_cli(["distributed", "--ode-step-km", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert "qlink: usage error: unrecognized arguments: --ode-step-km" in err
         conf = tmp_path / "run.conf"
         conf.write_text("ode_step_km=0.1\n")
         assert run_cli(["distributed", "--config", str(conf)]) == 2

@@ -35,6 +35,7 @@ from qlink.distributed import (
     integrate_psa,
     state_at_position,
 )
+from qlink.linkchain import MAX_NBAR
 from qlink.quadmodel import HEISENBERG_LIMIT, HEISENBERG_TOL
 
 ALPHA = attenuation_to_natural(0.2)
@@ -401,3 +402,11 @@ class TestClosedFormContinuum:
             channel_maps(AmpKind.PSA, [1.0], 0.0)
         assert channel_maps(AmpKind.PIA, [1.0], 0.0)[1][0] == pytest.approx(
             -0.5 * math.expm1(-ALPHA))
+
+    @pytest.mark.parametrize("kind", [AmpKind.PSA, AmpKind.PIA])
+    def test_budget_above_max_nbar_is_refused(self, kind):
+        # at 1e215 the PSA add map's divisor underflowed and the map went infinite
+        with pytest.raises(ValueError, match="MAX_NBAR"):
+            channel_maps(kind, [10.0], 1e215)
+        mult_i, add_i, mult_q, add_q = channel_maps(kind, [10.0], MAX_NBAR)
+        assert all(np.isfinite(m).all() for m in (mult_i, add_i, mult_q, add_q))

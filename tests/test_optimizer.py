@@ -31,7 +31,7 @@ ALPHA = attenuation_to_natural(0.2)
 
 
 def conventional_score(candidate):
-    out, _ = propagate(candidate.plan(), conventional_input(candidate.nbar))
+    out, _ = propagate(candidate.plan, conventional_input(candidate.plan.nbar))
     return shannon_single_quadrature(out)
 
 
@@ -44,7 +44,7 @@ def brute_force_single_amp(length_km, nbar, n_pos=60, n_gain=25):
         ceiling = max_feasible_psa_gain(before, nbar)
         for j in range(1, n_gain + 1):
             gain = 1.0 + (ceiling - 1.0) * j / n_gain
-            plan = LinkPlan.from_amp_positions(0.2, length_km, nbar, [pos], [gain])
+            plan = LinkPlan(0.2, length_km, nbar, [pos], [gain])
             out, trace = propagate(plan, conventional_input(nbar))
             if check_power_constraint(trace, nbar):
                 continue
@@ -59,19 +59,20 @@ class TestEquidistantSeed:
         cand = equidistant_saturating_plan(100.0, 0, 100.0, 0.2)
         expected = 0.5 * math.log2(1.0 + 400.0 * math.exp(-ALPHA * 100.0))
         assert cand.score == pytest.approx(expected, rel=1e-12)
-        assert cand.positions == ()
+        assert cand.plan.positions == ()
 
     def test_single_amp_sits_midway_with_restoring_gain(self):
         cand = equidistant_saturating_plan(100.0, 1, 100.0, 0.2)
-        assert cand.positions == (50.0,)
+        assert cand.plan.positions == (50.0,)
         before = apply_loss(conventional_input(100.0), math.exp(-ALPHA * 50.0))
-        assert cand.gains[0] == pytest.approx(max_feasible_psa_gain(before, 100.0), rel=1e-12)
+        assert cand.plan.gains[0] == pytest.approx(max_feasible_psa_gain(before, 100.0), rel=1e-12)
 
     def test_all_amplifiers_restore_budget(self):
         cand = equidistant_saturating_plan(500.0, 4, 100.0, 0.2)
-        spans = [b - a for a, b in zip((0.0,) + cand.positions, cand.positions + (500.0,))]
+        positions = cand.plan.positions
+        spans = [b - a for a, b in zip((0.0,) + positions, positions + (500.0,))]
         assert all(s == pytest.approx(100.0) for s in spans)
-        _, trace = propagate(cand.plan(), conventional_input(100.0))
+        _, trace = propagate(cand.plan, conventional_input(100.0))
         # post-amplifier trace entries sit at indices 2, 4, ... for R amps
         for idx in range(2, 2 * 4 + 1, 2):
             assert mean_photon_number(trace.states[idx]) == pytest.approx(100.0, abs=1e-9)
@@ -81,7 +82,7 @@ class TestEquidistantSeed:
         cand = equidistant_saturating_plan(
             300.0, 2, 100.0, 0.2, AmpKind.PIA, Scenario.TWO_QUADRATURE
         )
-        _, trace = propagate(cand.plan(), symmetric_coherent_input(100.0))
+        _, trace = propagate(cand.plan, symmetric_coherent_input(100.0))
         for idx in (2, 4):
             assert mean_photon_number(trace.states[idx]) == pytest.approx(100.0, abs=1e-9)
 
@@ -102,14 +103,14 @@ class TestPlanScorer:
         scorer = _PlanScorer(300.0, 100.0, 0.2, kind, scenario)
         score, repaired = scorer.score(positions, gains)
         assert (repaired[-1] < gains[-1]) == clipped
-        plan = LinkPlan.from_amp_positions(0.2, 300.0, 100.0, positions, repaired, kind)
+        plan = LinkPlan(0.2, 300.0, 100.0, positions, repaired, kind)
         assert score == plan_capacity(plan, scenario).bits_per_mode
 
     @pytest.mark.parametrize("kind, scenario", SHANNON_PAIRS)
     @pytest.mark.parametrize("amps", range(4))
     def test_seed_score_is_plan_capacity(self, kind, scenario, amps):
         cand = equidistant_saturating_plan(400.0, amps, 100.0, 0.2, kind, scenario)
-        assert cand.score == plan_capacity(cand.plan(), scenario).bits_per_mode
+        assert cand.score == plan_capacity(cand.plan, scenario).bits_per_mode
 
 
 class TestOptimizePlan:
@@ -123,7 +124,7 @@ class TestOptimizePlan:
             seed_cand = equidistant_saturating_plan(240.0, amps, 100.0, 0.2)
             cand = optimize_plan(240.0, amps, 100.0, 0.2)
             assert cand.score >= seed_cand.score - 1e-9
-            _, trace = propagate(cand.plan(), conventional_input(100.0))
+            _, trace = propagate(cand.plan, conventional_input(100.0))
             assert check_power_constraint(trace, 100.0) == []
 
     def test_matches_single_amp_brute_force(self):
@@ -131,7 +132,7 @@ class TestOptimizePlan:
         cand = optimize_plan(100.0, 1, 100.0, 0.2)
         assert cand.score >= brute_score - 1e-9
         # coarse oracle pins the optimum location to within its resolution
-        assert abs(cand.positions[0] - brute_pos) <= 100.0 / 60.0 + 1e-9
+        assert abs(cand.plan.positions[0] - brute_pos) <= 100.0 / 60.0 + 1e-9
 
     def test_capacity_non_decreasing_in_amp_count(self):
         scores = [optimize_plan(300.0, r, 100.0, 0.2).score for r in (0, 1, 2)]
@@ -160,7 +161,7 @@ class TestOptimizePlan:
         for i in range(1, 20):
             pos = 100.0 * i / 20
             scorer = _PlanScorer(100.0, 100.0, 0.2, AmpKind.PSA, Scenario.GORDON_HOLEVO)
-            plan = LinkPlan.from_amp_positions(
+            plan = LinkPlan(
                 0.2, 100.0, 100.0, [pos], scorer.repair_gains([pos], [math.inf])[0]
             )
             best = max(best, gh_capacity(plan).bits_per_mode)
