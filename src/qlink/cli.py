@@ -178,6 +178,10 @@ def parse_config(argv: list[str]) -> RunConfig:
             f"--l-min-km {config.l_min_km:g} to --l-max-km {config.l_max_km:g} in steps "
             f"of --l-step-km {config.l_step_km:g} is a grid of {points:.0f} points; "
             f"at most {MAX_GRID_POINTS} are allowed")
+    try:
+        config.grid()
+    except ValueError as err:
+        raise UsageError(f"malformed value for 'l_step_km': {err}") from None
     if (config.scenario is Scenario.GORDON_HOLEVO and config.command != "crossover"
             and config.nbar > MAX_GH_NBAR):
         raise UsageError(f"gordon-holevo runs need nbar <= {MAX_GH_NBAR:g}: above it "

@@ -5,7 +5,10 @@ fixed length and amplifier count.  The search is a deterministic coordinate
 descent with golden-section line searches, seeded from the equidistant plan
 whose gains restore the photon number exactly to the budget.  Iterates that
 overshoot the budget are repaired by scaling the offending gains down to the
-feasible boundary, which keeps the search connected.
+feasible boundary, which keeps the search connected.  A trial move at
+amplifier i is scored by walking the chain on from the cached state after
+amplifier i - 1 of the accepted plan, which gives the full walk's result bit
+for bit.
 """
 
 from __future__ import annotations
@@ -58,33 +61,40 @@ class _PlanScorer:
         self.scenario = scenario
         self.ref_input = scenario_input(scenario, nbar)
 
-    def repair_gains(self, positions, gains) -> tuple[list[float], list[float], tuple]:
+    def repair_gains(self, positions, gains, start=0, y=None) -> tuple[list, list, list, tuple]:
         """Scale down any gain that would push the reference input above the
-        photon budget; walks the chain input to output.  Returns the repaired
-        gains, each amplifier's ceiling (its largest feasible gain given the
-        amplifiers before it) and the reference output as a raw tuple."""
-        y = self.ref_input.as_tuple()
-        prev = 0.0
-        repaired = []
+        photon budget, walking the chain from amplifier ``start`` to the
+        output.  ``y`` is the raw state just after amplifier ``start - 1``
+        (the reference input when ``start`` is 0), and the gains before
+        ``start`` must be repaired already.  Returns the repaired gains; each
+        walked amplifier's ceiling (its largest feasible gain given the
+        amplifiers before it) and raw state after it; and the reference
+        output as a raw tuple."""
+        y = self.ref_input.as_tuple() if y is None else y
+        prev = positions[start - 1] if start else 0.0
+        repaired = list(gains[:start])
         ceilings = []
-        for pos, gain in zip(positions, gains):
+        states = []
+        for pos, gain in zip(positions[start:], gains[start:]):
             y = _loss(y, math.exp(-self.alpha_nat * (pos - prev)))
             ceiling = max_feasible_gain(QuadState(*y), self.nbar, self.kind)
             gain = min(max(gain, 1.0), ceiling)
             repaired.append(gain)
             ceilings.append(ceiling)
             y = _amplify(y, self.kind, gain)
+            states.append(y)
             prev = pos
         y = _loss(y, math.exp(-self.alpha_nat * (self.length_km - prev)))
-        return repaired, ceilings, y
+        return repaired, ceilings, states, y
 
     def plan(self, positions, gains) -> LinkPlan:
         return LinkPlan(self.alpha_db_per_km, self.length_km, self.nbar,
                         positions, gains, self.kind)
 
-    def score(self, positions, gains) -> tuple[float, list[float]]:
-        """Score repaired coordinates; returns (score, repaired gains)."""
-        gains, _, out = self.repair_gains(positions, gains)
+    def score(self, positions, gains, start=0, y=None) -> tuple[float, list[float]]:
+        """Score repaired coordinates, walking from amplifier ``start`` as
+        ``repair_gains`` does; returns (score, repaired gains)."""
+        gains, _, _, out = self.repair_gains(positions, gains, start, y)
         if self.scenario is Scenario.GORDON_HOLEVO:
             return gh_capacity(self.plan(positions, gains)).bits_per_mode, gains
         return shannon_capacity(QuadState(*out), self.scenario), gains
@@ -131,7 +141,7 @@ def optimize_plan(
 
     scorer = _PlanScorer(length_km, nbar, alpha_db_per_km, kind, scenario)
     positions = list(seed_candidate.plan.positions)
-    gains, ceilings, _ = scorer.repair_gains(positions, seed_candidate.plan.gains)
+    gains, ceilings, states, _ = scorer.repair_gains(positions, seed_candidate.plan.gains)
     current = seed_candidate.score
     # A Gordon-Holevo optimum tends to hold a gain on its budget ceiling; a
     # position move at fixed gain leaves that ridge, so there the trial gain
@@ -142,6 +152,9 @@ def optimize_plan(
     for _ in range(_MAX_SWEEPS):
         moved = 0.0
         for i in range(amp_count):
+            # A move at amplifier i leaves the chain before it unchanged, so
+            # each trial walks on from the raw state after amplifier i - 1.
+            y = states[i - 1] if i else None
             lo = (positions[i - 1] if i > 0 else 0.0) + _POSITION_GAP_KM
             hi = (positions[i + 1] if i + 1 < amp_count else length_km) - _POSITION_GAP_KM
             if hi > lo:
@@ -151,27 +164,27 @@ def optimize_plan(
 
                 def eval_position(x: float) -> float:
                     trial = positions[:i] + [x] + positions[i + 1 :]
-                    return scorer.score(trial, move_gains)[0]
+                    return scorer.score(trial, move_gains, i, y)[0]
 
                 best_x, best_fx = golden_section_maximize(eval_position, lo, hi, _PARAM_TOL)
                 if best_fx > current:
                     moved = max(moved, abs(best_x - positions[i]))
                     positions[i] = best_x
                     current = best_fx
-                    gains, ceilings, _ = scorer.repair_gains(positions, move_gains)
+                    gains, ceilings, states, _ = scorer.repair_gains(positions, move_gains)
 
             ceiling = ceilings[i]
             if ceiling - 1.0 > _PARAM_TOL:
                 def eval_gain(g: float) -> float:
                     trial = gains[:i] + [g] + gains[i + 1 :]
-                    return scorer.score(positions, trial)[0]
+                    return scorer.score(positions, trial, i, y)[0]
 
                 best_g, best_fg = golden_section_maximize(eval_gain, 1.0, ceiling, _PARAM_TOL)
                 if best_fg > current:
                     moved = max(moved, abs(best_g - gains[i]))
                     trial = gains[:i] + [best_g] + gains[i + 1 :]
                     current = best_fg
-                    gains, ceilings, _ = scorer.repair_gains(positions, trial)
+                    gains, ceilings, states, _ = scorer.repair_gains(positions, trial)
         if moved < _PARAM_TOL:
             break
 
@@ -219,13 +232,17 @@ class SweepTable:
 
 def distance_grid(start: float, stop: float, step: float) -> list[float]:
     """Distances start, start + step, ... up to ``stop`` (within 1e-9 km);
-    each is computed from its index, so no rounding accumulates."""
+    each is computed from its index, so no rounding accumulates.  A step
+    below the spacing of doubles, which would repeat a distance, raises."""
     if not (step > 0.0 and math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"grid needs finite ends and a positive step, got "
                          f"{start}, {stop}, {step}")
     points = []
     k = 0
     while (value := start + k * step) <= stop + 1e-9:
+        if points and value <= points[-1]:
+            raise ValueError(f"step {step:g} km is below the spacing of doubles at "
+                             f"{value:g} km, so the grid would repeat a distance")
         points.append(value)
         k += 1
     return points

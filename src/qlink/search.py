@@ -17,7 +17,8 @@ def golden_section_maximize(
     """Maximize ``f`` on [lo, hi] by golden-section search.
 
     Assumes a unimodal objective; returns (argmax, max).  The bracket is
-    shrunk until its width falls below ``tol``.
+    shrunk until its width falls below ``tol``, or until a step no longer
+    narrows it because ``tol`` is below the spacing of doubles there.
     """
     if hi < lo:
         raise ValueError(f"empty search interval [{lo}, {hi}]")
@@ -26,7 +27,9 @@ def golden_section_maximize(
     d = a + INV_PHI * (b - a)
     fc = f(c)
     fd = f(d)
-    while (b - a) > tol:
+    width = math.inf
+    while tol < b - a < width:
+        width = b - a
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + INV_PHI * (b - a)

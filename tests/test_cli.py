@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,6 +197,20 @@ class TestParsing:
         assert "grid of" in err
         assert "at most 100000" in err
 
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--amps", "1", "--l-min-km", "1e17", "--l-max-km", "1e17", "--l-step-km", "1"],
+        ["optimize", "--amps", "1", "--l-min-km", "1e17", "--l-max-km", "1e17",
+         "--l-step-km", "1"],
+        ["distributed", "--l-min-km", "1e6", "--l-max-km", "1e6", "--l-step-km", "1e-12"],
+    ])
+    def test_step_below_the_spacing_of_doubles_is_usage_error(self, args, tmp_path, capsys):
+        # start + k * step rounds back to an earlier distance: sweep failed,
+        # optimize wrote 9 equal rows, distributed 1,106 rows of 10 distances
+        out = tmp_path / "sub-ulp.csv"
+        assert run_cli([*args, "--out", str(out)]) == 2
+        assert "'l_step_km'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_largest_grid_is_accepted(self):
         config = parse_config(["sweep", "--l-min-km", "1", "--l-max-km", "100000",
                                "--l-step-km", "1"])
@@ -354,6 +372,28 @@ class TestOptimizeCommand:
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("100,ConventionalSNL,PSA,1,")
+
+
+    def test_line_search_finishes_when_tolerance_is_below_a_double_spacing(self, tmp_path):
+        # Positions near 1e12 km are 1.2e-4 km apart, above the 1e-6 km line
+        # search tolerance; the search used to loop forever.  Same loss as the
+        # 1e9 km row, so the same capacity.
+        out = tmp_path / "far.csv"
+        args = ["--amps", "2", "--l-min-km", "1e12", "--l-max-km", "1e12",
+                "--alpha-db-km", "1e-12", "--out", str(out)]
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                          env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "qlink.cli", "optimize", *args],
+                              env=env, capture_output=True, text=True, timeout=30)
+        assert done.returncode == 0, done.stderr
+        near = tmp_path / "near.csv"
+        assert run_cli(["optimize", "--amps", "2", "--l-min-km", "1e9", "--l-max-km", "1e9",
+                        "--alpha-db-km", "1e-9", "--out", str(near)]) == 0
+        far_bits = float(out.read_text().splitlines()[1].split(",")[-1])
+        near_bits = float(near.read_text().splitlines()[1].split(",")[-1])
+        assert far_bits == pytest.approx(near_bits, rel=1e-9)
 
 
 class TestDistributedCommand:

@@ -1,6 +1,10 @@
+import json
 import math
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from qlink import (
     AmpKind,
@@ -113,7 +117,48 @@ class TestPlanScorer:
         assert cand.score == plan_capacity(cand.plan, scenario).bits_per_mode
 
 
+    @settings(max_examples=300)
+    @given(st.sampled_from(SHANNON_PAIRS), st.integers(1, 8), st.floats(10.0, 5000.0),
+           st.floats(-3.0, 5.0), st.data())
+    def test_walk_from_cached_state_equals_full_walk(self, pair, amps, length, log_nbar, data):
+        # The optimizer scores a trial move at amplifier i from the raw state
+        # after amplifier i - 1 of the accepted plan; that must be the full walk.
+        kind, scenario = pair
+        permille = data.draw(st.lists(st.integers(1, 999), min_size=amps, max_size=amps,
+                                      unique=True))
+        positions = [length * k / 1000.0 for k in sorted(permille)]
+        raw_gains = data.draw(st.lists(st.floats(1.0, 1e12) | st.just(math.inf),
+                                       min_size=amps, max_size=amps))
+        scorer = _PlanScorer(length, 10.0 ** log_nbar, 0.2, kind, scenario)
+        gains, _, states, _ = scorer.repair_gains(positions, raw_gains)
+        i = data.draw(st.integers(0, amps - 1))
+        if data.draw(st.booleans()):
+            lo = positions[i - 1] if i else 0.0
+            hi = positions[i + 1] if i + 1 < amps else length
+            x = data.draw(st.floats(lo, hi, exclude_min=True, exclude_max=True))
+            trial_positions, trial_gains = positions[:i] + [x] + positions[i + 1:], gains
+        else:
+            gain = data.draw(st.floats(1.0, 1e12) | st.just(math.inf))
+            trial_positions, trial_gains = positions, gains[:i] + [gain] + gains[i + 1:]
+        from_cache = scorer.score(trial_positions, trial_gains, i, states[i - 1] if i else None)
+        assert from_cache == scorer.score(trial_positions, trial_gains)
+
+
+# float.hex of optimize_plan's score, positions and gains on a probe set, keyed
+# "<kind> <scenario> <L km> <R>": a change to the descent's path shows here.
+OPTIMIZE_PINS = json.loads((Path(__file__).parent / "optimize_plan_pins.json").read_text())
+
+
 class TestOptimizePlan:
+    @pytest.mark.parametrize("key", sorted(OPTIMIZE_PINS))
+    def test_result_is_bit_identical_to_the_pinned_values(self, key):
+        kind, scenario, length, amps = key.split()
+        cand = optimize_plan(float(length), int(amps), 100.0, 0.2, AmpKind(kind),
+                             Scenario(scenario))
+        assert {"score": cand.score.hex(),
+                "positions": [x.hex() for x in cand.plan.positions],
+                "gains": [g.hex() for g in cand.plan.gains]} == OPTIMIZE_PINS[key]
+
     def test_no_amplifier_returns_the_unique_plan(self):
         cand = optimize_plan(100.0, 0, 100.0, 0.2)
         expected = 0.5 * math.log2(1.0 + 400.0 * math.exp(-ALPHA * 100.0))
@@ -223,6 +268,14 @@ class TestDistanceGrid:
         assert grid == [0.1 + k * 0.1 for k in range(10)]
         assert distance_grid(10.0, 30.0 + 5e-10, 10.0) == [10.0, 20.0, 30.0]
         assert distance_grid(100.0, 50.0, 10.0) == []
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (1e17, 1e17, 1.0), (1e12, 1e12, 1e-9), (1e6, 1e6 + 1e-6, 1e-12),
+    ])
+    def test_rejects_a_step_below_the_spacing_of_doubles(self, start, stop, step):
+        # start + k * step rounds back to start, so the grid would repeat it
+        with pytest.raises(ValueError, match="spacing of doubles"):
+            distance_grid(start, stop, step)
 
     @pytest.mark.parametrize("start, stop, step", [
         (10.0, 20.0, 0.0), (10.0, 20.0, -1.0), (10.0, math.inf, 1.0), (math.nan, 20.0, 1.0),
