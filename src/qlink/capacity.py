@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .linkchain import LinkPlan, POWER_TOL, channel_checkpoints, check_power_constraint, propagate
 from .quadmodel import (
     HEISENBERG_LIMIT,
@@ -173,26 +171,28 @@ class _GhChannel:
     """
 
     def __init__(self, mult_i, add_i, mult_q, add_q, nbar: float):
-        mult_i = np.asarray(mult_i, dtype=float)
-        mult_q = np.asarray(mult_q, dtype=float)
-        add_sum = np.asarray(add_i, dtype=float) + np.asarray(add_q, dtype=float)
         self.nbar = nbar
         self.out = (float(mult_i[-1]), float(add_i[-1]),
                     float(mult_q[-1]), float(add_q[-1]))
         # Excess at X is excess0 + slope * X.  Search with half the audit
         # tolerance so boundary optima survive the exact re-propagation audit
-        # with margin to spare.
-        slope = 0.5 * (mult_i - mult_q)
-        excess0 = (0.5 * add_sum - 0.5 - nbar - 0.5 * POWER_TOL
-                   + 0.5 * mult_q * (2.0 * nbar + 1.0))
-        falling, rising = slope < 0.0, slope > 0.0
-        # A subnormal slope overflows its bound to +-inf of the right sign;
-        # a bound that large lies outside [0, T] anyway.
-        with np.errstate(over="ignore"):
-            self.x_lo = float((-excess0[falling] / slope[falling]).max(initial=-math.inf))
-            self.x_hi = float((-excess0[rising] / slope[rising]).min(initial=math.inf))
-        if excess0[~(falling | rising)].max(initial=-math.inf) > 0.0 or self.x_lo > self.x_hi:
+        # with margin to spare.  A subnormal slope overflows its bound to
+        # +-inf of the right sign; a bound that large lies outside [0, T]
+        # anyway.
+        total = 2.0 * nbar + 1.0
+        x_lo, x_hi = -math.inf, math.inf
+        for mi, ai, mq, aq in zip(mult_i, add_i, mult_q, add_q):
+            slope = 0.5 * (mi - mq)
+            excess0 = 0.5 * (ai + aq) - 0.5 - nbar - 0.5 * POWER_TOL + 0.5 * mq * total
+            if slope < 0.0:
+                x_lo = max(x_lo, -excess0 / slope)
+            elif slope > 0.0:
+                x_hi = min(x_hi, -excess0 / slope)
+            elif excess0 > 0.0:
+                raise GHSearchError(_INFEASIBLE, -math.inf)
+        if x_lo > x_hi:
             raise GHSearchError(_INFEASIBLE, -math.inf)
+        self.x_lo, self.x_hi = x_lo, x_hi
 
     def best_split(self, r: float) -> tuple[float, float]:
         """(chi, p) of the best feasible split at squeezing ``r``, or
@@ -250,13 +250,15 @@ def gh_capacity_for_channel(
     nbar: float,
 ) -> CapacityResult:
     """Gordon-Holevo capacity of an affine Gaussian channel given its
-    per-checkpoint coefficient arrays (last checkpoint = output); the search
-    is exact and deterministic.  Budgets above ``MAX_GH_NBAR`` are refused
-    with a ``ValueError``."""
+    per-checkpoint coefficient sequences (last checkpoint = output); the
+    search is exact and deterministic.  Negative or NaN budgets, and budgets
+    above ``MAX_GH_NBAR``, are refused with a ``ValueError``."""
+    if not nbar >= 0:
+        raise ValueError(f"photon budget must be non-negative, got {nbar}")
     if nbar > MAX_GH_NBAR:
         raise ValueError(f"Gordon-Holevo capacity needs nbar <= MAX_GH_NBAR = {MAX_GH_NBAR:g}, "
                          f"got {nbar:g}: above it photon counts round past the search margin")
-    if nbar <= 0:
+    if nbar == 0:
         return CapacityResult(0.0, Scenario.GORDON_HOLEVO, QuadState(0, 0, 0.5, 0.5))
     chi, p, r = _gh_search(_GhChannel(mult_i, add_i, mult_q, add_q, nbar))
     if chi == -math.inf:

@@ -10,14 +10,14 @@ shortcut.  Under that feedback the system solves in closed form
 (``channel_maps``), which every continuum analysis uses; the RK4 integrators
 are kept as the reference the closed form is tested against.  The
 constant-rate approximations are provided alongside for comparison.
+Positions, trajectories and channel maps are lists of Python floats.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .capacity import (
     CapacityResult,
@@ -80,7 +80,7 @@ def feedback_gain_pia(state: QuadState, alpha_nat: float) -> float:
 
 @dataclass
 class OdeProfile:
-    """Sampled continuum trajectory on a km grid.
+    """Sampled continuum trajectory on a km grid, one list entry per sample.
 
     ``gain_coeff`` holds the per-km feedback gain at each sample.  When the
     trajectory was integrated with channel tracking, ``mult_i``/``add_i``/
@@ -90,39 +90,35 @@ class OdeProfile:
     nbar: float
     kind: AmpKind
     alpha_db_per_km: float
-    positions: np.ndarray
-    sig_i: np.ndarray
-    sig_q: np.ndarray
-    noise_i: np.ndarray
-    noise_q: np.ndarray
-    gain_coeff: np.ndarray
-    mult_i: np.ndarray | None = None
-    add_i: np.ndarray | None = None
-    mult_q: np.ndarray | None = None
-    add_q: np.ndarray | None = None
+    positions: list[float]
+    sig_i: list[float]
+    sig_q: list[float]
+    noise_i: list[float]
+    noise_q: list[float]
+    gain_coeff: list[float]
+    mult_i: list[float] | None = None
+    add_i: list[float] | None = None
+    mult_q: list[float] | None = None
+    add_q: list[float] | None = None
 
     def __len__(self) -> int:
         return len(self.positions)
 
     def state_at(self, index: int) -> QuadState:
-        return QuadState(
-            float(self.sig_i[index]),
-            float(self.sig_q[index]),
-            float(self.noise_i[index]),
-            float(self.noise_q[index]),
-        )
+        return QuadState(self.sig_i[index], self.sig_q[index],
+                         self.noise_i[index], self.noise_q[index])
 
     @property
     def final_state(self) -> QuadState:
         return self.state_at(len(self) - 1)
 
-    def photon_numbers(self) -> np.ndarray:
-        total = self.sig_i + self.sig_q + self.noise_i + self.noise_q
-        return total / 2.0 - 0.5
+    def photon_numbers(self) -> list[float]:
+        return [(si + sq + ni + nq) / 2.0 - 0.5
+                for si, sq, ni, nq in zip(self.sig_i, self.sig_q, self.noise_i, self.noise_q)]
 
     def index_at(self, position_km: float, tol: float = GRID_TOL_KM) -> int:
-        idx = int(np.argmin(np.abs(self.positions - position_km)))
-        if abs(float(self.positions[idx]) - position_km) > tol:
+        idx = min(range(len(self)), key=lambda j: abs(self.positions[j] - position_km))
+        if abs(self.positions[idx] - position_km) > tol:
             raise ValueError(f"{position_km} km is not on the integration grid")
         return idx
 
@@ -158,11 +154,11 @@ def _rk4_step(y, h, kind, alpha):
                   for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
 
 
-def checkpoint_positions(length_km: float, step_km: float) -> np.ndarray:
-    """The lattice points k*step below ``length_km``, then the length itself:
-    the RK4 samples of an integration to that length.  A lattice point up to
-    1e-9 steps past the length, or less than 1e-12 km short of it, counts as
-    the length itself."""
+def checkpoint_positions(length_km: float, step_km: float) -> list[float]:
+    """The lattice points k*step below ``length_km``, then the length itself,
+    as a list: the RK4 samples of an integration to that length.  A lattice
+    point up to 1e-9 steps past the length, or less than 1e-12 km short of
+    it, counts as the length itself."""
     if step_km <= 0:
         raise ValueError(f"step must be positive, got {step_km}")
     if length_km < 0:
@@ -170,7 +166,7 @@ def checkpoint_positions(length_km: float, step_km: float) -> np.ndarray:
     below = math.floor(length_km / step_km + 1e-9)
     if length_km - below * step_km > 1e-12:
         below += 1
-    return np.append(np.arange(below) * step_km, length_km)
+    return [k * step_km for k in range(below)] + [length_km]
 
 
 def _integrate(
@@ -182,7 +178,7 @@ def _integrate(
     step_km: float,
     track_channel: bool,
 ) -> OdeProfile:
-    positions = checkpoint_positions(length_km, step_km).tolist()
+    positions = checkpoint_positions(length_km, step_km)
     alpha = attenuation_to_natural(alpha_db_per_km)
     y = scenario_input(scenario, nbar).as_tuple()
     if track_channel:
@@ -196,28 +192,15 @@ def _integrate(
             raise IntegrationError(f"{err} at {pos} km", pos) from err
         samples.append(y)
 
-    arr = np.asarray(samples, dtype=float)
     try:
-        gammas = np.asarray([_feedback_gain(kind, s, alpha) for s in samples])
+        gammas = [_feedback_gain(kind, s, alpha) for s in samples]
     except ValueError as err:
         raise IntegrationError(f"{err} at {positions[-1]} km", positions[-1]) from err
+    columns = [list(column) for column in zip(*samples)]
     channel = {}
     if track_channel:
-        channel = dict(
-            mult_i=arr[:, 4], mult_q=arr[:, 5], add_i=arr[:, 6], add_q=arr[:, 7]
-        )
-    return OdeProfile(
-        nbar=nbar,
-        kind=kind,
-        alpha_db_per_km=alpha_db_per_km,
-        positions=np.asarray(positions),
-        sig_i=arr[:, 0],
-        sig_q=arr[:, 1],
-        noise_i=arr[:, 2],
-        noise_q=arr[:, 3],
-        gain_coeff=gammas,
-        **channel,
-    )
+        channel = dict(zip(("mult_i", "mult_q", "add_i", "add_q"), columns[4:]))
+    return OdeProfile(nbar, kind, alpha_db_per_km, positions, *columns[:4], gammas, **channel)
 
 
 def integrate_psa(
@@ -263,14 +246,14 @@ def state_at_position(profile: OdeProfile, position_km: float) -> QuadState:
     """State at an arbitrary position along an RK4 trajectory, taken with
     one RK4 sub-step from the nearest grid sample at or below it (the exact
     state is ``continuum_states``)."""
-    if position_km < 0 or position_km > float(profile.positions[-1]) + 1e-9:
+    if position_km < 0 or position_km > profile.positions[-1] + 1e-9:
         raise ValueError(
             f"{position_km} km lies outside the integrated range "
-            f"[0, {float(profile.positions[-1])}]"
+            f"[0, {profile.positions[-1]}]"
         )
-    idx = max(int(np.searchsorted(profile.positions, position_km + 1e-12)) - 1, 0)
+    idx = max(bisect.bisect_left(profile.positions, position_km + 1e-12) - 1, 0)
     state = profile.state_at(idx)
-    h = position_km - float(profile.positions[idx])
+    h = position_km - profile.positions[idx]
     if h <= 1e-12:
         return state
     y = _rk4_step(state.as_tuple(), h, profile.kind,
@@ -293,19 +276,18 @@ def gh_capacity_at(profile: OdeProfile, index: int = -1) -> CapacityResult:
     )
 
 
-def _mult_expm1(log_mult: np.ndarray, mult: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _mult_expm1(log_mult: float, mult: float, x: float) -> float:
     # mult * expm1(x), with no overflow where x is large and mult tiny
-    out = mult * np.expm1(np.minimum(x, 1.0))
-    big = x > 1.0
-    out[big] = np.exp(log_mult[big] + x[big]) - mult[big]
-    return out
+    if x > 1.0:
+        return math.exp(log_mult + x) - mult
+    return mult * math.expm1(x)
 
 
 def channel_maps(
     kind: AmpKind, positions_km, nbar: float, alpha_db_per_km: float = 0.2
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[list[float], list[float], list[float], list[float]]:
     """Exact channel maps (mult_i, add_i, mult_q, add_q) of the continuum
-    from its input to each position, as arrays over ``positions_km``.
+    from its input to each position, as four lists over ``positions_km``.
 
     A quadrature's signal power at z is mult * (its input signal) and its
     noise variance mult * (input noise) + add.  With T = 2*nbar + 1 held by
@@ -316,46 +298,52 @@ def channel_maps(
     Every term is formed without cancellation or overflow, so the states
     keep the Heisenberg product from nbar = 1e-6 to 1e8 out to 20,000 km.
     Budgets above ``MAX_NBAR`` are refused: past about 1e215 the divisor
-    e1 * root_t0 underflows to 0 and the add maps become infinite.
+    e1 * root_t0 underflows to 0 and the add maps become infinite.  So are
+    NaN budgets, and positions that are negative, infinite or NaN.
     """
-    z = np.asarray(positions_km, dtype=float)
-    if nbar < 0 or (kind is _PSA and nbar == 0):
+    if not nbar >= 0 or (kind is _PSA and nbar == 0):
         raise ValueError(f"photon budget must be non-negative, and positive for "
                          f"distributed PSA; got {nbar}")
     if nbar > MAX_NBAR:
         raise ValueError(f"continuum channel maps need nbar <= MAX_NBAR = {MAX_NBAR:g}, "
                          f"got {nbar:g}")
-    if (z < 0).any():
-        raise ValueError("positions must be non-negative")
+    zs = [float(z) for z in positions_km]
+    if not all(0.0 <= z < math.inf for z in zs):
+        raise ValueError("positions must be finite and non-negative")
     alpha = attenuation_to_natural(alpha_db_per_km)
     if kind is not _PSA:
-        rate_z = -alpha / (nbar + 1.0) * z
-        mult, add = np.exp(rate_z), -(nbar + 0.5) * np.expm1(rate_z)
+        rate = -alpha / (nbar + 1.0)
+        mult = [math.exp(rate * z) for z in zs]
+        add = [-(nbar + 0.5) * math.expm1(rate * z) for z in zs]
         return mult, add, mult, add
     total = 2.0 * nbar + 1.0
     k = 1.0 / total
     beta_sq = 2.0 * nbar / total
     beta = math.sqrt(beta_sq)
-    az = alpha * z
-    grow = -np.expm1(-2.0 * az)
-    u = np.sqrt(beta_sq + k * grow)
-    # u - beta = k * grow / (u + beta), without cancellation
-    delta = -2.0 * az - 2.0 * np.log1p(k * grow / ((u + beta) * (1.0 + beta)))
-    root_t0 = math.sqrt(k) / (1.0 + beta)
+    root_k = math.sqrt(k)
+    root_t0 = root_k / (1.0 + beta)
     # Per quadrature (s = +1 for I, -1 for Q): mult = exp(-s*beta*delta/2 - alpha z)
     # and add = mult * integral of (alpha/2)/mult, which is a polynomial in
     # tau = (1-u)/(1+u) times a power of it; e1, e2 = (s*beta -+ 1)/2, where
     # beta - 1 = -k/(1+beta) keeps the small exponent exact.
-    maps = []
-    for sign, e1, e2 in ((1.0, -0.5 * k / (1.0 + beta), 0.5 * (1.0 + beta)),
-                         (-1.0, -0.5 * (1.0 + beta), 0.5 * k / (1.0 + beta))):
-        log_mult = -0.5 * sign * beta * delta - az
-        mult = np.exp(log_mult)
-        add = -(math.sqrt(k) / 8.0) * (
-            _mult_expm1(log_mult, mult, e1 * delta) / (e1 * root_t0)
-            - root_t0 * _mult_expm1(log_mult, mult, e2 * delta) / e2)
-        maps += [mult, add]
-    return tuple(maps)
+    maps = ([], [], [], [])
+    # (mult list, add list, -s*beta/2, e1, e2) of the I and the Q quadrature
+    quadratures = ((*maps[:2], -0.5 * beta, -0.5 * k / (1.0 + beta), 0.5 * (1.0 + beta)),
+                   (*maps[2:], 0.5 * beta, -0.5 * (1.0 + beta), 0.5 * k / (1.0 + beta)))
+    for z in zs:
+        az = alpha * z
+        grow = -math.expm1(-2.0 * az)
+        u = math.sqrt(beta_sq + k * grow)
+        # u - beta = k * grow / (u + beta), without cancellation
+        delta = -2.0 * az - 2.0 * math.log1p(k * grow / ((u + beta) * (1.0 + beta)))
+        for mults, adds, half_s_beta, e1, e2 in quadratures:
+            log_mult = half_s_beta * delta - az
+            mult = math.exp(log_mult)
+            mults.append(mult)
+            adds.append(-(root_k / 8.0) * (
+                _mult_expm1(log_mult, mult, e1 * delta) / (e1 * root_t0)
+                - root_t0 * _mult_expm1(log_mult, mult, e2 * delta) / e2))
+    return maps
 
 
 def continuum_states(
@@ -367,10 +355,9 @@ def continuum_states(
     if kind is _PSA and scenario is Scenario.TWO_QUADRATURE:
         raise ValueError("psa with two-quadrature detection has no continuum limit: the "
                          "phase-sensitive feedback is singular for the symmetric input")
-    mult_i, add_i, mult_q, add_q = channel_maps(kind, positions_km, nbar, alpha_db_per_km)
     sig_i, sig_q, noise_i, noise_q = scenario_input(scenario, nbar).as_tuple()
-    columns = (sig_i * mult_i, sig_q * mult_q, noise_i * mult_i + add_i, noise_q * mult_q + add_q)
-    return [QuadState(*state) for state in zip(*(c.tolist() for c in columns))]
+    return [QuadState(sig_i * mi, sig_q * mq, noise_i * mi + ai, noise_q * mq + aq)
+            for mi, ai, mq, aq in zip(*channel_maps(kind, positions_km, nbar, alpha_db_per_km))]
 
 
 def distributed_rows(
@@ -450,8 +437,9 @@ def closed_form_psa(
     Returns (signal, noise); their sum equals 2*nbar + 1/2 identically, the
     signal decaying on the 1/(4*nbar+1) attenuation scale.
     """
-    if length_km < 0:
-        raise ValueError(f"length must be non-negative, got {length_km}")
+    if not (length_km >= 0 and nbar >= 0):
+        raise ValueError(f"length and photon budget must be non-negative, "
+                         f"got {length_km} and {nbar}")
     alpha = attenuation_to_natural(alpha_db_per_km)
     sig = 2.0 * nbar * math.exp(-alpha * length_km / (4.0 * nbar + 1.0))
     return sig, (2.0 * nbar + 0.5) - sig
@@ -467,9 +455,9 @@ def approx_capacity_psa(
     exp(-alpha*L/(4*nbar)), four times more slowly than the PIA one; the
     capacity itself decays exponentially only once alpha*L/(4*nbar) >> 1.
     """
-    if length_km <= 0:
+    if not length_km > 0:
         raise ValueError(f"approximation requires positive length, got {length_km}")
-    if nbar <= 0:
+    if not nbar > 0:
         raise ValueError(f"photon budget must be positive, got {nbar}")
     alpha = attenuation_to_natural(alpha_db_per_km)
     return -0.5 * math.log(-math.expm1(-alpha * length_km / (4.0 * nbar))) / _LN2
@@ -485,9 +473,9 @@ def approx_capacity_pia(
     The capacities' log-slope ratio approaches 4 only for alpha*L/(4*nbar)
     >> 1; at nbar=100 over 3000-6000 km it is about 2.6.
     """
-    if length_km <= 0:
+    if not length_km > 0:
         raise ValueError(f"approximation requires positive length, got {length_km}")
-    if nbar <= 0:
+    if not nbar > 0:
         raise ValueError(f"photon budget must be positive, got {nbar}")
     alpha = attenuation_to_natural(alpha_db_per_km)
     return -math.log(-math.expm1(-alpha * length_km / nbar)) / _LN2

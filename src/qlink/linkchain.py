@@ -38,8 +38,8 @@ _PSA = AmpKind.PSA
 
 def attenuation_to_natural(alpha_db_per_km: float) -> float:
     """Convert a dB/km attenuation value to a per-km natural-log coefficient."""
-    if alpha_db_per_km <= 0:
-        raise ValueError(f"attenuation must be positive, got {alpha_db_per_km}")
+    if not 0 < alpha_db_per_km < math.inf:
+        raise ValueError(f"attenuation must be positive and finite, got {alpha_db_per_km}")
     return math.log(10.0) * alpha_db_per_km / 10.0
 
 
@@ -60,10 +60,10 @@ class LinkPlan:
     kind: AmpKind = AmpKind.PSA
 
     def __post_init__(self) -> None:
-        if self.length_km < 0:
+        if not self.length_km >= 0:
             raise ValueError(f"total length must be non-negative, got {self.length_km}")
-        if self.nbar < 0:
-            raise ValueError(f"photon budget must be non-negative, got {self.nbar}")
+        if not 0 <= self.nbar < math.inf:
+            raise ValueError(f"photon budget must be non-negative and finite, got {self.nbar}")
         attenuation_to_natural(self.alpha_db_per_km)
         object.__setattr__(self, "positions", tuple(self.positions))
         object.__setattr__(self, "gains", tuple(self.gains))
@@ -77,8 +77,8 @@ class LinkPlan:
                     f"(0, {self.length_km}), got {self.positions}"
                 )
             prev = pos
-        if not all(gain >= 1.0 for gain in self.gains):
-            raise ValueError(f"amplifier gains must be >= 1, got {self.gains}")
+        if not all(1.0 <= gain < math.inf for gain in self.gains):
+            raise ValueError(f"amplifier gains must be >= 1 and finite, got {self.gains}")
 
 
 @dataclass(frozen=True)

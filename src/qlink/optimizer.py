@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .capacity import Scenario, gh_capacity, scenario_input, shannon_capacity
@@ -270,6 +269,9 @@ def sweep_distance(
         raise ValueError("distances must be positive")
     jobs = [(length, amp_count, nbar, alpha_db_per_km, kind, scenario) for length in grid]
     if max_workers > 1 and len(jobs) > 1:
+        # imported here: the module costs every other run about 20 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(max_workers, len(jobs))) as pool:
             rows = list(pool.map(_sweep_point, jobs))
     else:

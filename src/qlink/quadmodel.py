@@ -29,12 +29,13 @@ class QuadState:
     noise_q: float
 
     def __post_init__(self) -> None:
-        if self.sig_i < 0 or self.sig_q < 0:
+        # written so that a NaN fails the checks
+        if not (self.sig_i >= 0 and self.sig_q >= 0):
             raise ValueError(
                 f"signal powers must be non-negative, got "
                 f"sig_i={self.sig_i}, sig_q={self.sig_q}"
             )
-        if self.noise_i <= 0 or self.noise_q <= 0:
+        if not (self.noise_i > 0 and self.noise_q > 0):
             raise ValueError(
                 f"noise variances must be positive, got "
                 f"noise_i={self.noise_i}, noise_q={self.noise_q}"

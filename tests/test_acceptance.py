@@ -252,7 +252,7 @@ def test_criterion_7_property_suites():
     )
 
     profile = integrate_psa(500.0, 100.0)
-    conservation = np.abs(profile.photon_numbers() - 100.0).max()
+    conservation = np.abs(np.asarray(profile.photon_numbers()) - 100.0).max()
     conservation_ok = conservation < 1e-6 * 100.0
 
     def endpoint(step):

@@ -37,7 +37,13 @@ from qlink.capacity import (
     _squeezed_floor,
     gh_capacity_for_channel,
 )
-from qlink.distributed import channel_maps, distributed_rows
+from qlink.distributed import (
+    approx_capacity_pia,
+    approx_capacity_psa,
+    channel_maps,
+    closed_form_psa,
+    distributed_rows,
+)
 from qlink.linkchain import POWER_TOL
 from qlink.optimizer import _PlanScorer, equidistant_saturating_plan, optimize_plan
 
@@ -275,8 +281,9 @@ class TestGhExactSearch:
         result = gh_capacity_at(profile)
         assert result.bits_per_mode >= _grid_oracle(*arrays, 100.0, n_p=101, n_r=101) - 1e-12
         state = result.achieving_input
-        photons = 0.5 * (profile.mult_i * (state.sig_i + state.noise_i) + profile.add_i
-                         + profile.mult_q * (state.sig_q + state.noise_q) + profile.add_q) - 0.5
+        mult_i, add_i, mult_q, add_q = (np.asarray(a) for a in arrays)
+        photons = 0.5 * (mult_i * (state.sig_i + state.noise_i) + add_i
+                         + mult_q * (state.sig_q + state.noise_q) + add_q) - 0.5
         assert photons.max() <= 100.0 + POWER_TOL
 
     def test_zero_capacity_edge_is_finite(self):
@@ -314,6 +321,42 @@ def feasible_gh_channels(draw):
     if draw(st.booleans()):  # the mirror image amplifies Q, so its checkpoints fall
         arrays = (arrays[2], arrays[3], arrays[0], arrays[1])
     return arrays, nbar
+
+
+def _masked_budget_interval(mult_i, add_i, mult_q, add_q, nbar):
+    """(x_lo, x_hi) of the budget interval as numpy arrays and masks give it,
+    or None when a flat checkpoint is over budget or the interval is empty:
+    the oracle for the scalar loop in ``_GhChannel``."""
+    mult_i = np.asarray(mult_i, dtype=float)
+    mult_q = np.asarray(mult_q, dtype=float)
+    add_sum = np.asarray(add_i, dtype=float) + np.asarray(add_q, dtype=float)
+    slope = 0.5 * (mult_i - mult_q)
+    excess0 = (0.5 * add_sum - 0.5 - nbar - 0.5 * POWER_TOL
+               + 0.5 * mult_q * (2.0 * nbar + 1.0))
+    falling, rising = slope < 0.0, slope > 0.0
+    with np.errstate(over="ignore"):
+        x_lo = float((-excess0[falling] / slope[falling]).max(initial=-math.inf))
+        x_hi = float((-excess0[rising] / slope[rising]).min(initial=math.inf))
+    if excess0[~(falling | rising)].max(initial=-math.inf) > 0.0 or x_lo > x_hi:
+        return None
+    return x_lo, x_hi
+
+
+# Channel multipliers, with exact ties, zeros and subnormals: a slope
+# 0.5*(mult_i - mult_q) may be zero, or so small that its bound overflows.
+_MULTS = st.one_of(st.floats(0.0, 4.0),
+                   st.sampled_from([0.0, 5e-324, 1e-310, sys.float_info.min, 1.0]))
+
+
+@st.composite
+def budget_channels(draw):
+    """(checkpoint lists, nbar) of arbitrary affine channels, feasible or not."""
+    n = draw(st.integers(1, 8))
+    mult_i = draw(st.lists(_MULTS, min_size=n, max_size=n))
+    mult_q = [m if draw(st.booleans()) else draw(_MULTS) for m in mult_i]
+    add_i, add_q = (draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
+                    for _ in range(2))
+    return (mult_i, add_i, mult_q, add_q), 10.0 ** draw(st.floats(-3.0, 5.0))
 
 
 class TestGhBudgetInterval:
@@ -382,6 +425,18 @@ class TestGhBudgetInterval:
         margin = 0.1 * 0.5 * POWER_TOL
         assert eps * (2.0 * MAX_GH_NBAR + 1.0) <= margin < eps * (20.0 * MAX_GH_NBAR + 1.0)
 
+    @settings(max_examples=300)
+    @given(st.one_of(budget_channels(), feasible_gh_channels()))
+    def test_interval_equals_the_masked_array_formula(self, channel_data):
+        arrays, nbar = channel_data
+        expected = _masked_budget_interval(*arrays, nbar)
+        if expected is None:
+            with pytest.raises(GHSearchError):
+                _GhChannel(*arrays, nbar)
+        else:
+            channel = _GhChannel(*arrays, nbar)
+            assert (channel.x_lo, channel.x_hi) == expected
+
 
 class TestGhBudgetRange:
     @pytest.mark.parametrize("run", [
@@ -422,3 +477,41 @@ class TestPlanCapacity:
         plan = loss_only_plan(50.0)
         result = plan_capacity(plan, Scenario.TWO_QUADRATURE)
         assert result.achieving_input.sig_i == result.achieving_input.sig_q
+
+
+NAN = math.nan
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("call", [
+        lambda: QuadState(NAN, 0.0, 0.5, 0.5),
+        lambda: QuadState(0.0, 0.0, 0.5, NAN),
+        lambda: attenuation_to_natural(NAN),
+        lambda: attenuation_to_natural(math.inf),
+        lambda: plan_capacity(LinkPlan(0.2, NAN, 100.0), Scenario.CONVENTIONAL),
+        lambda: plan_capacity(LinkPlan(0.2, 100.0, NAN), Scenario.TWO_QUADRATURE),
+        lambda: plan_capacity(LinkPlan(0.2, 100.0, math.inf), Scenario.GORDON_HOLEVO),
+        lambda: LinkPlan(0.2, 100.0, 100.0, (50.0,), (math.inf,), AmpKind.PIA),
+        lambda: LinkPlan(0.2, 100.0, 100.0, (50.0,), (NAN,), AmpKind.PSA),
+        lambda: optimize_plan(100.0, 1, NAN, 0.2),
+        lambda: optimize_plan(100.0, 0, NAN, 0.2, AmpKind.PIA, Scenario.TWO_QUADRATURE),
+        lambda: channel_maps(AmpKind.PSA, [10.0], NAN),
+        lambda: channel_maps(AmpKind.PIA, [10.0], NAN),
+        lambda: channel_maps(AmpKind.PSA, [10.0, NAN], 100.0),
+        lambda: channel_maps(AmpKind.PIA, [math.inf], 100.0),
+        lambda: gh_capacity_for_channel([1.0], [0.0], [1.0], [0.0], NAN),
+        lambda: gh_capacity_for_channel([1.0], [0.0], [1.0], [0.0], -1.0),
+        lambda: closed_form_psa(NAN, 100.0),
+        lambda: closed_form_psa(100.0, NAN),
+        lambda: approx_capacity_psa(NAN, 100.0),
+        lambda: approx_capacity_pia(100.0, NAN),
+    ], ids=["state-signal", "state-noise", "alpha-nan", "alpha-inf", "plan-length",
+            "plan-nbar", "plan-nbar-inf", "plan-gain-inf", "plan-gain-nan", "optimize-nbar",
+            "optimize-no-amps-nbar", "maps-psa-nbar", "maps-pia-nbar", "maps-position",
+            "maps-position-inf", "gh-nbar", "gh-nbar-negative", "closed-form-length",
+            "closed-form-nbar", "approx-psa-length", "approx-pia-nbar"])
+    def test_is_refused_instead_of_scoring_nan(self, call):
+        # each of these passed validation and came out as a NaN (or, for a
+        # negative GH budget, as 0 bits)
+        with pytest.raises(ValueError):
+            call()

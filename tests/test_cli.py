@@ -488,3 +488,55 @@ class TestCrossoverCommand:
 
     def test_degenerate_range_is_usage_error(self):
         assert run_cli(["crossover", "--l-min-km", "100", "--l-max-km", "100"]) == 2
+
+
+def _src_env():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+class TestWithoutNumpy:
+    """The library computes in Python floats: numpy is a dependency of the
+    tests only."""
+
+    def test_import_loads_neither_numpy_nor_the_process_pool(self):
+        code = ("import sys, qlink.cli; "
+                "print(sorted({'numpy', 'concurrent.futures.process'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_every_command_runs_with_numpy_blocked(self, tmp_path, capsys):
+        runs = [
+            # four points: the sweep goes through the worker pool
+            ["sweep", "--amps", "1", "--l-min-km", "20", "--l-max-km", "80",
+             "--l-step-km", "20"],
+            ["sweep", "--amps", "1", "--scenario", "gordon-holevo", "--l-min-km", "50",
+             "--l-max-km", "100", "--l-step-km", "50"],
+            ["sweep", "--amps", "inf", "--scenario", "gordon-holevo", "--l-min-km", "100",
+             "--l-max-km", "300", "--l-step-km", "100"],
+            ["optimize", "--amps", "2", "--kind", "pia", "--l-min-km", "80",
+             "--l-max-km", "80"],
+            ["distributed", "--kind", "pia", "--scenario", "gordon-holevo", "--nbar", "1e-3",
+             "--l-min-km", "500", "--l-max-km", "2000", "--l-step-km", "500"],
+            ["distributed", "--kind", "psa", "--l-min-km", "10", "--l-max-km", "20000",
+             "--l-step-km", "4000"],
+            ["crossover", "--l-min-km", "100", "--l-max-km", "2000", "--l-step-km", "500"],
+        ]
+        blocked = [args + ["--out", str(tmp_path / f"blocked{i}.csv")]
+                   for i, args in enumerate(runs)]
+        code = ("import sys\n"
+                "sys.modules['numpy'] = None  # any import of numpy now fails\n"
+                "from qlink.cli import main\n"
+                f"sys.exit(max(main(args) for args in {blocked!r}))\n")
+        done = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        for i, args in enumerate(runs):
+            normal = tmp_path / f"normal{i}.csv"
+            assert run_cli(args + ["--out", str(normal)]) == 0
+            assert (tmp_path / f"blocked{i}.csv").read_bytes() == normal.read_bytes(), args
+        assert done.stdout == capsys.readouterr().out
