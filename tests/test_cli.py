@@ -28,6 +28,13 @@ def run_cli(args):
     return main(args)
 
 
+def _src_env():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 class TestParsing:
     def test_flags_override_config_file(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
@@ -381,12 +388,8 @@ class TestOptimizeCommand:
         out = tmp_path / "far.csv"
         args = ["--amps", "2", "--l-min-km", "1e12", "--l-max-km", "1e12",
                 "--alpha-db-km", "1e-12", "--out", str(out)]
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
-                                                          env.get("PYTHONPATH")]))
         done = subprocess.run([sys.executable, "-m", "qlink.cli", "optimize", *args],
-                              env=env, capture_output=True, text=True, timeout=30)
+                              env=_src_env(), capture_output=True, text=True, timeout=30)
         assert done.returncode == 0, done.stderr
         near = tmp_path / "near.csv"
         assert run_cli(["optimize", "--amps", "2", "--l-min-km", "1e9", "--l-max-km", "1e9",
@@ -458,6 +461,15 @@ class TestDistributedCommand:
         capacity = float(out.read_text().splitlines()[1].split(",")[4])
         assert math.isfinite(capacity) and capacity >= 0.0
 
+    @pytest.mark.parametrize("scenario", ["conventional-snl", "gordon-holevo"])
+    def test_psa_length_past_its_loss_bound_is_an_error(self, scenario, tmp_path, capsys):
+        # math.exp overflowed in the PSA maps here ("math range error")
+        out = tmp_path / "far.csv"
+        assert run_cli(["distributed", "--scenario", scenario, "--l-min-km", "1e22",
+                        "--l-max-km", "1e22", "--l-step-km", "1e22", "--out", str(out)]) == 1
+        assert "MAX_PSA_LOSS" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCrossoverCommand:
     def test_reports_bracketed_crossing(self, tmp_path, capsys):
@@ -488,13 +500,6 @@ class TestCrossoverCommand:
 
     def test_degenerate_range_is_usage_error(self):
         assert run_cli(["crossover", "--l-min-km", "100", "--l-max-km", "100"]) == 2
-
-
-def _src_env():
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    return env
 
 
 class TestWithoutNumpy:

@@ -21,6 +21,7 @@ from qlink import (
 )
 from qlink.capacity import gh_capacity_for_channel
 from qlink.distributed import (
+    MAX_PSA_LOSS,
     IntegrationError,
     approx_capacity_pia,
     approx_capacity_psa,
@@ -410,3 +411,17 @@ class TestClosedFormContinuum:
             channel_maps(kind, [10.0], 1e215)
         mult_i, add_i, mult_q, add_q = channel_maps(kind, [10.0], MAX_NBAR)
         assert all(np.isfinite(m).all() for m in (mult_i, add_i, mult_q, add_q))
+
+    @pytest.mark.parametrize("nbar", [1e-3, 1.0, 1e4])
+    def test_psa_loss_above_max_psa_loss_is_refused(self, nbar):
+        # The PSA maps cancel exponents of size alpha*z; near alpha*z = 1e17
+        # they were garbage, and at 1e20 math.exp overflowed.  Up to the
+        # bound they stay on their far limit; the PIA maps need no bound.
+        edge = MAX_PSA_LOSS / ALPHA
+        with pytest.raises(ValueError, match="MAX_PSA_LOSS"):
+            channel_maps(AmpKind.PSA, [10.0, edge * (1.0 + 1e-9)], nbar)
+        far = channel_maps(AmpKind.PSA, [edge * (1.0 - 1e-9)], nbar)
+        settled = channel_maps(AmpKind.PSA, [1e8 / ALPHA], nbar)
+        for got, want in zip(far, settled):
+            assert got[0] == pytest.approx(want[0], rel=1e-6, abs=0.0)
+        assert channel_maps(AmpKind.PIA, [1e25], nbar)[1][0] == nbar + 0.5
