@@ -39,7 +39,10 @@ def main() -> int:
         args.l_step_km = max(args.l_step_km, 100.0)
         args.amps = [r for r in args.amps if r <= 2]
 
-    grid = distance_grid(args.l_step_km, args.l_max_km, args.l_step_km)
+    try:
+        grid = distance_grid(args.l_step_km, args.l_max_km, args.l_step_km)
+    except ValueError as err:
+        parser.error(f"--l-step-km {args.l_step_km:g} to --l-max-km {args.l_max_km:g}: {err}")
 
     rows: list[SweepRow] = []
     for scenario in (Scenario.CONVENTIONAL, Scenario.GORDON_HOLEVO):

@@ -24,7 +24,10 @@ def main() -> int:
     parser.add_argument("--out", default="distributed_comparison.csv")
     args = parser.parse_args()
 
-    grid = distance_grid(args.l_step_km, args.l_max_km, args.l_step_km)
+    try:
+        grid = distance_grid(args.l_step_km, args.l_max_km, args.l_step_km)
+    except ValueError as err:
+        parser.error(f"--l-step-km {args.l_step_km:g} to --l-max-km {args.l_max_km:g}: {err}")
 
     lines = ["distance_km,nbar,curve,capacity_bits_per_mode"]
     for nbar in args.nbar:

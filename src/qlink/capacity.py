@@ -35,7 +35,6 @@ class Scenario(str, Enum):
 @dataclass(frozen=True)
 class CapacityResult:
     bits_per_mode: float
-    scenario: Scenario
     achieving_input: QuadState | None = None
 
 
@@ -259,13 +258,13 @@ def gh_capacity_for_channel(
         raise ValueError(f"Gordon-Holevo capacity needs nbar <= MAX_GH_NBAR = {MAX_GH_NBAR:g}, "
                          f"got {nbar:g}: above it photon counts round past the search margin")
     if nbar == 0:
-        return CapacityResult(0.0, Scenario.GORDON_HOLEVO, QuadState(0, 0, 0.5, 0.5))
+        return CapacityResult(0.0, QuadState(0, 0, 0.5, 0.5))
     chi, p, r = _gh_search(_GhChannel(mult_i, add_i, mult_q, add_q, nbar))
     if chi == -math.inf:
         raise GHSearchError(_INFEASIBLE, chi)
     noise_i, noise_q, budget = _squeezed_floor(r, nbar)
     achieving = QuadState(p * budget, (1.0 - p) * budget, noise_i, noise_q)
-    return CapacityResult(max(chi, 0.0), Scenario.GORDON_HOLEVO, achieving)
+    return CapacityResult(max(chi, 0.0), achieving)
 
 
 def gh_capacity(plan: LinkPlan) -> CapacityResult:
@@ -293,4 +292,4 @@ def plan_capacity(plan: LinkPlan, scenario: Scenario) -> CapacityResult:
         return gh_capacity(plan)
     state = scenario_input(scenario, plan.nbar)
     out, _ = propagate(plan, state)
-    return CapacityResult(shannon_capacity(out, scenario), scenario, state)
+    return CapacityResult(shannon_capacity(out, scenario), state)

@@ -3,7 +3,9 @@ integration and the PSA/PIA crossover search, all emitting one CSV schema.
 
 Configuration comes from flags, optionally layered over a flat key=value
 config file (flags win).  The resolved configuration is echoed to stderr so
-every run is reproducible from its log.
+every run is reproducible from its log.  The CLI parses and prints only: the
+library builds and bounds the grid, sizes the worker pool and runs every
+per-point loop.
 """
 
 from __future__ import annotations
@@ -17,14 +19,15 @@ from dataclasses import dataclass, fields
 
 from .capacity import MAX_GH_NBAR, Scenario
 from .distributed import (
+    MAX_PSA_LOSS,
     distributed_rows,
     integrate_pia,  # noqa: F401 - unused here; kept as a patch point for perfbench/traced_run.py
     integrate_psa,  # noqa: F401 - unused here; kept as a patch point for perfbench/traced_run.py
     psa_pia_crossover,
     state_at_position,  # noqa: F401 - unused here; kept as a patch point for perfbench/traced_run.py
 )
-from .linkchain import MAX_NBAR, AmpKind
-from .optimizer import SweepRow, SweepTable, distance_grid, optimize_plan, sweep_distance
+from .linkchain import MAX_NBAR, AmpKind, attenuation_to_natural
+from .optimizer import SweepTable, distance_grid, sweep_distance
 
 _KINDS = {"psa": AmpKind.PSA, "pia": AmpKind.PIA}
 _SCENARIOS = {
@@ -37,8 +40,8 @@ _FLOAT_KEYS = ("nbar", "alpha_db_km", "l_min_km", "l_max_km", "l_step_km")
 
 # Bound on the worker pool used for independent grid points.
 _MAX_WORKERS = 8
-# Largest grid that a run may ask for.
-MAX_GRID_POINTS = 100_000
+# Largest amplifier count: the time to optimize one point grows about as R**2.
+MAX_AMPS = 1000
 # A '#' starts a comment at the start of a line or after whitespace.
 _COMMENT = re.compile(r"(?:^|\s)#")
 
@@ -85,6 +88,9 @@ def _coerce(key: str, value: str):
             amps = int(value)
             if amps < 0:
                 raise ValueError
+            if amps > MAX_AMPS:
+                raise UsageError(f"malformed value for 'amps': must be at most MAX_AMPS = "
+                                 f"{MAX_AMPS}, got {amps}")
             return amps
         if key == "kind":
             return _KINDS[value.strip().lower()]
@@ -160,8 +166,6 @@ def parse_config(argv: list[str]) -> RunConfig:
                          f"{MAX_NBAR:g}], got {config.nbar}")
     if config.alpha_db_km <= 0:
         raise UsageError(f"malformed value for 'alpha_db_km': must be > 0, got {config.alpha_db_km}")
-    if config.l_step_km <= 0:
-        raise UsageError(f"malformed value for 'l_step_km': must be > 0, got {config.l_step_km}")
     # amplifiers spaced evenly over a subnormal length would coincide
     if not config.l_min_km >= sys.float_info.min:
         raise UsageError(f"malformed value for 'l_min_km': must be >= {sys.float_info.min:g}, "
@@ -172,16 +176,12 @@ def parse_config(argv: list[str]) -> RunConfig:
         raise UsageError("--amps inf is only valid for the distributed/sweep commands")
     if config.command == "crossover" and config.l_max_km <= config.l_min_km:
         raise UsageError("crossover needs l_min_km < l_max_km to bracket the crossing")
-    points = (config.l_max_km - config.l_min_km) / config.l_step_km + 1.0
-    if points > MAX_GRID_POINTS:
-        raise UsageError(
-            f"--l-min-km {config.l_min_km:g} to --l-max-km {config.l_max_km:g} in steps "
-            f"of --l-step-km {config.l_step_km:g} is a grid of {points:.0f} points; "
-            f"at most {MAX_GRID_POINTS} are allowed")
     try:
-        config.grid()
+        grid = config.grid()
     except ValueError as err:
-        raise UsageError(f"malformed value for 'l_step_km': {err}") from None
+        raise UsageError(f"malformed value for 'l_step_km' (with --l-min-km {config.l_min_km:g}, "
+                         f"--l-max-km {config.l_max_km:g}, --l-step-km {config.l_step_km:g}): "
+                         f"{err}") from None
     if (config.scenario is Scenario.GORDON_HOLEVO and config.command != "crossover"
             and config.nbar > MAX_GH_NBAR):
         raise UsageError(f"gordon-holevo runs need nbar <= {MAX_GH_NBAR:g}: above it "
@@ -196,6 +196,11 @@ def parse_config(argv: list[str]) -> RunConfig:
     if integrates_psa and config.nbar == 0:
         raise UsageError("distributed PSA needs nbar > 0: its feedback gain is singular "
                          "without signal power")
+    if integrates_psa and grid:
+        loss = attenuation_to_natural(config.alpha_db_km) * max(config.l_max_km, grid[-1])
+        if loss > MAX_PSA_LOSS:
+            raise UsageError(f"malformed value for 'l_max_km': the PSA continuum's alpha*L "
+                             f"= {loss:g} exceeds MAX_PSA_LOSS = {MAX_PSA_LOSS:g}")
 
     for field in fields(RunConfig):
         value = getattr(config, field.name)
@@ -219,22 +224,14 @@ def run(config: RunConfig) -> int:
     elif config.amps is None:
         rows = distributed_rows(grid, config.nbar, config.alpha_db_km, config.kind,
                                 config.scenario)
-    elif config.command == "optimize":
-        rows = []
-        for length in grid:
-            candidate = optimize_plan(length, config.amps, config.nbar, config.alpha_db_km,
-                                      config.kind, config.scenario)
-            print(f"# optimized L={length:g} km: positions={list(candidate.plan.positions)} "
-                  f"gains={list(candidate.plan.gains)}", file=sys.stderr)
-            rows.append(SweepRow(length, config.scenario, config.kind,
-                                 config.amps, candidate.score))
     else:
-        workers = 1
-        if len(grid) >= 4:
-            workers = min(_MAX_WORKERS, os.cpu_count() or 1, len(grid))
-        table = sweep_distance(grid, config.amps, config.nbar, config.alpha_db_km,
-                               config.kind, config.scenario, max_workers=workers)
-        rows = table.rows
+        rows = sweep_distance(grid, config.amps, config.nbar, config.alpha_db_km,
+                              config.kind, config.scenario, max_workers=_MAX_WORKERS).rows
+        if config.command == "optimize":
+            for row in rows:
+                print(f"# optimized L={row.distance_km:g} km: positions="
+                      f"{list(row.plan.positions)} gains={list(row.plan.gains)}",
+                      file=sys.stderr)
 
     lines = SweepTable(rows).sort().csv_lines()
     tmp_path = config.out + ".tmp"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass
 
 from .capacity import Scenario, gh_capacity, scenario_input, shannon_capacity
@@ -37,6 +38,10 @@ _POSITION_GAP_KM = 1e-6
 # Line-search tolerance (km or gain) and the cap on coordinate-descent sweeps.
 _PARAM_TOL = 1e-6
 _MAX_SWEEPS = 200
+# Largest distance grid that a sweep may build.
+MAX_GRID_POINTS = 100_000
+# A sweep uses a worker pool from this many grid points on.
+_POOL_MIN_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -44,7 +49,6 @@ class PlanCandidate:
     """A link plan and its score under a detection scenario."""
 
     plan: LinkPlan
-    scenario: Scenario
     score: float
 
 
@@ -116,7 +120,7 @@ def equidistant_saturating_plan(
     scorer = _PlanScorer(length_km, nbar, alpha_db_per_km, kind, scenario)
     positions = [i * length_km / (amp_count + 1) for i in range(1, amp_count + 1)]
     score, gains = scorer.score(positions, [math.inf] * amp_count)
-    return PlanCandidate(scorer.plan(positions, gains), scenario, score)
+    return PlanCandidate(scorer.plan(positions, gains), score)
 
 
 def optimize_plan(
@@ -154,8 +158,11 @@ def optimize_plan(
             # A move at amplifier i leaves the chain before it unchanged, so
             # each trial walks on from the raw state after amplifier i - 1.
             y = states[i - 1] if i else None
-            lo = (positions[i - 1] if i > 0 else 0.0) + _POSITION_GAP_KM
-            hi = (positions[i + 1] if i + 1 < amp_count else length_km) - _POSITION_GAP_KM
+            # one double clear of each neighbour even where doubles are sparser
+            left = positions[i - 1] if i > 0 else 0.0
+            right = positions[i + 1] if i + 1 < amp_count else length_km
+            lo = max(left + _POSITION_GAP_KM, math.nextafter(left, math.inf))
+            hi = min(right - _POSITION_GAP_KM, math.nextafter(right, -math.inf))
             if hi > lo:
                 move_gains = list(gains)
                 if ride_ceiling and ceilings[i] - gains[i] <= _PARAM_TOL:
@@ -187,7 +194,7 @@ def optimize_plan(
         if moved < _PARAM_TOL:
             break
 
-    return PlanCandidate(scorer.plan(positions, gains), scenario, current)
+    return PlanCandidate(scorer.plan(positions, gains), current)
 
 
 CSV_HEADER = "distance_km,scenario,amp_kind,amp_count,capacity_bits_per_mode"
@@ -200,6 +207,7 @@ class SweepRow:
     amp_kind: AmpKind
     amp_count: int | None  # None marks the distributed (R = infinity) limit
     capacity_bits_per_mode: float
+    plan: LinkPlan | None = None  # a finite-amplifier row's plan; not in the CSV
 
 
 @dataclass
@@ -230,26 +238,28 @@ class SweepTable:
 
 
 def distance_grid(start: float, stop: float, step: float) -> list[float]:
-    """Distances start, start + step, ... up to ``stop`` (within 1e-9 km);
-    each is computed from its index, so no rounding accumulates.  A step
-    below the spacing of doubles, which would repeat a distance, raises."""
+    """Distances start, start + step, ... up to ``stop`` (within 1e-9 steps),
+    each computed from its index; a step below the spacing of doubles, which
+    would repeat a distance, or a grid over ``MAX_GRID_POINTS`` raises."""
     if not (step > 0.0 and math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"grid needs finite ends and a positive step, got "
                          f"{start}, {stop}, {step}")
     points = []
-    k = 0
-    while (value := start + k * step) <= stop + 1e-9:
+    while (value := start + len(points) * step) <= stop + 1e-9 * step:
         if points and value <= points[-1]:
             raise ValueError(f"step {step:g} km is below the spacing of doubles at "
                              f"{value:g} km, so the grid would repeat a distance")
+        if len(points) == MAX_GRID_POINTS:
+            raise ValueError(f"a grid of {(stop - start) / step + 1:.6g} points; at most "
+                             f"{MAX_GRID_POINTS} are allowed")
         points.append(value)
-        k += 1
     return points
 
 
 def _sweep_point(args) -> SweepRow:
     length_km, amp_count, _, _, kind, scenario = args
-    return SweepRow(length_km, scenario, kind, amp_count, optimize_plan(*args).score)
+    candidate = optimize_plan(*args)
+    return SweepRow(length_km, scenario, kind, amp_count, candidate.score, candidate.plan)
 
 
 def sweep_distance(
@@ -262,17 +272,20 @@ def sweep_distance(
     *,
     max_workers: int = 1,
 ) -> SweepTable:
-    """Optimize one plan per grid distance; rows come back in grid order."""
+    """Optimize one plan per grid distance, in a pool of up to ``max_workers``
+    processes (one per CPU) from four points on; rows, each with its plan,
+    come back in grid order."""
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("distance grid must be strictly increasing")
     if any(length <= 0 for length in grid):
         raise ValueError("distances must be positive")
     jobs = [(length, amp_count, nbar, alpha_db_per_km, kind, scenario) for length in grid]
-    if max_workers > 1 and len(jobs) > 1:
+    workers = min(max_workers, os.cpu_count() or 1, len(jobs))
+    if workers > 1 and len(jobs) >= _POOL_MIN_POINTS:
         # imported here: the module costs every other run about 20 ms
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(max_workers, len(jobs))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, jobs))
     else:
         rows = [_sweep_point(job) for job in jobs]
@@ -283,4 +296,4 @@ def sweep_distance(
                 "optimizer likely stuck at %s km",
                 prev.distance_km, cur.distance_km, prev.distance_km,
             )
-    return SweepTable(rows).sort()
+    return SweepTable(rows)

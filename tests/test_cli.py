@@ -18,7 +18,8 @@ from qlink import (
     shannon_single_quadrature,
 )
 from qlink.capacity import gh_capacity_for_channel
-from qlink.cli import main, parse_config
+from qlink.cli import MAX_AMPS, UsageError, main, parse_config
+from qlink.optimizer import SweepTable, sweep_distance
 from qlink.quadmodel import HEISENBERG_LIMIT, HEISENBERG_TOL
 
 ALPHA = attenuation_to_natural(0.2)
@@ -218,6 +219,26 @@ class TestParsing:
         assert "'l_step_km'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("length", ["1e-12", "1e-300"])
+    def test_one_point_grid_of_a_tiny_length_writes_one_row(self, length, tmp_path):
+        # the grid used to end 1e-9 km past its last distance: 1,001 rows at
+        # 1e-12 km, and an endless build at 1e-300 km
+        out = tmp_path / "tiny.csv"
+        args = ["distributed", "--l-min-km", length, "--l-max-km", length,
+                "--l-step-km", length, "--out", str(out)]
+        done = subprocess.run([sys.executable, "-m", "qlink.cli", *args],
+                              env=_src_env(), capture_output=True, text=True, timeout=30)
+        assert done.returncode == 0, done.stderr
+        rows = out.read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [float(length)]
+
+    @pytest.mark.parametrize("command", ["sweep", "optimize"])
+    def test_amp_count_above_its_bound_is_usage_error(self, command):
+        # parsed only: a count over the bound is never run
+        with pytest.raises(UsageError, match="MAX_AMPS"):
+            parse_config([command, "--amps", str(MAX_AMPS + 1)])
+        assert parse_config([command, "--amps", str(MAX_AMPS)]).amps == MAX_AMPS
+
     def test_largest_grid_is_accepted(self):
         config = parse_config(["sweep", "--l-min-km", "1", "--l-max-km", "100000",
                                "--l-step-km", "1"])
@@ -398,6 +419,34 @@ class TestOptimizeCommand:
         near_bits = float(near.read_text().splitlines()[1].split(",")[-1])
         assert far_bits == pytest.approx(near_bits, rel=1e-9)
 
+    def test_amplifiers_far_out_stay_apart(self, tmp_path, capsys):
+        # near 1e12 km doubles are 1.2e-4 km apart, wider than the 1e-6 km gap
+        # the position search kept from each neighbour, so a trial position
+        # could land on a neighbour and the run failed
+        out = tmp_path / "far.csv"
+        assert run_cli(["optimize", "--scenario", "gordon-holevo", "--amps", "8",
+                        "--alpha-db-km", "1e-6", "--l-min-km", "1e12", "--l-max-km", "1e12",
+                        "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
+        echo = capsys.readouterr().err.split("positions=[")[1].split("]")[0]
+        positions = [float(x) for x in echo.split(",")]
+        assert all(a < b for a, b in zip(positions, positions[1:]))
+
+    def test_pooled_run_echoes_the_serial_plans(self, tmp_path, capsys, monkeypatch):
+        # four points and two CPUs: the run goes through the worker pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out = tmp_path / "opt.csv"
+        assert run_cli(["optimize", "--amps", "2", "--kind", "pia", "--l-min-km", "100",
+                        "--l-max-km", "400", "--l-step-km", "100", "--out", str(out)]) == 0
+        echoed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("# optimized")]
+        serial = sweep_distance([100.0, 200.0, 300.0, 400.0], 2, 100.0, 0.2, AmpKind.PIA,
+                                max_workers=1).rows
+        assert echoed == [f"# optimized L={row.distance_km:g} km: positions="
+                          f"{list(row.plan.positions)} gains={list(row.plan.gains)}"
+                          for row in serial]
+        assert out.read_text().splitlines() == SweepTable(serial).sort().csv_lines()
+
 
 class TestDistributedCommand:
     def test_rows_match_module_endpoint(self, tmp_path):
@@ -466,9 +515,26 @@ class TestDistributedCommand:
         # math.exp overflowed in the PSA maps here ("math range error")
         out = tmp_path / "far.csv"
         assert run_cli(["distributed", "--scenario", scenario, "--l-min-km", "1e22",
-                        "--l-max-km", "1e22", "--l-step-km", "1e22", "--out", str(out)]) == 1
+                        "--l-max-km", "1e22", "--l-step-km", "1e22", "--out", str(out)]) == 2
         assert "MAX_PSA_LOSS" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--amps", "inf", "--l-min-km", "1e22", "--l-max-km", "1e22",
+         "--l-step-km", "1e22"],
+        ["crossover", "--l-min-km", "100", "--l-max-km", "1e22", "--l-step-km", "1e21"],
+    ])
+    def test_psa_loss_bound_binds_every_psa_continuum_run(self, args, tmp_path, capsys):
+        out = tmp_path / "far.csv"
+        assert run_cli([*args, "--out", str(out)]) == 2
+        assert "'l_max_km'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_psa_loss_bound_spares_pia(self, tmp_path):
+        out = tmp_path / "pia.csv"
+        assert run_cli(["distributed", "--kind", "pia", "--l-min-km", "1e22", "--l-max-km",
+                        "1e22", "--l-step-km", "1e22", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
 
 
 class TestCrossoverCommand:

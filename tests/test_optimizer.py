@@ -22,6 +22,7 @@ from qlink import (
     symmetric_coherent_input,
 )
 from qlink.optimizer import (
+    MAX_GRID_POINTS,
     SweepRow,
     SweepTable,
     _PlanScorer,
@@ -268,6 +269,22 @@ class TestDistanceGrid:
         assert grid == [0.1 + k * 0.1 for k in range(10)]
         assert distance_grid(10.0, 30.0 + 5e-10, 10.0) == [10.0, 20.0, 30.0]
         assert distance_grid(100.0, 50.0, 10.0) == []
+
+    def test_end_tolerance_scales_with_the_step(self):
+        # the grid used to end 1e-9 km past ``stop``, 1,001 points here
+        assert distance_grid(1e-12, 1e-12, 1e-12) == [1e-12]
+        assert distance_grid(1e-300, 1e-300, 1e-300) == [1e-300]
+        # within 1e-9 steps of ``stop``, here 1e-8 km
+        assert distance_grid(10.0, 30.0 - 5e-9, 10.0) == [10.0, 20.0, 30.0]
+        assert distance_grid(10.0, 30.0 - 2e-8, 10.0) == [10.0, 20.0]
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (1.0, 100_001.0, 1.0), (0.0, 1.0, 1e-300),
+    ])
+    def test_rejects_a_grid_over_its_bound(self, start, stop, step):
+        # the second grid has 1e300 points: the bound is checked as it grows
+        with pytest.raises(ValueError, match=f"at most {MAX_GRID_POINTS} are allowed"):
+            distance_grid(start, stop, step)
 
     @pytest.mark.parametrize("start, stop, step", [
         (1e17, 1e17, 1.0), (1e12, 1e12, 1e-9), (1e6, 1e6 + 1e-6, 1e-12),

@@ -10,6 +10,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _src_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.mark.parametrize("script, args, header", [
     ("capacity_vs_distance.py", ["--l-max-km", "100", "--l-step-km", "100", "--amps", "0", "1"],
      "distance_km,scenario,amp_kind,amp_count,capacity_bits_per_mode"),
@@ -20,12 +26,10 @@ ROOT = Path(__file__).resolve().parent.parent
      "distance_km,nbar,curve,capacity_bits_per_mode"),
 ])
 def test_script_writes_csv(script, args, header, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     out = tmp_path / "out.csv"
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args, "--out", str(out)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     lines = out.read_text().splitlines()
@@ -33,13 +37,25 @@ def test_script_writes_csv(script, args, header, tmp_path):
     assert len(lines) > 1
 
 
+@pytest.mark.parametrize("script", ["capacity_vs_distance.py", "distributed_comparison.py"])
+def test_script_refuses_a_grid_over_its_bound(script, tmp_path):
+    # capacity_vs_distance.py used to start building 5e8 points here
+    out = tmp_path / "out.csv"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--l-step-km", "1e-6",
+         "--out", str(out)],
+        cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 2
+    assert "at most 100000" in done.stderr
+    assert not out.exists()
+
+
 def test_benchmark_tracer_finds_its_patch_points():
     # perfbench/traced_run.py wraps library functions by attribute name; run
     # its installer in a fresh interpreter so the patches stay there.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     code = ('import sys; sys.path.insert(0, "perfbench"); import traced_run; '
             'traced_run.install(traced_run.Tracer())')
-    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=_src_env(),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
