@@ -96,7 +96,10 @@ def _chi(noise: tuple[float, float], sig_i: float, sig_q: float) -> float:
     if rise == 0.0:
         return 0.0
     b = max(nu - 0.5, 0.0)
-    chi = (rise * math.log1p(1.0 / (b + rise)) + (b + 1.0) * math.log1p(rise / (b + 1.0))
+    # 1/(b + rise) overflows once b + rise is subnormal; log1p(1/x) is -log(x) there
+    inv = 1.0 / (b + rise)
+    lead = math.log1p(inv) if inv < math.inf else -math.log(b + rise)
+    chi = (rise * lead + (b + 1.0) * math.log1p(rise / (b + 1.0))
            - (b * math.log1p(rise / b) if b > 0.0 else 0.0))
     return chi / _LN2
 

@@ -35,8 +35,8 @@ _LN2 = math.log(2.0)
 DEFAULT_STEP_KM = 0.1
 # Distance within which a position counts as an integration sample.
 GRID_TOL_KM = 1e-6
-# Largest alpha*z of the PSA maps: they cancel exponents of size alpha*z, so
-# their error grows as 1e-16 * alpha*z (3e-7 here; garbage past about 1e17).
+# Largest alpha*z (4.3e9 dB) of the PSA maps; not a precision limit, as their
+# exponents cancel no terms of size alpha*z (about 1e-13 relative at any length).
 MAX_PSA_LOSS = 1e9
 
 
@@ -279,10 +279,11 @@ def gh_capacity_at(profile: OdeProfile, index: int = -1) -> CapacityResult:
     )
 
 
-def _mult_expm1(log_mult: float, mult: float, x: float) -> float:
-    # mult * expm1(x), with no overflow where x is large and mult tiny
+def _mult_expm1(mult: float, x: float, log_sum: float) -> float:
+    # mult * expm1(x), with no overflow where x is large and mult tiny; log_sum
+    # is log(mult) + x, formed without the cancellation of adding the two
     if x > 1.0:
-        return math.exp(log_mult + x) - mult
+        return math.exp(log_sum) - mult
     return mult * math.expm1(x)
 
 
@@ -299,7 +300,8 @@ def channel_maps(
     beta = u(0) and u = sqrt(1 - e^(-2 alpha z)/T), and the maps are
     elementary functions of delta = -2 alpha z - 2 log((1+u)/(1+beta)).
     Every term is formed without cancellation or overflow, so the states
-    keep the Heisenberg product from nbar = 1e-6 to 1e8 out to 20,000 km.
+    keep the Heisenberg product, and a flat output its photon count, from
+    nbar = 1e-300 to 1e8 at every length.
     Budgets above ``MAX_NBAR`` are refused: past about 1e215 the divisor
     e1 * root_t0 underflows to 0 and the add maps become infinite.  So are
     NaN budgets, positions that are negative, infinite or NaN, and PSA
@@ -331,24 +333,29 @@ def channel_maps(
     # Per quadrature (s = +1 for I, -1 for Q): mult = exp(-s*beta*delta/2 - alpha z)
     # and add = mult * integral of (alpha/2)/mult, which is a polynomial in
     # tau = (1-u)/(1+u) times a power of it; e1, e2 = (s*beta -+ 1)/2, where
-    # beta - 1 = -k/(1+beta) keeps the small exponent exact.
+    # 1 - beta = k/(1+beta) keeps the small exponent exact.  With
+    # ell = log((1+u)/(1+beta)) = -delta/2 - alpha z, the exponents
+    # log(mult) = -(1 -+ beta) alpha z +- beta ell, log(mult) + e1 delta = ell
+    # and log(mult) + e2 delta = -2 alpha z - ell are formed as such: none
+    # cancels terms of size alpha z, so the maps keep their precision at any length.
     maps = ([], [], [], [])
-    # (mult list, add list, -s*beta/2, e1, e2) of the I and the Q quadrature
-    quadratures = ((*maps[:2], -0.5 * beta, -0.5 * k / (1.0 + beta), 0.5 * (1.0 + beta)),
-                   (*maps[2:], 0.5 * beta, -0.5 * (1.0 + beta), 0.5 * k / (1.0 + beta)))
+    one_minus_beta = k / (1.0 + beta)
+    # (mults, adds, d log(mult)/d(alpha z), d log(mult)/d ell, e1, e2) of I and Q
+    quadratures = ((*maps[:2], -one_minus_beta, beta, -0.5 * one_minus_beta, 0.5 * (1.0 + beta)),
+                   (*maps[2:], -(1.0 + beta), -beta, -0.5 * (1.0 + beta), 0.5 * one_minus_beta))
     for z in zs:
         az = alpha * z
         grow = -math.expm1(-2.0 * az)
         u = math.sqrt(beta_sq + k * grow)
         # u - beta = k * grow / (u + beta), without cancellation
-        delta = -2.0 * az - 2.0 * math.log1p(k * grow / ((u + beta) * (1.0 + beta)))
-        for mults, adds, half_s_beta, e1, e2 in quadratures:
-            log_mult = half_s_beta * delta - az
-            mult = math.exp(log_mult)
+        ell = math.log1p(k * grow / ((u + beta) * (1.0 + beta)))
+        delta = -2.0 * az - 2.0 * ell
+        for mults, adds, per_az, per_ell, e1, e2 in quadratures:
+            mult = math.exp(per_az * az + per_ell * ell)
             mults.append(mult)
             adds.append(-(root_k / 8.0) * (
-                _mult_expm1(log_mult, mult, e1 * delta) / (e1 * root_t0)
-                - root_t0 * _mult_expm1(log_mult, mult, e2 * delta) / e2))
+                _mult_expm1(mult, e1 * delta, ell) / (e1 * root_t0)
+                - root_t0 * _mult_expm1(mult, e2 * delta, -2.0 * az - ell) / e2))
     return maps
 
 
@@ -425,8 +432,8 @@ def psa_pia_crossover(
             f"no PSA/PIA crossover bracketed in [{lo}, {hi}] km "
             f"(difference {f_lo:.4g} -> {f_hi:.4g})"
         )
-    while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
+    # past about 8e12 km the midpoint can no longer split a 1e-3 km bracket
+    while hi - lo > 1e-3 and lo < (mid := 0.5 * (lo + hi)) < hi:
         if difference(mid) > 0.0:
             lo = mid
         else:

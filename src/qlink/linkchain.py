@@ -7,7 +7,9 @@ have the layout of the continuum's ``distributed.channel_maps``.  Loss mixes
 each quadrature with vacuum; a phase-sensitive amplifier (PSA) multiplies the
 I quadrature by its gain and divides the Q quadrature, adding no excess
 noise; a phase-insensitive amplifier (PIA) multiplies both quadratures and
-adds the quantum-limited (gain-1)/2 noise per quadrature.
+adds the quantum-limited (gain-1)/2 noise per quadrature.  These stages and
+the photon budget's gain ceiling are written once, on raw tuples, and the
+public functions wrap them for ``QuadState`` values.
 """
 
 from __future__ import annotations
@@ -92,9 +94,10 @@ class PropagationTrace:
         return len(self.positions)
 
 
-# One stage's arithmetic on a raw (sig_i, sig_q, noise_i, noise_q) tuple.  A
-# chain prefix's channel map transforms exactly like a state, its per-quadrature
-# (mult, add) taking the place of (sig, noise), so these fold both.
+# The stage algebra on a raw (sig_i, sig_q, noise_i, noise_q) tuple: loss, gain
+# and the photon budget's gain ceiling.  A chain prefix's channel map transforms
+# exactly like a state, its per-quadrature (mult, add) taking the place of
+# (sig, noise), so _loss and _amplify fold both.
 
 
 def _loss(y: tuple, tau: float) -> tuple:
@@ -109,6 +112,28 @@ def _amplify(y: tuple, kind: AmpKind, gain: float) -> tuple:
         return (gain * sig_i, sig_q / gain, gain * noise_i, noise_q / gain)
     excess = (gain - 1.0) / 2.0
     return (gain * sig_i, gain * sig_q, gain * noise_i + excess, gain * noise_q + excess)
+
+
+def _ceiling(y: tuple, nbar: float, kind: AmpKind) -> float:
+    if kind is _PSA and nbar > MAX_NBAR:
+        raise ValueError(f"the PSA gain ceiling needs nbar <= MAX_NBAR = {MAX_NBAR:g}, "
+                         f"got {nbar:g}")
+    sig_i, sig_q, noise_i, noise_q = y
+    photons = (sig_i + sig_q + noise_i + noise_q) / 2.0 - 0.5  # as mean_photon_number
+    if photons > nbar + POWER_TOL:
+        raise ValueError("state already exceeds the photon budget")
+    if kind is not _PSA:
+        return max((nbar + 1.0) / (photons + 1.0), 1.0)
+    power_i = sig_i + noise_i
+    power_q = sig_q + noise_q
+    if power_i < power_q - POWER_TOL:
+        raise ValueError("amplified quadrature must carry at least as much power as the "
+                         "deamplified one")
+    target = 2.0 * nbar + 1.0
+    disc = target * target - 4.0 * power_i * power_q
+    if disc < 0.0:
+        raise ValueError(f"no real gain reaches photon budget {nbar} from {y}")
+    return max((target + math.sqrt(disc)) / (2.0 * power_i), 1.0)
 
 
 def _fold(plan: LinkPlan, y: tuple) -> tuple[list[float], list[tuple]]:
@@ -184,24 +209,7 @@ def max_feasible_psa_gain(state: QuadState, nbar: float) -> float:
     Solves gain*(sig_i+noise_i) + (sig_q+noise_q)/gain = 2*nbar + 1 for the
     larger root, i.e. the gain that lands exactly on the budget.
     """
-    if nbar > MAX_NBAR:
-        raise ValueError(f"the PSA gain ceiling needs nbar <= MAX_NBAR = {MAX_NBAR:g}, "
-                         f"got {nbar:g}")
-    power_i = state.sig_i + state.noise_i
-    power_q = state.sig_q + state.noise_q
-    if mean_photon_number(state) > nbar + POWER_TOL:
-        raise ValueError("state already exceeds the photon budget")
-    if power_i < power_q - POWER_TOL:
-        raise ValueError(
-            "amplified quadrature must carry at least as much power as the "
-            "deamplified one"
-        )
-    target = 2.0 * nbar + 1.0
-    disc = target * target - 4.0 * power_i * power_q
-    if disc < 0.0:
-        raise ValueError(f"no real gain reaches photon budget {nbar} from {state!r}")
-    gain = (target + math.sqrt(disc)) / (2.0 * power_i)
-    return max(gain, 1.0)
+    return _ceiling(state.as_tuple(), nbar, AmpKind.PSA)
 
 
 def max_feasible_pia_gain(state: QuadState, nbar: float) -> float:
@@ -210,16 +218,7 @@ def max_feasible_pia_gain(state: QuadState, nbar: float) -> float:
     A PIA of gain G maps the photon number n to G*(n+1) - 1, so the budget is
     reached at G = (nbar+1)/(n+1).
     """
-    photons = mean_photon_number(state)
-    if photons > nbar + POWER_TOL:
-        raise ValueError("state already exceeds the photon budget")
-    return max((nbar + 1.0) / (photons + 1.0), 1.0)
-
-
-def max_feasible_gain(state: QuadState, nbar: float, kind: AmpKind) -> float:
-    if kind is _PSA:
-        return max_feasible_psa_gain(state, nbar)
-    return max_feasible_pia_gain(state, nbar)
+    return _ceiling(state.as_tuple(), nbar, AmpKind.PIA)
 
 
 def channel_checkpoints(plan: LinkPlan) -> tuple[list[float], ...]:

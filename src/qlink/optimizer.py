@@ -23,9 +23,9 @@ from .linkchain import (
     AmpKind,
     LinkPlan,
     _amplify,
+    _ceiling,
     _loss,
     attenuation_to_natural,
-    max_feasible_gain,
     propagate,  # noqa: F401 - unused here; kept as a patch point for perfbench/traced_run.py
 )
 from .quadmodel import QuadState
@@ -62,7 +62,7 @@ class _PlanScorer:
         self.alpha_nat = attenuation_to_natural(alpha_db_per_km)
         self.kind = kind
         self.scenario = scenario
-        self.ref_input = scenario_input(scenario, nbar)
+        self.ref_input = scenario_input(scenario, nbar).as_tuple()
 
     def repair_gains(self, positions, gains, start=0, y=None) -> tuple[list, list, list, tuple]:
         """Scale down any gain that would push the reference input above the
@@ -73,14 +73,14 @@ class _PlanScorer:
         walked amplifier's ceiling (its largest feasible gain given the
         amplifiers before it) and raw state after it; and the reference
         output as a raw tuple."""
-        y = self.ref_input.as_tuple() if y is None else y
+        y = self.ref_input if y is None else y
         prev = positions[start - 1] if start else 0.0
         repaired = list(gains[:start])
         ceilings = []
         states = []
         for pos, gain in zip(positions[start:], gains[start:]):
             y = _loss(y, math.exp(-self.alpha_nat * (pos - prev)))
-            ceiling = max_feasible_gain(QuadState(*y), self.nbar, self.kind)
+            ceiling = _ceiling(y, self.nbar, self.kind)
             gain = min(max(gain, 1.0), ceiling)
             repaired.append(gain)
             ceilings.append(ceiling)

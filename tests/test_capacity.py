@@ -151,6 +151,34 @@ class TestHolevoChi:
         chi = _chi((nbar + 0.5, nbar + 0.5), signal, 0.0)
         assert chi == pytest.approx(expected, rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize("kind", [AmpKind.PSA, AmpKind.PIA])
+    def test_vacuum_noise_under_a_subnormal_signal_gives_the_loss_channel_value(self, kind):
+        # 100 dB at nbar = 1e-300: the output noise is vacuum (b = 0) and the
+        # rise of nu subnormal, so 1/(b + rise) overflowed and chi read inf
+        tau = math.exp(-attenuation_to_natural(10.0) * 10.0)
+        bits = optimize_plan(10.0, 0, 1e-300, 10.0, kind, Scenario.GORDON_HOLEVO).score
+        assert bits == entropy_g(tau * 1e-300)
+        assert bits == pytest.approx(1.0312e-307, rel=1e-4)
+
+    @settings(max_examples=500)
+    @given(st.floats(-3.0, 6.0), st.floats(-2.0, 2.0), st.floats(-320.0, 6.0),
+           st.floats(-320.0, 6.0))
+    def test_finite_values_keep_the_reciprocal_form(self, log_n, squeeze, log_i, log_q):
+        # Only where 1/(b + rise) overflows does chi take another form; every
+        # value that was finite stays bit-identical.
+        thermal = 10.0 ** log_n if log_n > -3.0 else 0.0
+        noise = ((0.5 + thermal) * math.exp(-squeeze), (0.5 + thermal) * math.exp(squeeze))
+        sig_i, sig_q = 10.0 ** log_i, 10.0 ** log_q
+        nu = math.sqrt(noise[0] * noise[1])
+        rise = ((sig_i * noise[1] + sig_q * noise[0] + sig_i * sig_q)
+                / (math.sqrt((noise[0] + sig_i) * (noise[1] + sig_q)) + nu))
+        b = max(nu - 0.5, 0.0)
+        assume(rise > 0.0 and 1.0 / (b + rise) < math.inf)
+        reciprocal = (rise * math.log1p(1.0 / (b + rise))
+                      + (b + 1.0) * math.log1p(rise / (b + 1.0))
+                      - (b * math.log1p(rise / b) if b > 0.0 else 0.0)) / math.log(2.0)
+        assert _chi(noise, sig_i, sig_q) == reciprocal
+
     @given(st.floats(0.3, 10.0), st.floats(0.0, 50.0), st.floats(0.0, 50.0))
     def test_chi_non_negative(self, noise, add_i, add_q):
         noise_pair = (noise, 0.3 if noise * 0.3 >= 0.25 else 0.25 / noise)

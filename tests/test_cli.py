@@ -2,10 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from qlink import (
     AmpKind,
@@ -386,6 +389,17 @@ class TestSweepCommand:
         capacity = float(out.read_text().splitlines()[1].split(",")[-1])
         assert math.isfinite(capacity) and capacity >= 0.0
 
+    @pytest.mark.parametrize("kind", ["psa", "pia"])
+    @pytest.mark.parametrize("amps", ["0", "1", "2", "5", "inf"])
+    def test_vacuum_level_output_noise_gives_a_row(self, kind, amps, tmp_path):
+        # 100 dB at nbar = 1e-300 leaves vacuum noise and a subnormal signal
+        # at the output, where chi overflowed: "capacity out of range ... inf"
+        out = tmp_path / "deep.csv"
+        assert run_cli(["sweep", "--amps", amps, "--kind", kind, "--scenario",
+                        "gordon-holevo", "--nbar", "1e-300", "--alpha-db-km", "10",
+                        "--l-min-km", "10", "--l-max-km", "10", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].split(",")[4] == "1.0312404e-307"
+
 
 class TestOptimizeCommand:
     def test_single_point_row_and_plan_echo(self, tmp_path, capsys):
@@ -567,6 +581,18 @@ class TestCrossoverCommand:
     def test_degenerate_range_is_usage_error(self):
         assert run_cli(["crossover", "--l-min-km", "100", "--l-max-km", "100"]) == 2
 
+    def test_crossing_past_the_spacing_of_doubles_is_found(self, tmp_path):
+        # the bisection looped for ever once its midpoint could no longer
+        # split a 1e-3 km bracket (past about 8e12 km); every map depends on
+        # alpha*z only, so the crossing is 1,000 times that at 1e-9 dB/km
+        args = ["crossover", "--alpha-db-km", "1e-12", "--l-min-km", "1e14",
+                "--l-max-km", "1e16", "--l-step-km", "1e14", "--out", str(tmp_path / "x.csv")]
+        done = subprocess.run([sys.executable, "-m", "qlink.cli", *args],
+                              env=_src_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        crossing = float(done.stdout.split("crossover_km=")[1].split()[0])
+        assert crossing == pytest.approx(1.42034e14, rel=1e-5)
+
 
 class TestWithoutNumpy:
     """The library computes in Python floats: numpy is a dependency of the
@@ -611,3 +637,62 @@ class TestWithoutNumpy:
             assert run_cli(args + ["--out", str(normal)]) == 0
             assert (tmp_path / f"blocked{i}.csv").read_bytes() == normal.read_bytes(), args
         assert done.stdout == capsys.readouterr().out
+
+
+_FUZZ_COMMANDS = ["sweep", "optimize", "distributed", "crossover"]
+_FUZZ_NBARS = ["0", "1e-300", "1e-6", "1", "100", "1e5", "1e6", "1e150"]
+_FUZZ_ALPHAS = ["1e-12", "1e-6", "0.2", "10", "100"]
+_FUZZ_SCENARIOS = ["conventional-snl", "two-quadrature-snl", "gordon-holevo"]
+
+
+@st.composite
+def command_lines(draw):
+    """Every command, budget, attenuation, kind, scenario and amplifier count,
+    on a grid of at most three points from 1e-9 to 1e12 km."""
+    l_min = 10.0 ** draw(st.floats(-9.0, 12.0))
+    step = l_min * 10.0 ** draw(st.floats(-3.0, 1.0))
+    l_max = l_min + (draw(st.integers(1, 3)) - 1) * step
+    return [draw(st.sampled_from(_FUZZ_COMMANDS)),
+            "--nbar", draw(st.sampled_from(_FUZZ_NBARS)),
+            "--alpha-db-km", draw(st.sampled_from(_FUZZ_ALPHAS)),
+            "--kind", draw(st.sampled_from(["psa", "pia"])),
+            "--scenario", draw(st.sampled_from(_FUZZ_SCENARIOS)),
+            "--amps", draw(st.sampled_from(["0", "1", "2", "5", "inf"])),
+            "--l-min-km", repr(l_min), "--l-max-km", repr(l_max), "--l-step-km", repr(step)]
+
+
+class TestCommandLineFuzz:
+    """Every command line computes (exit 0) or is refused (exit 2); only a
+    crossover search whose range brackets no crossing fails (exit 1)."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(args=command_lines())
+    # the bisection hung once its midpoint could not split the bracket
+    @example(args=["crossover", "--alpha-db-km", "1e-12", "--l-min-km", "1e14",
+                   "--l-max-km", "1e16", "--l-step-km", "1e14"])
+    # chi read inf for vacuum output noise under a subnormal signal
+    @example(args=["sweep", "--amps", "0", "--kind", "pia", "--scenario", "gordon-holevo",
+                   "--nbar", "1e-300", "--alpha-db-km", "10", "--l-min-km", "10",
+                   "--l-max-km", "10"])
+    @example(args=["distributed", "--kind", "pia", "--scenario", "gordon-holevo",
+                   "--nbar", "1e-300", "--alpha-db-km", "10", "--l-min-km", "10",
+                   "--l-max-km", "10"])
+    # the PSA maps' rounding read as a photon excess, or broke the Heisenberg limit
+    @example(args=["distributed", "--scenario", "gordon-holevo", "--l-min-km", "1e7",
+                   "--l-max-km", "1e7"])
+    @example(args=["sweep", "--amps", "inf", "--scenario", "gordon-holevo",
+                   "--l-min-km", "1e7", "--l-max-km", "1e7"])
+    @example(args=["distributed", "--nbar", "1e-300", "--alpha-db-km", "100",
+                   "--l-min-km", "10214", "--l-max-km", "11755", "--l-step-km", "1541"])
+    def test_exit_status_and_rows(self, args):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "fuzz.csv"
+            done = subprocess.run([sys.executable, "-m", "qlink.cli", *args, "--out", str(out)],
+                                  env=_src_env(), capture_output=True, text=True, timeout=120)
+            assert "Traceback" not in done.stderr
+            unbracketed = args[0] == "crossover" and "no PSA/PIA crossover" in done.stderr
+            assert done.returncode in (0, 2) or (done.returncode == 1 and unbracketed), \
+                done.stderr
+            if done.returncode == 0:
+                bits = [float(line.split(",")[4]) for line in out.read_text().splitlines()[1:]]
+                assert all(math.isfinite(b) and b >= 0.0 for b in bits), bits

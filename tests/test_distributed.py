@@ -376,6 +376,31 @@ class TestClosedFormContinuum:
         else:
             assert 0.0 <= slope <= 0.5
 
+    @given(nbar_exp=st.floats(-300.0, 8.0), loss_exp=st.floats(0.0, 9.0))
+    def test_psa_maps_keep_the_photon_count_at_every_length(self, nbar_exp, loss_exp):
+        # The maps once formed exponents by cancelling terms of size alpha*z:
+        # the output's photon count drifted as 1e-16 * alpha*z (4.9e-9 photons
+        # at nbar = 100 and 1e7 km, which failed the Gordon-Holevo budget),
+        # and at small budgets the noise product fell below 1/4.
+        nbar = 10.0 ** nbar_exp
+        (state,) = continuum_states(AmpKind.PSA, Scenario.CONVENTIONAL,
+                                    [10.0 ** loss_exp / ALPHA], nbar)
+        assert abs(mean_photon_number(state) - nbar) <= 1e-15 * (2.0 * nbar + 1.0)
+        assert state.noise_i * state.noise_q >= HEISENBERG_LIMIT - HEISENBERG_TOL
+
+    @pytest.mark.parametrize("kind, scenario", CONTINUUM_PAIRS)
+    @pytest.mark.parametrize("nbar, length", [(1e-300, 1e7), (1e-20, 2e6), (1.0, 5.6e8),
+                                              (100.0, 1e7), (1e4, 5.6e7), (1e5, 1e9)])
+    def test_rows_far_out_are_finite_and_non_rising(self, kind, scenario, nbar, length):
+        # PSA Gordon-Holevo rows failed with "no squeezed input meets the
+        # photon budget" at these lengths, and the small-budget PSA states
+        # broke the Heisenberg limit
+        lengths = [length / 100.0, length / 10.0, length]
+        bits = [row.capacity_bits_per_mode
+                for row in distributed_rows(lengths, nbar, 0.2, kind, scenario)]
+        assert all(math.isfinite(b) and b >= 0.0 for b in bits)
+        assert bits == sorted(bits, reverse=True)
+
     @pytest.mark.parametrize("kind", [AmpKind.PSA, AmpKind.PIA])
     def test_gordon_holevo_rows_equal_the_dense_checkpoint_lattice(self, kind):
         lengths = [0.05, 0.37, 1.0, 10.0, 10.15, 55.55, 100.0, 300.0, 777.0, 1500.0,
@@ -414,9 +439,8 @@ class TestClosedFormContinuum:
 
     @pytest.mark.parametrize("nbar", [1e-3, 1.0, 1e4])
     def test_psa_loss_above_max_psa_loss_is_refused(self, nbar):
-        # The PSA maps cancel exponents of size alpha*z; near alpha*z = 1e17
-        # they were garbage, and at 1e20 math.exp overflowed.  Up to the
-        # bound they stay on their far limit; the PIA maps need no bound.
+        # Up to the bound the PSA maps stay on their far limit; the PIA maps
+        # have no bound.
         edge = MAX_PSA_LOSS / ALPHA
         with pytest.raises(ValueError, match="MAX_PSA_LOSS"):
             channel_maps(AmpKind.PSA, [10.0, edge * (1.0 + 1e-9)], nbar)

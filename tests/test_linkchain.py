@@ -287,6 +287,18 @@ class TestFeasibleGain:
         with pytest.raises(ValueError, match="quadrature"):
             max_feasible_psa_gain(QuadState(0.0, 10.0, 0.5, 0.5), 100.0)
 
+    def test_checks_keep_their_order(self):
+        # budget bound, then the photon count, then the quadrature balance,
+        # then the root; the PIA ceiling has no budget bound
+        with pytest.raises(ValueError, match="MAX_NBAR"):
+            max_feasible_psa_gain(QuadState(0.0, 400.0, 0.5, 0.5), 1e151)
+        with pytest.raises(ValueError, match="exceeds the photon budget"):
+            max_feasible_psa_gain(QuadState(0.0, 400.0, 0.5, 0.5), 100.0)
+        with pytest.raises(ValueError, match="no real gain"):
+            # within POWER_TOL of the budget, balanced: the root is complex
+            max_feasible_psa_gain(QuadState(0.0, 0.0, 10.5 + 4e-10, 10.5 + 4e-10), 10.0)
+        assert max_feasible_pia_gain(vacuum_state(), 1e151) == 1e151 + 1.0
+
     def test_pia_gain_restores_budget(self):
         state = apply_loss(symmetric(), 0.5)
         gain = max_feasible_pia_gain(state, 100.0)

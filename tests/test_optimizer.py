@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from qlink import (
     AmpKind,
     LinkPlan,
+    QuadState,
     Scenario,
     apply_loss,
     attenuation_to_natural,
@@ -117,6 +118,19 @@ class TestPlanScorer:
         cand = equidistant_saturating_plan(400.0, amps, 100.0, 0.2, kind, scenario)
         assert cand.score == plan_capacity(cand.plan, scenario).bits_per_mode
 
+
+    @pytest.mark.parametrize("kind, scenario", SHANNON_PAIRS)
+    def test_shannon_scoring_builds_only_the_output_state(self, kind, scenario, monkeypatch):
+        # the chain walk and its gain ceilings run on raw tuples
+        scorer = _PlanScorer(300.0, 100.0, 0.2, kind, scenario)
+        built = []
+        validate = QuadState.__post_init__
+        monkeypatch.setattr(QuadState, "__post_init__",
+                            lambda state: (built.append(state), validate(state))[1])
+        scorer.score([35.0, 160.0, 250.0], [3.0, 1.5, math.inf])
+        assert len(built) == 1
+        assert built[0].as_tuple() == scorer.repair_gains([35.0, 160.0, 250.0],
+                                                          [3.0, 1.5, math.inf])[3]
 
     @settings(max_examples=300)
     @given(st.sampled_from(SHANNON_PAIRS), st.integers(1, 8), st.floats(10.0, 5000.0),
