@@ -85,17 +85,19 @@ def gaussian_state_entropy(var_i: float, var_q: float) -> float:
     return entropy_g(max(_symplectic(var_i, var_q) - 0.5, 0.0))
 
 
-def _chi(noise: tuple[float, float], sig_i: float, sig_q: float) -> float:
+def _chi(n_i: float, n_q: float, sig_i: float, sig_q: float) -> float:
     # g(b + d) - g(b) for the noise state's b = nu - 1/2 and the rise d of nu
     # that the signal powers bring, formed from d so that it keeps its
     # relative precision when the signal is far below the noise:
     # d*log1p(1/(b+d)) + (b+1)*log1p(d/(b+1)) - b*log1p(d/b).
-    nu = _symplectic(*noise)
-    rise = ((sig_i * noise[1] + sig_q * noise[0] + sig_i * sig_q)
-            / (math.sqrt((noise[0] + sig_i) * (noise[1] + sig_q)) + nu))
+    nu = _symplectic(n_i, n_q)
+    rise = ((sig_i * n_q + sig_q * n_i + sig_i * sig_q)
+            / (math.sqrt((n_i + sig_i) * (n_q + sig_q)) + nu))
     if rise == 0.0:
         return 0.0
-    b = max(nu - 0.5, 0.0)
+    b = nu - 0.5
+    if b < 0.0:
+        b = 0.0
     # 1/(b + rise) overflows once b + rise is subnormal; log1p(1/x) is -log(x) there
     inv = 1.0 / (b + rise)
     lead = math.log1p(inv) if inv < math.inf else -math.log(b + rise)
@@ -116,7 +118,7 @@ def holevo_chi(
         raise ValueError(
             f"ensemble variances {out_total} must dominate noise variances {out_noise}"
         )
-    return _chi(out_noise, max(out_total[0] - out_noise[0], 0.0),
+    return _chi(*out_noise, max(out_total[0] - out_noise[0], 0.0),
                 max(out_total[1] - out_noise[1], 0.0))
 
 
@@ -168,12 +170,14 @@ class _GhChannel:
     The input's I variance X and Q variance Y sum to T = 2*nbar + 1 for
     every squeezing r and split p, so the photon excess at every checkpoint
     is affine in X alone.  The budget is therefore one interval
-    [x_lo, x_hi] on X, found in one pass when the channel is built; each
-    ``best_split`` is O(1).  The final checkpoint is the channel output.
+    [x_lo, x_hi] on X, found in one pass when the channel is built.  Each
+    ``chi(r)`` is then O(1) scalar arithmetic that returns a float, so the
+    search calls it directly.  The final checkpoint is the channel output.
     """
 
     def __init__(self, mult_i, add_i, mult_q, add_q, nbar: float):
         self.nbar = nbar
+        self.p = 0.0
         self.out = (float(mult_i[-1]), float(add_i[-1]),
                     float(mult_q[-1]), float(add_q[-1]))
         # Excess at X is excess0 + slope * X.  Search with half the audit
@@ -196,26 +200,31 @@ class _GhChannel:
             raise GHSearchError(_INFEASIBLE, -math.inf)
         self.x_lo, self.x_hi = x_lo, x_hi
 
-    def best_split(self, r: float) -> tuple[float, float]:
-        """(chi, p) of the best feasible split at squeezing ``r``, or
-        (-inf, 0) when no split meets the budget."""
+    def chi(self, r: float) -> float:
+        """Chi of the best feasible split at squeezing ``r``, or -inf when no
+        split meets the budget; a finite chi leaves its split in ``self.p``."""
         noise_i, noise_q, budget = _squeezed_floor(r, self.nbar)
         if budget <= 0.0:
-            return -math.inf, 0.0
-        lo = max(0.0, (self.x_lo - noise_i) / budget)
-        hi = min(1.0, (self.x_hi - noise_i) / budget)
+            return -math.inf
+        # comparisons cost less than max/min calls and pick the same value,
+        # NaN and ties included
+        lo = (self.x_lo - noise_i) / budget
+        lo = lo if lo > 0.0 else 0.0
+        hi = (self.x_hi - noise_i) / budget
+        hi = hi if hi < 1.0 else 1.0
         if lo > hi:
-            return -math.inf, 0.0
+            return -math.inf
         # chi grows with the product of the output variances,
         # (noise_out_i + mi*B*p) * (all_q - mq*B*p), a concave quadratic in p.
         mi, ai, mq, aq = self.out
-        noise_out = (mi * noise_i + ai, mq * noise_q + aq)
+        out_i = mi * noise_i + ai
         all_q = mq * (budget + noise_q) + aq
         lever = 2.0 * budget * mi * mq  # 0 once mi*mq underflows, past ~1600 dB
-        peak = mi * all_q - mq * noise_out[0]
+        peak = mi * all_q - mq * out_i
         p = peak / lever if lever > 0.0 else math.copysign(math.inf, peak)
-        p = min(max(p, lo), hi)
-        return _chi(noise_out, mi * p * budget, mq * (1.0 - p) * budget), p
+        p = lo if lo > p else p
+        self.p = p = hi if hi < p else p
+        return _chi(out_i, mq * noise_q + aq, mi * p * budget, mq * (1.0 - p) * budget)
 
 
 def _gh_search(channel: _GhChannel) -> tuple[float, float, float]:
@@ -223,25 +232,24 @@ def _gh_search(channel: _GhChannel) -> tuple[float, float, float]:
 
     A uniform grid over the physical range |r| <= r_cap brackets the best
     r; golden-section search refines it between the best grid point's
-    neighbours.  Returns (chi, p, r); chi is -inf when no input is feasible.
+    neighbours.  Both call ``channel.chi``, and the split is read once, for
+    the winning r.  Returns (chi, p, r); chi is -inf when no input is
+    feasible.
     """
     r_cap = math.asinh(math.sqrt(channel.nbar))  # cosh(2 r_cap) = 2*nbar + 1
     step = 2.0 * r_cap / (_GH_R_GRID - 1)
     grid = [-r_cap + k * step for k in range(_GH_R_GRID)]
-    values = [channel.best_split(r)[0] for r in grid]
+    values = [channel.chi(r) for r in grid]
     # ties (e.g. zero capacity) go to the least squeezed input
     best = max(range(_GH_R_GRID), key=lambda k: (values[k], -abs(grid[k])))
     r, value = grid[best], values[best]
     if value > -math.inf:
         lo = grid[max(best - 1, 0)]
         hi = grid[min(best + 1, _GH_R_GRID - 1)]
-        r_ref, value_ref = golden_section_maximize(
-            lambda x: channel.best_split(x)[0], lo, hi, _GH_R_TOL
-        )
+        r_ref, value_ref = golden_section_maximize(channel.chi, lo, hi, _GH_R_TOL)
         if value_ref > value:
             r, value = r_ref, value_ref
-    value, p = channel.best_split(r)
-    return value, p, r
+    return channel.chi(r), channel.p, r
 
 
 def gh_capacity_for_channel(

@@ -19,14 +19,13 @@ from dataclasses import dataclass, fields
 
 from .capacity import MAX_GH_NBAR, Scenario
 from .distributed import (
-    MAX_PSA_LOSS,
     distributed_rows,
     integrate_pia,  # noqa: F401 - unused here; kept as a patch point for perfbench/traced_run.py
     integrate_psa,  # noqa: F401 - unused here; kept as a patch point for perfbench/traced_run.py
     psa_pia_crossover,
     state_at_position,  # noqa: F401 - unused here; kept as a patch point for perfbench/traced_run.py
 )
-from .linkchain import MAX_NBAR, AmpKind, attenuation_to_natural
+from .linkchain import MAX_NBAR, AmpKind
 from .optimizer import SweepTable, distance_grid, sweep_distance
 
 _KINDS = {"psa": AmpKind.PSA, "pia": AmpKind.PIA}
@@ -177,7 +176,7 @@ def parse_config(argv: list[str]) -> RunConfig:
     if config.command == "crossover" and config.l_max_km <= config.l_min_km:
         raise UsageError("crossover needs l_min_km < l_max_km to bracket the crossing")
     try:
-        grid = config.grid()
+        config.grid()
     except ValueError as err:
         raise UsageError(f"malformed value for 'l_step_km' (with --l-min-km {config.l_min_km:g}, "
                          f"--l-max-km {config.l_max_km:g}, --l-step-km {config.l_step_km:g}): "
@@ -196,11 +195,6 @@ def parse_config(argv: list[str]) -> RunConfig:
     if integrates_psa and config.nbar == 0:
         raise UsageError("distributed PSA needs nbar > 0: its feedback gain is singular "
                          "without signal power")
-    if integrates_psa and grid:
-        loss = attenuation_to_natural(config.alpha_db_km) * max(config.l_max_km, grid[-1])
-        if loss > MAX_PSA_LOSS:
-            raise UsageError(f"malformed value for 'l_max_km': the PSA continuum's alpha*L "
-                             f"= {loss:g} exceeds MAX_PSA_LOSS = {MAX_PSA_LOSS:g}")
 
     for field in fields(RunConfig):
         value = getattr(config, field.name)

@@ -35,9 +35,6 @@ _LN2 = math.log(2.0)
 DEFAULT_STEP_KM = 0.1
 # Distance within which a position counts as an integration sample.
 GRID_TOL_KM = 1e-6
-# Largest alpha*z (4.3e9 dB) of the PSA maps; not a precision limit, as their
-# exponents cancel no terms of size alpha*z (about 1e-13 relative at any length).
-MAX_PSA_LOSS = 1e9
 
 
 class IntegrationError(RuntimeError):
@@ -304,8 +301,7 @@ def channel_maps(
     nbar = 1e-300 to 1e8 at every length.
     Budgets above ``MAX_NBAR`` are refused: past about 1e215 the divisor
     e1 * root_t0 underflows to 0 and the add maps become infinite.  So are
-    NaN budgets, positions that are negative, infinite or NaN, and PSA
-    positions with alpha*z above ``MAX_PSA_LOSS``.
+    NaN budgets, and positions that are negative, infinite or NaN.
     """
     if not nbar >= 0 or (kind is _PSA and nbar == 0):
         raise ValueError(f"photon budget must be non-negative, and positive for "
@@ -317,8 +313,6 @@ def channel_maps(
     if not all(0.0 <= z < math.inf for z in zs):
         raise ValueError("positions must be finite and non-negative")
     alpha = attenuation_to_natural(alpha_db_per_km)
-    if kind is _PSA and zs and alpha * max(zs) > MAX_PSA_LOSS:
-        raise ValueError(f"alpha*z at {max(zs):g} km exceeds MAX_PSA_LOSS = {MAX_PSA_LOSS:g}")
     if kind is not _PSA:
         rate = -alpha / (nbar + 1.0)
         mult = [math.exp(rate * z) for z in zs]

@@ -151,6 +151,10 @@ def optimize_plan(
     # follows the ceiling (repair_gains clips inf to it).  The conventional
     # scenarios keep fixed-gain moves, which the ridge rule only slows.
     ride_ceiling = scenario is Scenario.GORDON_HOLEVO
+    # Each line search is keyed by everything its objective and bracket read.
+    # Scoring is deterministic and ``current`` never falls, so a repeated
+    # search's best value is still at most ``current``: it cannot move.
+    searched = set()
 
     for _ in range(_MAX_SWEEPS):
         moved = 0.0
@@ -163,10 +167,12 @@ def optimize_plan(
             right = positions[i + 1] if i + 1 < amp_count else length_km
             lo = max(left + _POSITION_GAP_KM, math.nextafter(left, math.inf))
             hi = min(right - _POSITION_GAP_KM, math.nextafter(right, -math.inf))
-            if hi > lo:
-                move_gains = list(gains)
-                if ride_ceiling and ceilings[i] - gains[i] <= _PARAM_TOL:
-                    move_gains[i] = math.inf
+            move_gains = list(gains)
+            if ride_ceiling and ceilings[i] - gains[i] <= _PARAM_TOL:
+                move_gains[i] = math.inf
+            key = ("position", i, *positions[:i], *positions[i + 1 :], *move_gains)
+            if hi > lo and key not in searched:
+                searched.add(key)
 
                 def eval_position(x: float) -> float:
                     trial = positions[:i] + [x] + positions[i + 1 :]
@@ -180,7 +186,10 @@ def optimize_plan(
                     gains, ceilings, states, _ = scorer.repair_gains(positions, move_gains)
 
             ceiling = ceilings[i]
-            if ceiling - 1.0 > _PARAM_TOL:
+            key = ("gain", i, *positions, *gains[:i], *gains[i + 1 :])
+            if ceiling - 1.0 > _PARAM_TOL and key not in searched:
+                searched.add(key)
+
                 def eval_gain(g: float) -> float:
                     trial = gains[:i] + [g] + gains[i + 1 :]
                     return scorer.score(positions, trial, i, y)[0]

@@ -47,6 +47,7 @@ from qlink.distributed import (
 from qlink.linkchain import POWER_TOL
 from qlink.optimizer import _PlanScorer, equidistant_saturating_plan, optimize_plan
 
+import gh_reference
 from conftest import quad_states
 
 ALPHA = attenuation_to_natural(0.2)
@@ -148,7 +149,7 @@ class TestHolevoChi:
         # steps of 8.2e-14 bits, and a Gordon-Holevo row 1e-15 bits deep
         # could rise with distance.  Here nu rises by signal/2 to first order.
         expected = 0.5 * signal * math.log2((nbar + 1.0) / nbar)
-        chi = _chi((nbar + 0.5, nbar + 0.5), signal, 0.0)
+        chi = _chi(nbar + 0.5, nbar + 0.5, signal, 0.0)
         assert chi == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("kind", [AmpKind.PSA, AmpKind.PIA])
@@ -177,7 +178,7 @@ class TestHolevoChi:
         reciprocal = (rise * math.log1p(1.0 / (b + rise))
                       + (b + 1.0) * math.log1p(rise / (b + 1.0))
                       - (b * math.log1p(rise / b) if b > 0.0 else 0.0)) / math.log(2.0)
-        assert _chi(noise, sig_i, sig_q) == reciprocal
+        assert _chi(*noise, sig_i, sig_q) == reciprocal
 
     @given(st.floats(0.3, 10.0), st.floats(0.0, 50.0), st.floats(0.0, 50.0))
     def test_chi_non_negative(self, noise, add_i, add_q):
@@ -418,9 +419,8 @@ class TestGhBudgetInterval:
         excess = _photons(arrays, r, p, nbar).max() - limit
         assume(abs(excess) > rounding)
         assert (channel.x_lo <= x <= channel.x_hi) == (excess <= 0.0)
-        chi, best = channel.best_split(r)
-        if chi > -math.inf:
-            assert _photons(arrays, r, best, nbar).max() <= limit + rounding
+        if channel.chi(r) > -math.inf:
+            assert _photons(arrays, r, channel.p, nbar).max() <= limit + rounding
 
     @pytest.mark.parametrize("kind", [AmpKind.PSA, AmpKind.PIA])
     def test_interior_checkpoint_order_and_repeats_do_not_matter(self, kind):
@@ -440,7 +440,7 @@ class TestGhBudgetInterval:
     ])
     def test_empty_interval_fails_before_the_search(self, arrays, monkeypatch):
         calls = []
-        monkeypatch.setattr(_GhChannel, "best_split", lambda self, r: calls.append(r))
+        monkeypatch.setattr(_GhChannel, "chi", lambda self, r: calls.append(r))
         with pytest.raises(GHSearchError) as err:
             gh_capacity_for_channel(*arrays, 100.0)
         assert err.value.best_value == -math.inf
@@ -464,6 +464,46 @@ class TestGhBudgetInterval:
         else:
             channel = _GhChannel(*arrays, nbar)
             assert (channel.x_lo, channel.x_hi) == expected
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, GHSearchError) as err:
+        return type(err), str(err)
+
+
+def _split(channel, r):
+    """(chi, p) from ``channel.chi``, as the reference's ``best_split`` gives it."""
+    chi = channel.chi(r)
+    return chi, channel.p if chi > -math.inf else 0.0
+
+
+class TestGhKernelOracle:
+    @settings(max_examples=300)
+    @given(st.one_of(budget_channels(), feasible_gh_channels()), st.floats(-1.0, 1.0))
+    def test_chi_and_capacity_equal_the_tuple_reference(self, channel_data, share):
+        arrays, nbar = channel_data
+        try:
+            channel = _GhChannel(*arrays, nbar)
+        except GHSearchError:
+            assume(False)
+        total = 2.0 * nbar + 1.0
+        r_cap = math.asinh(math.sqrt(nbar))
+        rs = [share * r_cap, -r_cap, r_cap, math.nextafter(-r_cap, 0.0),
+              math.nextafter(r_cap, 0.0)]
+        # the squeezings at which the split p = 0 or p = 1 puts X on an end
+        # of the budget interval
+        for x in (channel.x_lo, channel.x_hi):
+            if 0.0 < x < total:
+                rs += [-0.5 * math.log(2.0 * x), 0.5 * math.log(2.0 * (total - x))]
+        for r in rs:
+            if -r_cap <= r <= r_cap:
+                assert (_outcome(_split, channel, r)
+                        == _outcome(gh_reference.best_split, channel, r))
+        assert (_outcome(gh_capacity_for_channel, *arrays, nbar)
+                == _outcome(gh_reference.gh_capacity, channel))
 
 
 class TestGhBudgetRange:

@@ -524,31 +524,33 @@ class TestDistributedCommand:
         capacity = float(out.read_text().splitlines()[1].split(",")[4])
         assert math.isfinite(capacity) and capacity >= 0.0
 
+    @pytest.mark.parametrize("kind", ["psa", "pia"])
     @pytest.mark.parametrize("scenario", ["conventional-snl", "gordon-holevo"])
-    def test_psa_length_past_its_loss_bound_is_an_error(self, scenario, tmp_path, capsys):
-        # math.exp overflowed in the PSA maps here ("math range error")
+    @pytest.mark.parametrize("nbar", ["1e-300", "1", "1e5"])
+    @pytest.mark.parametrize("length, alpha", [("1e22", "0.2"), ("1e307", "100")])
+    def test_far_continuum_gives_finite_rows(self, kind, scenario, nbar, length, alpha,
+                                             tmp_path):
+        # alpha*L is 4.6e20 and inf: PSA runs were refused as past a bound of
+        # 1e9 (MAX_PSA_LOSS) that no longer guarded any precision
         out = tmp_path / "far.csv"
-        assert run_cli(["distributed", "--scenario", scenario, "--l-min-km", "1e22",
-                        "--l-max-km", "1e22", "--l-step-km", "1e22", "--out", str(out)]) == 2
-        assert "MAX_PSA_LOSS" in capsys.readouterr().err
-        assert not out.exists()
+        assert run_cli(["distributed", "--kind", kind, "--scenario", scenario, "--nbar", nbar,
+                        "--alpha-db-km", alpha, "--l-min-km", length, "--l-max-km", length,
+                        "--l-step-km", length, "--out", str(out)]) == 0
+        (row,) = out.read_text().splitlines()[1:]
+        bits = float(row.split(",")[4])
+        assert math.isfinite(bits) and bits >= 0.0
 
-    @pytest.mark.parametrize("args", [
-        ["sweep", "--amps", "inf", "--l-min-km", "1e22", "--l-max-km", "1e22",
-         "--l-step-km", "1e22"],
-        ["crossover", "--l-min-km", "100", "--l-max-km", "1e22", "--l-step-km", "1e21"],
-    ])
-    def test_psa_loss_bound_binds_every_psa_continuum_run(self, args, tmp_path, capsys):
+    def test_far_psa_continuum_sweep_and_crossover_compute(self, tmp_path, capsys):
         out = tmp_path / "far.csv"
-        assert run_cli([*args, "--out", str(out)]) == 2
-        assert "'l_max_km'" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_psa_loss_bound_spares_pia(self, tmp_path):
-        out = tmp_path / "pia.csv"
-        assert run_cli(["distributed", "--kind", "pia", "--l-min-km", "1e22", "--l-max-km",
-                        "1e22", "--l-step-km", "1e22", "--out", str(out)]) == 0
-        assert len(out.read_text().splitlines()) == 2
+        assert run_cli(["sweep", "--amps", "inf", "--l-min-km", "1e22", "--l-max-km", "1e22",
+                        "--l-step-km", "1e22", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == "1e+22,ConventionalSNL,PSA,inf,0"
+        # at nbar = 1e10 the curves cross at alpha*L = 3.3e9
+        assert run_cli(["crossover", "--nbar", "1e10", "--l-min-km", "1e6", "--l-max-km",
+                        "1e14", "--l-step-km", "1e13", "--out", str(out)]) == 0
+        crossing = float(capsys.readouterr().out.split("crossover_km=")[1])
+        assert crossing * ALPHA > 1e9
+        assert len(out.read_text().splitlines()) == 21
 
 
 class TestCrossoverCommand:

@@ -21,7 +21,6 @@ from qlink import (
 )
 from qlink.capacity import gh_capacity_for_channel
 from qlink.distributed import (
-    MAX_PSA_LOSS,
     IntegrationError,
     approx_capacity_pia,
     approx_capacity_psa,
@@ -438,14 +437,18 @@ class TestClosedFormContinuum:
         assert all(np.isfinite(m).all() for m in (mult_i, add_i, mult_q, add_q))
 
     @pytest.mark.parametrize("nbar", [1e-3, 1.0, 1e4])
-    def test_psa_loss_above_max_psa_loss_is_refused(self, nbar):
-        # Up to the bound the PSA maps stay on their far limit; the PIA maps
-        # have no bound.
-        edge = MAX_PSA_LOSS / ALPHA
-        with pytest.raises(ValueError, match="MAX_PSA_LOSS"):
-            channel_maps(AmpKind.PSA, [10.0, edge * (1.0 + 1e-9)], nbar)
-        far = channel_maps(AmpKind.PSA, [edge * (1.0 - 1e-9)], nbar)
+    def test_psa_maps_and_rows_stay_on_their_far_limit_at_any_loss(self, nbar):
+        # alpha*z was once capped at 1e9; the maps cancel no exponents of size
+        # alpha*z, so they settle and stay there, up to alpha*z = inf (1e307
+        # km at 100 dB/km), and every row there is finite and non-negative.
         settled = channel_maps(AmpKind.PSA, [1e8 / ALPHA], nbar)
-        for got, want in zip(far, settled):
-            assert got[0] == pytest.approx(want[0], rel=1e-6, abs=0.0)
+        edge = 1e9 / ALPHA
+        for positions, alpha_db in (([edge * (1.0 - 1e-9), edge * (1.0 + 1e-9), 1e22], 0.2),
+                                    ([1e307], 100.0)):
+            for got, want in zip(channel_maps(AmpKind.PSA, positions, nbar, alpha_db), settled):
+                assert got == pytest.approx([want[0]] * len(got), rel=1e-6, abs=0.0)
+            for scenario in (Scenario.CONVENTIONAL, Scenario.GORDON_HOLEVO):
+                for row in distributed_rows(positions, nbar, alpha_db, AmpKind.PSA, scenario):
+                    assert math.isfinite(row.capacity_bits_per_mode)
+                    assert row.capacity_bits_per_mode >= 0.0
         assert channel_maps(AmpKind.PIA, [1e25], nbar)[1][0] == nbar + 0.5

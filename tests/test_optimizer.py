@@ -22,6 +22,7 @@ from qlink import (
     shannon_single_quadrature,
     symmetric_coherent_input,
 )
+from qlink import optimizer
 from qlink.optimizer import (
     MAX_GRID_POINTS,
     SweepRow,
@@ -234,6 +235,20 @@ class TestOptimizePlan:
         # moving it at fixed gain leaves that ridge and stalls at 4.8344832.
         cand = optimize_plan(50.0, 2, 100.0, 0.2, AmpKind.PSA, Scenario.GORDON_HOLEVO)
         assert cand.score >= 4.834484960152672 - 1e-9
+
+    def test_no_line_search_is_replayed(self, monkeypatch):
+        fingerprints = []
+        search = optimizer.golden_section_maximize
+
+        def recorded(f, lo, hi, tol):
+            # f is pure, so scoring it at three fixed points changes nothing
+            fingerprints.append((lo, hi, *(f(lo + k * (hi - lo) / 4.0) for k in (1, 2, 3))))
+            return search(f, lo, hi, tol)
+
+        monkeypatch.setattr(optimizer, "golden_section_maximize", recorded)
+        optimize_plan(100.0, 2, 100.0, 0.2, AmpKind.PSA, Scenario.GORDON_HOLEVO)
+        assert len(fingerprints) > 4
+        assert len(set(fingerprints)) == len(fingerprints)
 
 
 class TestSweep:
