@@ -48,17 +48,27 @@ class GHSearchError(RuntimeError):
         self.best_value = best_value
 
 
+def shannon_rate(y: tuple, scenario: Scenario) -> float:
+    """Shannon rate of a raw output (sig_i, sig_q, noise_i, noise_q) under a fixed input."""
+    sig_i, sig_q, noise_i, noise_q = y
+    if scenario is Scenario.TWO_QUADRATURE:
+        rate_i = math.log1p(sig_i / (noise_i + 0.5))
+        rate_q = math.log1p(sig_q / (noise_q + 0.5))
+        return 0.5 * (rate_i + rate_q) / _LN2
+    if scenario is Scenario.CONVENTIONAL:
+        return 0.5 * math.log1p(sig_i / noise_i) / _LN2
+    raise ValueError(f"{scenario.value} has no fixed input")
+
+
 def shannon_single_quadrature(state: QuadState) -> float:
     """Shannon rate of ideal homodyne detection of the I quadrature."""
-    return 0.5 * math.log1p(state.sig_i / state.noise_i) / _LN2
+    return shannon_rate(state.as_tuple(), Scenario.CONVENTIONAL)
 
 
 def shannon_two_quadrature(state: QuadState) -> float:
     """Shannon rate of simultaneous detection of both quadratures; the
     measurement adds half a vacuum unit of noise to each."""
-    rate_i = math.log1p(state.sig_i / (state.noise_i + 0.5))
-    rate_q = math.log1p(state.sig_q / (state.noise_q + 0.5))
-    return 0.5 * (rate_i + rate_q) / _LN2
+    return shannon_rate(state.as_tuple(), Scenario.TWO_QUADRATURE)
 
 
 def entropy_g(x: float) -> float:
@@ -124,11 +134,7 @@ def holevo_chi(
 
 def shannon_capacity(state: QuadState, scenario: Scenario) -> float:
     """Shannon rate of an output ``state`` under a fixed-input scenario."""
-    if scenario is Scenario.TWO_QUADRATURE:
-        return shannon_two_quadrature(state)
-    if scenario is Scenario.CONVENTIONAL:
-        return shannon_single_quadrature(state)
-    raise ValueError(f"{scenario.value} has no fixed input")
+    return shannon_rate(state.as_tuple(), scenario)
 
 
 def scenario_input(scenario: Scenario, nbar: float) -> QuadState:
@@ -200,10 +206,11 @@ class _GhChannel:
             raise GHSearchError(_INFEASIBLE, -math.inf)
         self.x_lo, self.x_hi = x_lo, x_hi
 
-    def chi(self, r: float) -> float:
-        """Chi of the best feasible split at squeezing ``r``, or -inf when no
-        split meets the budget; a finite chi leaves its split in ``self.p``."""
-        noise_i, noise_q, budget = _squeezed_floor(r, self.nbar)
+    def chi(self, r: float, floor: tuple | None = None) -> float:
+        """Chi of the best feasible split at squeezing ``r`` (whose floor may be
+        passed in), or -inf when no split meets the budget; a finite chi leaves
+        its split in ``self.p``."""
+        noise_i, noise_q, budget = _squeezed_floor(r, self.nbar) if floor is None else floor
         if budget <= 0.0:
             return -math.inf
         # comparisons cost less than max/min calls and pick the same value,
@@ -227,29 +234,37 @@ class _GhChannel:
         return _chi(out_i, mq * noise_q + aq, mi * p * budget, mq * (1.0 - p) * budget)
 
 
+# The last budget's squeezing grid and floors (a sweep searches at one budget).
+_GH_GRID: dict[float, tuple[list, list]] = {}
+
+
 def _gh_search(channel: _GhChannel) -> tuple[float, float, float]:
     """Maximize chi over the squeezing r, each r with its best split.
 
-    A uniform grid over the physical range |r| <= r_cap brackets the best
-    r; golden-section search refines it between the best grid point's
-    neighbours.  Both call ``channel.chi``, and the split is read once, for
-    the winning r.  Returns (chi, p, r); chi is -inf when no input is
-    feasible.
+    A uniform grid over |r| <= r_cap, built once per budget, brackets the
+    best r; golden-section search refines it between the best grid point's
+    neighbours.  Both call ``channel.chi``, and the winner keeps the split
+    its call left.  Returns (chi, p, r); chi is -inf when no input is feasible.
     """
-    r_cap = math.asinh(math.sqrt(channel.nbar))  # cosh(2 r_cap) = 2*nbar + 1
-    step = 2.0 * r_cap / (_GH_R_GRID - 1)
-    grid = [-r_cap + k * step for k in range(_GH_R_GRID)]
-    values = [channel.chi(r) for r in grid]
+    if (cached := _GH_GRID.get(nbar := channel.nbar)) is None:
+        _GH_GRID.clear()
+        r_cap = math.asinh(math.sqrt(nbar))  # cosh(2 r_cap) = 2*nbar + 1
+        step = 2.0 * r_cap / (_GH_R_GRID - 1)
+        grid = [-r_cap + k * step for k in range(_GH_R_GRID)]
+        cached = _GH_GRID[nbar] = grid, [_squeezed_floor(r, nbar) for r in grid]
+    grid, floors = cached
+    values = [(channel.chi(r, floor), channel.p) for r, floor in zip(grid, floors)]
     # ties (e.g. zero capacity) go to the least squeezed input
-    best = max(range(_GH_R_GRID), key=lambda k: (values[k], -abs(grid[k])))
-    r, value = grid[best], values[best]
+    best = max(range(_GH_R_GRID), key=lambda k: (values[k][0], -abs(grid[k])))
+    r, (value, p) = grid[best], values[best]
     if value > -math.inf:
         lo = grid[max(best - 1, 0)]
         hi = grid[min(best + 1, _GH_R_GRID - 1)]
         r_ref, value_ref = golden_section_maximize(channel.chi, lo, hi, _GH_R_TOL)
         if value_ref > value:
-            r, value = r_ref, value_ref
-    return channel.chi(r), channel.p, r
+            # the search's last evaluation is at r_ref, so its split is current
+            r, value, p = r_ref, value_ref, channel.p
+    return value, p, r
 
 
 def gh_capacity_for_channel(

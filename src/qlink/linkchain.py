@@ -122,18 +122,20 @@ def _ceiling(y: tuple, nbar: float, kind: AmpKind) -> float:
     photons = (sig_i + sig_q + noise_i + noise_q) / 2.0 - 0.5  # as mean_photon_number
     if photons > nbar + POWER_TOL:
         raise ValueError("state already exceeds the photon budget")
-    if kind is not _PSA:
-        return max((nbar + 1.0) / (photons + 1.0), 1.0)
-    power_i = sig_i + noise_i
-    power_q = sig_q + noise_q
-    if power_i < power_q - POWER_TOL:
-        raise ValueError("amplified quadrature must carry at least as much power as the "
-                         "deamplified one")
-    target = 2.0 * nbar + 1.0
-    disc = target * target - 4.0 * power_i * power_q
-    if disc < 0.0:
-        raise ValueError(f"no real gain reaches photon budget {nbar} from {y}")
-    return max((target + math.sqrt(disc)) / (2.0 * power_i), 1.0)
+    if kind is _PSA:
+        power_i = sig_i + noise_i
+        power_q = sig_q + noise_q
+        if power_i < power_q - POWER_TOL:
+            raise ValueError("amplified quadrature must carry at least as much power as the "
+                             "deamplified one")
+        target = 2.0 * nbar + 1.0
+        disc = target * target - 4.0 * power_i * power_q
+        if disc < 0.0:
+            raise ValueError(f"no real gain reaches photon budget {nbar} from {y}")
+        ceiling = (target + math.sqrt(disc)) / (2.0 * power_i)
+    else:
+        ceiling = (nbar + 1.0) / (photons + 1.0)
+    return 1.0 if ceiling < 1.0 else ceiling  # as max(ceiling, 1.0), NaN and ties too
 
 
 def _fold(plan: LinkPlan, y: tuple) -> tuple[list[float], list[tuple]]:

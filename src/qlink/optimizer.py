@@ -5,10 +5,10 @@ fixed length and amplifier count.  The search is a deterministic coordinate
 descent with golden-section line searches, seeded from the equidistant plan
 whose gains restore the photon number exactly to the budget.  Iterates that
 overshoot the budget are repaired by scaling the offending gains down to the
-feasible boundary, which keeps the search connected.  A trial move at
-amplifier i is scored by walking the chain on from the cached state after
-amplifier i - 1 of the accepted plan, which gives the full walk's result bit
-for bit.
+feasible boundary, which keeps the search connected.  A Shannon trial move
+at amplifier i walks the chain on from the cached state after amplifier i - 1
+of the accepted plan and keeps only the raw output, whose moments get the
+checks of a ``QuadState``: the full walk's score, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .capacity import Scenario, gh_capacity, scenario_input, shannon_capacity
+from .capacity import Scenario, gh_capacity, scenario_input, shannon_rate
 from .linkchain import (
     AmpKind,
     LinkPlan,
@@ -28,7 +28,7 @@ from .linkchain import (
     attenuation_to_natural,
     propagate,  # noqa: F401 - unused here; kept as a patch point for perfbench/traced_run.py
 )
-from .quadmodel import QuadState
+from .quadmodel import check_moments
 from .search import golden_section_maximize
 
 log = logging.getLogger(__name__)
@@ -63,22 +63,17 @@ class _PlanScorer:
         self.kind = kind
         self.scenario = scenario
         self.ref_input = scenario_input(scenario, nbar).as_tuple()
+        self.gh = scenario is Scenario.GORDON_HOLEVO
 
-    def repair_gains(self, positions, gains, start=0, y=None) -> tuple[list, list, list, tuple]:
+    def repair_gains(self, positions, gains) -> tuple[list, list, list, tuple]:
         """Scale down any gain that would push the reference input above the
-        photon budget, walking the chain from amplifier ``start`` to the
-        output.  ``y`` is the raw state just after amplifier ``start - 1``
-        (the reference input when ``start`` is 0), and the gains before
-        ``start`` must be repaired already.  Returns the repaired gains; each
-        walked amplifier's ceiling (its largest feasible gain given the
-        amplifiers before it) and raw state after it; and the reference
-        output as a raw tuple."""
-        y = self.ref_input if y is None else y
-        prev = positions[start - 1] if start else 0.0
-        repaired = list(gains[:start])
-        ceilings = []
-        states = []
-        for pos, gain in zip(positions[start:], gains[start:]):
+        photon budget, walking the chain to the output.  Returns the repaired
+        gains; each amplifier's ceiling (its largest feasible gain given the
+        amplifiers before it) and raw state after it; and the reference output
+        as a raw tuple."""
+        y, prev = self.ref_input, 0.0
+        repaired, ceilings, states = [], [], []
+        for pos, gain in zip(positions, gains):
             y = _loss(y, math.exp(-self.alpha_nat * (pos - prev)))
             ceiling = _ceiling(y, self.nbar, self.kind)
             gain = min(max(gain, 1.0), ceiling)
@@ -94,13 +89,32 @@ class _PlanScorer:
         return LinkPlan(self.alpha_db_per_km, self.length_km, self.nbar,
                         positions, gains, self.kind)
 
-    def score(self, positions, gains, start=0, y=None) -> tuple[float, list[float]]:
-        """Score repaired coordinates, walking from amplifier ``start`` as
-        ``repair_gains`` does; returns (score, repaired gains)."""
-        gains, _, _, out = self.repair_gains(positions, gains, start, y)
-        if self.scenario is Scenario.GORDON_HOLEVO:
+    def score(self, positions, gains) -> tuple[float, list[float]]:
+        """Score repaired coordinates; returns (score, repaired gains)."""
+        gains, _, _, out = self.repair_gains(positions, gains)
+        if self.gh:
             return gh_capacity(self.plan(positions, gains)).bits_per_mode, gains
-        return shannon_capacity(QuadState(*out), self.scenario), gains
+        check_moments(*out)
+        return shannon_rate(out, self.scenario), gains
+
+    def trial_score(self, positions, gains, start, y) -> float:
+        """``score(...)[0]`` of coordinates repaired before amplifier ``start``,
+        given the raw state ``y`` just after amplifier ``start - 1``.  A Shannon
+        trial walks on from ``y`` as ``repair_gains`` does and keeps only the
+        output; a Gordon-Holevo trial folds the whole plan in ``gh_capacity``."""
+        if self.gh:
+            return self.score(positions, gains)[0]
+        prev = positions[start - 1] if start else 0.0
+        for pos, gain in zip(positions[start:], gains[start:]):
+            y = _loss(y, math.exp(-self.alpha_nat * (pos - prev)))
+            ceiling = _ceiling(y, self.nbar, self.kind)
+            # repair_gains' min(max(gain, 1.0), ceiling), NaN and ties included
+            gain = 1.0 if gain < 1.0 else gain
+            y = _amplify(y, self.kind, ceiling if ceiling < gain else gain)
+            prev = pos
+        y = _loss(y, math.exp(-self.alpha_nat * (self.length_km - prev)))
+        check_moments(*y)
+        return shannon_rate(y, self.scenario)
 
 
 def equidistant_saturating_plan(
@@ -150,7 +164,6 @@ def optimize_plan(
     # position move at fixed gain leaves that ridge, so there the trial gain
     # follows the ceiling (repair_gains clips inf to it).  The conventional
     # scenarios keep fixed-gain moves, which the ridge rule only slows.
-    ride_ceiling = scenario is Scenario.GORDON_HOLEVO
     # Each line search is keyed by everything its objective and bracket read.
     # Scoring is deterministic and ``current`` never falls, so a repeated
     # search's best value is still at most ``current``: it cannot move.
@@ -161,14 +174,14 @@ def optimize_plan(
         for i in range(amp_count):
             # A move at amplifier i leaves the chain before it unchanged, so
             # each trial walks on from the raw state after amplifier i - 1.
-            y = states[i - 1] if i else None
+            y = states[i - 1] if i else scorer.ref_input
             # one double clear of each neighbour even where doubles are sparser
             left = positions[i - 1] if i > 0 else 0.0
             right = positions[i + 1] if i + 1 < amp_count else length_km
             lo = max(left + _POSITION_GAP_KM, math.nextafter(left, math.inf))
             hi = min(right - _POSITION_GAP_KM, math.nextafter(right, -math.inf))
             move_gains = list(gains)
-            if ride_ceiling and ceilings[i] - gains[i] <= _PARAM_TOL:
+            if scorer.gh and ceilings[i] - gains[i] <= _PARAM_TOL:
                 move_gains[i] = math.inf
             key = ("position", i, *positions[:i], *positions[i + 1 :], *move_gains)
             if hi > lo and key not in searched:
@@ -176,7 +189,7 @@ def optimize_plan(
 
                 def eval_position(x: float) -> float:
                     trial = positions[:i] + [x] + positions[i + 1 :]
-                    return scorer.score(trial, move_gains, i, y)[0]
+                    return scorer.trial_score(trial, move_gains, i, y)
 
                 best_x, best_fx = golden_section_maximize(eval_position, lo, hi, _PARAM_TOL)
                 if best_fx > current:
@@ -192,7 +205,7 @@ def optimize_plan(
 
                 def eval_gain(g: float) -> float:
                     trial = gains[:i] + [g] + gains[i + 1 :]
-                    return scorer.score(positions, trial, i, y)[0]
+                    return scorer.trial_score(positions, trial, i, y)
 
                 best_g, best_fg = golden_section_maximize(eval_gain, 1.0, ceiling, _PARAM_TOL)
                 if best_fg > current:

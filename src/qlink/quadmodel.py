@@ -29,30 +29,30 @@ class QuadState:
     noise_q: float
 
     def __post_init__(self) -> None:
-        # written so that a NaN fails the checks
-        if not (self.sig_i >= 0 and self.sig_q >= 0):
-            raise ValueError(
-                f"signal powers must be non-negative, got "
-                f"sig_i={self.sig_i}, sig_q={self.sig_q}"
-            )
-        if not (self.noise_i > 0 and self.noise_q > 0):
-            raise ValueError(
-                f"noise variances must be positive, got "
-                f"noise_i={self.noise_i}, noise_q={self.noise_q}"
-            )
-        product = self.noise_i * self.noise_q
-        if product < HEISENBERG_LIMIT - HEISENBERG_TOL:
-            raise ValueError(
-                f"uncertainty product noise_i*noise_q = {product} "
-                f"is below the Heisenberg limit {HEISENBERG_LIMIT}"
-            )
-        if mean_photon_number(self) < -HEISENBERG_TOL:
-            raise ValueError(f"negative mean photon number for {self!r}")
+        check_moments(self.sig_i, self.sig_q, self.noise_i, self.noise_q)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         """(sig_i, sig_q, noise_i, noise_q), the layout the stage and
         continuum arithmetic works on."""
         return (self.sig_i, self.sig_q, self.noise_i, self.noise_q)
+
+
+def check_moments(sig_i: float, sig_q: float, noise_i: float, noise_q: float) -> None:
+    """Raise ``ValueError`` unless the moments describe a physical mode; every
+    ``QuadState`` is checked here.  Written so that a NaN fails the checks."""
+    if not (sig_i >= 0 and sig_q >= 0):
+        raise ValueError(f"signal powers must be non-negative, got "
+                         f"sig_i={sig_i}, sig_q={sig_q}")
+    if not (noise_i > 0 and noise_q > 0):
+        raise ValueError(f"noise variances must be positive, got "
+                         f"noise_i={noise_i}, noise_q={noise_q}")
+    product = noise_i * noise_q
+    if product < HEISENBERG_LIMIT - HEISENBERG_TOL:
+        raise ValueError(f"uncertainty product noise_i*noise_q = {product} "
+                         f"is below the Heisenberg limit {HEISENBERG_LIMIT}")
+    if (sig_i + sig_q + noise_i + noise_q) / 2.0 - 0.5 < -HEISENBERG_TOL:  # as mean_photon_number
+        raise ValueError(f"negative mean photon number for (sig_i, sig_q, noise_i, noise_q) = "
+                         f"{(sig_i, sig_q, noise_i, noise_q)}")
 
 
 def mean_photon_number(state: QuadState) -> float:

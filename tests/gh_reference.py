@@ -2,9 +2,10 @@
 
 This is the search in its tuple form: ``squeezed_floor`` returns a tuple,
 ``chi`` takes the output noise as a tuple, ``best_split`` returns (chi, p)
-and clips with the ``max``/``min`` builtins, and the search calls it through
-a ``lambda``.  ``qlink.capacity`` computes the same values with a scalar
-kernel; the tests hold the two equal with ``==``.  The budget interval
+and clips with the ``max``/``min`` builtins, and the search builds its grid
+afresh on every call, calls ``best_split`` through a ``lambda`` and calls it
+once more for the winner.  ``qlink.capacity`` computes the same values with
+a scalar kernel; the tests hold the two equal with ``==``.  The budget interval
 (``x_lo``, ``x_hi``) and the output maps are read from a built
 ``_GhChannel``, whose construction has its own oracle.
 """
@@ -66,12 +67,17 @@ def best_split(channel, r):
     return chi(noise_out, mi * p * budget, mq * (1.0 - p) * budget), p
 
 
+def squeezing_grid(nbar):
+    """The 33 squeezings of the grid, computed afresh."""
+    r_cap = math.asinh(math.sqrt(nbar))
+    step = 2.0 * r_cap / (_GH_R_GRID - 1)
+    return [-r_cap + k * step for k in range(_GH_R_GRID)]
+
+
 def gh_search(channel):
     """(chi, p, r): the 33-point grid, then golden section between the best
     grid point's neighbours."""
-    r_cap = math.asinh(math.sqrt(channel.nbar))
-    step = 2.0 * r_cap / (_GH_R_GRID - 1)
-    grid = [-r_cap + k * step for k in range(_GH_R_GRID)]
+    grid = squeezing_grid(channel.nbar)
     values = [best_split(channel, r)[0] for r in grid]
     best = max(range(_GH_R_GRID), key=lambda k: (values[k], -abs(grid[k])))
     r, value = grid[best], values[best]

@@ -506,6 +506,26 @@ class TestGhKernelOracle:
                 == _outcome(gh_reference.gh_capacity, channel))
 
 
+class TestGhGridCache:
+    def test_interleaved_budgets_equal_the_reference(self):
+        # The squeezing grid is kept for the last budget searched.  Budgets
+        # taken in turn, each twice in a row, must give every search the
+        # reference's fresh grid, whether a grid point (PIA here) or the
+        # golden-section refinement (PSA) wins.
+        winners = {}
+        for _ in range(2):
+            for nbar in (1e-6, 1.0, 100.0, 1e5):
+                for kind in (AmpKind.PSA, AmpKind.PIA):
+                    plan = equidistant_saturating_plan(300.0, 2, nbar, 0.2, kind,
+                                                       Scenario.GORDON_HOLEVO).plan
+                    maps = channel_checkpoints(plan)
+                    channel = _GhChannel(*maps, nbar)
+                    assert gh_capacity_for_channel(*maps, nbar) == gh_reference.gh_capacity(channel)
+                    r = gh_reference.gh_search(channel)[2]
+                    winners.setdefault(nbar, set()).add(r in gh_reference.squeezing_grid(nbar))
+        assert all(found == {True, False} for found in winners.values())
+
+
 class TestGhBudgetRange:
     @pytest.mark.parametrize("run", [
         lambda: optimize_plan(50.0, 4, 1e6, 0.2, AmpKind.PIA, Scenario.GORDON_HOLEVO),

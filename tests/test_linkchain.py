@@ -21,9 +21,10 @@ from qlink import (
     propagate,
     vacuum_state,
 )
-from qlink.linkchain import MAX_NBAR
+from qlink.linkchain import MAX_NBAR, _ceiling
 from qlink.quadmodel import HEISENBERG_LIMIT, HEISENBERG_TOL
 
+import ceiling_reference
 from conftest import gains, quad_states, transmissions
 
 
@@ -307,6 +308,56 @@ class TestFeasibleGain:
     def test_pia_gain_examples(self):
         assert max_feasible_pia_gain(vacuum_state(), 1.0) == pytest.approx(2.0)
         assert max_feasible_pia_gain(symmetric(), 100.0) == pytest.approx(1.0)
+
+
+def _ceiling_outcome(fn, y, nbar, kind):
+    """``fn``'s ceiling as ``float.hex`` (so NaN equals NaN and -0.0 is not
+    0.0), or the message of the error it raises."""
+    try:
+        return fn(y, nbar, kind).hex()
+    except ValueError as err:
+        return "ValueError: " + str(err)
+
+
+class TestCeilingReference:
+    """``_ceiling`` clips with a comparison; the ``max`` reference decides."""
+
+    @given(quad_states(), st.floats(0.0, 2.0) | st.just(1.0), st.sampled_from(list(AmpKind)))
+    def test_equals_the_max_reference_near_the_budget(self, state, share, kind):
+        # budgets around the state's own photon count reach every branch,
+        # the clip to 1 and the photon-count check included
+        nbar = share * mean_photon_number(state)
+        y = state.as_tuple()
+        assert (_ceiling_outcome(_ceiling, y, nbar, kind)
+                == _ceiling_outcome(ceiling_reference.ceiling, y, nbar, kind))
+
+    @given(quad_states(), st.floats(0.0, 1e6), st.sampled_from(list(AmpKind)))
+    def test_equals_the_max_reference(self, state, nbar, kind):
+        y = state.as_tuple()
+        assert (_ceiling_outcome(_ceiling, y, nbar, kind)
+                == _ceiling_outcome(ceiling_reference.ceiling, y, nbar, kind))
+
+    @pytest.mark.parametrize("y, nbar, kind, expected", [
+        # ties and clips: the root or ratio exactly 1, or just below it
+        ((0.0, 0.0, 0.5, 0.5), 0.0, AmpKind.PIA, "0x1.0000000000000p+0"),
+        ((0.0, 0.0, 0.5, 0.5), 0.0, AmpKind.PSA, "0x1.0000000000000p+0"),
+        ((0.0, 0.0, 10.5 + 4e-10, 10.5 + 4e-10), 10.0, AmpKind.PIA, "0x1.0000000000000p+0"),
+        # NaN passes every check and comes out of both clips
+        ((0.0, 0.0, 0.5, 0.5), math.nan, AmpKind.PIA, "nan"),
+        ((0.0, 0.0, 0.5, 0.5), math.nan, AmpKind.PSA, "nan"),
+        ((math.nan, 0.0, 0.5, 0.5), 1.0, AmpKind.PIA, "nan"),
+        ((2.0, 0.0, math.nan, 0.5), 1.0, AmpKind.PSA, "nan"),
+        # each check, in its order
+        ((0.0, 400.0, 0.5, 0.5), 1e151, AmpKind.PSA, "ValueError: the PSA gain ceiling"),
+        ((0.0, 400.0, 0.5, 0.5), 100.0, AmpKind.PSA, "ValueError: state already exceeds"),
+        ((0.0, 400.0, 0.5, 0.5), 100.0, AmpKind.PIA, "ValueError: state already exceeds"),
+        ((0.0, 10.0, 0.5, 0.5), 100.0, AmpKind.PSA, "ValueError: amplified quadrature"),
+        ((0.0, 0.0, 10.5 + 4e-10, 10.5 + 4e-10), 10.0, AmpKind.PSA, "ValueError: no real gain"),
+    ])
+    def test_edge_cases_equal_the_max_reference(self, y, nbar, kind, expected):
+        outcome = _ceiling_outcome(_ceiling, y, nbar, kind)
+        assert outcome.startswith(expected)
+        assert outcome == _ceiling_outcome(ceiling_reference.ceiling, y, nbar, kind)
 
 
 def symmetric():

@@ -22,7 +22,7 @@ from qlink import (
     shannon_single_quadrature,
     symmetric_coherent_input,
 )
-from qlink import optimizer
+from qlink import optimizer, quadmodel
 from qlink.optimizer import (
     MAX_GRID_POINTS,
     SweepRow,
@@ -121,43 +121,81 @@ class TestPlanScorer:
 
 
     @pytest.mark.parametrize("kind, scenario", SHANNON_PAIRS)
-    def test_shannon_scoring_builds_only_the_output_state(self, kind, scenario, monkeypatch):
-        # the chain walk and its gain ceilings run on raw tuples
+    def test_shannon_scoring_builds_no_quad_state(self, kind, scenario, monkeypatch):
+        # the chain walk, its gain ceilings and the output's checks run on raw tuples
         scorer = _PlanScorer(300.0, 100.0, 0.2, kind, scenario)
-        built = []
-        validate = QuadState.__post_init__
-        monkeypatch.setattr(QuadState, "__post_init__",
-                            lambda state: (built.append(state), validate(state))[1])
-        scorer.score([35.0, 160.0, 250.0], [3.0, 1.5, math.inf])
-        assert len(built) == 1
-        assert built[0].as_tuple() == scorer.repair_gains([35.0, 160.0, 250.0],
-                                                          [3.0, 1.5, math.inf])[3]
+        positions, gains = [35.0, 160.0, 250.0], [3.0, 1.5, math.inf]
+        _, _, states, _ = scorer.repair_gains(positions, gains)
+
+        def built(state):
+            raise AssertionError(f"a scoring built {state!r}")
+
+        monkeypatch.setattr(QuadState, "__post_init__", built)
+        score = scorer.score(positions, gains)[0]
+        for i in range(len(positions)):
+            y = states[i - 1] if i else scorer.ref_input
+            assert scorer.trial_score(positions, gains, i, y) == score
+
+    @pytest.mark.parametrize("kind, scenario", SHANNON_PAIRS)
+    @pytest.mark.parametrize("moments, message", [
+        ((-1.0, 0.0, 0.5, 0.5), "signal powers must be non-negative"),
+        ((0.0, math.nan, 0.5, 0.5), "signal powers must be non-negative"),
+        ((1.0, 0.0, 0.0, 0.5), "noise variances must be positive"),
+        ((1.0, 0.0, 0.5, math.nan), "noise variances must be positive"),
+        ((1.0, 0.0, 0.4, 0.5), "below the Heisenberg limit"),
+        # a product at the Heisenberg limit holds at least half a photon of
+        # noise, so this check is reached only with the limit lowered
+        ((0.0, 0.0, 0.25, 0.25), "negative mean photon number"),
+    ])
+    def test_trial_output_gets_every_quad_state_check(self, kind, scenario, moments, message,
+                                                       monkeypatch):
+        if message == "negative mean photon number":
+            monkeypatch.setattr(quadmodel, "HEISENBERG_LIMIT", 0.0)
+        # the final span of a 1e-300 km link transmits exactly 1, so the trial's
+        # output is the state it starts from
+        scorer = _PlanScorer(1e-300, 100.0, 0.2, kind, scenario)
+        with pytest.raises(ValueError, match=message) as built:
+            QuadState(*moments)
+        with pytest.raises(ValueError) as trial:
+            scorer.trial_score([], [], 0, moments)
+        assert str(trial.value) == str(built.value)
 
     @settings(max_examples=300)
     @given(st.sampled_from(SHANNON_PAIRS), st.integers(1, 8), st.floats(10.0, 5000.0),
            st.floats(-3.0, 5.0), st.data())
     def test_walk_from_cached_state_equals_full_walk(self, pair, amps, length, log_nbar, data):
         # The optimizer scores a trial move at amplifier i from the raw state
-        # after amplifier i - 1 of the accepted plan; that must be the full walk.
+        # after amplifier i - 1 of the accepted plan; that must be the full
+        # walk's score, for gains below 1, above their ceiling and inf alike.
         kind, scenario = pair
+        any_gain = st.floats(0.0, 1e12) | st.just(math.inf)
         permille = data.draw(st.lists(st.integers(1, 999), min_size=amps, max_size=amps,
                                       unique=True))
         positions = [length * k / 1000.0 for k in sorted(permille)]
-        raw_gains = data.draw(st.lists(st.floats(1.0, 1e12) | st.just(math.inf),
-                                       min_size=amps, max_size=amps))
+        raw_gains = data.draw(st.lists(any_gain, min_size=amps, max_size=amps))
         scorer = _PlanScorer(length, 10.0 ** log_nbar, 0.2, kind, scenario)
         gains, _, states, _ = scorer.repair_gains(positions, raw_gains)
         i = data.draw(st.integers(0, amps - 1))
+        trial_gains = gains[:i] + [data.draw(any_gain)] + gains[i + 1:]
         if data.draw(st.booleans()):
             lo = positions[i - 1] if i else 0.0
             hi = positions[i + 1] if i + 1 < amps else length
             x = data.draw(st.floats(lo, hi, exclude_min=True, exclude_max=True))
-            trial_positions, trial_gains = positions[:i] + [x] + positions[i + 1:], gains
+            trial_positions = positions[:i] + [x] + positions[i + 1:]
+            if data.draw(st.booleans()):
+                trial_gains = gains
         else:
-            gain = data.draw(st.floats(1.0, 1e12) | st.just(math.inf))
-            trial_positions, trial_gains = positions, gains[:i] + [gain] + gains[i + 1:]
-        from_cache = scorer.score(trial_positions, trial_gains, i, states[i - 1] if i else None)
-        assert from_cache == scorer.score(trial_positions, trial_gains)
+            trial_positions = positions
+        y = states[i - 1] if i else scorer.ref_input
+        assert (scorer.trial_score(trial_positions, trial_gains, i, y)
+                == scorer.score(trial_positions, trial_gains)[0])
+
+    def test_gordon_holevo_trial_is_the_full_score(self):
+        scorer = _PlanScorer(300.0, 100.0, 0.2, AmpKind.PSA, Scenario.GORDON_HOLEVO)
+        positions, gains = [35.0, 160.0, 250.0], [3.0, 0.5, math.inf]
+        _, _, states, _ = scorer.repair_gains(positions, gains)
+        assert (scorer.trial_score(positions, gains, 2, states[1])
+                == scorer.score(positions, gains)[0])
 
 
 # float.hex of optimize_plan's score, positions and gains on a probe set, keyed
