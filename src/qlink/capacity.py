@@ -10,7 +10,7 @@ channel, maximized over Gaussian input ensembles under the photon budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .linkchain import LinkPlan, POWER_TOL, channel_checkpoints, check_power_constraint, propagate
@@ -32,10 +32,7 @@ class Scenario(str, Enum):
     GORDON_HOLEVO = "GordonHolevo"
 
 
-@dataclass(frozen=True)
-class CapacityResult:
-    bits_per_mode: float
-    achieving_input: QuadState | None = None
+CapacityResult = namedtuple("CapacityResult", "bits_per_mode achieving_input", defaults=(None,))
 
 
 class GHSearchError(RuntimeError):
@@ -234,8 +231,9 @@ class _GhChannel:
         return _chi(out_i, mq * noise_q + aq, mi * p * budget, mq * (1.0 - p) * budget)
 
 
-# The last budget's squeezing grid and floors (a sweep searches at one budget).
-_GH_GRID: dict[float, tuple[list, list]] = {}
+# The last budget's squeezing grid: per point r, its floor and the tie-break
+# keys -|r| and -k (a sweep searches at one budget).
+_GH_GRID: dict[float, list[tuple]] = {}
 
 
 def _gh_search(channel: _GhChannel) -> tuple[float, float, float]:
@@ -246,20 +244,21 @@ def _gh_search(channel: _GhChannel) -> tuple[float, float, float]:
     neighbours.  Both call ``channel.chi``, and the winner keeps the split
     its call left.  Returns (chi, p, r); chi is -inf when no input is feasible.
     """
-    if (cached := _GH_GRID.get(nbar := channel.nbar)) is None:
+    if (grid := _GH_GRID.get(nbar := channel.nbar)) is None:
         _GH_GRID.clear()
         r_cap = math.asinh(math.sqrt(nbar))  # cosh(2 r_cap) = 2*nbar + 1
         step = 2.0 * r_cap / (_GH_R_GRID - 1)
-        grid = [-r_cap + k * step for k in range(_GH_R_GRID)]
-        cached = _GH_GRID[nbar] = grid, [_squeezed_floor(r, nbar) for r in grid]
-    grid, floors = cached
-    values = [(channel.chi(r, floor), channel.p) for r, floor in zip(grid, floors)]
-    # ties (e.g. zero capacity) go to the least squeezed input
-    best = max(range(_GH_R_GRID), key=lambda k: (values[k][0], -abs(grid[k])))
-    r, (value, p) = grid[best], values[best]
+        rs = [-r_cap + k * step for k in range(_GH_R_GRID)]
+        grid = _GH_GRID[nbar] = [(r, _squeezed_floor(r, nbar), -abs(r), -k)
+                                 for k, r in enumerate(rs)]
+    # ties (e.g. zero capacity) go to the least squeezed input, then to the first
+    value, _, neg_k, p = max([(channel.chi(r, floor), neg_abs_r, neg_k, channel.p)
+                              for r, floor, neg_abs_r, neg_k in grid])
+    best = -neg_k
+    r = grid[best][0]
     if value > -math.inf:
-        lo = grid[max(best - 1, 0)]
-        hi = grid[min(best + 1, _GH_R_GRID - 1)]
+        lo = grid[max(best - 1, 0)][0]
+        hi = grid[min(best + 1, _GH_R_GRID - 1)][0]
         r_ref, value_ref = golden_section_maximize(channel.chi, lo, hi, _GH_R_TOL)
         if value_ref > value:
             # the search's last evaluation is at r_ref, so its split is current

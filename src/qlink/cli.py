@@ -15,7 +15,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .capacity import MAX_GH_NBAR, Scenario
 from .distributed import (
@@ -54,19 +54,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    nbar: float = 100.0
-    alpha_db_km: float = 0.2
-    l_min_km: float = 10.0
-    l_max_km: float = 5000.0
-    l_step_km: float = 10.0
-    amps: int | None = 0  # None encodes the distributed R=infinity limit
-    kind: AmpKind = AmpKind.PSA
-    scenario: Scenario = Scenario.CONVENTIONAL
-    seed: int = 0  # accepted for compatibility; no result depends on it
-    out: str = "qlink.csv"
+class RunConfig(namedtuple("RunConfig", "command nbar alpha_db_km l_min_km l_max_km l_step_km "
+                                         "amps kind scenario seed out",
+                           defaults=(100.0, 0.2, 10.0, 5000.0, 10.0, 0, AmpKind.PSA,
+                                     Scenario.CONVENTIONAL, 0, "qlink.csv"))):
+    """The resolved run.  amps None encodes the distributed R=infinity limit;
+    seed is accepted for compatibility, and no result depends on it."""
+
+    __slots__ = ()
 
     def grid(self) -> list[float]:
         return distance_grid(self.l_min_km, self.l_max_km, self.l_step_km)
@@ -149,8 +144,7 @@ def parse_config(argv: list[str]) -> RunConfig:
     merged = {}
     if args.config:
         merged.update(_read_config_file(args.config))
-    for key in ("nbar", "alpha_db_km", "l_min_km", "l_max_km", "l_step_km",
-                "amps", "kind", "scenario", "seed", "out"):
+    for key in RunConfig._fields[1:]:
         value = getattr(args, key)
         if value is not None:
             merged[key] = _coerce(key, value)
@@ -158,6 +152,8 @@ def parse_config(argv: list[str]) -> RunConfig:
         merged["command"] = args.command
     if "command" not in merged:
         raise UsageError("no command given (sweep|optimize|distributed|crossover)")
+    if merged["command"] == "distributed":
+        merged["amps"] = None
 
     config = RunConfig(**merged)
     if not 0 <= config.nbar <= MAX_NBAR:
@@ -169,8 +165,6 @@ def parse_config(argv: list[str]) -> RunConfig:
     if not config.l_min_km >= sys.float_info.min:
         raise UsageError(f"malformed value for 'l_min_km': must be >= {sys.float_info.min:g}, "
                          f"got {config.l_min_km}")
-    if config.command == "distributed":
-        config.amps = None
     if config.amps is None and config.command == "optimize":
         raise UsageError("--amps inf is only valid for the distributed/sweep commands")
     if config.command == "crossover" and config.l_max_km <= config.l_min_km:
@@ -196,15 +190,14 @@ def parse_config(argv: list[str]) -> RunConfig:
         raise UsageError("distributed PSA needs nbar > 0: its feedback gain is singular "
                          "without signal power")
 
-    for field in fields(RunConfig):
-        value = getattr(config, field.name)
-        if field.name == "amps":
+    for key, value in zip(RunConfig._fields, config):
+        if key == "amps":
             value = "inf" if value is None else value
         elif isinstance(value, AmpKind):
             value = value.value.lower()
         elif isinstance(value, Scenario):
             value = next(k for k, v in _SCENARIOS.items() if v is value)
-        print(f"# {field.name}={value}", file=sys.stderr)
+        print(f"# {key}={value}", file=sys.stderr)
     return config
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 from .capacity import (
     CapacityResult,
@@ -26,7 +25,7 @@ from .capacity import (
     scenario_input,
     shannon_capacity,
 )
-from .linkchain import _PSA, MAX_NBAR, AmpKind, attenuation_to_natural
+from .linkchain import _PSA, MAX_NBAR, AmpKind, Record, attenuation_to_natural
 from .optimizer import SweepRow, distance_grid
 from .quadmodel import QuadState
 
@@ -78,8 +77,7 @@ def feedback_gain_pia(state: QuadState, alpha_nat: float) -> float:
     return _feedback_gain(AmpKind.PIA, state.as_tuple(), alpha_nat)
 
 
-@dataclass
-class OdeProfile:
+class OdeProfile(Record):
     """Sampled continuum trajectory on a km grid, one list entry per sample.
 
     ``gain_coeff`` holds the per-km feedback gain at each sample.  When the
@@ -87,19 +85,16 @@ class OdeProfile:
     ``mult_q``/``add_q`` give the affine input-to-sample channel maps.
     """
 
-    nbar: float
-    kind: AmpKind
-    alpha_db_per_km: float
-    positions: list[float]
-    sig_i: list[float]
-    sig_q: list[float]
-    noise_i: list[float]
-    noise_q: list[float]
-    gain_coeff: list[float]
-    mult_i: list[float] | None = None
-    add_i: list[float] | None = None
-    mult_q: list[float] | None = None
-    add_q: list[float] | None = None
+    __slots__ = ("nbar", "kind", "alpha_db_per_km", "positions", "sig_i", "sig_q", "noise_i",
+                 "noise_q", "gain_coeff", "mult_i", "add_i", "mult_q", "add_q")
+
+    def __init__(self, nbar, kind, alpha_db_per_km, positions, sig_i, sig_q, noise_i, noise_q,
+                 gain_coeff, mult_i=None, add_i=None, mult_q=None, add_q=None):
+        self.nbar, self.kind, self.alpha_db_per_km, self.positions = (
+            nbar, kind, alpha_db_per_km, positions)
+        self.sig_i, self.sig_q, self.noise_i, self.noise_q = sig_i, sig_q, noise_i, noise_q
+        self.gain_coeff = gain_coeff
+        self.mult_i, self.add_i, self.mult_q, self.add_q = mult_i, add_i, mult_q, add_q
 
     def __len__(self) -> int:
         return len(self.positions)

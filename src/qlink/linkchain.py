@@ -15,7 +15,7 @@ public functions wrap them for ``QuadState`` values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .quadmodel import QuadState, mean_photon_number
@@ -45,8 +45,7 @@ def attenuation_to_natural(alpha_db_per_km: float) -> float:
     return math.log(10.0) * alpha_db_per_km / 10.0
 
 
-@dataclass(frozen=True)
-class LinkPlan:
+class LinkPlan(namedtuple("LinkPlan", "alpha_db_per_km length_km nbar positions gains kind")):
     """A concrete link: attenuation, total length, photon budget, and the
     positions (km from the input) and gains of its amplifiers, all of one
     kind.  The fiber spans lie between consecutive positions; the last span
@@ -54,41 +53,67 @@ class LinkPlan:
     0.0 (past about 16,180 km at 0.2 dB/km), which leaves vacuum behind it.
     """
 
-    alpha_db_per_km: float
-    length_km: float
-    nbar: float
-    positions: tuple[float, ...] = ()
-    gains: tuple[float, ...] = ()
-    kind: AmpKind = AmpKind.PSA
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.length_km >= 0:
-            raise ValueError(f"total length must be non-negative, got {self.length_km}")
-        if not 0 <= self.nbar < math.inf:
-            raise ValueError(f"photon budget must be non-negative and finite, got {self.nbar}")
-        attenuation_to_natural(self.alpha_db_per_km)
-        object.__setattr__(self, "positions", tuple(self.positions))
-        object.__setattr__(self, "gains", tuple(self.gains))
-        if len(self.positions) != len(self.gains):
+    def __new__(cls, alpha_db_per_km: float, length_km: float, nbar: float,
+                positions: tuple[float, ...] = (), gains: tuple[float, ...] = (),
+                kind: AmpKind = AmpKind.PSA):
+        if not length_km >= 0:
+            raise ValueError(f"total length must be non-negative, got {length_km}")
+        if not 0 <= nbar < math.inf:
+            raise ValueError(f"photon budget must be non-negative and finite, got {nbar}")
+        attenuation_to_natural(alpha_db_per_km)
+        positions, gains = tuple(positions), tuple(gains)
+        if len(positions) != len(gains):
             raise ValueError("positions and gains must have equal length")
         prev = 0.0
-        for pos in self.positions:
-            if not prev < pos < self.length_km:
+        for pos in positions:
+            if not prev < pos < length_km:
                 raise ValueError(
                     f"amplifier positions must be strictly increasing inside "
-                    f"(0, {self.length_km}), got {self.positions}"
+                    f"(0, {length_km}), got {positions}"
                 )
             prev = pos
-        if not all(1.0 <= gain < math.inf for gain in self.gains):
-            raise ValueError(f"amplifier gains must be >= 1 and finite, got {self.gains}")
+        if not all(1.0 <= gain < math.inf for gain in gains):
+            raise ValueError(f"amplifier gains must be >= 1 and finite, got {gains}")
+        return tuple.__new__(cls, (alpha_db_per_km, length_km, nbar, positions, gains, kind))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace validates too
 
 
-@dataclass(frozen=True)
-class PropagationTrace:
+class Record:
+    """Equality, repr and pickling for the value classes that are not tuples,
+    over their ``__slots__``, which list the constructor's parameters in order."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return isinstance(other, Record) and self.__reduce__() == other.__reduce__()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class PropagationTrace(Record):
     """States sampled at the input, after each span and after each amplifier."""
 
-    positions: tuple[float, ...]
-    states: tuple[QuadState, ...]
+    __slots__ = ("positions", "states")
+
+    def __init__(self, positions: tuple[float, ...], states: tuple[QuadState, ...]):
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "states", states)
+
+    def __setattr__(self, name, value=None):  # frozen
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
 
     def __len__(self) -> int:
         return len(self.positions)

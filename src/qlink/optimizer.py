@@ -13,10 +13,9 @@ checks of a ``QuadState``: the full walk's score, bit for bit.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .capacity import Scenario, gh_capacity, scenario_input, shannon_rate
 from .linkchain import (
@@ -31,8 +30,6 @@ from .linkchain import (
 from .quadmodel import check_moments
 from .search import golden_section_maximize
 
-log = logging.getLogger(__name__)
-
 # Amplifiers are kept strictly inside the link and strictly ordered.
 _POSITION_GAP_KM = 1e-6
 # Line-search tolerance (km or gain) and the cap on coordinate-descent sweeps.
@@ -44,12 +41,8 @@ MAX_GRID_POINTS = 100_000
 _POOL_MIN_POINTS = 4
 
 
-@dataclass(frozen=True)
-class PlanCandidate:
-    """A link plan and its score under a detection scenario."""
-
-    plan: LinkPlan
-    score: float
+# A link plan and its score under a detection scenario.
+PlanCandidate = namedtuple("PlanCandidate", "plan score")
 
 
 class _PlanScorer:
@@ -222,21 +215,16 @@ def optimize_plan(
 CSV_HEADER = "distance_km,scenario,amp_kind,amp_count,capacity_bits_per_mode"
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    distance_km: float
-    scenario: Scenario
-    amp_kind: AmpKind
-    amp_count: int | None  # None marks the distributed (R = infinity) limit
-    capacity_bits_per_mode: float
-    plan: LinkPlan | None = None  # a finite-amplifier row's plan; not in the CSV
+# amp_count None marks the distributed (R = infinity) limit; plan is a
+# finite-amplifier row's plan, not in the CSV
+SweepRow = namedtuple("SweepRow", "distance_km scenario amp_kind amp_count "
+                      "capacity_bits_per_mode plan", defaults=(None,))
 
 
-@dataclass
-class SweepTable:
+class SweepTable(namedtuple("SweepTable", "rows")):
     """Rows of capacity-vs-distance results, ready for CSV emission."""
 
-    rows: list[SweepRow]
+    __slots__ = ()
 
     def sort(self) -> "SweepTable":
         def key(row: SweepRow):
@@ -313,7 +301,9 @@ def sweep_distance(
         rows = [_sweep_point(job) for job in jobs]
     for prev, cur in zip(rows, rows[1:]):
         if cur.capacity_bits_per_mode > prev.capacity_bits_per_mode + 1e-9:
-            log.warning(
+            import logging  # imported here: the module costs every other run about 5 ms
+
+            logging.getLogger(__name__).warning(
                 "capacity increased with distance (%s km -> %s km); "
                 "optimizer likely stuck at %s km",
                 prev.distance_km, cur.distance_km, prev.distance_km,

@@ -7,7 +7,7 @@ noise variance is 1/2 per quadrature; all powers are dimensionless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 VACUUM_VARIANCE = 0.5
 
@@ -18,23 +18,20 @@ HEISENBERG_LIMIT = 0.25
 HEISENBERG_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class QuadState:
+class QuadState(namedtuple("QuadState", "sig_i sig_q noise_i noise_q")):
     """Second moments of one optical mode: per-quadrature signal power and
-    noise variance.  Immutable; every transformation returns a new state."""
+    noise variance, an immutable tuple in that order."""
 
-    sig_i: float
-    sig_q: float
-    noise_i: float
-    noise_q: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_moments(self.sig_i, self.sig_q, self.noise_i, self.noise_q)
+    def __new__(cls, sig_i: float, sig_q: float, noise_i: float, noise_q: float):
+        check_moments(sig_i, sig_q, noise_i, noise_q)
+        return tuple.__new__(cls, (sig_i, sig_q, noise_i, noise_q))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace validates too
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        """(sig_i, sig_q, noise_i, noise_q), the layout the stage and
-        continuum arithmetic works on."""
-        return (self.sig_i, self.sig_q, self.noise_i, self.noise_q)
+        return tuple(self)
 
 
 def check_moments(sig_i: float, sig_q: float, noise_i: float, noise_q: float) -> None:

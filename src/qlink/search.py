@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections.abc import Callable
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -34,6 +34,7 @@ from qlink.capacity import (
     MAX_GH_NBAR,
     _chi,
     _GhChannel,
+    _gh_search,
     _squeezed_floor,
     gh_capacity_for_channel,
 )
@@ -504,6 +505,33 @@ class TestGhKernelOracle:
                         == _outcome(gh_reference.best_split, channel, r))
         assert (_outcome(gh_capacity_for_channel, *arrays, nbar)
                 == _outcome(gh_reference.gh_capacity, channel))
+
+    @pytest.mark.parametrize("arrays, nbar", [
+        # nothing reaches the output, so chi is 0 at every feasible r
+        *[(([1.0, 0.0], [0.0, 0.5], [1.0, 0.0], [0.0, 0.5]), nbar) for nbar in (1e-6, 1.0, 100.0)],
+        # a lossless link: every pure input reaches chi = g(nbar), up to rounding
+        *[(([1.0], [0.0], [1.0], [0.0]), nbar) for nbar in (0.5, 1.0, 10.0, MAX_GH_NBAR)],
+    ])
+    def test_exact_grid_ties_equal_the_reference(self, arrays, nbar):
+        # the grid winner is the largest chi; ties go to the smallest |r|, then
+        # to the first grid point
+        channel = _GhChannel(*arrays, nbar)
+        values = [gh_reference.best_split(channel, r)[0]
+                  for r in gh_reference.squeezing_grid(nbar)]
+        assert values.count(max(values)) > 1
+        assert (_outcome(gh_capacity_for_channel, *arrays, nbar)
+                == _outcome(gh_reference.gh_capacity, channel))
+
+    def test_a_tied_pair_of_opposite_squeezings_goes_to_the_first(self):
+        # At nbar = 1 the lossless link's grid maximum is tied at exactly -r and
+        # +r, and not at r = 0, so the grid index breaks the tie.
+        channel = _GhChannel([1.0], [0.0], [1.0], [0.0], 1.0)
+        grid = gh_reference.squeezing_grid(1.0)
+        values = [gh_reference.best_split(channel, r)[0] for r in grid]
+        tied = [k for k, value in enumerate(values) if value == max(values)]
+        assert tied == [13, 19] and grid[13] == -grid[19] < 0.0
+        assert _gh_search(channel) == gh_reference.gh_search(channel)
+        assert _gh_search(channel)[2] == grid[13]
 
 
 class TestGhGridCache:

@@ -127,10 +127,10 @@ class TestPlanScorer:
         positions, gains = [35.0, 160.0, 250.0], [3.0, 1.5, math.inf]
         _, _, states, _ = scorer.repair_gains(positions, gains)
 
-        def built(state):
+        def built(cls, *state):
             raise AssertionError(f"a scoring built {state!r}")
 
-        monkeypatch.setattr(QuadState, "__post_init__", built)
+        monkeypatch.setattr(QuadState, "__new__", built)
         score = scorer.score(positions, gains)[0]
         for i in range(len(positions)):
             y = states[i - 1] if i else scorer.ref_input
