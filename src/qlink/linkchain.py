@@ -81,25 +81,9 @@ class LinkPlan(namedtuple("LinkPlan", "alpha_db_per_km length_km nbar positions 
     _make = classmethod(lambda cls, values: cls(*values))  # so that _replace validates too
 
 
-class Record:
-    """Equality, repr and pickling for the value classes that are not tuples,
-    over their ``__slots__``, which list the constructor's parameters in order."""
-
-    __slots__ = ()
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        return isinstance(other, Record) and self.__reduce__() == other.__reduce__()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-
-class PropagationTrace(Record):
-    """States sampled at the input, after each span and after each amplifier."""
+class PropagationTrace:
+    """States sampled at the input, after each span and after each amplifier.
+    Frozen; it compares, hashes, prints and pickles by its two fields."""
 
     __slots__ = ("positions", "states")
 
@@ -112,8 +96,17 @@ class PropagationTrace(Record):
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        return type(self), (self.positions, self.states)
+
+    def __eq__(self, other):
+        return isinstance(other, PropagationTrace) and self.__reduce__() == other.__reduce__()
+
     def __hash__(self) -> int:
         return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(positions={self.positions!r}, states={self.states!r})"
 
     def __len__(self) -> int:
         return len(self.positions)

@@ -23,14 +23,11 @@ from qlink import (
     LinkPlan,
 )
 from qlink.cli import main as cli_main
-from qlink.distributed import (
-    approx_capacity_pia,
-    approx_capacity_psa,
-    integrate_pia,
-    integrate_psa,
-)
+from qlink.distributed import approx_capacity_pia, approx_capacity_psa
 from qlink.optimizer import equidistant_saturating_plan, optimize_plan
 from qlink.capacity import Scenario
+
+from rk4_oracle import integrate_pia, integrate_psa
 
 ALPHA = attenuation_to_natural(0.2)
 

@@ -20,10 +20,7 @@ from qlink import (
     entropy_g,
     gaussian_state_entropy,
     gh_capacity,
-    gh_capacity_at,
     holevo_chi,
-    integrate_pia,
-    integrate_psa,
     plan_capacity,
     propagate,
     shannon_single_quadrature,
@@ -42,7 +39,6 @@ from qlink.distributed import (
     approx_capacity_pia,
     approx_capacity_psa,
     channel_maps,
-    closed_form_psa,
     distributed_rows,
 )
 from qlink.linkchain import POWER_TOL
@@ -50,6 +46,7 @@ from qlink.optimizer import _PlanScorer, equidistant_saturating_plan, optimize_p
 
 import gh_reference
 from conftest import quad_states
+from rk4_oracle import closed_form_psa, gh_capacity_at, integrate_pia, integrate_psa
 
 ALPHA = attenuation_to_natural(0.2)
 

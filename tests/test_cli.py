@@ -17,13 +17,14 @@ from qlink import (
     channel_maps,
     continuum_states,
     distance_grid,
-    integrate_psa,
     shannon_single_quadrature,
 )
 from qlink.capacity import gh_capacity_for_channel
 from qlink.cli import MAX_AMPS, UsageError, main, parse_config
 from qlink.optimizer import SweepTable, sweep_distance
 from qlink.quadmodel import HEISENBERG_LIMIT, HEISENBERG_TOL
+
+from rk4_oracle import integrate_psa
 
 ALPHA = attenuation_to_natural(0.2)
 

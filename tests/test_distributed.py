@@ -12,7 +12,6 @@ from qlink import (
     attenuation_to_natural,
     conventional_input,
     equidistant_saturating_plan,
-    gh_capacity_at,
     mean_photon_number,
     scenario_input,
     shannon_capacity,
@@ -21,22 +20,26 @@ from qlink import (
 )
 from qlink.capacity import gh_capacity_for_channel
 from qlink.distributed import (
-    IntegrationError,
     approx_capacity_pia,
     approx_capacity_psa,
     channel_maps,
-    checkpoint_positions,
-    closed_form_psa,
     continuum_states,
     distributed_rows,
+)
+from qlink.linkchain import MAX_NBAR
+from qlink.quadmodel import HEISENBERG_LIMIT, HEISENBERG_TOL
+
+from rk4_oracle import (
+    IntegrationError,
+    checkpoint_positions,
+    closed_form_psa,
     feedback_gain_pia,
     feedback_gain_psa,
+    gh_capacity_at,
     integrate_pia,
     integrate_psa,
     state_at_position,
 )
-from qlink.linkchain import MAX_NBAR
-from qlink.quadmodel import HEISENBERG_LIMIT, HEISENBERG_TOL
 
 ALPHA = attenuation_to_natural(0.2)
 

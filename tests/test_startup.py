@@ -16,8 +16,8 @@ from pathlib import Path
 
 # The stdlib modules that qlink imports at module level.  A new one belongs
 # here only if its import cost is worth paying on every run.
-STDLIB_IMPORTS = ("__future__", "argparse", "bisect", "collections", "collections.abc", "enum",
-                  "math", "os", "re", "sys")
+STDLIB_IMPORTS = ("__future__", "argparse", "collections", "collections.abc", "enum", "math",
+                  "os", "re", "sys")
 # One parse of an argument declared as the CLI declares its command.
 ARGPARSE_PARSE = """
 parser = argparse.ArgumentParser(description="qlink")

@@ -1,16 +1,17 @@
 """The value types' contract: pickling, immutability, equality and hashing,
-validation messages, and the CLI's configuration echo."""
+validation messages, the CLI's configuration echo and the package's names."""
 
 import math
 import pickle
 
 import pytest
 
+import qlink
+from qlink import distributed
 from qlink import (
     AmpKind,
     CapacityResult,
     LinkPlan,
-    OdeProfile,
     PlanCandidate,
     PropagationTrace,
     QuadState,
@@ -19,12 +20,14 @@ from qlink import (
     SweepTable,
     conventional_input,
     equidistant_saturating_plan,
-    integrate_pia,
     plan_capacity,
     propagate,
     sweep_distance,
 )
 from qlink.cli import RunConfig, parse_config
+
+import rk4_oracle
+from rk4_oracle import OdeProfile, integrate_pia
 
 PLAN = LinkPlan(0.2, 100.0, 100.0, [40.0], [2.0], AmpKind.PIA)
 
@@ -99,6 +102,26 @@ def test_record_types_compare_by_field_values():
     assert profile != integrate_pia(1.0, 100.0, step_km=0.5)
     profile.nbar = 1.0  # OdeProfile stays a mutable record
     assert profile != VALUES[OdeProfile]
+
+
+# What left the library for the RK4 oracle, tests/rk4_oracle.py.
+RK4_ORACLE_NAMES = [
+    "DEFAULT_STEP_KM", "GRID_TOL_KM", "IntegrationError", "OdeProfile", "_drift",
+    "_feedback_gain", "_integrate", "_rhs", "_rk4_step", "bisect", "checkpoint_positions",
+    "closed_form_psa", "feedback_gain_pia", "feedback_gain_psa", "gh_capacity_at",
+    "integrate_pia", "integrate_psa", "state_at_position",
+]
+
+
+def test_every_exported_name_resolves_once():
+    assert len(set(qlink.__all__)) == len(qlink.__all__)
+    assert [name for name in qlink.__all__ if not hasattr(qlink, name)] == []
+
+
+def test_rk4_oracle_names_left_the_library():
+    assert [name for name in RK4_ORACLE_NAMES if not hasattr(rk4_oracle, name)] == []
+    assert [name for name in RK4_ORACLE_NAMES
+            if hasattr(qlink, name) or hasattr(distributed, name)] == []
 
 
 @pytest.mark.parametrize("moments, message", [
