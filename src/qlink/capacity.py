@@ -4,7 +4,8 @@ Three detection scenarios are supported: shot-noise-limited single-quadrature
 detection (the conventional Shannon rate), simultaneous two-quadrature
 detection (each quadrature pays an extra half unit of vacuum noise), and the
 quantum-optimal Gordon-Holevo rate of the induced phase-sensitive Gaussian
-channel, maximized over Gaussian input ensembles under the photon budget.
+channel, maximized over Gaussian input ensembles under the photon budget (in
+closed form or by one Brent search; a squeezing grid search is the fallback).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .quadmodel import (
     conventional_input,
     symmetric_coherent_input,
 )
-from .search import golden_section_maximize
+from .search import brent_maximize, golden_section_maximize
 
 _LN2 = math.log(2.0)
 
@@ -148,6 +149,9 @@ def scenario_input(scenario: Scenario, nbar: float) -> QuadState:
 # Squeezing grid that brackets the best r before the golden-section refinement.
 _GH_R_GRID = 33
 _GH_R_TOL = 1e-10
+# Optima this close (as a share of 2*nbar + 1) to an end of the budget interval
+# go to the grid search, which scores ends that differ only by rounding alike.
+_GH_EDGE = 1e-6
 _INFEASIBLE = "no squeezed input meets the photon budget at every checkpoint"
 # Largest budget a Gordon-Holevo run accepts: the largest power of ten at
 # which the rounding of a photon count, eps*(2*nbar + 1) per stage, stays
@@ -237,7 +241,8 @@ _GH_GRID: dict[float, list[tuple]] = {}
 
 
 def _gh_search(channel: _GhChannel) -> tuple[float, float, float]:
-    """Maximize chi over the squeezing r, each r with its best split.
+    """Maximize chi over the squeezing r, each r with its best split: the fallback
+    for degenerate maps, optima by the budget's ends and non-finite chi.
 
     A uniform grid over |r| <= r_cap, built once per budget, brackets the
     best r; golden-section search refines it between the best grid point's
@@ -266,6 +271,39 @@ def _gh_search(channel: _GhChannel) -> tuple[float, float, float]:
     return value, p, r
 
 
+def _water_filling(channel: _GhChannel) -> tuple[float, float, float] | None:
+    """(chi, p, r) of the optimum, or None for ``_gh_search``: the output's total
+    variance product peaks at an input I variance X*, its noise product is least
+    at a squeezing r*.  With both signal powers non-negative at (X*, r*) that is
+    the optimum (Schaefer et al., PRL 111, 030503, 2013); else the quadrature
+    whose signal would go negative carries none, and a Brent search finds it."""
+    (mi, ai, mq, aq), nbar = channel.out, channel.nbar
+    if not (ai > 0.0 and aq > 0.0 and mi > 0.0 and mi * mq > 0.0):
+        return None
+    total = 2.0 * nbar + 1.0
+    r_cap = math.asinh(math.sqrt(nbar))
+    # e^{4r*} = (mi*aq)/(ai*mq); an r* past +-r_cap is classified at the bound
+    r_star = 0.25 * (math.log(mi) + math.log(aq) - math.log(ai) - math.log(mq))
+    r = min(max(r_star, -r_cap), r_cap)
+    x = 0.5 * total + (mi * aq - mq * ai) / (2.0 * mi * mq)
+    noise_i, noise_q, _ = _squeezed_floor(r, nbar)
+    if x < noise_i or x > total - noise_q:
+        gain_i, gain_q = (0.0, mq) if x < noise_i else (mi, 0.0)  # budget to Q or I alone
+        def curve(r):
+            noise_i, noise_q, budget = _squeezed_floor(r, nbar)
+            budget = budget if budget > 0.0 else 0.0
+            return _chi(mi * noise_i + ai, mq * noise_q + aq, gain_i * budget, gain_q * budget)
+        r = brent_maximize(curve, -r_cap, r_cap, _GH_R_TOL)[0]
+        noise_i, noise_q, _ = _squeezed_floor(r, nbar)
+        x = noise_i if gain_i == 0.0 else total - noise_q
+    elif r != r_star:  # no signal power is left at the bound
+        return None
+    if not channel.x_lo + _GH_EDGE * total < x < channel.x_hi - _GH_EDGE * total:
+        return None  # also a NaN X*
+    value = channel.chi(r)
+    return (value, channel.p, r) if -math.inf < value < math.inf else None
+
+
 def gh_capacity_for_channel(
     mult_i,
     add_i,
@@ -275,8 +313,11 @@ def gh_capacity_for_channel(
 ) -> CapacityResult:
     """Gordon-Holevo capacity of an affine Gaussian channel given its
     per-checkpoint coefficient sequences (last checkpoint = output); the
-    search is exact and deterministic.  Negative or NaN budgets, and budgets
-    above ``MAX_GH_NBAR``, are refused with a ``ValueError``."""
+    search is exact and deterministic.  Maps of unequal or zero length, negative
+    or NaN budgets, and budgets above ``MAX_GH_NBAR`` raise ``ValueError``."""
+    if not 0 < len(mult_i) == len(add_i) == len(mult_q) == len(add_q):
+        raise ValueError("(mult_i, add_i, mult_q, add_q) need equal non-zero lengths, got "
+                         f"{(len(mult_i), len(add_i), len(mult_q), len(add_q))}")
     if not nbar >= 0:
         raise ValueError(f"photon budget must be non-negative, got {nbar}")
     if nbar > MAX_GH_NBAR:
@@ -284,7 +325,8 @@ def gh_capacity_for_channel(
                          f"got {nbar:g}: above it photon counts round past the search margin")
     if nbar == 0:
         return CapacityResult(0.0, QuadState(0, 0, 0.5, 0.5))
-    chi, p, r = _gh_search(_GhChannel(mult_i, add_i, mult_q, add_q, nbar))
+    channel = _GhChannel(mult_i, add_i, mult_q, add_q, nbar)
+    chi, p, r = _water_filling(channel) or _gh_search(channel)
     if chi == -math.inf:
         raise GHSearchError(_INFEASIBLE, chi)
     noise_i, noise_q, budget = _squeezed_floor(r, nbar)

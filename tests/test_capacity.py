@@ -1,5 +1,7 @@
 import math
+import re
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,12 +29,15 @@ from qlink import (
     shannon_two_quadrature,
     vacuum_state,
 )
+import qlink.capacity as capacity
 from qlink.capacity import (
+    _GH_EDGE,
     MAX_GH_NBAR,
     _chi,
     _GhChannel,
     _gh_search,
     _squeezed_floor,
+    _water_filling,
     gh_capacity_for_channel,
 )
 from qlink.distributed import (
@@ -45,7 +50,7 @@ from qlink.linkchain import POWER_TOL
 from qlink.optimizer import _PlanScorer, equidistant_saturating_plan, optimize_plan
 
 import gh_reference
-from conftest import quad_states
+from conftest import gh_link_channels, quad_states
 from rk4_oracle import closed_form_psa, gh_capacity_at, integrate_pia, integrate_psa
 
 ALPHA = attenuation_to_natural(0.2)
@@ -277,8 +282,8 @@ DISCRETE_ORACLE_PLANS = {
 # gh_capacity and conventional plan_capacity of each plan above, frozen as
 # float.hex: a change to the span transmissions or to the fold order shows here.
 PINNED_CAPACITIES = {
-    "equidistant-100km-R2": ("0x1.5e83322b44240p+1", "0x1.466d74df212e2p+1"),
-    "equidistant-300km-R4": ("0x1.57c8dbb7ee2fcp+0", "0x1.495d105d00540p+0"),
+    "equidistant-100km-R2": ("0x1.5e83322b44241p+1", "0x1.466d74df212e2p+1"),
+    "equidistant-300km-R4": ("0x1.57c8dbb7ee2fdp+0", "0x1.495d105d00540p+0"),
     "loss-only-40km": ("0x1.3e8a3f722113dp+1", "0x1.7016cf347f291p+0"),
     "pia-150km-R1": ("0x1.9ab67685c238bp+0", "0x1.2681031b01821p+0"),
     "uneven-80km": ("0x1.8d0be284a20dcp+1", "0x1.5718ac7f46b2cp+1"),
@@ -472,6 +477,12 @@ def _outcome(fn, *args):
         return type(err), str(err)
 
 
+def _grid_capacity(*arrays_and_nbar):
+    """``gh_capacity_for_channel`` with every channel left to ``_gh_search``."""
+    with mock.patch.object(capacity, "_water_filling", lambda channel: None):
+        return gh_capacity_for_channel(*arrays_and_nbar)
+
+
 def _split(channel, r):
     """(chi, p) from ``channel.chi``, as the reference's ``best_split`` gives it."""
     chi = channel.chi(r)
@@ -500,7 +511,7 @@ class TestGhKernelOracle:
             if -r_cap <= r <= r_cap:
                 assert (_outcome(_split, channel, r)
                         == _outcome(gh_reference.best_split, channel, r))
-        assert (_outcome(gh_capacity_for_channel, *arrays, nbar)
+        assert (_outcome(_grid_capacity, *arrays, nbar)
                 == _outcome(gh_reference.gh_capacity, channel))
 
     @pytest.mark.parametrize("arrays, nbar", [
@@ -545,10 +556,113 @@ class TestGhGridCache:
                                                        Scenario.GORDON_HOLEVO).plan
                     maps = channel_checkpoints(plan)
                     channel = _GhChannel(*maps, nbar)
-                    assert gh_capacity_for_channel(*maps, nbar) == gh_reference.gh_capacity(channel)
+                    assert _grid_capacity(*maps, nbar) == gh_reference.gh_capacity(channel)
                     r = gh_reference.gh_search(channel)[2]
                     winners.setdefault(nbar, set()).add(r in gh_reference.squeezing_grid(nbar))
         assert all(found == {True, False} for found in winners.values())
+
+
+def _with_budget_end_at(arrays, nbar, x, upper):
+    """The channel with one more checkpoint, before the output, that puts
+    the upper (slope 1) or the lower (slope -1) end of the budget interval
+    at I variance ``x``."""
+    if upper:
+        mult_i, add, mult_q = 2.0, nbar + 0.5 + 0.5 * POWER_TOL - x, 0.0
+    else:
+        mult_i, add, mult_q = 0.0, x - nbar - 0.5 + 0.5 * POWER_TOL, 2.0
+    return tuple([*a[:-1], c, a[-1]] for a, c in zip(arrays, (mult_i, add, mult_q, add)))
+
+
+def _seed_channel(length, amps, kind, nbar=100.0):
+    plan = equidistant_saturating_plan(length, amps, nbar, 0.2, kind, Scenario.GORDON_HOLEVO).plan
+    return channel_checkpoints(plan)
+
+
+class TestGhStructuredSearch:
+    @settings(max_examples=200)
+    @given(st.one_of(feasible_gh_channels(), gh_link_channels()))
+    def test_never_below_the_grid_search(self, channel_data):
+        arrays, nbar = channel_data
+        try:
+            grid = _grid_capacity(*arrays, nbar).bits_per_mode
+        except GHSearchError:
+            assume(False)
+        result = gh_capacity_for_channel(*arrays, nbar)
+        # Where the output noise lies within 1e-4 of vacuum, chi carries the
+        # rounding of that excess, more than 1e-12 relative, and a search
+        # that samples more points finds higher rounding
+        # (test_decimal_oracle.py, _RESOLVED_EXCESS).
+        state = result.achieving_input
+        noise_out = ((arrays[0][-1] * state.noise_i + arrays[1][-1])
+                     * (arrays[2][-1] * state.noise_q + arrays[3][-1]))
+        if math.sqrt(noise_out) - 0.5 >= 1e-4:
+            assert result.bits_per_mode >= grid * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("arrays, nbar", [
+        # lossless: a_i = a_q = 0, so the noise has no least squeezing
+        (([1.0], [0.0], [1.0], [0.0]), 10.0),
+        # the PIA continuum at 1e6 km: m_i = m_q = 9.6e-199, whose product underflows
+        (channel_maps(AmpKind.PIA, [0.0, 1e6], 100.0), 100.0),
+        # the PSA continuum at 1e4 km: the Q map has underflowed to 0
+        (channel_maps(AmpKind.PSA, [0.0, 1e4], 100.0), 100.0),
+    ], ids=["lossless", "pia-1e6-km", "psa-1e4-km"])
+    def test_degenerate_maps_take_the_grid_search(self, arrays, nbar):
+        channel = _GhChannel(*arrays, nbar)
+        assert _water_filling(channel) is None
+        assert gh_capacity_for_channel(*arrays, nbar) == gh_reference.gh_capacity(channel)
+
+    @pytest.mark.parametrize("kind, length, amps", [
+        (AmpKind.PSA, 260.0, 2),  # the curve on which Q carries no signal
+        (AmpKind.PIA, 150.0, 1),  # the interior optimum
+    ])
+    def test_optima_next_to_the_budget_bounds_take_the_grid_search(self, kind, length, amps):
+        arrays, nbar = _seed_channel(length, amps, kind), 100.0
+        _, p, r = _water_filling(_GhChannel(*arrays, nbar))
+        noise_i, _, budget = _squeezed_floor(r, nbar)
+        x = noise_i + p * budget
+        upper = x <= nbar + 0.5
+        for share, structured in ((0.5 * _GH_EDGE, False), (2.0 * _GH_EDGE, True)):
+            end = x + (share if upper else -share) * (2.0 * nbar + 1.0)
+            near = _with_budget_end_at(arrays, nbar, end, upper)
+            channel = _GhChannel(*near, nbar)
+            assert (_water_filling(channel) is not None) is structured
+            if not structured:
+                assert gh_capacity_for_channel(*near, nbar) == gh_reference.gh_capacity(channel)
+
+    def test_squeezing_past_the_budget_is_classified_at_the_bound(self):
+        # The noise of the 260 km PSA seed plan is least at r* = 3.62, past
+        # r_cap = asinh(10) = 3.00; the optimum is where Q carries no signal.
+        channel = _GhChannel(*_seed_channel(260.0, 2, AmpKind.PSA), 100.0)
+        mi, ai, mq, aq = channel.out
+        assert 0.25 * math.log(mi * aq / (ai * mq)) > math.asinh(10.0) + 0.5
+        value, p, _ = _water_filling(channel)
+        assert p == 1.0
+        assert value >= _gh_search(channel)[0] * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("kind, most", [(AmpKind.PSA, 20.0), (AmpKind.PIA, 1.0)])
+    def test_sweep_gh_seed_plans_need_few_chi_calls(self, kind, most):
+        # the benchmark's GH sweep scores these ten seed plans, 50-500 km at
+        # R = 2; PIA takes the closed form, one chi call each
+        channels = [_seed_channel(float(length), 2, kind) for length in range(50, 501, 50)]
+        calls = []
+        with mock.patch.object(capacity, "_chi", lambda *args: calls.append(args) or _chi(*args)):
+            for arrays in channels:
+                gh_capacity_for_channel(*arrays, 100.0)
+        assert len(calls) / len(channels) <= most
+
+    @pytest.mark.parametrize("arrays", [
+        ([1.0, 1.0], [0.0, 0.0], [1.0], [0.0, 0.0]),
+        ([1.0], [0.0], [1.0], [0.0, 0.5]),
+        ([1.0], [], [1.0], [0.0]),
+        ([], [], [], []),
+    ])
+    @pytest.mark.parametrize("nbar", [0.0, 100.0])
+    def test_maps_of_unequal_or_zero_length_are_refused(self, arrays, nbar):
+        # a shorter map silently cut the budget pass short, and empty maps
+        # raised a bare IndexError
+        lengths = str(tuple(len(a) for a in arrays))
+        with pytest.raises(ValueError, match=re.escape(lengths)):
+            gh_capacity_for_channel(*arrays, nbar)
 
 
 class TestGhBudgetRange:
