@@ -45,6 +45,9 @@ class GHSearchError(RuntimeError):
         super().__init__(message)
         self.best_value = best_value
 
+    def __reduce__(self):  # a sweep worker sends its error back pickled
+        return type(self), (self.args[0], self.best_value)
+
 
 def shannon_rate(y: tuple, scenario: Scenario) -> float:
     """Shannon rate of a raw output (sig_i, sig_q, noise_i, noise_q) under a fixed input."""
@@ -207,11 +210,10 @@ class _GhChannel:
             raise GHSearchError(_INFEASIBLE, -math.inf)
         self.x_lo, self.x_hi = x_lo, x_hi
 
-    def chi(self, r: float, floor: tuple | None = None) -> float:
-        """Chi of the best feasible split at squeezing ``r`` (whose floor may be
-        passed in), or -inf when no split meets the budget; a finite chi leaves
-        its split in ``self.p``."""
-        noise_i, noise_q, budget = _squeezed_floor(r, self.nbar) if floor is None else floor
+    def chi(self, r: float) -> float:
+        """Chi of the best feasible split at squeezing ``r``, or -inf when no
+        split meets the budget; a finite chi leaves its split in ``self.p``."""
+        noise_i, noise_q, budget = _squeezed_floor(r, self.nbar)
         if budget <= 0.0:
             return -math.inf
         # comparisons cost less than max/min calls and pick the same value,
@@ -235,35 +237,25 @@ class _GhChannel:
         return _chi(out_i, mq * noise_q + aq, mi * p * budget, mq * (1.0 - p) * budget)
 
 
-# The last budget's squeezing grid: per point r, its floor and the tie-break
-# keys -|r| and -k (a sweep searches at one budget).
-_GH_GRID: dict[float, list[tuple]] = {}
-
-
 def _gh_search(channel: _GhChannel) -> tuple[float, float, float]:
     """Maximize chi over the squeezing r, each r with its best split: the fallback
     for degenerate maps, optima by the budget's ends and non-finite chi.
 
-    A uniform grid over |r| <= r_cap, built once per budget, brackets the
-    best r; golden-section search refines it between the best grid point's
-    neighbours.  Both call ``channel.chi``, and the winner keeps the split
-    its call left.  Returns (chi, p, r); chi is -inf when no input is feasible.
+    A uniform grid over |r| <= r_cap brackets the best r; golden-section
+    search refines it between the best grid point's neighbours.  Both call
+    ``channel.chi``, and the winner keeps the split its call left.  Returns
+    (chi, p, r); chi is -inf when no input is feasible.
     """
-    if (grid := _GH_GRID.get(nbar := channel.nbar)) is None:
-        _GH_GRID.clear()
-        r_cap = math.asinh(math.sqrt(nbar))  # cosh(2 r_cap) = 2*nbar + 1
-        step = 2.0 * r_cap / (_GH_R_GRID - 1)
-        rs = [-r_cap + k * step for k in range(_GH_R_GRID)]
-        grid = _GH_GRID[nbar] = [(r, _squeezed_floor(r, nbar), -abs(r), -k)
-                                 for k, r in enumerate(rs)]
+    r_cap = math.asinh(math.sqrt(channel.nbar))  # cosh(2 r_cap) = 2*nbar + 1
+    step = 2.0 * r_cap / (_GH_R_GRID - 1)
+    grid = [-r_cap + k * step for k in range(_GH_R_GRID)]
     # ties (e.g. zero capacity) go to the least squeezed input, then to the first
-    value, _, neg_k, p = max([(channel.chi(r, floor), neg_abs_r, neg_k, channel.p)
-                              for r, floor, neg_abs_r, neg_k in grid])
+    value, _, neg_k, p = max([(channel.chi(r), -abs(r), -k, channel.p) for k, r in enumerate(grid)])
     best = -neg_k
-    r = grid[best][0]
+    r = grid[best]
     if value > -math.inf:
-        lo = grid[max(best - 1, 0)][0]
-        hi = grid[min(best + 1, _GH_R_GRID - 1)][0]
+        lo = grid[max(best - 1, 0)]
+        hi = grid[min(best + 1, _GH_R_GRID - 1)]
         r_ref, value_ref = golden_section_maximize(channel.chi, lo, hi, _GH_R_TOL)
         if value_ref > value:
             # the search's last evaluation is at r_ref, so its split is current

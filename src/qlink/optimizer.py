@@ -37,7 +37,7 @@ _PARAM_TOL = 1e-6
 _MAX_SWEEPS = 200
 # Largest distance grid that a sweep may build.
 MAX_GRID_POINTS = 100_000
-# A sweep uses a worker pool from this many grid points on.
+# A sweep shares its points among worker processes from this many points on.
 _POOL_MIN_POINTS = 4
 
 
@@ -272,6 +272,48 @@ def _sweep_point(args) -> SweepRow:
     return SweepRow(length_km, scenario, kind, amp_count, candidate.score, candidate.plan)
 
 
+def _fan_out(jobs: list, workers: int) -> list[SweepRow]:
+    """Rows of ``jobs`` in order; job k goes to worker k % ``workers``.  The caller
+    is worker 0.  Each forked child pickles (True, rows) or (False, exception)
+    into its own pipe and ends through ``os._exit``, with status 0 once sent."""
+    import pickle  # imported here: only a pooled sweep needs it
+    children = {}  # worker -> (pid, read end of its pipe); on an error, killed and reaped
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    os.close(read_fd)  # so that a write gets EPIPE once the caller is gone
+                    with open(write_fd, "wb") as pipe:
+                        try:
+                            rows = [_sweep_point(job) for job in jobs[w::workers]]
+                            pipe.write(pickle.dumps((True, rows)))
+                        except BaseException as exc:  # noqa: BLE001 - sent to the caller
+                            pipe.write(pickle.dumps((False, exc)))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_fd)
+            children[w] = pid, open(read_fd, "rb")
+        shares = [[_sweep_point(job) for job in jobs[::workers]]]
+        for w in range(1, workers):
+            with children[w][1] as pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(children.pop(w)[0], 0)[1])
+            if status or not data:
+                raise RuntimeError(f"sweep worker {w} sent no rows (exit status {status})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            shares.append(value)
+        return [shares[k % workers][k // workers] for k in range(len(jobs))]
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL: the child may be blocked on its full pipe
+            os.waitpid(pid, 0)
+
+
 def sweep_distance(
     grid: list[float],
     amp_count: int,
@@ -282,21 +324,17 @@ def sweep_distance(
     *,
     max_workers: int = 1,
 ) -> SweepTable:
-    """Optimize one plan per grid distance, in a pool of up to ``max_workers``
-    processes (one per CPU) from four points on; rows, each with its plan,
-    come back in grid order."""
+    """Optimize one plan per grid distance; rows, each with its plan, come back in
+    grid order.  From four points on, up to ``max_workers`` processes (one per CPU)
+    share them: the caller and forked children (serial without ``os.fork``)."""
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("distance grid must be strictly increasing")
     if any(length <= 0 for length in grid):
         raise ValueError("distances must be positive")
     jobs = [(length, amp_count, nbar, alpha_db_per_km, kind, scenario) for length in grid]
     workers = min(max_workers, os.cpu_count() or 1, len(jobs))
-    if workers > 1 and len(jobs) >= _POOL_MIN_POINTS:
-        # imported here: the module costs every other run about 20 ms
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, jobs))
+    if workers > 1 and len(jobs) >= _POOL_MIN_POINTS and hasattr(os, "fork"):
+        rows = _fan_out(jobs, workers)
     else:
         rows = [_sweep_point(job) for job in jobs]
     for prev, cur in zip(rows, rows[1:]):

@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 import sys
 from unittest import mock
@@ -221,6 +222,12 @@ class TestGhCapacity:
         with pytest.raises(GHSearchError) as err:
             gh_capacity(plan)
         assert err.value.best_value < 0.0
+
+    def test_error_survives_pickling(self):
+        # a sweep worker sends its error to the caller pickled
+        copy = pickle.loads(pickle.dumps(GHSearchError("boom", 1.5)))
+        assert type(copy) is GHSearchError
+        assert (str(copy), copy.best_value) == ("boom", 1.5)
 
     @pytest.mark.parametrize("length,amps", [(30.0, 0), (100.0, 1), (300.0, 2), (150.0, 4)])
     def test_dominates_conventional_shannon(self, length, amps):

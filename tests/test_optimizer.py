@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -8,6 +13,7 @@ from hypothesis import given, settings
 
 from qlink import (
     AmpKind,
+    GHSearchError,
     LinkPlan,
     QuadState,
     Scenario,
@@ -328,6 +334,120 @@ class TestSweep:
         with caplog.at_level("WARNING", logger="qlink.optimizer"):
             opt.sweep_distance([10.0, 20.0], 0, 100.0, 0.2)
         assert any("capacity increased" in record.message for record in caplog.records)
+
+
+@pytest.fixture
+def deadline():
+    """Fails a test that runs for more than 60 s, so a hung fan-out cannot stall
+    the suite (forked children do not inherit the timer)."""
+    def expire(signum, frame):
+        raise TimeoutError("the sweep ran for more than 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 60.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _in_children(parent, row_or_exit):
+    """A ``_sweep_point`` that runs ``row_or_exit(args)`` in a forked worker and
+    the real one in the caller."""
+    real = optimizer._sweep_point
+    return lambda args: row_or_exit(args) if os.getpid() != parent else real(args)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the fan-out forks")
+@pytest.mark.usefixtures("deadline")
+class TestSweepFanOut:
+    @pytest.mark.parametrize("points,workers", [(5, 2), (7, 3)])
+    @pytest.mark.parametrize("amps,scenario", [(2, Scenario.GORDON_HOLEVO),
+                                               (3, Scenario.TWO_QUADRATURE)])
+    def test_pooled_rows_and_plans_equal_the_serial_ones(self, monkeypatch, points, workers,
+                                                        amps, scenario):
+        monkeypatch.setattr(os, "cpu_count", lambda: workers)
+        grid = [60.0 * k for k in range(1, points + 1)]
+        serial = sweep_distance(grid, amps, 100.0, 0.2, AmpKind.PIA, scenario, max_workers=1)
+        pooled = sweep_distance(grid, amps, 100.0, 0.2, AmpKind.PIA, scenario, max_workers=8)
+        assert pooled.rows == serial.rows  # each row with its plan, in grid order
+
+    def test_serial_without_fork(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        parent = os.getpid()
+        seen = []
+        monkeypatch.setattr(optimizer, "_sweep_point",
+                            lambda args: seen.append(os.getpid()) or SweepRow(
+                                args[0], args[5], args[4], args[1], 1.0 / args[0]))
+        rows = sweep_distance([10.0, 20.0, 30.0, 40.0], 1, 100.0, 0.2, max_workers=2).rows
+        assert [row.distance_km for row in rows] == [10.0, 20.0, 30.0, 40.0]
+        assert seen == [parent] * 4
+
+    def test_worker_death_names_the_worker(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+        def die_at_80_km(args):  # worker 1's second point, after a row at 40 km
+            if args[0] == 80.0:
+                os._exit(3)
+            return SweepRow(args[0], args[5], args[4], args[1], 1.0)
+
+        monkeypatch.setattr(optimizer, "_sweep_point", _in_children(os.getpid(), die_at_80_km))
+        with pytest.raises(RuntimeError, match=r"sweep worker 1 .*exit status 3"):
+            sweep_distance([20.0, 40.0, 60.0, 80.0], 1, 100.0, 0.2, max_workers=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+        def audit_fails(args):
+            raise GHSearchError(f"achieving input violates the budget at {args[0]} km", 1.5)
+
+        monkeypatch.setattr(optimizer, "_sweep_point", _in_children(os.getpid(), audit_fails))
+        with pytest.raises(GHSearchError) as err:
+            sweep_distance([20.0, 40.0, 60.0, 80.0], 1, 100.0, 0.2, AmpKind.PSA,
+                           Scenario.GORDON_HOLEVO, max_workers=2)
+        assert str(err.value) == "achieving input violates the budget at 40.0 km"
+        assert err.value.best_value == 1.5
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_caller_error_leaves_no_child_behind(self, monkeypatch):
+        # the child's rows outgrow a 64 KiB pipe buffer, so it blocks on the
+        # write until the caller reads or kills it
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        parent = os.getpid()
+
+        def point(args):
+            if os.getpid() != parent:
+                return SweepRow(args[0], args[5], args[4], args[1], 1.0, "x" * (1 << 17))
+            time.sleep(0.5)  # the child fills its pipe meanwhile
+            raise ValueError("the caller's share failed")
+
+        monkeypatch.setattr(optimizer, "_sweep_point", point)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="the caller's share failed"):
+            sweep_distance([20.0, 40.0, 60.0, 80.0], 1, 100.0, 0.2, max_workers=2)
+        assert time.monotonic() - start < 10.0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_pooled_sweep_loads_no_process_pool(self):
+        code = ("import os, sys\n"
+                "os.cpu_count = lambda: 2\n"
+                "from qlink import sweep_distance\n"
+                "rows = sweep_distance([20.0, 40.0, 60.0, 80.0], 1, 100.0, 0.2, max_workers=2).rows\n"
+                "assert len(rows) == 4\n"
+                "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestDistanceGrid:
