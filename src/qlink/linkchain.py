@@ -8,8 +8,9 @@ each quadrature with vacuum; a phase-sensitive amplifier (PSA) multiplies the
 I quadrature by its gain and divides the Q quadrature, adding no excess
 noise; a phase-insensitive amplifier (PIA) multiplies both quadratures and
 adds the quantum-limited (gain-1)/2 noise per quadrature.  These stages and
-the photon budget's gain ceiling are written once, on raw tuples, and the
-public functions wrap them for ``QuadState`` values.
+the photon budget's gain ceiling are written once, in one walk of the chain on
+four floats (``_walk``) that folds states and channel maps alike: a prefix's
+per-quadrature (mult, add) transforms like (sig, noise).
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ class AmpKind(str, Enum):
     PIA = "PIA"
 
 
-# Looking up an Enum member costs about 0.1 us on CPython 3.11, a large share
-# of one stage; the hot paths compare against this constant instead.
+# The chain walk compares against this; an Enum lookup costs 0.1 us on CPython 3.11.
 _PSA = AmpKind.PSA
 
 
@@ -112,74 +112,88 @@ class PropagationTrace:
         return len(self.positions)
 
 
-# The stage algebra on a raw (sig_i, sig_q, noise_i, noise_q) tuple: loss, gain
-# and the photon budget's gain ceiling.  A chain prefix's channel map transforms
-# exactly like a state, its per-quadrature (mult, add) taking the place of
-# (sig, noise), so _loss and _amplify fold both.
+def _spans(alpha: float, length_km: float, positions) -> list[float]:
+    """Power transmissions of the span before each amplifier and of the final span."""
+    taus, prev = [], 0.0
+    for pos in positions:
+        taus.append(math.exp(-alpha * (pos - prev)))
+        prev = pos
+    taus.append(math.exp(-alpha * (length_km - prev)))
+    return taus
 
 
-def _loss(y: tuple, tau: float) -> tuple:
+def _walk(y, taus, gains, kind: AmpKind, nbar=None, start: int = 0, record=None) -> tuple:
+    """Raw output of the chain from raw state ``y`` at the start of span ``start``:
+    span k transmits ``taus[k]`` and ends at amplifier k of gain ``gains[k]`` (the
+    last, at the output), clipped to [1, max(1, the largest gain within a photon
+    budget ``nbar``)] if one is given.  A ``record`` list gets the state after every
+    span and amplifier and, with a budget, each amplifier's ceiling and gain first."""
     sig_i, sig_q, noise_i, noise_q = y
-    vac = (1.0 - tau) / 2.0
-    return (tau * sig_i, tau * sig_q, tau * noise_i + vac, tau * noise_q + vac)
-
-
-def _amplify(y: tuple, kind: AmpKind, gain: float) -> tuple:
-    sig_i, sig_q, noise_i, noise_q = y
-    if kind is _PSA:
-        return (gain * sig_i, sig_q / gain, gain * noise_i, noise_q / gain)
-    excess = (gain - 1.0) / 2.0
-    return (gain * sig_i, gain * sig_q, gain * noise_i + excess, gain * noise_q + excess)
+    psa, amps = kind is _PSA, len(gains)
+    if psa and nbar is not None and nbar > MAX_NBAR and start < amps:
+        raise ValueError(f"the PSA gain ceiling needs nbar <= MAX_NBAR = {MAX_NBAR:g}, "
+                         f"got {nbar:g}")
+    for k in range(start, amps + 1):
+        tau = taus[k]
+        vac = (1.0 - tau) / 2.0
+        sig_i, sig_q = tau * sig_i, tau * sig_q
+        noise_i, noise_q = tau * noise_i + vac, tau * noise_q + vac
+        if record is not None:
+            record.append((sig_i, sig_q, noise_i, noise_q))
+        if k == amps:
+            return sig_i, sig_q, noise_i, noise_q
+        gain = gains[k]
+        if nbar is not None:
+            photons = (sig_i + sig_q + noise_i + noise_q) / 2.0 - 0.5  # as mean_photon_number
+            if photons > nbar + POWER_TOL:
+                raise ValueError("state already exceeds the photon budget")
+            if psa:
+                power_i, power_q = sig_i + noise_i, sig_q + noise_q
+                if power_i < power_q - POWER_TOL:
+                    raise ValueError("amplified quadrature must carry at least as much power "
+                                     "as the deamplified one")
+                target = 2.0 * nbar + 1.0
+                disc = target * target - 4.0 * power_i * power_q
+                if disc < 0.0:
+                    raise ValueError(f"no real gain reaches photon budget {nbar} from "
+                                     f"{(sig_i, sig_q, noise_i, noise_q)}")
+                ceiling = (target + math.sqrt(disc)) / (2.0 * power_i)
+            else:
+                ceiling = (nbar + 1.0) / (photons + 1.0)
+            # min(max(gain, 1.0), max(ceiling, 1.0)) by comparisons, NaN and ties too
+            ceiling = 1.0 if ceiling < 1.0 else ceiling
+            gain = ceiling if ceiling < gain else (1.0 if gain < 1.0 else gain)
+            if record is not None:
+                record += ceiling, gain
+        if psa:
+            sig_i, sig_q = gain * sig_i, sig_q / gain
+            noise_i, noise_q = gain * noise_i, noise_q / gain
+        else:
+            excess = (gain - 1.0) / 2.0
+            sig_i, sig_q = gain * sig_i, gain * sig_q
+            noise_i, noise_q = gain * noise_i + excess, gain * noise_q + excess
+        if record is not None:
+            record.append((sig_i, sig_q, noise_i, noise_q))
 
 
 def _ceiling(y: tuple, nbar: float, kind: AmpKind) -> float:
-    if kind is _PSA and nbar > MAX_NBAR:
-        raise ValueError(f"the PSA gain ceiling needs nbar <= MAX_NBAR = {MAX_NBAR:g}, "
-                         f"got {nbar:g}")
-    sig_i, sig_q, noise_i, noise_q = y
-    photons = (sig_i + sig_q + noise_i + noise_q) / 2.0 - 0.5  # as mean_photon_number
-    if photons > nbar + POWER_TOL:
-        raise ValueError("state already exceeds the photon budget")
-    if kind is _PSA:
-        power_i = sig_i + noise_i
-        power_q = sig_q + noise_q
-        if power_i < power_q - POWER_TOL:
-            raise ValueError("amplified quadrature must carry at least as much power as the "
-                             "deamplified one")
-        target = 2.0 * nbar + 1.0
-        disc = target * target - 4.0 * power_i * power_q
-        if disc < 0.0:
-            raise ValueError(f"no real gain reaches photon budget {nbar} from {y}")
-        ceiling = (target + math.sqrt(disc)) / (2.0 * power_i)
-    else:
-        ceiling = (nbar + 1.0) / (photons + 1.0)
-    return 1.0 if ceiling < 1.0 else ceiling  # as max(ceiling, 1.0), NaN and ties too
+    """The photon budget's gain ceiling for an amplifier that receives raw state ``y``."""
+    _walk(y, (1.0, 1.0), (math.inf,), kind, nbar, record=(record := []))
+    return record[1]
 
 
-def _fold(plan: LinkPlan, y: tuple) -> tuple[list[float], list[tuple]]:
-    """Positions and raw tuples at the input and after every span and
-    amplifier."""
-    alpha = attenuation_to_natural(plan.alpha_db_per_km)
-    positions = [0.0]
-    points = [y]
-    prev = 0.0
-    for pos, gain in zip(plan.positions, plan.gains):
-        y = _loss(y, math.exp(-alpha * (pos - prev)))
-        points.append(y)
-        y = _amplify(y, plan.kind, gain)
-        points.append(y)
-        positions += [pos, pos]
-        prev = pos
-    positions.append(plan.length_km)
-    points.append(_loss(y, math.exp(-alpha * (plan.length_km - prev))))
-    return positions, points
+def _fold(plan: LinkPlan, y) -> list[tuple]:
+    """Raw tuples at the input and after every span and amplifier."""
+    taus = _spans(attenuation_to_natural(plan.alpha_db_per_km), plan.length_km, plan.positions)
+    _walk(y, taus, plan.gains, plan.kind, record=(points := [y]))
+    return points
 
 
 def apply_loss(state: QuadState, tau: float) -> QuadState:
     """Attenuate by power transmission ``tau``; loss mixes in vacuum noise."""
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"transmission must lie in (0, 1], got {tau}")
-    return QuadState(*_loss(state.as_tuple(), tau))
+    return QuadState(*_walk(state, (tau,), (), _PSA))
 
 
 def apply_psa(state: QuadState, gain: float) -> QuadState:
@@ -187,7 +201,7 @@ def apply_psa(state: QuadState, gain: float) -> QuadState:
     ``gain``, Q quadrature divided by it, no excess noise."""
     if gain < 1.0:
         raise ValueError(f"amplifier gain must be >= 1, got {gain}")
-    return QuadState(*_amplify(state.as_tuple(), AmpKind.PSA, gain))
+    return QuadState(*_walk(state, (1.0, 1.0), (gain,), _PSA))  # spans of transmission 1
 
 
 def apply_pia(state: QuadState, gain: float) -> QuadState:
@@ -195,15 +209,15 @@ def apply_pia(state: QuadState, gain: float) -> QuadState:
     multiplied by ``gain`` with (gain-1)/2 added noise each."""
     if gain < 1.0:
         raise ValueError(f"amplifier gain must be >= 1, got {gain}")
-    return QuadState(*_amplify(state.as_tuple(), AmpKind.PIA, gain))
+    return QuadState(*_walk(state, (1.0, 1.0), (gain,), AmpKind.PIA))
 
 
 def propagate(plan: LinkPlan, state: QuadState) -> tuple[QuadState, PropagationTrace]:
     """Fold the plan's stages over ``state``; the trace records the input and
     the state after every stage."""
-    positions, points = _fold(plan, state.as_tuple())
-    states = (state, *[QuadState(*y) for y in points[1:]])
-    return states[-1], PropagationTrace(tuple(positions), states)
+    states = (state, *[QuadState(*y) for y in _fold(plan, state)[1:]])
+    positions = (0.0, *sorted(plan.positions * 2), plan.length_km)  # each amplifier's twice
+    return states[-1], PropagationTrace(positions, states)
 
 
 def check_power_constraint(
@@ -251,6 +265,5 @@ def channel_checkpoints(plan: LinkPlan) -> tuple[list[float], ...]:
     visits exactly these states, which lets input ensembles be evaluated
     without re-folding the chain.
     """
-    _, points = _fold(plan, (1.0, 1.0, 0.0, 0.0))
-    mult_i, mult_q, add_i, add_q = (list(column) for column in zip(*points))
+    mult_i, mult_q, add_i, add_q = map(list, zip(*_fold(plan, (1.0, 1.0, 0.0, 0.0))))
     return mult_i, add_i, mult_q, add_q

@@ -6,9 +6,9 @@ descent with golden-section line searches, seeded from the equidistant plan
 whose gains restore the photon number exactly to the budget.  Iterates that
 overshoot the budget are repaired by scaling the offending gains down to the
 feasible boundary, which keeps the search connected.  A Shannon trial move
-at amplifier i walks the chain on from the cached state after amplifier i - 1
-of the accepted plan and keeps only the raw output, whose moments get the
-checks of a ``QuadState``: the full walk's score, bit for bit.
+at amplifier i walks on from the cached state after amplifier i - 1, over the
+cached spans and gains; it computes only the spans it moves and keeps only the
+raw output, checked as a ``QuadState``: the full walk's score, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from .capacity import Scenario, gh_capacity, scenario_input, shannon_rate
 from .linkchain import (
     AmpKind,
     LinkPlan,
-    _amplify,
-    _ceiling,
-    _loss,
+    _spans,
+    _walk,
     attenuation_to_natural,
     propagate,  # noqa: F401 - unused here; kept as a patch point for perfbench/traced_run.py
 )
@@ -58,25 +57,15 @@ class _PlanScorer:
         self.ref_input = scenario_input(scenario, nbar).as_tuple()
         self.gh = scenario is Scenario.GORDON_HOLEVO
 
-    def repair_gains(self, positions, gains) -> tuple[list, list, list, tuple]:
+    def repair_gains(self, positions, gains) -> tuple[list, list, list, tuple, list]:
         """Scale down any gain that would push the reference input above the
         photon budget, walking the chain to the output.  Returns the repaired
         gains; each amplifier's ceiling (its largest feasible gain given the
-        amplifiers before it) and raw state after it; and the reference output
-        as a raw tuple."""
-        y, prev = self.ref_input, 0.0
-        repaired, ceilings, states = [], [], []
-        for pos, gain in zip(positions, gains):
-            y = _loss(y, math.exp(-self.alpha_nat * (pos - prev)))
-            ceiling = _ceiling(y, self.nbar, self.kind)
-            gain = min(max(gain, 1.0), ceiling)
-            repaired.append(gain)
-            ceilings.append(ceiling)
-            y = _amplify(y, self.kind, gain)
-            states.append(y)
-            prev = pos
-        y = _loss(y, math.exp(-self.alpha_nat * (self.length_km - prev)))
-        return repaired, ceilings, states, y
+        amplifiers before it) and raw state after it; the reference output as a
+        raw tuple; and the spans' transmissions, which the walk used."""
+        taus = _spans(self.alpha_nat, self.length_km, positions)
+        out = _walk(self.ref_input, taus, gains, self.kind, self.nbar, record=(record := []))
+        return record[2::4], record[1::4], record[3::4], out, taus
 
     def plan(self, positions, gains) -> LinkPlan:
         return LinkPlan(self.alpha_db_per_km, self.length_km, self.nbar,
@@ -84,28 +73,20 @@ class _PlanScorer:
 
     def score(self, positions, gains) -> tuple[float, list[float]]:
         """Score repaired coordinates; returns (score, repaired gains)."""
-        gains, _, _, out = self.repair_gains(positions, gains)
+        gains, _, _, out, _ = self.repair_gains(positions, gains)
         if self.gh:
             return gh_capacity(self.plan(positions, gains)).bits_per_mode, gains
         check_moments(*out)
         return shannon_rate(out, self.scenario), gains
 
-    def trial_score(self, positions, gains, start, y) -> float:
-        """``score(...)[0]`` of coordinates repaired before amplifier ``start``,
-        given the raw state ``y`` just after amplifier ``start - 1``.  A Shannon
-        trial walks on from ``y`` as ``repair_gains`` does and keeps only the
-        output; a Gordon-Holevo trial folds the whole plan in ``gh_capacity``."""
+    def trial_score(self, positions, gains, start, y, taus) -> float:
+        """``score(...)[0]`` of coordinates repaired before amplifier ``start``, given
+        the raw state ``y`` just after amplifier ``start - 1`` and ``taus``, the span
+        transmissions of ``positions``.  A Shannon trial walks on from ``y`` and keeps
+        only the output; a Gordon-Holevo trial folds the whole plan in ``gh_capacity``."""
         if self.gh:
             return self.score(positions, gains)[0]
-        prev = positions[start - 1] if start else 0.0
-        for pos, gain in zip(positions[start:], gains[start:]):
-            y = _loss(y, math.exp(-self.alpha_nat * (pos - prev)))
-            ceiling = _ceiling(y, self.nbar, self.kind)
-            # repair_gains' min(max(gain, 1.0), ceiling), NaN and ties included
-            gain = 1.0 if gain < 1.0 else gain
-            y = _amplify(y, self.kind, ceiling if ceiling < gain else gain)
-            prev = pos
-        y = _loss(y, math.exp(-self.alpha_nat * (self.length_km - prev)))
+        y = _walk(y, taus, gains, self.kind, self.nbar, start)
         check_moments(*y)
         return shannon_rate(y, self.scenario)
 
@@ -151,7 +132,7 @@ def optimize_plan(
 
     scorer = _PlanScorer(length_km, nbar, alpha_db_per_km, kind, scenario)
     positions = list(seed_candidate.plan.positions)
-    gains, ceilings, states, _ = scorer.repair_gains(positions, seed_candidate.plan.gains)
+    gains, ceilings, states, _, taus = scorer.repair_gains(positions, seed_candidate.plan.gains)
     current = seed_candidate.score
     # A Gordon-Holevo optimum tends to hold a gain on its budget ceiling; a
     # position move at fixed gain leaves that ridge, so there the trial gain
@@ -179,33 +160,37 @@ def optimize_plan(
             key = ("position", i, *positions[:i], *positions[i + 1 :], *move_gains)
             if hi > lo and key not in searched:
                 searched.add(key)
+                trial_positions, trial_taus = list(positions), list(taus)
 
                 def eval_position(x: float) -> float:
-                    trial = positions[:i] + [x] + positions[i + 1 :]
-                    return scorer.trial_score(trial, move_gains, i, y)
+                    trial_positions[i] = x
+                    trial_taus[i] = math.exp(-scorer.alpha_nat * (x - left))
+                    trial_taus[i + 1] = math.exp(-scorer.alpha_nat * (right - x))
+                    return scorer.trial_score(trial_positions, move_gains, i, y, trial_taus)
 
                 best_x, best_fx = golden_section_maximize(eval_position, lo, hi, _PARAM_TOL)
                 if best_fx > current:
                     moved = max(moved, abs(best_x - positions[i]))
                     positions[i] = best_x
                     current = best_fx
-                    gains, ceilings, states, _ = scorer.repair_gains(positions, move_gains)
+                    gains, ceilings, states, _, taus = scorer.repair_gains(positions, move_gains)
 
             ceiling = ceilings[i]
             key = ("gain", i, *positions, *gains[:i], *gains[i + 1 :])
             if ceiling - 1.0 > _PARAM_TOL and key not in searched:
                 searched.add(key)
+                trial_gains = list(gains)
 
                 def eval_gain(g: float) -> float:
-                    trial = gains[:i] + [g] + gains[i + 1 :]
-                    return scorer.trial_score(positions, trial, i, y)
+                    trial_gains[i] = g
+                    return scorer.trial_score(positions, trial_gains, i, y, taus)
 
                 best_g, best_fg = golden_section_maximize(eval_gain, 1.0, ceiling, _PARAM_TOL)
                 if best_fg > current:
                     moved = max(moved, abs(best_g - gains[i]))
-                    trial = gains[:i] + [best_g] + gains[i + 1 :]
+                    trial_gains[i] = best_g
                     current = best_fg
-                    gains, ceilings, states, _ = scorer.repair_gains(positions, trial)
+                    gains, ceilings, states, _, taus = scorer.repair_gains(positions, trial_gains)
         if moved < _PARAM_TOL:
             break
 
@@ -274,7 +259,7 @@ def _sweep_point(args) -> SweepRow:
 
 def _fan_out(jobs: list, workers: int) -> list[SweepRow]:
     """Rows of ``jobs`` in order; job k goes to worker k % ``workers``.  The caller
-    is worker 0.  Each forked child pickles (True, rows) or (False, exception)
+    is worker 0.  Each forked child pickles (True, rows) or (False, (error, traceback))
     into its own pipe and ends through ``os._exit``, with status 0 once sent."""
     import pickle  # imported here: only a pooled sweep needs it
     children = {}  # worker -> (pid, read end of its pipe); on an error, killed and reaped
@@ -289,7 +274,8 @@ def _fan_out(jobs: list, workers: int) -> list[SweepRow]:
                             rows = [_sweep_point(job) for job in jobs[w::workers]]
                             pipe.write(pickle.dumps((True, rows)))
                         except BaseException as exc:  # noqa: BLE001 - sent to the caller
-                            pipe.write(pickle.dumps((False, exc)))
+                            import traceback
+                            pipe.write(pickle.dumps((False, (exc, traceback.format_exc()))))
                     os._exit(0)
                 finally:
                     os._exit(1)
@@ -303,8 +289,8 @@ def _fan_out(jobs: list, workers: int) -> list[SweepRow]:
             if status or not data:
                 raise RuntimeError(f"sweep worker {w} sent no rows (exit status {status})")
             ok, value = pickle.loads(data)
-            if not ok:
-                raise value
+            if not ok:  # a pickled exception has lost its traceback; its text is the cause
+                raise value[0] from RuntimeError(f"sweep worker {w} failed:\n{value[1]}")
             shares.append(value)
         return [shares[k % workers][k // workers] for k in range(len(jobs))]
     finally:

@@ -354,7 +354,7 @@ def feasible_gh_channels(draw):
     positions = [length * k / 1000.0 for k in sorted(permille)]
     raw_gains = draw(st.lists(st.floats(1.0, 1e12), min_size=amps, max_size=amps))
     scorer = _PlanScorer(length, nbar, 0.2, kind, Scenario.GORDON_HOLEVO)
-    gains, _, _, _ = scorer.repair_gains(positions, raw_gains)
+    gains = scorer.repair_gains(positions, raw_gains)[0]
     plan = LinkPlan(0.2, length, nbar, positions, gains, kind)
     arrays = channel_checkpoints(plan)
     if draw(st.booleans()):  # the mirror image amplifies Q, so its checkpoints fall

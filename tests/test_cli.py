@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -699,3 +700,32 @@ class TestCommandLineFuzz:
             if done.returncode == 0:
                 bits = [float(line.split(",")[4]) for line in out.read_text().splitlines()[1:]]
                 assert all(math.isfinite(b) and b >= 0.0 for b in bits), bits
+
+
+class TestBenchmarkReferenceBytes:
+    """The benchmark's Shannon workloads write their reference CSVs byte for byte.
+
+    ``perfbench/check.py`` accepts rows within 1e-7 bits of the reference, so a
+    change in the last printed digits would pass the benchmark unseen.  The
+    Gordon-Holevo workloads are left out: their references already differ from
+    the current output within the checker's Gordon-Holevo bounds.
+    """
+
+    @pytest.fixture(scope="class")
+    def workloads(self):
+        # the arguments perfbench/run.py runs each workload with, read from it
+        bench = Path(__file__).resolve().parent.parent / "perfbench"
+        probe = ("import json, sys; sys.path.insert(0, sys.argv[1]); import run; "
+                 "print(json.dumps({n: w.args for n, w in run.WORKLOADS.items()}))")
+        done = subprocess.run([sys.executable, "-c", probe, str(bench)], capture_output=True,
+                              text=True, timeout=60, check=True)
+        return json.loads(done.stdout)
+
+    @pytest.mark.parametrize("name", ["sweep-conv", "crossover"])
+    def test_csv_equals_the_reference_bytes(self, workloads, name, tmp_path):
+        reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+        done = subprocess.run([sys.executable, "-m", "qlink.cli", *workloads[name],
+                               "--seed", "0", "--out", "out.csv"], cwd=tmp_path,
+                              env=_src_env(), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out.csv").read_bytes() == (reference / f"{name}.csv").read_bytes()

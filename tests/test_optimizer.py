@@ -29,6 +29,7 @@ from qlink import (
     symmetric_coherent_input,
 )
 from qlink import optimizer, quadmodel
+from qlink.linkchain import _spans
 from qlink.optimizer import (
     MAX_GRID_POINTS,
     SweepRow,
@@ -41,6 +42,11 @@ from qlink.optimizer import (
 )
 
 ALPHA = attenuation_to_natural(0.2)
+
+
+def spans(scorer, positions):
+    """The transmissions of ``positions``' spans, as a trial receives them."""
+    return _spans(scorer.alpha_nat, scorer.length_km, positions)
 
 
 def conventional_score(candidate):
@@ -131,7 +137,7 @@ class TestPlanScorer:
         # the chain walk, its gain ceilings and the output's checks run on raw tuples
         scorer = _PlanScorer(300.0, 100.0, 0.2, kind, scenario)
         positions, gains = [35.0, 160.0, 250.0], [3.0, 1.5, math.inf]
-        _, _, states, _ = scorer.repair_gains(positions, gains)
+        states = scorer.repair_gains(positions, gains)[2]
 
         def built(cls, *state):
             raise AssertionError(f"a scoring built {state!r}")
@@ -140,7 +146,7 @@ class TestPlanScorer:
         score = scorer.score(positions, gains)[0]
         for i in range(len(positions)):
             y = states[i - 1] if i else scorer.ref_input
-            assert scorer.trial_score(positions, gains, i, y) == score
+            assert scorer.trial_score(positions, gains, i, y, spans(scorer, positions)) == score
 
     @pytest.mark.parametrize("kind, scenario", SHANNON_PAIRS)
     @pytest.mark.parametrize("moments, message", [
@@ -163,7 +169,7 @@ class TestPlanScorer:
         with pytest.raises(ValueError, match=message) as built:
             QuadState(*moments)
         with pytest.raises(ValueError) as trial:
-            scorer.trial_score([], [], 0, moments)
+            scorer.trial_score([], [], 0, moments, spans(scorer, []))
         assert str(trial.value) == str(built.value)
 
     @settings(max_examples=300)
@@ -180,7 +186,7 @@ class TestPlanScorer:
         positions = [length * k / 1000.0 for k in sorted(permille)]
         raw_gains = data.draw(st.lists(any_gain, min_size=amps, max_size=amps))
         scorer = _PlanScorer(length, 10.0 ** log_nbar, 0.2, kind, scenario)
-        gains, _, states, _ = scorer.repair_gains(positions, raw_gains)
+        gains, _, states, *_ = scorer.repair_gains(positions, raw_gains)
         i = data.draw(st.integers(0, amps - 1))
         trial_gains = gains[:i] + [data.draw(any_gain)] + gains[i + 1:]
         if data.draw(st.booleans()):
@@ -193,14 +199,15 @@ class TestPlanScorer:
         else:
             trial_positions = positions
         y = states[i - 1] if i else scorer.ref_input
-        assert (scorer.trial_score(trial_positions, trial_gains, i, y)
+        assert (scorer.trial_score(trial_positions, trial_gains, i, y,
+                                   spans(scorer, trial_positions))
                 == scorer.score(trial_positions, trial_gains)[0])
 
     def test_gordon_holevo_trial_is_the_full_score(self):
         scorer = _PlanScorer(300.0, 100.0, 0.2, AmpKind.PSA, Scenario.GORDON_HOLEVO)
         positions, gains = [35.0, 160.0, 250.0], [3.0, 0.5, math.inf]
-        _, _, states, _ = scorer.repair_gains(positions, gains)
-        assert (scorer.trial_score(positions, gains, 2, states[1])
+        states = scorer.repair_gains(positions, gains)[2]
+        assert (scorer.trial_score(positions, gains, 2, states[1], spans(scorer, positions))
                 == scorer.score(positions, gains)[0])
 
 
@@ -411,6 +418,21 @@ class TestSweepFanOut:
                            Scenario.GORDON_HOLEVO, max_workers=2)
         assert str(err.value) == "achieving input violates the budget at 40.0 km"
         assert err.value.best_value == 1.5
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_error_carries_the_worker_traceback(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+        def divide_by_zero(args):  # worker 1's share: 40 and 80 km
+            return SweepRow(args[0], args[5], args[4], args[1], 1.0 / 0.0)
+
+        monkeypatch.setattr(optimizer, "_sweep_point", _in_children(os.getpid(), divide_by_zero))
+        with pytest.raises(ZeroDivisionError) as err:
+            sweep_distance([20.0, 40.0, 60.0, 80.0], 1, 100.0, 0.2, max_workers=2)
+        cause = str(err.value.__cause__)
+        assert cause.startswith("sweep worker 1 failed:\nTraceback (most recent call last):")
+        assert "in divide_by_zero" in cause and "ZeroDivisionError" in cause
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
