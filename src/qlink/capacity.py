@@ -11,17 +11,15 @@ closed form or by one Brent search; a squeezing grid search is the fallback).
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from enum import Enum
+from itertools import starmap
 
-from .linkchain import LinkPlan, POWER_TOL, channel_checkpoints, check_power_constraint, propagate
-from .quadmodel import (
-    HEISENBERG_LIMIT,
-    HEISENBERG_TOL,
-    QuadState,
-    conventional_input,
-    symmetric_coherent_input,
-)
+from .linkchain import (LinkPlan, POWER_TOL, _over_budget, _plan_fields, _spans, _walk,
+                        attenuation_to_natural, propagate)
+from .linkchain import channel_checkpoints  # noqa: F401 - patched by perfbench/traced_run.py
+from .quadmodel import (HEISENBERG_LIMIT, HEISENBERG_TOL, QuadState, check_moments,
+                        conventional_input, symmetric_coherent_input)
 from .search import brent_maximize, golden_section_maximize
 
 _LN2 = math.log(2.0)
@@ -195,15 +193,15 @@ class _GhChannel:
         # with margin to spare.  A subnormal slope overflows its bound to
         # +-inf of the right sign; a bound that large lies outside [0, T]
         # anyway.
-        total = 2.0 * nbar + 1.0
+        total, margin = 2.0 * nbar + 1.0, 0.5 * POWER_TOL
         x_lo, x_hi = -math.inf, math.inf
         for mi, ai, mq, aq in zip(mult_i, add_i, mult_q, add_q):
             slope = 0.5 * (mi - mq)
-            excess0 = 0.5 * (ai + aq) - 0.5 - nbar - 0.5 * POWER_TOL + 0.5 * mq * total
-            if slope < 0.0:
-                x_lo = max(x_lo, -excess0 / slope)
+            excess0 = 0.5 * (ai + aq) - 0.5 - nbar - margin + 0.5 * mq * total
+            if slope < 0.0:  # max and min by comparisons, as in chi
+                x_lo = bound if (bound := -excess0 / slope) > x_lo else x_lo
             elif slope > 0.0:
-                x_hi = min(x_hi, -excess0 / slope)
+                x_hi = bound if (bound := -excess0 / slope) < x_hi else x_hi
             elif excess0 > 0.0:
                 raise GHSearchError(_INFEASIBLE, -math.inf)
         if x_lo > x_hi:
@@ -296,13 +294,7 @@ def _water_filling(channel: _GhChannel) -> tuple[float, float, float] | None:
     return (value, channel.p, r) if -math.inf < value < math.inf else None
 
 
-def gh_capacity_for_channel(
-    mult_i,
-    add_i,
-    mult_q,
-    add_q,
-    nbar: float,
-) -> CapacityResult:
+def gh_capacity_for_channel(mult_i, add_i, mult_q, add_q, nbar: float) -> CapacityResult:
     """Gordon-Holevo capacity of an affine Gaussian channel given its
     per-checkpoint coefficient sequences (last checkpoint = output); the
     search is exact and deterministic.  Maps of unequal or zero length, negative
@@ -327,21 +319,27 @@ def gh_capacity_for_channel(
 
 
 def gh_capacity(plan: LinkPlan) -> CapacityResult:
-    """Gordon-Holevo capacity of a link plan.
+    """Gordon-Holevo capacity of a link plan: the output's Holevo information, maximized
+    over squeezed inputs within the photon budget at every point (``chain_gh_capacity``)."""
+    taus = _spans(attenuation_to_natural(plan.alpha_db_per_km), plan.length_km, plan.positions)
+    return chain_gh_capacity(taus, *plan)
 
-    Maximizes the Holevo information of the propagated output over the input
-    power split and squeezed noise floor, subject to the photon budget both
-    at the input and at every point along the chain.  The winning input is
-    re-propagated and audited before being returned.
-    """
-    result = gh_capacity_for_channel(*channel_checkpoints(plan), plan.nbar)
-    _, trace = propagate(plan, result.achieving_input)
-    violations = check_power_constraint(trace, plan.nbar)
-    if violations:
-        raise GHSearchError(
-            f"achieving input violates the photon budget at {violations[0]}",
-            result.bits_per_mode,
-        )
+
+def chain_gh_capacity(taus, alpha_db_per_km, length_km, nbar, positions, gains, kind):
+    """``gh_capacity(LinkPlan(alpha_db_per_km, ..., kind))``, errors too, on raw tuples and
+    the plan's span transmissions ``taus``: one walk gives the channel maps, one the winning
+    input's states for an audit that fails as ``propagate``, then ``check_power_constraint``."""
+    _plan_fields(alpha_db_per_km, length_km, nbar, positions, gains)
+    _walk((1.0, 1.0, 0.0, 0.0), taus, gains, kind, record=(maps := [(1.0, 1.0, 0.0, 0.0)]))
+    mult_i, mult_q, add_i, add_q = zip(*maps)
+    result = gh_capacity_for_channel(mult_i, add_i, mult_q, add_q, nbar)
+    _walk(result.achieving_input, taus, gains, kind, record=(states := [result.achieving_input]))
+    deque(starmap(check_moments, states[1:]), 0)  # each QuadState check, before any budget's
+    if violations := _over_budget(states, nbar):
+        k, excess = violations[0]
+        position = (0.0, *sorted(positions * 2), length_km)[k]  # as propagate's trace
+        raise GHSearchError(f"achieving input violates the photon budget at {(position, excess)}",
+                            result.bits_per_mode)
     return result
 
 

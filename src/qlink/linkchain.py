@@ -19,7 +19,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from .quadmodel import QuadState, mean_photon_number
+from .quadmodel import QuadState
 
 # Slack used when auditing the photon budget along a chain.
 POWER_TOL = 1e-9
@@ -45,6 +45,25 @@ def attenuation_to_natural(alpha_db_per_km: float) -> float:
     return math.log(10.0) * alpha_db_per_km / 10.0
 
 
+def _plan_fields(alpha_db_per_km, length_km, nbar, positions, gains) -> tuple:
+    """A ``LinkPlan``'s fields up to its gains, sequences as tuples, or ``ValueError``."""
+    if not length_km >= 0:
+        raise ValueError(f"total length must be non-negative, got {length_km}")
+    if not 0 <= nbar < math.inf:
+        raise ValueError(f"photon budget must be non-negative and finite, got {nbar}")
+    attenuation_to_natural(alpha_db_per_km)
+    positions, gains = tuple(positions), tuple(gains)
+    if len(positions) != len(gains):
+        raise ValueError("positions and gains must have equal length")
+    for prev, pos in zip((0.0, *positions), positions):
+        if not prev < pos < length_km:
+            raise ValueError(f"amplifier positions must be strictly increasing inside "
+                             f"(0, {length_km}), got {positions}")
+    if not all(1.0 <= gain < math.inf for gain in gains):
+        raise ValueError(f"amplifier gains must be >= 1 and finite, got {gains}")
+    return alpha_db_per_km, length_km, nbar, positions, gains
+
+
 class LinkPlan(namedtuple("LinkPlan", "alpha_db_per_km length_km nbar positions gains kind")):
     """A concrete link: attenuation, total length, photon budget, and the
     positions (km from the input) and gains of its amplifiers, all of one
@@ -58,25 +77,8 @@ class LinkPlan(namedtuple("LinkPlan", "alpha_db_per_km length_km nbar positions 
     def __new__(cls, alpha_db_per_km: float, length_km: float, nbar: float,
                 positions: tuple[float, ...] = (), gains: tuple[float, ...] = (),
                 kind: AmpKind = AmpKind.PSA):
-        if not length_km >= 0:
-            raise ValueError(f"total length must be non-negative, got {length_km}")
-        if not 0 <= nbar < math.inf:
-            raise ValueError(f"photon budget must be non-negative and finite, got {nbar}")
-        attenuation_to_natural(alpha_db_per_km)
-        positions, gains = tuple(positions), tuple(gains)
-        if len(positions) != len(gains):
-            raise ValueError("positions and gains must have equal length")
-        prev = 0.0
-        for pos in positions:
-            if not prev < pos < length_km:
-                raise ValueError(
-                    f"amplifier positions must be strictly increasing inside "
-                    f"(0, {length_km}), got {positions}"
-                )
-            prev = pos
-        if not all(1.0 <= gain < math.inf for gain in gains):
-            raise ValueError(f"amplifier gains must be >= 1 and finite, got {gains}")
-        return tuple.__new__(cls, (alpha_db_per_km, length_km, nbar, positions, gains, kind))
+        return tuple.__new__(cls, (*_plan_fields(alpha_db_per_km, length_km, nbar, positions,
+                                                 gains), kind))
 
     _make = classmethod(lambda cls, values: cls(*values))  # so that _replace validates too
 
@@ -220,21 +222,20 @@ def propagate(plan: LinkPlan, state: QuadState) -> tuple[QuadState, PropagationT
     return states[-1], PropagationTrace(positions, states)
 
 
-def check_power_constraint(
-    trace: PropagationTrace, nbar: float
-) -> list[tuple[float, float]]:
+def check_power_constraint(trace: PropagationTrace, nbar: float) -> list[tuple[float, float]]:
     """Audit the photon budget along a trace.
 
     Returns (position, excess) for every trace entry whose mean photon number
     exceeds the budget by more than the tolerance.  Loss only removes photons,
     so checking the recorded points covers the whole discrete chain.
     """
-    violations = []
-    for pos, state in zip(trace.positions, trace.states):
-        excess = mean_photon_number(state) - nbar
-        if excess > POWER_TOL:
-            violations.append((pos, excess))
-    return violations
+    return [(trace.positions[k], excess) for k, excess in _over_budget(trace.states, nbar)]
+
+
+def _over_budget(states, nbar: float) -> list[tuple[int, float]]:
+    """(index, excess), in order, of each raw state over the budget ``nbar`` by > POWER_TOL."""
+    return [(k, excess) for k, (sig_i, sig_q, noise_i, noise_q) in enumerate(states)
+            if (excess := (sig_i + sig_q + noise_i + noise_q) / 2.0 - 0.5 - nbar) > POWER_TOL]
 
 
 def max_feasible_psa_gain(state: QuadState, nbar: float) -> float:

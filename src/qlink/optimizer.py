@@ -8,7 +8,8 @@ overshoot the budget are repaired by scaling the offending gains down to the
 feasible boundary, which keeps the search connected.  A Shannon trial move
 at amplifier i walks on from the cached state after amplifier i - 1, over the
 cached spans and gains; it computes only the spans it moves and keeps only the
-raw output, checked as a ``QuadState``: the full walk's score, bit for bit.
+raw output, checked as a ``QuadState``: the full walk's score, bit for bit.  A
+Gordon-Holevo trial scores the whole repaired chain on raw tuples, no ``LinkPlan``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import os
 from collections import namedtuple
 
-from .capacity import Scenario, gh_capacity, scenario_input, shannon_rate
+from .capacity import Scenario, chain_gh_capacity, scenario_input, shannon_rate
 from .linkchain import (
     AmpKind,
     LinkPlan,
@@ -50,7 +51,7 @@ class _PlanScorer:
     def __init__(self, length_km, nbar, alpha_db_per_km, kind, scenario):
         self.length_km = length_km
         self.nbar = nbar
-        self.alpha_db_per_km = alpha_db_per_km
+        self.link = (alpha_db_per_km, length_km, nbar)  # a plan's fields before its amplifiers
         self.alpha_nat = attenuation_to_natural(alpha_db_per_km)
         self.kind = kind
         self.scenario = scenario
@@ -68,14 +69,14 @@ class _PlanScorer:
         return record[2::4], record[1::4], record[3::4], out, taus
 
     def plan(self, positions, gains) -> LinkPlan:
-        return LinkPlan(self.alpha_db_per_km, self.length_km, self.nbar,
-                        positions, gains, self.kind)
+        return LinkPlan(*self.link, positions, gains, self.kind)
 
     def score(self, positions, gains) -> tuple[float, list[float]]:
         """Score repaired coordinates; returns (score, repaired gains)."""
-        gains, _, _, out, _ = self.repair_gains(positions, gains)
+        gains, _, _, out, taus = self.repair_gains(positions, gains)
         if self.gh:
-            return gh_capacity(self.plan(positions, gains)).bits_per_mode, gains
+            result = chain_gh_capacity(taus, *self.link, positions, gains, self.kind)
+            return result.bits_per_mode, gains
         check_moments(*out)
         return shannon_rate(out, self.scenario), gains
 
@@ -83,7 +84,7 @@ class _PlanScorer:
         """``score(...)[0]`` of coordinates repaired before amplifier ``start``, given
         the raw state ``y`` just after amplifier ``start - 1`` and ``taus``, the span
         transmissions of ``positions``.  A Shannon trial walks on from ``y`` and keeps
-        only the output; a Gordon-Holevo trial folds the whole plan in ``gh_capacity``."""
+        only the output; a Gordon-Holevo trial is the whole ``score``."""
         if self.gh:
             return self.score(positions, gains)[0]
         y = _walk(y, taus, gains, self.kind, self.nbar, start)

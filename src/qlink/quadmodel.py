@@ -37,10 +37,10 @@ class QuadState(namedtuple("QuadState", "sig_i sig_q noise_i noise_q")):
 def check_moments(sig_i: float, sig_q: float, noise_i: float, noise_q: float) -> None:
     """Raise ``ValueError`` unless the moments describe a physical mode; every
     ``QuadState`` is checked here.  Written so that a NaN fails the checks."""
-    if not (sig_i >= 0 and sig_q >= 0):
+    if not (sig_i >= 0.0 and sig_q >= 0.0):
         raise ValueError(f"signal powers must be non-negative, got "
                          f"sig_i={sig_i}, sig_q={sig_q}")
-    if not (noise_i > 0 and noise_q > 0):
+    if not (noise_i > 0.0 and noise_q > 0.0):
         raise ValueError(f"noise variances must be positive, got "
                          f"noise_i={noise_i}, noise_q={noise_q}")
     product = noise_i * noise_q

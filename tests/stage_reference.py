@@ -6,13 +6,19 @@ over them, and the optimizer's gain repair and Shannon trial as loops over
 those stages, with the same checks in the same order.  ``qlink`` walks the
 chain in one loop on four floats instead; the tests hold the two to equal
 ``float.hex`` outputs and the same errors.
+
+The Gordon-Holevo capacity of a plan is composed here as objects: a
+validated ``LinkPlan``, its channel maps, the search, and the winning input
+propagated as ``QuadState``s into a ``PropagationTrace`` that the photon
+budget audit walks.  ``qlink`` scores it on raw tuples.
 """
 
 from __future__ import annotations
 
 import math
 
-from qlink.capacity import Scenario, gh_capacity, scenario_input, shannon_rate
+from qlink import capacity
+from qlink.capacity import GHSearchError, Scenario, scenario_input, shannon_rate
 from qlink.linkchain import (
     _PSA,
     MAX_NBAR,
@@ -22,7 +28,7 @@ from qlink.linkchain import (
     PropagationTrace,
     attenuation_to_natural,
 )
-from qlink.quadmodel import QuadState, check_moments
+from qlink.quadmodel import QuadState, check_moments, mean_photon_number
 
 
 def _loss(y: tuple, tau: float) -> tuple:
@@ -92,6 +98,27 @@ def channel_checkpoints(plan: LinkPlan) -> tuple[list[float], ...]:
     _, points = _fold(plan, (1.0, 1.0, 0.0, 0.0))
     mult_i, mult_q, add_i, add_q = (list(column) for column in zip(*points))
     return mult_i, add_i, mult_q, add_q
+
+
+def check_power_constraint(trace: PropagationTrace, nbar: float) -> list[tuple[float, float]]:
+    violations = []
+    for pos, state in zip(trace.positions, trace.states):
+        excess = mean_photon_number(state) - nbar
+        if excess > POWER_TOL:
+            violations.append((pos, excess))
+    return violations
+
+
+def gh_capacity(plan: LinkPlan) -> capacity.CapacityResult:
+    """The search on the plan's channel maps, looked up in ``capacity`` at call time so
+    that a test can replace it, then the audit of the winning input's trace."""
+    result = capacity.gh_capacity_for_channel(*channel_checkpoints(plan), plan.nbar)
+    _, trace = propagate(plan, result.achieving_input)
+    violations = check_power_constraint(trace, plan.nbar)
+    if violations:
+        raise GHSearchError(f"achieving input violates the photon budget at {violations[0]}",
+                            result.bits_per_mode)
+    return result
 
 
 class PlanScorer:

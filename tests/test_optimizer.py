@@ -15,6 +15,7 @@ from qlink import (
     AmpKind,
     GHSearchError,
     LinkPlan,
+    PropagationTrace,
     QuadState,
     Scenario,
     apply_loss,
@@ -28,7 +29,7 @@ from qlink import (
     shannon_single_quadrature,
     symmetric_coherent_input,
 )
-from qlink import optimizer, quadmodel
+from qlink import capacity, linkchain, optimizer, quadmodel
 from qlink.linkchain import _spans
 from qlink.optimizer import (
     MAX_GRID_POINTS,
@@ -202,6 +203,40 @@ class TestPlanScorer:
         assert (scorer.trial_score(trial_positions, trial_gains, i, y,
                                    spans(scorer, trial_positions))
                 == scorer.score(trial_positions, trial_gains)[0])
+
+    @pytest.mark.parametrize("kind", list(AmpKind))
+    def test_gordon_holevo_scoring_builds_no_plan_or_trace(self, kind, monkeypatch):
+        # the repair's spans and gains feed one search, with the channel maps
+        # and the audit of its winner walked on raw tuples
+        scorer = _PlanScorer(300.0, 100.0, 0.2, kind, Scenario.GORDON_HOLEVO)
+        positions, gains = [35.0, 160.0, 250.0], [3.0, 1.5, math.inf]
+        states = scorer.repair_gains(positions, gains)[2]
+        score = scorer.score(positions, gains)[0]
+
+        def refused(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"a Gordon-Holevo scoring called {name}")
+            return call
+
+        monkeypatch.setattr(LinkPlan, "__new__", refused("LinkPlan"))
+        monkeypatch.setattr(PropagationTrace, "__init__", refused("PropagationTrace"))
+        for module in (linkchain, capacity, optimizer):
+            monkeypatch.setattr(module, "propagate", refused("propagate"))
+        for module in (linkchain, capacity):
+            monkeypatch.setattr(module, "channel_checkpoints", refused("channel_checkpoints"))
+        searches, search = [], capacity.gh_capacity_for_channel
+        monkeypatch.setattr(capacity, "gh_capacity_for_channel",
+                            lambda *maps: searches.append(maps) or search(*maps))
+        built, new_state = [], QuadState.__new__
+        monkeypatch.setattr(QuadState, "__new__",
+                            lambda cls, *state: built.append(state) or new_state(cls, *state))
+        assert scorer.score(positions, gains)[0] == score
+        for i in range(len(positions)):
+            y = states[i - 1] if i else scorer.ref_input
+            assert scorer.trial_score(positions, gains, i, y, spans(scorer, positions)) == score
+        # one search per scoring, on 2R + 2 checkpoints; its winner is the only QuadState
+        assert [len(maps[0]) for maps in searches] == [2 * len(positions) + 2] * 4
+        assert len(built) == 4
 
     def test_gordon_holevo_trial_is_the_full_score(self):
         scorer = _PlanScorer(300.0, 100.0, 0.2, AmpKind.PSA, Scenario.GORDON_HOLEVO)

@@ -18,15 +18,22 @@ import stage_reference
 from conftest import quad_states
 from qlink import (
     AmpKind,
+    GHSearchError,
     LinkPlan,
+    QuadState,
     Scenario,
     apply_loss,
     apply_pia,
     apply_psa,
     channel_checkpoints,
+    check_power_constraint,
+    gh_capacity,
+    mean_photon_number,
     optimize_plan,
     propagate,
 )
+from qlink import capacity
+from qlink.capacity import CapacityResult
 from qlink.linkchain import MAX_NBAR, _spans
 from qlink.optimizer import _PlanScorer
 
@@ -108,6 +115,20 @@ class TestFold:
                 == outcome(traced(stage_reference.propagate), plan, state))
         assert (outcome(channel_checkpoints, plan)
                 == outcome(stage_reference.channel_checkpoints, plan))
+
+    @derandomized
+    @given(kinds, st.integers(0, 8), st.floats(1.0, 5000.0), st.data())
+    def test_power_audit_equals_the_reference(self, kind, amps, length, data):
+        # budgets on a traced state's photon count and just either side of
+        # the tolerance, so that some traces pass and some fail at any point
+        positions = data.draw(positions_of(length, amps))
+        gains = data.draw(st.lists(st.floats(1.0, 1e6), min_size=amps, max_size=amps))
+        _, trace = propagate(LinkPlan(0.2, length, 100.0, positions, gains, kind),
+                             data.draw(quad_states()))
+        photons = mean_photon_number(data.draw(st.sampled_from(trace.states)))
+        nbar = photons + data.draw(st.sampled_from([-1.0, -2e-9, 0.0, 5e-10, 2e-9, 1.0]))
+        assert (outcome(check_power_constraint, trace, nbar)
+                == outcome(stage_reference.check_power_constraint, trace, nbar))
 
     @derandomized
     @given(quad_states(), st.floats(1e-300, 1.0), st.floats(1.0, 1e12))
@@ -212,3 +233,71 @@ class TestRepairAndTrials:
             patch.setattr(_PlanScorer, "trial_score", checked)
             optimize_plan(length, amps, nbar, 0.2, kind, scenario)
         assert calls and set(calls) == set(range(amps))
+
+
+def gh_outcomes(scorer, positions, gains):
+    """The Gordon-Holevo score of raw coordinates three ways: the scorer's raw-tuple
+    ``score``; ``gh_capacity`` of the repaired plan; and the reference, which builds the
+    plan, folds it per stage and audits a ``PropagationTrace``.  Each is (the hexed value,
+    None) or (the exception's type and message, its ``best_value`` if it has one)."""
+    def repaired():
+        return scorer.plan(positions, scorer.repair_gains(positions, gains)[0])
+
+    def run(fn):
+        try:
+            return hexed(fn()), None
+        except Exception as err:  # noqa: BLE001 - compared, not handled
+            best = err.best_value.hex() if isinstance(err, GHSearchError) else None
+            return (type(err).__name__, str(err)), best
+
+    return [run(lambda: scorer.score(positions, gains)[0]),
+            run(lambda: gh_capacity(repaired()).bits_per_mode),
+            run(lambda: stage_reference.gh_capacity(repaired()).bits_per_mode)]
+
+
+class TestGordonHolevoScoring:
+    """A Gordon-Holevo scoring on raw tuples against the plan scored as objects."""
+
+    @derandomized
+    @given(kinds, st.floats(1.0, 5000.0), st.integers(0, 8), st.floats(-2.0, 5.0), st.data())
+    def test_score_equals_the_plan_capacity(self, kind, length, amps, log_nbar, data):
+        # gains lowered below their ceilings (and below 1), left at inf for the
+        # repair to clip, far above any ceiling, or NaN, which no plan accepts
+        scorer = _PlanScorer(length, 10.0 ** log_nbar, 0.2, kind, Scenario.GORDON_HOLEVO)
+        positions = data.draw(close_positions_of(length, amps)
+                              | positions_of(length, amps))
+        gains = data.draw(st.lists(st.floats(0.0, 3.0) | st.sampled_from([math.inf, 1e12])
+                                   | any_gains, min_size=amps, max_size=amps))
+        score, plan_capacity, reference = gh_outcomes(scorer, positions, gains)
+        assert score == plan_capacity == reference
+
+    @pytest.mark.parametrize("kind", [AmpKind.PSA, AmpKind.PIA])
+    @pytest.mark.parametrize("winner", [
+        (201.0, 0.0, 0.5, 0.5),  # over the budget at the input
+        # on the budget at the input, with more power in the amplified
+        # quadrature than the reference input: over it after a PSA
+        (199.75, 0.0, 1.0, 0.25),
+        (-1.0, 0.0, 0.5, 0.5),  # a negative signal power
+        # over the budget at the input, and a negative signal after the first span:
+        # every state's moments are checked before the budget
+        (201.0, -1e-3, 0.5, 0.5),
+    ])
+    def test_audit_failures_equal_the_reference(self, kind, winner, monkeypatch):
+        # The search is replaced by one whose winner fails the audit; a
+        # QuadState built without its checks carries the bad moments.
+        scorer = _PlanScorer(300.0, 100.0, 0.2, kind, Scenario.GORDON_HOLEVO)
+        positions, gains = [60.0, 170.0], [math.inf, math.inf]
+        monkeypatch.setattr(capacity, "gh_capacity_for_channel", lambda *maps: CapacityResult(
+            1.25, tuple.__new__(QuadState, winner)))
+        outcomes = gh_outcomes(scorer, positions, gains)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        got, best = outcomes[0]
+        if winner[1] < 0.0 or winner[0] < 0.0:
+            assert (got[0], best) == ("ValueError", None)
+            assert got[1].startswith("signal powers must be non-negative")
+        elif winner[0] < 200.0 and kind is AmpKind.PIA:  # a PIA amplifies both alike
+            assert got == (1.25).hex()
+        else:
+            assert (got[0], best) == ("GHSearchError", (1.25).hex())
+            position = "0.0" if winner[0] > 200.0 else "60.0"
+            assert got[1].startswith(f"achieving input violates the photon budget at ({position}, ")
