@@ -5,7 +5,7 @@ detection (the conventional Shannon rate), simultaneous two-quadrature
 detection (each quadrature pays an extra half unit of vacuum noise), and the
 quantum-optimal Gordon-Holevo rate of the induced phase-sensitive Gaussian
 channel, maximized over Gaussian input ensembles under the photon budget (in
-closed form or by one Brent search; a squeezing grid search is the fallback).
+closed form or by one Brent search; a golden-section search is the fallback).
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ def shannon_two_quadrature(state: QuadState) -> float:
 
 def entropy_g(x: float) -> float:
     """Entropy in bits of a thermal state with mean photon number ``x``."""
-    if x < 0:
-        raise ValueError(f"thermal photon number must be non-negative, got {x}")
+    if not 0.0 <= x < math.inf:  # NaN fails too
+        raise ValueError(f"thermal photon number must be finite and non-negative, got {x}")
     if x == 0.0:
         return 0.0
     return ((x + 1.0) * math.log1p(x) - x * math.log(x)) / _LN2
@@ -123,7 +123,7 @@ def holevo_chi(
     ``out_total`` holds the per-quadrature variances of the ensemble-average
     output state, ``out_noise`` those of a single (unmodulated) output.
     """
-    if out_total[0] < out_noise[0] - 1e-12 or out_total[1] < out_noise[1] - 1e-12:
+    if not (out_total[0] >= out_noise[0] - 1e-12 and out_total[1] >= out_noise[1] - 1e-12):
         raise ValueError(
             f"ensemble variances {out_total} must dominate noise variances {out_noise}"
         )
@@ -147,12 +147,7 @@ def scenario_input(scenario: Scenario, nbar: float) -> QuadState:
     return conventional_input(nbar)
 
 
-# Squeezing grid that brackets the best r before the golden-section refinement.
-_GH_R_GRID = 33
 _GH_R_TOL = 1e-10
-# Optima this close (as a share of 2*nbar + 1) to an end of the budget interval
-# go to the grid search, which scores ends that differ only by rounding alike.
-_GH_EDGE = 1e-6
 _INFEASIBLE = "no squeezed input meets the photon budget at every checkpoint"
 # Largest budget a Gordon-Holevo run accepts: the largest power of ten at
 # which the rounding of a photon count, eps*(2*nbar + 1) per stage, stays
@@ -236,29 +231,23 @@ class _GhChannel:
 
 
 def _gh_search(channel: _GhChannel) -> tuple[float, float, float]:
-    """Maximize chi over the squeezing r, each r with its best split: the fallback
-    for degenerate maps, optima by the budget's ends and non-finite chi.
-
-    A uniform grid over |r| <= r_cap brackets the best r; golden-section
-    search refines it between the best grid point's neighbours.  Both call
-    ``channel.chi``, and the winner keeps the split its call left.  Returns
-    (chi, p, r); chi is -inf when no input is feasible.
-    """
+    """(chi, p, r) by golden section over the squeezings r that leave a feasible
+    split: X = e^{-2r}/2 <= x_hi at p = 0 and X = T - e^{2r}/2 >= x_lo at p = 1.
+    The fallback for degenerate maps, an r* clipped with no signal power left and
+    non-finite chi.  The tolerance shrinks with r_cap, so that budgets far below
+    1 keep their resolution; zero capacity gives r = 0 where that is feasible."""
+    total = 2.0 * channel.nbar + 1.0
     r_cap = math.asinh(math.sqrt(channel.nbar))  # cosh(2 r_cap) = 2*nbar + 1
-    step = 2.0 * r_cap / (_GH_R_GRID - 1)
-    grid = [-r_cap + k * step for k in range(_GH_R_GRID)]
-    # ties (e.g. zero capacity) go to the least squeezed input, then to the first
-    value, _, neg_k, p = max([(channel.chi(r), -abs(r), -k, channel.p) for k, r in enumerate(grid)])
-    best = -neg_k
-    r = grid[best]
-    if value > -math.inf:
-        lo = grid[max(best - 1, 0)]
-        hi = grid[min(best + 1, _GH_R_GRID - 1)]
-        r_ref, value_ref = golden_section_maximize(channel.chi, lo, hi, _GH_R_TOL)
-        if value_ref > value:
-            # the search's last evaluation is at r_ref, so its split is current
-            r, value, p = r_ref, value_ref, channel.p
-    return value, p, r
+    if channel.x_hi <= 0.0 or channel.x_lo >= total:
+        raise GHSearchError(_INFEASIBLE, -math.inf)
+    r_lo = max(-r_cap, -0.5 * math.log(2.0 * channel.x_hi))
+    r_hi = min(r_cap, 0.5 * math.log(2.0 * (total - channel.x_lo)))
+    if r_lo > r_hi:
+        raise GHSearchError(_INFEASIBLE, -math.inf)
+    r, value = golden_section_maximize(channel.chi, r_lo, r_hi, _GH_R_TOL * min(1.0, r_cap))
+    if value <= 0.0 and r_lo <= 0.0 <= r_hi:  # never an end, which rounding can put out of budget
+        r = 0.0
+    return channel.chi(r), channel.p, r
 
 
 def _water_filling(channel: _GhChannel) -> tuple[float, float, float] | None:
@@ -266,7 +255,8 @@ def _water_filling(channel: _GhChannel) -> tuple[float, float, float] | None:
     variance product peaks at an input I variance X*, its noise product is least
     at a squeezing r*.  With both signal powers non-negative at (X*, r*) that is
     the optimum (Schaefer et al., PRL 111, 030503, 2013); else the quadrature
-    whose signal would go negative carries none, and a Brent search finds it."""
+    whose signal would go negative carries none, and a Brent search finds it.
+    An X* outside [x_lo, x_hi] (its ends are inside) or NaN gives None."""
     (mi, ai, mq, aq), nbar = channel.out, channel.nbar
     if not (ai > 0.0 and aq > 0.0 and mi > 0.0 and mi * mq > 0.0):
         return None
@@ -288,17 +278,17 @@ def _water_filling(channel: _GhChannel) -> tuple[float, float, float] | None:
         x = noise_i if gain_i == 0.0 else total - noise_q
     elif r != r_star:  # no signal power is left at the bound
         return None
-    if not channel.x_lo + _GH_EDGE * total < x < channel.x_hi - _GH_EDGE * total:
+    if not channel.x_lo <= x <= channel.x_hi:
         return None  # also a NaN X*
     value = channel.chi(r)
     return (value, channel.p, r) if -math.inf < value < math.inf else None
 
 
 def gh_capacity_for_channel(mult_i, add_i, mult_q, add_q, nbar: float) -> CapacityResult:
-    """Gordon-Holevo capacity of an affine Gaussian channel given its
-    per-checkpoint coefficient sequences (last checkpoint = output); the
-    search is exact and deterministic.  Maps of unequal or zero length, negative
-    or NaN budgets, and budgets above ``MAX_GH_NBAR`` raise ``ValueError``."""
+    """Gordon-Holevo capacity of an affine Gaussian channel given its per-checkpoint
+    coefficient sequences (last checkpoint = output), by water filling or else one
+    golden-section search, both deterministic.  Maps of unequal or zero length,
+    negative or NaN budgets, and budgets above ``MAX_GH_NBAR`` raise ``ValueError``."""
     if not 0 < len(mult_i) == len(add_i) == len(mult_q) == len(add_q):
         raise ValueError("(mult_i, add_i, mult_q, add_q) need equal non-zero lengths, got "
                          f"{(len(mult_i), len(add_i), len(mult_q), len(add_q))}")
@@ -311,8 +301,8 @@ def gh_capacity_for_channel(mult_i, add_i, mult_q, add_q, nbar: float) -> Capaci
         return CapacityResult(0.0, QuadState(0, 0, 0.5, 0.5))
     channel = _GhChannel(mult_i, add_i, mult_q, add_q, nbar)
     chi, p, r = _water_filling(channel) or _gh_search(channel)
-    if chi == -math.inf:
-        raise GHSearchError(_INFEASIBLE, chi)
+    if not chi > -math.inf:  # a NaN photon count, from NaN maps, meets no budget either
+        raise GHSearchError(_INFEASIBLE, -math.inf)
     noise_i, noise_q, budget = _squeezed_floor(r, nbar)
     achieving = QuadState(p * budget, (1.0 - p) * budget, noise_i, noise_q)
     return CapacityResult(max(chi, 0.0), achieving)

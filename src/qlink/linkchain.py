@@ -90,6 +90,9 @@ class PropagationTrace:
     __slots__ = ("positions", "states")
 
     def __init__(self, positions: tuple[float, ...], states: tuple[QuadState, ...]):
+        if len(positions) != len(states):
+            raise ValueError(f"a trace needs one state per position, got {len(positions)} "
+                             f"positions and {len(states)} states")
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "states", states)
 

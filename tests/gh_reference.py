@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 
-from qlink.capacity import _GH_R_GRID, _GH_R_TOL, _INFEASIBLE, CapacityResult, GHSearchError
+from qlink.capacity import _GH_R_TOL, _INFEASIBLE, CapacityResult, GHSearchError
 from qlink.quadmodel import HEISENBERG_LIMIT, HEISENBERG_TOL, QuadState
 from qlink.search import golden_section_maximize
 
 _LN2 = math.log(2.0)
+_GH_R_GRID = 33
 
 
 def symplectic(var_i, var_q):

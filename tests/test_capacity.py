@@ -32,11 +32,10 @@ from qlink import (
 )
 import qlink.capacity as capacity
 from qlink.capacity import (
-    _GH_EDGE,
     MAX_GH_NBAR,
+    CapacityResult,
     _chi,
     _GhChannel,
-    _gh_search,
     _squeezed_floor,
     _water_filling,
     gh_capacity_for_channel,
@@ -102,6 +101,12 @@ class TestEntropyG:
         with pytest.raises(ValueError):
             entropy_g(-0.1)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_rejects_nan_and_infinity(self, x):
+        # both returned NaN
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            entropy_g(x)
+
     def test_monotone_and_concave(self):
         xs = [0.05 * k for k in range(200)]
         values = [entropy_g(x) for x in xs]
@@ -125,6 +130,11 @@ class TestGaussianEntropy:
         with pytest.raises(ValueError):
             gaussian_state_entropy(0.3, 0.3)
 
+    @pytest.mark.parametrize("variances", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_rejects_nan(self, variances):
+        with pytest.raises(ValueError):
+            gaussian_state_entropy(*variances)
+
 
 class TestHolevoChi:
     def test_no_modulation_no_information(self):
@@ -145,6 +155,16 @@ class TestHolevoChi:
     def test_rejects_non_dominating_total(self):
         with pytest.raises(ValueError, match="dominate"):
             holevo_chi((0.4, 0.5), (0.5, 0.5))
+
+    @pytest.mark.parametrize("out_total, out_noise", [
+        ((math.nan, 1.0), (0.5, 0.5)),
+        ((1.0, math.nan), (0.5, 0.5)),
+        ((1.0, 1.0), (math.nan, 0.5)),
+        ((1.0, 1.0), (0.5, math.nan)),
+    ])
+    def test_rejects_nan_variances(self, out_total, out_noise):
+        with pytest.raises(ValueError, match="dominate"):
+            holevo_chi(out_total, out_noise)
 
     @pytest.mark.parametrize("nbar", [1e-3, 1.0, 100.0, 1e5])
     @pytest.mark.parametrize("signal", [1e-12, 1e-30, 1e-300])
@@ -456,6 +476,17 @@ class TestGhBudgetInterval:
         assert err.value.best_value == -math.inf
         assert calls == []
 
+    @pytest.mark.parametrize("arrays", [
+        ([math.nan], [0.0], [1.0], [0.0]),
+        ([1.0], [math.nan], [1.0], [0.0]),
+        ([1.0], [0.0], [1.0], [math.nan]),
+    ])
+    def test_nan_maps_are_infeasible(self, arrays):
+        # chi is NaN at every squeezing, and a NaN photon count meets no budget
+        with pytest.raises(GHSearchError) as err:
+            gh_capacity_for_channel(*arrays, 1.0)
+        assert err.value.best_value == -math.inf
+
     def test_budget_bound_keeps_rounding_within_the_search_margin(self):
         # one rounding of a photon count fits ten times in the 0.5*POWER_TOL
         # margin at MAX_GH_NBAR, and no longer at ten times the budget
@@ -484,10 +515,21 @@ def _outcome(fn, *args):
         return type(err), str(err)
 
 
-def _grid_capacity(*arrays_and_nbar):
+def _fallback_capacity(*arrays_and_nbar):
     """``gh_capacity_for_channel`` with every channel left to ``_gh_search``."""
     with mock.patch.object(capacity, "_water_filling", lambda channel: None):
         return gh_capacity_for_channel(*arrays_and_nbar)
+
+
+def _kind(outcome):
+    """``CapacityResult``, or the error type, of an ``_outcome``."""
+    return CapacityResult if isinstance(outcome, CapacityResult) else outcome[0]
+
+
+def _noise_excess(arrays, state):
+    """nu - 1/2 of the output noise for an input ``state``: its excess over vacuum."""
+    return math.sqrt((arrays[0][-1] * state.noise_i + arrays[1][-1])
+                     * (arrays[2][-1] * state.noise_q + arrays[3][-1])) - 0.5
 
 
 def _split(channel, r):
@@ -518,55 +560,135 @@ class TestGhKernelOracle:
             if -r_cap <= r <= r_cap:
                 assert (_outcome(_split, channel, r)
                         == _outcome(gh_reference.best_split, channel, r))
-        assert (_outcome(_grid_capacity, *arrays, nbar)
-                == _outcome(gh_reference.gh_capacity, channel))
+        # The search no longer samples the reference's grid, so the outcomes
+        # agree in kind, and the value where rounding does not rule it: output
+        # noise clear of vacuum (test_never_below_the_grid_search) and a normal
+        # double (a subnormal one keeps fewer digits than the bound).
+        result = _outcome(_fallback_capacity, *arrays, nbar)
+        reference = _outcome(gh_reference.gh_capacity, channel)
+        if _kind(result) is not _kind(reference):
+            if reference[0] is GHSearchError:
+                # No grid point is feasible: the feasible squeezings lie
+                # between two of them, and the reference kernel finds a split
+                # (or the search's error) in their middle.
+                r_lo = max(-r_cap, -0.5 * math.log(2.0 * channel.x_hi))
+                r_hi = min(r_cap, 0.5 * math.log(2.0 * (total - channel.x_lo)))
+                assert 0.0 <= r_hi - r_lo < 2.0 * r_cap / (gh_reference._GH_R_GRID - 1)
+                middle = 0.5 * (r_lo + r_hi)
+                assert _outcome(gh_reference.best_split, channel, middle)[0] != -math.inf
+            else:
+                # The output breaks the Heisenberg limit for some inputs, its
+                # variance product being least, (sqrt(mi*mq)/2 + sqrt(ai*aq))**2,
+                # at one squeezing: the kernel raises at some squeezings and
+                # not at others, so the outcome follows the squeezings probed.
+                mi, ai, mq, aq = channel.out
+                assert math.sqrt(mi * mq) / 2.0 + math.sqrt(ai * aq) < 0.5
+        elif (isinstance(reference, CapacityResult)
+              and _noise_excess(arrays, result.achieving_input) >= 1e-4
+              and reference.bits_per_mode >= sys.float_info.min):
+            assert result.bits_per_mode >= reference.bits_per_mode * (1.0 - 1e-9)
 
-    @pytest.mark.parametrize("arrays, nbar", [
+    @pytest.mark.parametrize("nbar", [1e-6, 1.0, 100.0])
+    def test_zero_capacity_returns_the_unsqueezed_input(self, nbar):
         # nothing reaches the output, so chi is 0 at every feasible r
-        *[(([1.0, 0.0], [0.0, 0.5], [1.0, 0.0], [0.0, 0.5]), nbar) for nbar in (1e-6, 1.0, 100.0)],
-        # a lossless link: every pure input reaches chi = g(nbar), up to rounding
-        *[(([1.0], [0.0], [1.0], [0.0]), nbar) for nbar in (0.5, 1.0, 10.0, MAX_GH_NBAR)],
-    ])
-    def test_exact_grid_ties_equal_the_reference(self, arrays, nbar):
-        # the grid winner is the largest chi; ties go to the smallest |r|, then
-        # to the first grid point
-        channel = _GhChannel(*arrays, nbar)
-        values = [gh_reference.best_split(channel, r)[0]
-                  for r in gh_reference.squeezing_grid(nbar)]
-        assert values.count(max(values)) > 1
-        assert (_outcome(gh_capacity_for_channel, *arrays, nbar)
-                == _outcome(gh_reference.gh_capacity, channel))
+        arrays = ([1.0, 0.0], [0.0, 0.5], [1.0, 0.0], [0.0, 0.5])
+        result = gh_capacity_for_channel(*arrays, nbar)
+        assert result == gh_reference.gh_capacity(_GhChannel(*arrays, nbar))
+        assert result.bits_per_mode == 0.0 and result.achieving_input.noise_i == 0.5
 
-    def test_a_tied_pair_of_opposite_squeezings_goes_to_the_first(self):
-        # At nbar = 1 the lossless link's grid maximum is tied at exactly -r and
-        # +r, and not at r = 0, so the grid index breaks the tie.
-        channel = _GhChannel([1.0], [0.0], [1.0], [0.0], 1.0)
-        grid = gh_reference.squeezing_grid(1.0)
-        values = [gh_reference.best_split(channel, r)[0] for r in grid]
-        tied = [k for k, value in enumerate(values) if value == max(values)]
-        assert tied == [13, 19] and grid[13] == -grid[19] < 0.0
-        assert _gh_search(channel) == gh_reference.gh_search(channel)
-        assert _gh_search(channel)[2] == grid[13]
+    def test_zero_capacity_off_the_unsqueezed_input_is_feasible(self):
+        # Nothing reaches the output, and the middle checkpoint needs X >=
+        # 2.896, which only squeezings r <= -0.784 reach.  The least squeezed
+        # of them, that end, is out of budget by rounding.
+        arrays = ([0.0, 0.0, 0.0], [0.0, 1.5, 1.0], [0.0, 3.0, 0.0], [0.0, 1.1875, 1.0])
+        channel = _GhChannel(*arrays, 1.0)
+        assert channel.chi(0.5 * math.log(2.0 * (3.0 - channel.x_lo))) == -math.inf
+        result = gh_capacity_for_channel(*arrays, 1.0)
+        assert result.bits_per_mode == 0.0 and result.achieving_input.noise_q < 0.5
+
+    @pytest.mark.parametrize("nbar", [0.5, 1.0, 10.0, MAX_GH_NBAR])
+    def test_lossless_link_reaches_the_thermal_entropy(self, nbar):
+        # every pure input reaches chi = g(nbar), up to rounding
+        bits = gh_capacity_for_channel([1.0], [0.0], [1.0], [0.0], nbar).bits_per_mode
+        assert bits == pytest.approx(entropy_g(nbar), rel=1e-11)
 
 
-class TestGhGridCache:
-    def test_interleaved_budgets_equal_the_reference(self):
-        # The squeezing grid is kept for the last budget searched.  Budgets
-        # taken in turn, each twice in a row, must give every search the
-        # reference's fresh grid, whether a grid point (PIA here) or the
-        # golden-section refinement (PSA) wins.
-        winners = {}
+class TestGhFallbackSearch:
+    def test_interleaved_budgets_give_the_same_results(self):
+        # The search keeps no state between calls: budgets taken in turn, each
+        # twice in a row, give each channel one result, and none falls below
+        # the reference's grid search.
+        results = {}
         for _ in range(2):
             for nbar in (1e-6, 1.0, 100.0, 1e5):
                 for kind in (AmpKind.PSA, AmpKind.PIA):
-                    plan = equidistant_saturating_plan(300.0, 2, nbar, 0.2, kind,
-                                                       Scenario.GORDON_HOLEVO).plan
-                    maps = channel_checkpoints(plan)
-                    channel = _GhChannel(*maps, nbar)
-                    assert _grid_capacity(*maps, nbar) == gh_reference.gh_capacity(channel)
-                    r = gh_reference.gh_search(channel)[2]
-                    winners.setdefault(nbar, set()).add(r in gh_reference.squeezing_grid(nbar))
-        assert all(found == {True, False} for found in winners.values())
+                    maps = _seed_channel(300.0, 2, kind, nbar)
+                    result = _fallback_capacity(*maps, nbar)
+                    assert results.setdefault((nbar, kind), result) == result
+                    reference = gh_reference.gh_capacity(_GhChannel(*maps, nbar))
+                    assert result.bits_per_mode >= reference.bits_per_mode * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("nbar", [1e-300, 1e-200, 1e-100, 1e-50, 1e-20])
+    @pytest.mark.parametrize("kind", [AmpKind.PSA, AmpKind.PIA])
+    @pytest.mark.parametrize("alpha", [0.2, 10.0])
+    def test_tiny_budgets_keep_the_search_resolution(self, alpha, kind, nbar):
+        # r_cap is about sqrt(nbar): a tolerance that does not shrink with it
+        # stops the search after a few steps at 1e-20 (2% short there) and
+        # spans the whole bracket below
+        channels = [channel_maps(kind, [0.0, 5.0, 10.0], nbar, alpha)]
+        for amps in range(5):
+            plan = equidistant_saturating_plan(10.0, amps, nbar, alpha, kind,
+                                               Scenario.GORDON_HOLEVO).plan
+            channels.append(channel_checkpoints(plan))
+        for maps in channels:
+            result = _fallback_capacity(*maps, nbar)
+            reference = gh_reference.gh_capacity(_GhChannel(*maps, nbar))
+            assert result.bits_per_mode >= reference.bits_per_mode * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["psa", "q-amplifying"])
+    @pytest.mark.parametrize("width", [1e-3, 1e-6])
+    def test_narrow_feasible_interval_at_an_end_of_the_squeezing(self, mirrored, width):
+        # One checkpoint bounds X so that only squeezings within width*r_cap
+        # of +r_cap (the PSA map's upper bound on X) or of -r_cap (the
+        # mirrored map's lower bound) leave a feasible split; the search
+        # brackets them alone and finds the best of a dense scan of them.
+        nbar = 100.0
+        total, r_cap = 2.0 * nbar + 1.0, math.asinh(math.sqrt(nbar))
+        edge = 0.5 * math.exp(-2.0 * r_cap * (1.0 - width))  # e^{-2|r|}/2, |r| = r_cap*(1-width)
+        arrays = _seed_channel(260.0, 2, AmpKind.PSA, nbar)
+        if mirrored:
+            arrays = (arrays[2], arrays[3], arrays[0], arrays[1])
+            arrays = _with_budget_end_at(arrays, nbar, total - edge, upper=False)
+            ends = (-r_cap, -r_cap * (1.0 - width))
+        else:
+            arrays = _with_budget_end_at(arrays, nbar, edge, upper=True)
+            ends = (r_cap * (1.0 - width), r_cap)
+        channel = _GhChannel(*arrays, nbar)
+        scan = [gh_reference.best_split(channel, ends[0] + k * (ends[1] - ends[0]) / 1000)[0]
+                for k in range(1001)]
+        best = max(scan)
+        assert best > 0.0 and scan.count(-math.inf) < 10  # the scan spans the feasible squeezings
+        assert gh_capacity_for_channel(*arrays, nbar).bits_per_mode >= best * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("x_of, upper", [
+        (lambda total, floor: 0.0, True),
+        (lambda total, floor: -1.0, True),
+        (lambda total, floor: 0.9999 * floor, True),
+        (lambda total, floor: total, False),
+        (lambda total, floor: total - 0.9999 * floor, False),
+    ], ids=["x-below-0", "x-below-minus-1", "x-below-the-least-noise", "x-above-t",
+            "x-above-t-less-the-least-noise"])
+    def test_empty_squeezing_interval_raises_infeasible(self, x_of, upper):
+        # The budget interval on X is not empty, but no squeezing reaches it:
+        # the least noise variance of either quadrature is floor = e^{-2 r_cap}/2.
+        nbar = 100.0
+        total, floor = 2.0 * nbar + 1.0, 0.5 * math.exp(-2.0 * math.asinh(math.sqrt(nbar)))
+        arrays = _with_budget_end_at(([1.0], [0.0], [1.0], [0.0]), nbar, x_of(total, floor), upper)
+        channel = _GhChannel(*arrays, nbar)
+        assert channel.x_lo <= channel.x_hi
+        with pytest.raises(GHSearchError) as err:
+            gh_capacity_for_channel(*arrays, nbar)
+        assert err.value.best_value == -math.inf
 
 
 def _with_budget_end_at(arrays, nbar, x, upper):
@@ -591,7 +713,7 @@ class TestGhStructuredSearch:
     def test_never_below_the_grid_search(self, channel_data):
         arrays, nbar = channel_data
         try:
-            grid = _grid_capacity(*arrays, nbar).bits_per_mode
+            grid = gh_reference.gh_capacity(_GhChannel(*arrays, nbar)).bits_per_mode
         except GHSearchError:
             assume(False)
         result = gh_capacity_for_channel(*arrays, nbar)
@@ -599,10 +721,7 @@ class TestGhStructuredSearch:
         # rounding of that excess, more than 1e-12 relative, and a search
         # that samples more points finds higher rounding
         # (test_decimal_oracle.py, _RESOLVED_EXCESS).
-        state = result.achieving_input
-        noise_out = ((arrays[0][-1] * state.noise_i + arrays[1][-1])
-                     * (arrays[2][-1] * state.noise_q + arrays[3][-1]))
-        if math.sqrt(noise_out) - 0.5 >= 1e-4:
+        if _noise_excess(arrays, result.achieving_input) >= 1e-4:
             assert result.bits_per_mode >= grid * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("arrays, nbar", [
@@ -613,28 +732,33 @@ class TestGhStructuredSearch:
         # the PSA continuum at 1e4 km: the Q map has underflowed to 0
         (channel_maps(AmpKind.PSA, [0.0, 1e4], 100.0), 100.0),
     ], ids=["lossless", "pia-1e6-km", "psa-1e4-km"])
-    def test_degenerate_maps_take_the_grid_search(self, arrays, nbar):
+    def test_degenerate_maps_take_the_fallback_search(self, arrays, nbar):
         channel = _GhChannel(*arrays, nbar)
         assert _water_filling(channel) is None
-        assert gh_capacity_for_channel(*arrays, nbar) == gh_reference.gh_capacity(channel)
+        reference = gh_reference.gh_capacity(channel).bits_per_mode
+        assert gh_capacity_for_channel(*arrays, nbar).bits_per_mode >= reference * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("kind, length, amps", [
         (AmpKind.PSA, 260.0, 2),  # the curve on which Q carries no signal
         (AmpKind.PIA, 150.0, 1),  # the interior optimum
     ])
-    def test_optima_next_to_the_budget_bounds_take_the_grid_search(self, kind, length, amps):
+    def test_only_optima_past_the_budget_bounds_take_the_fallback_search(self, kind, length,
+                                                                          amps):
+        # An X* on the budget interval, however close to its end, is the
+        # optimum; one past the end is not, and the optimum lies on that end.
         arrays, nbar = _seed_channel(length, amps, kind), 100.0
         _, p, r = _water_filling(_GhChannel(*arrays, nbar))
         noise_i, _, budget = _squeezed_floor(r, nbar)
         x = noise_i + p * budget
         upper = x <= nbar + 0.5
-        for share, structured in ((0.5 * _GH_EDGE, False), (2.0 * _GH_EDGE, True)):
+        for share, structured in ((1e-6, True), (1e-9, True), (-1e-9, False), (-1e-3, False)):
             end = x + (share if upper else -share) * (2.0 * nbar + 1.0)
             near = _with_budget_end_at(arrays, nbar, end, upper)
             channel = _GhChannel(*near, nbar)
             assert (_water_filling(channel) is not None) is structured
-            if not structured:
-                assert gh_capacity_for_channel(*near, nbar) == gh_reference.gh_capacity(channel)
+            reference = gh_reference.gh_capacity(channel).bits_per_mode
+            assert (gh_capacity_for_channel(*near, nbar).bits_per_mode
+                    >= reference * (1.0 - 1e-12))
 
     def test_squeezing_past_the_budget_is_classified_at_the_bound(self):
         # The noise of the 260 km PSA seed plan is least at r* = 3.62, past
@@ -644,7 +768,7 @@ class TestGhStructuredSearch:
         assert 0.25 * math.log(mi * aq / (ai * mq)) > math.asinh(10.0) + 0.5
         value, p, _ = _water_filling(channel)
         assert p == 1.0
-        assert value >= _gh_search(channel)[0] * (1.0 - 1e-12)
+        assert value >= gh_reference.gh_search(channel)[0] * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("kind, most", [(AmpKind.PSA, 20.0), (AmpKind.PIA, 1.0)])
     def test_sweep_gh_seed_plans_need_few_chi_calls(self, kind, most):

@@ -168,6 +168,16 @@ def test_link_plan_validation_messages(args, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("positions, states", [((0.0, 1.0), (QuadState(1.0, 0.0, 0.5, 0.5),)),
+                                                ((0.0,), ())])
+def test_trace_of_unequal_lengths_is_refused(positions, states):
+    # len() counted the positions alone and the power audit indexed past the states
+    with pytest.raises(ValueError) as err:
+        PropagationTrace(positions, states)
+    assert str(err.value) == (f"a trace needs one state per position, got {len(positions)} "
+                              f"positions and {len(states)} states")
+
+
 def _echo(command, amps="0", l_min="10.0", l_max="5000.0", l_step="10.0",
           scenario="conventional-snl"):
     return "".join(f"# {key}={value}\n" for key, value in [
