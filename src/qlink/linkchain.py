@@ -134,41 +134,43 @@ def _walk(y, taus, gains, kind: AmpKind, nbar=None, start: int = 0, record=None)
     budget ``nbar``)] if one is given.  A ``record`` list gets the state after every
     span and amplifier and, with a budget, each amplifier's ceiling and gain first."""
     sig_i, sig_q, noise_i, noise_q = y
-    psa, amps = kind is _PSA, len(gains)
-    if psa and nbar is not None and nbar > MAX_NBAR and start < amps:
-        raise ValueError(f"the PSA gain ceiling needs nbar <= MAX_NBAR = {MAX_NBAR:g}, "
-                         f"got {nbar:g}")
+    psa, amps, recording, sqrt = kind is _PSA, len(gains), record is not None, math.sqrt
+    if nbar is not None:
+        if psa and nbar > MAX_NBAR and start < amps:
+            raise ValueError(f"the PSA gain ceiling needs nbar <= MAX_NBAR = {MAX_NBAR:g}, "
+                             f"got {nbar:g}")
+        limit, target = nbar + POWER_TOL, 2.0 * nbar + 1.0
+        target_sq = target * target
     for k in range(start, amps + 1):
         tau = taus[k]
         vac = (1.0 - tau) / 2.0
         sig_i, sig_q = tau * sig_i, tau * sig_q
         noise_i, noise_q = tau * noise_i + vac, tau * noise_q + vac
-        if record is not None:
+        if recording:
             record.append((sig_i, sig_q, noise_i, noise_q))
         if k == amps:
             return sig_i, sig_q, noise_i, noise_q
         gain = gains[k]
         if nbar is not None:
             photons = (sig_i + sig_q + noise_i + noise_q) / 2.0 - 0.5  # as mean_photon_number
-            if photons > nbar + POWER_TOL:
+            if photons > limit:
                 raise ValueError("state already exceeds the photon budget")
             if psa:
                 power_i, power_q = sig_i + noise_i, sig_q + noise_q
                 if power_i < power_q - POWER_TOL:
                     raise ValueError("amplified quadrature must carry at least as much power "
                                      "as the deamplified one")
-                target = 2.0 * nbar + 1.0
-                disc = target * target - 4.0 * power_i * power_q
+                disc = target_sq - 4.0 * power_i * power_q
                 if disc < 0.0:
                     raise ValueError(f"no real gain reaches photon budget {nbar} from "
                                      f"{(sig_i, sig_q, noise_i, noise_q)}")
-                ceiling = (target + math.sqrt(disc)) / (2.0 * power_i)
+                ceiling = (target + sqrt(disc)) / (2.0 * power_i)
             else:
                 ceiling = (nbar + 1.0) / (photons + 1.0)
             # min(max(gain, 1.0), max(ceiling, 1.0)) by comparisons, NaN and ties too
             ceiling = 1.0 if ceiling < 1.0 else ceiling
             gain = ceiling if ceiling < gain else (1.0 if gain < 1.0 else gain)
-            if record is not None:
+            if recording:
                 record += ceiling, gain
         if psa:
             sig_i, sig_q = gain * sig_i, sig_q / gain
@@ -177,7 +179,7 @@ def _walk(y, taus, gains, kind: AmpKind, nbar=None, start: int = 0, record=None)
             excess = (gain - 1.0) / 2.0
             sig_i, sig_q = gain * sig_i, gain * sig_q
             noise_i, noise_q = gain * noise_i + excess, gain * noise_q + excess
-        if record is not None:
+        if recording:
             record.append((sig_i, sig_q, noise_i, noise_q))
 
 

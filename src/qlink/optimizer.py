@@ -135,6 +135,7 @@ def optimize_plan(
     positions = list(seed_candidate.plan.positions)
     gains, ceilings, states, _, taus = scorer.repair_gains(positions, seed_candidate.plan.gains)
     current = seed_candidate.score
+    trial, exp, alpha = scorer.trial_score, math.exp, scorer.alpha_nat  # once per descent
     # A Gordon-Holevo optimum tends to hold a gain on its budget ceiling; a
     # position move at fixed gain leaves that ridge, so there the trial gain
     # follows the ceiling (repair_gains clips inf to it).  The conventional
@@ -165,9 +166,9 @@ def optimize_plan(
 
                 def eval_position(x: float) -> float:
                     trial_positions[i] = x
-                    trial_taus[i] = math.exp(-scorer.alpha_nat * (x - left))
-                    trial_taus[i + 1] = math.exp(-scorer.alpha_nat * (right - x))
-                    return scorer.trial_score(trial_positions, move_gains, i, y, trial_taus)
+                    trial_taus[i] = exp(-alpha * (x - left))
+                    trial_taus[i + 1] = exp(-alpha * (right - x))
+                    return trial(trial_positions, move_gains, i, y, trial_taus)
 
                 best_x, best_fx = golden_section_maximize(eval_position, lo, hi, _PARAM_TOL)
                 if best_fx > current:
@@ -184,7 +185,7 @@ def optimize_plan(
 
                 def eval_gain(g: float) -> float:
                     trial_gains[i] = g
-                    return scorer.trial_score(positions, trial_gains, i, y, taus)
+                    return trial(positions, trial_gains, i, y, taus)
 
                 best_g, best_fg = golden_section_maximize(eval_gain, 1.0, ceiling, _PARAM_TOL)
                 if best_fg > current:

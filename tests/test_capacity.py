@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from qlink import (
@@ -48,6 +48,7 @@ from qlink.distributed import (
 )
 from qlink.linkchain import POWER_TOL
 from qlink.optimizer import _PlanScorer, equidistant_saturating_plan, optimize_plan
+from qlink.quadmodel import HEISENBERG_LIMIT, HEISENBERG_TOL
 
 import gh_reference
 from conftest import gh_link_channels, quad_states
@@ -566,23 +567,24 @@ class TestGhKernelOracle:
         # double (a subnormal one keeps fewer digits than the bound).
         result = _outcome(_fallback_capacity, *arrays, nbar)
         reference = _outcome(gh_reference.gh_capacity, channel)
-        if _kind(result) is not _kind(reference):
-            if reference[0] is GHSearchError:
-                # No grid point is feasible: the feasible squeezings lie
-                # between two of them, and the reference kernel finds a split
-                # (or the search's error) in their middle.
-                r_lo = max(-r_cap, -0.5 * math.log(2.0 * channel.x_hi))
-                r_hi = min(r_cap, 0.5 * math.log(2.0 * (total - channel.x_lo)))
-                assert 0.0 <= r_hi - r_lo < 2.0 * r_cap / (gh_reference._GH_R_GRID - 1)
-                middle = 0.5 * (r_lo + r_hi)
-                assert _outcome(gh_reference.best_split, channel, middle)[0] != -math.inf
-            else:
-                # The output breaks the Heisenberg limit for some inputs, its
-                # variance product being least, (sqrt(mi*mq)/2 + sqrt(ai*aq))**2,
-                # at one squeezing: the kernel raises at some squeezings and
-                # not at others, so the outcome follows the squeezings probed.
-                mi, ai, mq, aq = channel.out
-                assert math.sqrt(mi * mq) / 2.0 + math.sqrt(ai * aq) < 0.5
+        mi, ai, mq, aq = channel.out
+        least = math.sqrt(mi * mq) / 2.0 + math.sqrt(ai * aq)
+        if least * least < HEISENBERG_LIMIT - HEISENBERG_TOL:
+            # The output breaks the Heisenberg limit for some inputs, its
+            # variance product being least, (sqrt(mi*mq)/2 + sqrt(ai*aq))**2,
+            # at one squeezing: the search refuses the map, while the
+            # reference kernel raises only at the squeezings it probes.
+            assert _kind(result) is ValueError and "least variance product" in result[1]
+        elif _kind(result) is not _kind(reference):
+            # No grid point is feasible: the feasible squeezings lie between
+            # two of them, and the reference kernel finds a split (or the
+            # search's error) in their middle.
+            assert reference[0] is GHSearchError
+            r_lo = max(-r_cap, -0.5 * math.log(2.0 * channel.x_hi))
+            r_hi = min(r_cap, 0.5 * math.log(2.0 * (total - channel.x_lo)))
+            assert 0.0 <= r_hi - r_lo < 2.0 * r_cap / (gh_reference._GH_R_GRID - 1)
+            middle = 0.5 * (r_lo + r_hi)
+            assert _outcome(gh_reference.best_split, channel, middle)[0] != -math.inf
         elif (isinstance(reference, CapacityResult)
               and _noise_excess(arrays, result.achieving_input) >= 1e-4
               and reference.bits_per_mode >= sys.float_info.min):
@@ -738,6 +740,17 @@ class TestGhStructuredSearch:
         reference = gh_reference.gh_capacity(channel).bits_per_mode
         assert gh_capacity_for_channel(*arrays, nbar).bits_per_mode >= reference * (1.0 - 1e-12)
 
+    def test_corner_optimum_reaches_the_grid_reference(self):
+        # The optimum puts X on x_hi at p = 1, a corner that golden section nears
+        # only linearly: it stopped 6.6e-10 relative short before the corners and
+        # ends were scored after it.  The subnormal Q multiplier leaves the map
+        # to the fallback search.
+        arrays, nbar = ((3.96,), (1.815,), (5e-324,), (1.849,)), 1.517
+        channel = _GhChannel(*arrays, nbar)
+        assert _water_filling(channel) is None
+        reference = gh_reference.gh_capacity(channel).bits_per_mode
+        assert gh_capacity_for_channel(*arrays, nbar).bits_per_mode >= reference * (1.0 - 1e-12)
+
     @pytest.mark.parametrize("kind, length, amps", [
         (AmpKind.PSA, 260.0, 2),  # the curve on which Q carries no signal
         (AmpKind.PIA, 150.0, 1),  # the interior optimum
@@ -794,6 +807,31 @@ class TestGhStructuredSearch:
         lengths = str(tuple(len(a) for a in arrays))
         with pytest.raises(ValueError, match=re.escape(lengths)):
             gh_capacity_for_channel(*arrays, nbar)
+
+
+class TestGhQuantumChannels:
+    @pytest.mark.parametrize("arrays, message", [
+        # least variance product 15/64: the search found 2.88 bits here, the grid
+        # reference a Heisenberg error at some squeezings
+        (([0.0], [0.5], [1.0], [0.46875]), r"least variance product 0\.234375"),
+        (([1.0], [-0.5], [1.0], [1.0]), "must be non-negative"),
+        (([1.0, 1.0], [0.5, 0.5], [1.0, 1.0], [0.5, -1.0]), "must be non-negative"),
+    ])
+    def test_non_quantum_output_is_refused_before_the_search(self, arrays, message,
+                                                             monkeypatch):
+        calls = []
+        monkeypatch.setattr(_GhChannel, "chi", lambda self, r: calls.append(r))
+        with pytest.raises(ValueError, match=message):
+            gh_capacity_for_channel(*arrays, 10.0)
+        assert calls == []
+
+    @settings(max_examples=300)
+    @given(st.one_of(feasible_gh_channels(), gh_link_channels()))
+    # a unit-gain amplifier leaves pure loss, whose product rounds to 1/4 - 6e-17
+    @example((channel_checkpoints(LinkPlan(0.2, 50.0, 1.0, (2.3,), (1.0,))), 1.0))
+    def test_link_channels_are_never_refused(self, channel_data):
+        arrays, nbar = channel_data
+        assert _kind(_outcome(gh_capacity_for_channel, *arrays, nbar)) is not ValueError
 
 
 class TestGhBudgetRange:

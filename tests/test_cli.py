@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -702,30 +703,54 @@ class TestCommandLineFuzz:
                 assert all(math.isfinite(b) and b >= 0.0 for b in bits), bits
 
 
+@pytest.fixture(scope="module")
+def bench_workloads():
+    """The arguments perfbench/run.py runs each workload with, read from it."""
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    probe = ("import json, sys; sys.path.insert(0, sys.argv[1]); import run; "
+             "print(json.dumps({n: w.args for n, w in run.WORKLOADS.items()}))")
+    done = subprocess.run([sys.executable, "-c", probe, str(bench)], capture_output=True,
+                          text=True, timeout=60, check=True)
+    return json.loads(done.stdout)
+
+
+def _workload_csv(args, tmp_path) -> bytes:
+    """The CSV bytes of one benchmark workload, run as perfbench/run.py runs it."""
+    done = subprocess.run([sys.executable, "-m", "qlink.cli", *args, "--seed", "0",
+                           "--out", "out.csv"], cwd=tmp_path, env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return (tmp_path / "out.csv").read_bytes()
+
+
 class TestBenchmarkReferenceBytes:
     """The benchmark's Shannon workloads write their reference CSVs byte for byte.
 
     ``perfbench/check.py`` accepts rows within 1e-7 bits of the reference, so a
     change in the last printed digits would pass the benchmark unseen.  The
-    Gordon-Holevo workloads are left out: their references already differ from
-    the current output within the checker's Gordon-Holevo bounds.
+    Gordon-Holevo workloads are pinned by digest (``TestGhBenchmarkBytes``):
+    their references already differ from the current output within the
+    checker's Gordon-Holevo bounds.
     """
 
-    @pytest.fixture(scope="class")
-    def workloads(self):
-        # the arguments perfbench/run.py runs each workload with, read from it
-        bench = Path(__file__).resolve().parent.parent / "perfbench"
-        probe = ("import json, sys; sys.path.insert(0, sys.argv[1]); import run; "
-                 "print(json.dumps({n: w.args for n, w in run.WORKLOADS.items()}))")
-        done = subprocess.run([sys.executable, "-c", probe, str(bench)], capture_output=True,
-                              text=True, timeout=60, check=True)
-        return json.loads(done.stdout)
-
     @pytest.mark.parametrize("name", ["sweep-conv", "crossover"])
-    def test_csv_equals_the_reference_bytes(self, workloads, name, tmp_path):
+    def test_csv_equals_the_reference_bytes(self, bench_workloads, name, tmp_path):
         reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
-        done = subprocess.run([sys.executable, "-m", "qlink.cli", *workloads[name],
-                               "--seed", "0", "--out", "out.csv"], cwd=tmp_path,
-                              env=_src_env(), capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert (tmp_path / "out.csv").read_bytes() == (reference / f"{name}.csv").read_bytes()
+        assert _workload_csv(bench_workloads[name], tmp_path) == (
+            reference / f"{name}.csv").read_bytes()
+
+
+class TestGhBenchmarkBytes:
+    """The benchmark's Gordon-Holevo workloads write the CSVs of today's code.
+
+    The optimizer amplifies a change in the rounding of the GH kernel into row
+    moves of about 1e-7 bits, which ``perfbench/check.py``'s -1e-9-bit GH bound
+    refuses; these digests catch such a change before the benchmark does.
+    """
+
+    @pytest.mark.parametrize("name, digest", [
+        ("sweep-gh", "f70fae7a5e9c8e08af0ee8dca5db0e9acdf6cb0b0334b13a306819f2441dfb52"),
+        ("sweep-gh-inf", "791ebe5226389f6a883e37ca9eb7322c4516f01922028d7d48904519b92ecd4a"),
+    ])
+    def test_csv_digest_is_unchanged(self, bench_workloads, name, digest, tmp_path):
+        assert hashlib.sha256(_workload_csv(bench_workloads[name], tmp_path)).hexdigest() == digest
