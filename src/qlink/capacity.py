@@ -65,13 +65,13 @@ def shannon_rate(y: tuple, scenario: Scenario) -> float:
 
 def shannon_single_quadrature(state: QuadState) -> float:
     """Shannon rate of ideal homodyne detection of the I quadrature."""
-    return shannon_rate(state.as_tuple(), Scenario.CONVENTIONAL)
+    return shannon_rate(state, Scenario.CONVENTIONAL)
 
 
 def shannon_two_quadrature(state: QuadState) -> float:
     """Shannon rate of simultaneous detection of both quadratures; the
     measurement adds half a vacuum unit of noise to each."""
-    return shannon_rate(state.as_tuple(), Scenario.TWO_QUADRATURE)
+    return shannon_rate(state, Scenario.TWO_QUADRATURE)
 
 
 def entropy_g(x: float) -> float:
@@ -137,7 +137,7 @@ def holevo_chi(
 
 def shannon_capacity(state: QuadState, scenario: Scenario) -> float:
     """Shannon rate of an output ``state`` under a fixed-input scenario."""
-    return shannon_rate(state.as_tuple(), scenario)
+    return shannon_rate(state, scenario)
 
 
 def scenario_input(scenario: Scenario, nbar: float) -> QuadState:

@@ -207,8 +207,11 @@ def run(config: RunConfig) -> int:
     grid = config.grid()
     crossing = None
     if config.command == "crossover":
-        rows, crossing = psa_pia_crossover(config.l_min_km, config.l_max_km, config.l_step_km,
-                                           config.nbar, config.alpha_db_km)
+        try:
+            rows, crossing = psa_pia_crossover(config.l_min_km, config.l_max_km,
+                                               config.l_step_km, config.nbar, config.alpha_db_km)
+        except ValueError as err:  # a range that brackets no crossing
+            raise UsageError(err) from None
     elif config.amps is None:
         rows = distributed_rows(grid, config.nbar, config.alpha_db_km, config.kind,
                                 config.scenario)
@@ -237,12 +240,10 @@ def run(config: RunConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        config = parse_config(sys.argv[1:] if argv is None else argv)
+        return run(parse_config(sys.argv[1:] if argv is None else argv))
     except UsageError as err:
         print(f"qlink: usage error: {err}", file=sys.stderr)
         return 2
-    try:
-        return run(config)
     except Exception as err:  # noqa: BLE001 - boundary: report and set exit status
         print(f"qlink: error: {err}", file=sys.stderr)
         return 1

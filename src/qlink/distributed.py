@@ -110,7 +110,7 @@ def continuum_states(
     if kind is _PSA and scenario is Scenario.TWO_QUADRATURE:
         raise ValueError("psa with two-quadrature detection has no continuum limit: the "
                          "phase-sensitive feedback is singular for the symmetric input")
-    sig_i, sig_q, noise_i, noise_q = scenario_input(scenario, nbar).as_tuple()
+    sig_i, sig_q, noise_i, noise_q = scenario_input(scenario, nbar)
     return [QuadState(sig_i * mi, sig_q * mq, noise_i * mi + ai, noise_q * mq + aq)
             for mi, ai, mq, aq in zip(*channel_maps(kind, positions_km, nbar, alpha_db_per_km))]
 
@@ -156,7 +156,8 @@ def psa_pia_crossover(
 ) -> tuple[list[SweepRow], float]:
     """Continuum PSA (conventional detection) and PIA (two-quadrature
     detection) rows on the distance grid, and the distance where their
-    capacities cross, bisected inside [l_min_km, l_max_km]."""
+    capacities cross, bisected inside [l_min_km, l_max_km]; ``ValueError``
+    when that range brackets no crossing."""
     pairs = ((AmpKind.PSA, Scenario.CONVENTIONAL), (AmpKind.PIA, Scenario.TWO_QUADRATURE))
 
     def rows_at(lengths: list[float]) -> list[list[SweepRow]]:
@@ -170,10 +171,8 @@ def psa_pia_crossover(
     lo, hi = l_min_km, l_max_km
     f_lo, f_hi = difference(lo), difference(hi)
     if f_lo <= 0.0 or f_hi >= 0.0:
-        raise RuntimeError(
-            f"no PSA/PIA crossover bracketed in [{lo}, {hi}] km "
-            f"(difference {f_lo:.4g} -> {f_hi:.4g})"
-        )
+        raise ValueError(f"no PSA/PIA crossover bracketed in [{lo}, {hi}] km "
+                         f"(difference {f_lo:.4g} -> {f_hi:.4g})")
     # past about 8e12 km the midpoint can no longer split a 1e-3 km bracket
     while hi - lo > 1e-3 and lo < (mid := 0.5 * (lo + hi)) < hi:
         if difference(mid) > 0.0:

@@ -83,38 +83,19 @@ class LinkPlan(namedtuple("LinkPlan", "alpha_db_per_km length_km nbar positions 
     _make = classmethod(lambda cls, values: cls(*values))  # so that _replace validates too
 
 
-class PropagationTrace:
-    """States sampled at the input, after each span and after each amplifier.
-    Frozen; it compares, hashes, prints and pickles by its two fields."""
+class PropagationTrace(namedtuple("PropagationTrace", "positions states")):
+    """States sampled at the input, after each span and after each amplifier,
+    one per position."""
 
-    __slots__ = ("positions", "states")
+    __slots__ = ()
 
-    def __init__(self, positions: tuple[float, ...], states: tuple[QuadState, ...]):
+    def __new__(cls, positions: tuple[float, ...], states: tuple[QuadState, ...]):
         if len(positions) != len(states):
             raise ValueError(f"a trace needs one state per position, got {len(positions)} "
                              f"positions and {len(states)} states")
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "states", states)
+        return tuple.__new__(cls, (positions, states))
 
-    def __setattr__(self, name, value=None):  # frozen
-        raise AttributeError(f"cannot assign to field '{name}'")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return type(self), (self.positions, self.states)
-
-    def __eq__(self, other):
-        return isinstance(other, PropagationTrace) and self.__reduce__() == other.__reduce__()
-
-    def __hash__(self) -> int:
-        return hash(self.__reduce__())
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(positions={self.positions!r}, states={self.states!r})"
-
-    def __len__(self) -> int:
-        return len(self.positions)
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace validates too
 
 
 def _spans(alpha: float, length_km: float, positions) -> list[float]:
@@ -249,7 +230,7 @@ def max_feasible_psa_gain(state: QuadState, nbar: float) -> float:
     Solves gain*(sig_i+noise_i) + (sig_q+noise_q)/gain = 2*nbar + 1 for the
     larger root, i.e. the gain that lands exactly on the budget.
     """
-    return _ceiling(state.as_tuple(), nbar, AmpKind.PSA)
+    return _ceiling(state, nbar, AmpKind.PSA)
 
 
 def max_feasible_pia_gain(state: QuadState, nbar: float) -> float:
@@ -258,7 +239,7 @@ def max_feasible_pia_gain(state: QuadState, nbar: float) -> float:
     A PIA of gain G maps the photon number n to G*(n+1) - 1, so the budget is
     reached at G = (nbar+1)/(n+1).
     """
-    return _ceiling(state.as_tuple(), nbar, AmpKind.PIA)
+    return _ceiling(state, nbar, AmpKind.PIA)
 
 
 def channel_checkpoints(plan: LinkPlan) -> tuple[list[float], ...]:

@@ -55,7 +55,7 @@ class _PlanScorer:
         self.alpha_nat = attenuation_to_natural(alpha_db_per_km)
         self.kind = kind
         self.scenario = scenario
-        self.ref_input = scenario_input(scenario, nbar).as_tuple()
+        self.ref_input = tuple(scenario_input(scenario, nbar))  # an exact tuple unpacks faster
         self.gh = scenario is Scenario.GORDON_HOLEVO
 
     def repair_gains(self, positions, gains) -> tuple[list, list, list, tuple, list]:

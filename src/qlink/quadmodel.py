@@ -30,9 +30,6 @@ class QuadState(namedtuple("QuadState", "sig_i sig_q noise_i noise_q")):
 
     _make = classmethod(lambda cls, values: cls(*values))  # so that _replace validates too
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return tuple(self)
-
 
 def check_moments(sig_i: float, sig_q: float, noise_i: float, noise_q: float) -> None:
     """Raise ``ValueError`` unless the moments describe a physical mode; every

@@ -61,13 +61,13 @@ def _feedback_gain(kind: AmpKind, y, alpha: float) -> float:
 def feedback_gain_psa(state: QuadState, alpha_nat: float) -> float:
     """Per-km phase-sensitive gain that holds the total photon number fixed;
     the amplified (I) quadrature must carry more power than the Q one."""
-    return _feedback_gain(AmpKind.PSA, state.as_tuple(), alpha_nat)
+    return _feedback_gain(AmpKind.PSA, state, alpha_nat)
 
 
 def feedback_gain_pia(state: QuadState, alpha_nat: float) -> float:
     """Per-km phase-insensitive gain that holds the total photon number
     fixed."""
-    return _feedback_gain(AmpKind.PIA, state.as_tuple(), alpha_nat)
+    return _feedback_gain(AmpKind.PIA, state, alpha_nat)
 
 
 class OdeProfile(types.SimpleNamespace):
@@ -161,7 +161,7 @@ def _integrate(
 ) -> OdeProfile:
     positions = checkpoint_positions(length_km, step_km)
     alpha = attenuation_to_natural(alpha_db_per_km)
-    y = scenario_input(scenario, nbar).as_tuple()
+    y = tuple(scenario_input(scenario, nbar))
     if track_channel:
         y = y + (1.0, 1.0, 0.0, 0.0)  # identity map: (mult_i, mult_q, add_i, add_q)
 
@@ -236,7 +236,7 @@ def state_at_position(profile: OdeProfile, position_km: float) -> QuadState:
     h = position_km - profile.positions[idx]
     if h <= 1e-12:
         return state
-    y = _rk4_step(state.as_tuple(), h, profile.kind,
+    y = _rk4_step(state, h, profile.kind,
                   attenuation_to_natural(profile.alpha_db_per_km))
     return QuadState(*y)
 

@@ -89,7 +89,7 @@ def _fold(plan: LinkPlan, y: tuple) -> tuple[list[float], list[tuple]]:
 
 
 def propagate(plan: LinkPlan, state: QuadState) -> tuple[QuadState, PropagationTrace]:
-    positions, points = _fold(plan, state.as_tuple())
+    positions, points = _fold(plan, tuple(state))
     states = (state, *[QuadState(*y) for y in points[1:]])
     return states[-1], PropagationTrace(tuple(positions), states)
 
@@ -132,7 +132,7 @@ class PlanScorer:
         self.alpha_nat = attenuation_to_natural(alpha_db_per_km)
         self.kind = kind
         self.scenario = scenario
-        self.ref_input = scenario_input(scenario, nbar).as_tuple()
+        self.ref_input = tuple(scenario_input(scenario, nbar))
         self.gh = scenario is Scenario.GORDON_HOLEVO
 
     def repair_gains(self, positions, gains) -> tuple[list, list, list, tuple]:

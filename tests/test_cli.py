@@ -21,6 +21,7 @@ from qlink import (
     distance_grid,
     shannon_single_quadrature,
 )
+from qlink import cli
 from qlink.capacity import gh_capacity_for_channel
 from qlink.cli import MAX_AMPS, UsageError, main, parse_config
 from qlink.optimizer import SweepTable, sweep_distance
@@ -578,10 +579,20 @@ class TestCrossoverCommand:
             ["crossover", "--l-min-km", "10", "--l-max-km", "50",
              "--l-step-km", "20", "--out", str(out)]
         )
-        assert code == 1
-        assert "no PSA/PIA crossover" in capsys.readouterr().err
+        assert code == 2
+        assert "qlink: usage error: no PSA/PIA crossover" in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "nope.csv.tmp").exists()
+
+    def test_other_runtime_errors_still_exit_1(self, tmp_path, capsys, monkeypatch):
+        # only the crossover search's ValueError is the input's fault
+        def failing(*args, **kwargs):
+            raise ValueError("a library fault")
+        monkeypatch.setattr(cli, "distributed_rows", failing)
+        out = tmp_path / "nope.csv"
+        assert run_cli(["distributed", "--out", str(out)]) == 1
+        assert "qlink: error: a library fault" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_degenerate_range_is_usage_error(self):
         assert run_cli(["crossover", "--l-min-km", "100", "--l-max-km", "100"]) == 2
@@ -667,8 +678,8 @@ def command_lines(draw):
 
 
 class TestCommandLineFuzz:
-    """Every command line computes (exit 0) or is refused (exit 2); only a
-    crossover search whose range brackets no crossing fails (exit 1)."""
+    """Every command line computes (exit 0) or is refused (exit 2), a
+    crossover search whose range brackets no crossing included."""
 
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(args=command_lines())
@@ -695,9 +706,7 @@ class TestCommandLineFuzz:
             done = subprocess.run([sys.executable, "-m", "qlink.cli", *args, "--out", str(out)],
                                   env=_src_env(), capture_output=True, text=True, timeout=120)
             assert "Traceback" not in done.stderr
-            unbracketed = args[0] == "crossover" and "no PSA/PIA crossover" in done.stderr
-            assert done.returncode in (0, 2) or (done.returncode == 1 and unbracketed), \
-                done.stderr
+            assert done.returncode in (0, 2), done.stderr
             if done.returncode == 0:
                 bits = [float(line.split(",")[4]) for line in out.read_text().splitlines()[1:]]
                 assert all(math.isfinite(b) and b >= 0.0 for b in bits), bits

@@ -311,8 +311,8 @@ class TestClosedFormContinuum:
                                           profile.mult_q, profile.add_q)]
             want = exact
         else:
-            got = profile.final_state.as_tuple()
-            sig_i, sig_q, noise_i, noise_q = scenario_input(scenario, nbar).as_tuple()
+            got = profile.final_state
+            sig_i, sig_q, noise_i, noise_q = scenario_input(scenario, nbar)
             mult_i, add_i, mult_q, add_q = exact
             want = (sig_i * mult_i, sig_q * mult_q, noise_i * mult_i + add_i,
                     noise_q * mult_q + add_q)

@@ -327,13 +327,13 @@ class TestCeilingReference:
         # budgets around the state's own photon count reach every branch,
         # the clip to 1 and the photon-count check included
         nbar = share * mean_photon_number(state)
-        y = state.as_tuple()
+        y = tuple(state)
         assert (_ceiling_outcome(_ceiling, y, nbar, kind)
                 == _ceiling_outcome(ceiling_reference.ceiling, y, nbar, kind))
 
     @given(quad_states(), st.floats(0.0, 1e6), st.sampled_from(list(AmpKind)))
     def test_equals_the_max_reference(self, state, nbar, kind):
-        y = state.as_tuple()
+        y = tuple(state)
         assert (_ceiling_outcome(_ceiling, y, nbar, kind)
                 == _ceiling_outcome(ceiling_reference.ceiling, y, nbar, kind))
 

@@ -219,7 +219,7 @@ class TestPlanScorer:
             return call
 
         monkeypatch.setattr(LinkPlan, "__new__", refused("LinkPlan"))
-        monkeypatch.setattr(PropagationTrace, "__init__", refused("PropagationTrace"))
+        monkeypatch.setattr(PropagationTrace, "__new__", refused("PropagationTrace"))
         for module in (linkchain, capacity, optimizer):
             monkeypatch.setattr(module, "propagate", refused("propagate"))
         for module in (linkchain, capacity):

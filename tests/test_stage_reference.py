@@ -133,7 +133,7 @@ class TestFold:
     @derandomized
     @given(quad_states(), st.floats(1e-300, 1.0), st.floats(1.0, 1e12))
     def test_single_stages_equal_the_reference(self, state, tau, gain):
-        y = state.as_tuple()
+        y = tuple(state)
         assert hexed(apply_loss(state, tau)) == hexed(stage_reference._loss(y, tau))
         assert hexed(apply_psa(state, gain)) == hexed(stage_reference._amplify(y, AmpKind.PSA,
                                                                                  gain))

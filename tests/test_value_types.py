@@ -49,7 +49,7 @@ def _values():
 
 
 VALUES = _values()
-# The types that were frozen dataclasses, then the two that became tuples.
+# The record types: immutable named tuples.
 FROZEN = [QuadState, LinkPlan, PropagationTrace, CapacityResult, PlanCandidate, SweepRow,
           RunConfig, SweepTable]
 
@@ -67,7 +67,7 @@ def test_pickle_round_trip_gives_an_equal_value(cls):
 @pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
 def test_fields_of_frozen_types_cannot_be_assigned(cls):
     value = VALUES[cls]
-    name = "positions" if cls is PropagationTrace else cls._fields[0]
+    name = cls._fields[0]
     with pytest.raises(AttributeError):
         setattr(value, name, None)
     with pytest.raises(AttributeError):
@@ -96,7 +96,8 @@ def test_record_types_compare_by_field_values():
     again = propagate(PLAN, conventional_input(100.0))[1]
     assert again == trace and hash(again) == hash(trace)
     assert trace != PropagationTrace(trace.positions[:-1], trace.states[:-1])
-    assert len(trace) == len(trace.positions) == 4
+    positions, states = trace
+    assert isinstance(trace, tuple) and len(states) == len(positions) == 4
     profile = integrate_pia(1.0, 100.0, step_km=0.5, track_channel=True)
     assert profile == VALUES[OdeProfile] and len(profile) == 3
     assert profile != integrate_pia(1.0, 100.0, step_km=0.5)
@@ -172,10 +173,15 @@ def test_link_plan_validation_messages(args, message):
                                                 ((0.0,), ())])
 def test_trace_of_unequal_lengths_is_refused(positions, states):
     # len() counted the positions alone and the power audit indexed past the states
+    message = (f"a trace needs one state per position, got {len(positions)} positions and "
+               f"{len(states)} states")
     with pytest.raises(ValueError) as err:
         PropagationTrace(positions, states)
-    assert str(err.value) == (f"a trace needs one state per position, got {len(positions)} "
-                              f"positions and {len(states)} states")
+    assert str(err.value) == message
+    trace = PropagationTrace((0.0,), (QuadState(1.0, 0.0, 0.5, 0.5),))
+    with pytest.raises(ValueError) as err:
+        trace._replace(positions=positions, states=states)
+    assert str(err.value) == message
 
 
 def _echo(command, amps="0", l_min="10.0", l_max="5000.0", l_step="10.0",
