@@ -51,9 +51,11 @@ class GHSearchError(RuntimeError):
         return type(self), (self.args[0], self.best_value)
 
 
-def shannon_rate(y: tuple, scenario: Scenario) -> float:
-    """Shannon rate of a raw output (sig_i, sig_q, noise_i, noise_q) under a fixed input."""
-    sig_i, sig_q, noise_i, noise_q = y
+def shannon_capacity(state: tuple, scenario: Scenario) -> float:
+    """Shannon rate of an output ``state``, a ``QuadState`` or raw 4-tuple, under a
+    fixed-input scenario: ideal homodyne of the I quadrature (conventional), or of
+    both at once, each paying half a vacuum unit of noise (two-quadrature)."""
+    sig_i, sig_q, noise_i, noise_q = state
     if scenario is _CONVENTIONAL:
         return 0.5 * math.log1p(sig_i / noise_i) / _LN2
     if scenario is _TWO_QUADRATURE:
@@ -61,17 +63,6 @@ def shannon_rate(y: tuple, scenario: Scenario) -> float:
         rate_q = math.log1p(sig_q / (noise_q + 0.5))
         return 0.5 * (rate_i + rate_q) / _LN2
     raise ValueError(f"{scenario.value} has no fixed input")
-
-
-def shannon_single_quadrature(state: QuadState) -> float:
-    """Shannon rate of ideal homodyne detection of the I quadrature."""
-    return shannon_rate(state, Scenario.CONVENTIONAL)
-
-
-def shannon_two_quadrature(state: QuadState) -> float:
-    """Shannon rate of simultaneous detection of both quadratures; the
-    measurement adds half a vacuum unit of noise to each."""
-    return shannon_rate(state, Scenario.TWO_QUADRATURE)
 
 
 def entropy_g(x: float) -> float:
@@ -133,11 +124,6 @@ def holevo_chi(
         )
     return _chi(*out_noise, max(out_total[0] - out_noise[0], 0.0),
                 max(out_total[1] - out_noise[1], 0.0))
-
-
-def shannon_capacity(state: QuadState, scenario: Scenario) -> float:
-    """Shannon rate of an output ``state`` under a fixed-input scenario."""
-    return shannon_rate(state, scenario)
 
 
 def scenario_input(scenario: Scenario, nbar: float) -> QuadState:
@@ -250,15 +236,19 @@ def _gh_search(channel: _GhChannel) -> tuple[float, float, float]:
         raise GHSearchError(_INFEASIBLE, -math.inf)
     r, value = golden_section_maximize(channel.chi, r_lo, r_hi, _GH_R_TOL * min(1.0, r_cap))
     # Golden section nears an end or a corner (p = 0 with X on x_lo, p = 1 with X on
-    # x_hi) only linearly, so those are scored too; a tie keeps the search's r.
+    # x_hi) only linearly, so those are scored too, one double inward where rounding
+    # puts them out of budget; a tie keeps the search's r.
     ends = [r_lo, r_hi]
     if channel.x_lo > 0.0:
         ends.append(-0.5 * math.log(2.0 * channel.x_lo))
     if total - channel.x_hi > 0.0:
         ends.append(0.5 * math.log(2.0 * (total - channel.x_hi)))
     for end in ends:
-        if r_lo <= end <= r_hi and (end_value := channel.chi(end)) > value:
-            r, value = end, end_value
+        if r_lo <= end <= r_hi:
+            if (end_value := channel.chi(end)) == -math.inf:
+                end_value = channel.chi(end := math.nextafter(end, r))
+            if end_value > value:
+                r, value = end, end_value
     if value <= 0.0 and r_lo <= 0.0 <= r_hi:  # never an end, which rounding can put out of budget
         r = 0.0
     return channel.chi(r), channel.p, r

@@ -18,7 +18,7 @@ import math
 import os
 from collections import namedtuple
 
-from .capacity import Scenario, chain_gh_capacity, scenario_input, shannon_rate
+from .capacity import Scenario, chain_gh_capacity, scenario_input, shannon_capacity
 from .linkchain import (
     AmpKind,
     LinkPlan,
@@ -78,7 +78,7 @@ class _PlanScorer:
             result = chain_gh_capacity(taus, *self.link, positions, gains, self.kind)
             return result.bits_per_mode, gains
         check_moments(*out)
-        return shannon_rate(out, self.scenario), gains
+        return shannon_capacity(out, self.scenario), gains
 
     def trial_score(self, positions, gains, start, y, taus) -> float:
         """``score(...)[0]`` of coordinates repaired before amplifier ``start``, given
@@ -89,7 +89,7 @@ class _PlanScorer:
             return self.score(positions, gains)[0]
         y = _walk(y, taus, gains, self.kind, self.nbar, start)
         check_moments(*y)
-        return shannon_rate(y, self.scenario)
+        return shannon_capacity(y, self.scenario)
 
 
 def equidistant_saturating_plan(

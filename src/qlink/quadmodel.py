@@ -75,8 +75,3 @@ def symmetric_coherent_input(nbar: float) -> QuadState:
         raise ValueError(f"mean photon number must be non-negative, got {nbar}")
     return QuadState(nbar, nbar, VACUUM_VARIANCE, VACUUM_VARIANCE)
 
-
-def general_input(sig_i: float, sig_q: float, noise_i: float, noise_q: float) -> QuadState:
-    """Arbitrary Gaussian input, squeezed noise floors permitted as long as
-    the uncertainty product stays at or above 1/4."""
-    return QuadState(sig_i, sig_q, noise_i, noise_q)

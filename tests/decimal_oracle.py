@@ -11,6 +11,12 @@ g(nu_noise - 1/2); it cancels where the signal lies far below the noise, so
 the arithmetic carries ``PRECISION`` digits and refuses a cancellation that
 would leave fewer than ``KEPT_DIGITS`` of them.  The exponent range is the
 decimal maximum, so that no far-tail map under- or overflows.
+
+The discrete chain is folded here too, from a plan's positions and gains:
+loss, PSA and PIA stages on (sig_i, sig_q, noise_i, noise_q), which on the
+unit lane (1, 1, 0, 0) gives the exact channel maps, and both Shannon rates
+of a folded output.  The gains are taken as given, with no clipping to the
+photon budget's ceiling: a returned plan's gains are already repaired.
 """
 
 from __future__ import annotations
@@ -77,3 +83,59 @@ def chi(maps, p: float, r: float, nbar: float) -> Decimal:
             raise ArithmeticError(f"chi = {value:.3e} cancels more than "
                                   f"{PRECISION - KEPT_DIGITS} digits of {total:.3e}")
         return value
+
+
+def fold(alpha_db_per_km: float, length_km: float, positions, gains, kind: str,
+         state) -> list[tuple[Decimal, Decimal, Decimal, Decimal]]:
+    """``state`` at the input and after every span and amplifier of the link
+    whose amplifiers of ``kind`` ("PSA" or "PIA") sit at ``positions`` with
+    ``gains``; the last span, to ``length_km``, is unamplified.  A span of
+    length d transmits 10^(-alpha*d/10) of the power and mixes in vacuum."""
+    with localcontext(CONTEXT):
+        alpha = Decimal(10).ln() * Decimal(alpha_db_per_km) / 10
+        sig_i, sig_q, noise_i, noise_q = (Decimal(x) for x in state)
+        points = [(sig_i, sig_q, noise_i, noise_q)]
+        ends = [*positions, length_km]
+        for k, (prev, end) in enumerate(zip([0.0, *positions], ends)):
+            tau = (-alpha * (Decimal(end) - Decimal(prev))).exp()
+            vac = (1 - tau) / 2
+            sig_i, sig_q = tau * sig_i, tau * sig_q
+            noise_i, noise_q = tau * noise_i + vac, tau * noise_q + vac
+            points.append((sig_i, sig_q, noise_i, noise_q))
+            if k == len(positions):
+                return points
+            gain = Decimal(gains[k])
+            if kind == "PSA":
+                sig_i, sig_q = gain * sig_i, sig_q / gain
+                noise_i, noise_q = gain * noise_i, noise_q / gain
+            else:
+                excess = (gain - 1) / 2
+                sig_i, sig_q = gain * sig_i, gain * sig_q
+                noise_i, noise_q = gain * noise_i + excess, gain * noise_q + excess
+            points.append((sig_i, sig_q, noise_i, noise_q))
+
+
+def _log2_1p(x: Decimal) -> Decimal:
+    """log2(1 + x), by its series where 1 + x would round away most of ``x``."""
+    with localcontext(CONTEXT):
+        if x < Decimal(10) ** -(PRECISION // 4):
+            ln = x - x * x / 2 + x * x * x / 3
+        else:
+            ln = (1 + x).ln()
+        return ln / Decimal(2).ln()
+
+
+def conventional_rate(state) -> Decimal:
+    """Shannon rate in bits of ideal homodyne detection of the I quadrature."""
+    sig_i, _, noise_i, _ = state
+    with localcontext(CONTEXT):
+        return _log2_1p(sig_i / noise_i) / 2
+
+
+def two_quadrature_rate(state) -> Decimal:
+    """Shannon rate in bits of detecting both quadratures at once, each with
+    half a vacuum unit of measurement noise added."""
+    sig_i, sig_q, noise_i, noise_q = state
+    with localcontext(CONTEXT):
+        half = Decimal("0.5")
+        return (_log2_1p(sig_i / (noise_i + half)) + _log2_1p(sig_q / (noise_q + half))) / 2

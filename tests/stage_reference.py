@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from qlink import capacity
-from qlink.capacity import GHSearchError, Scenario, scenario_input, shannon_rate
+from qlink.capacity import GHSearchError, Scenario, scenario_input, shannon_capacity
 from qlink.linkchain import (
     _PSA,
     MAX_NBAR,
@@ -157,7 +157,7 @@ class PlanScorer:
                             positions, gains, self.kind)
             return gh_capacity(plan).bits_per_mode, gains
         check_moments(*out)
-        return shannon_rate(out, self.scenario), gains
+        return shannon_capacity(out, self.scenario), gains
 
     def trial_score(self, positions, gains, start, y) -> float:
         if self.gh:
@@ -172,4 +172,4 @@ class PlanScorer:
             prev = pos
         y = _loss(y, math.exp(-self.alpha_nat * (self.length_km - prev)))
         check_moments(*y)
-        return shannon_rate(y, self.scenario)
+        return shannon_capacity(y, self.scenario)

@@ -16,8 +16,7 @@ from qlink import (
     entropy_g,
     gh_capacity,
     propagate,
-    shannon_single_quadrature,
-    shannon_two_quadrature,
+    shannon_capacity,
     vacuum_state,
     QuadState,
     LinkPlan,
@@ -44,7 +43,8 @@ def test_criterion_1_distributed_psa_matches_closed_form():
     for nbar in (50.0, 100.0, 200.0):
         profile = integrate_psa(5000.0, nbar, 0.2, 0.1)
         for length in (500.0, 1000.0, 2000.0, 5000.0):
-            exact = shannon_single_quadrature(profile.state_at(profile.index_at(length)))
+            state = profile.state_at(profile.index_at(length))
+            exact = shannon_capacity(state, Scenario.CONVENTIONAL)
             approx = approx_capacity_psa(length, nbar)
             worst = max(worst, abs(exact - approx) / exact)
     elapsed = time.perf_counter() - started
@@ -57,7 +57,7 @@ def test_criterion_1_distributed_psa_matches_closed_form():
 
 def test_criterion_2_discrete_chain_converges_to_continuum():
     started = time.perf_counter()
-    continuum = shannon_single_quadrature(integrate_psa(500.0, 100.0).final_state)
+    continuum = shannon_capacity(integrate_psa(500.0, 100.0).final_state, Scenario.CONVENTIONAL)
     gaps = []
     for amps in (10, 100, 1000):
         discrete = equidistant_saturating_plan(500.0, amps, 100.0, 0.2).score
@@ -105,11 +105,11 @@ def test_criterion_3_decline_rate_ratio_in_stated_window():
     psa_profile = integrate_psa(lengths[-1], nbar, step_km=0.5)
     pia_profile = integrate_pia(lengths[-1], nbar, step_km=0.5)
     rk4_psa = [
-        shannon_single_quadrature(psa_profile.state_at(psa_profile.index_at(L)))
+        shannon_capacity(psa_profile.state_at(psa_profile.index_at(L)), Scenario.CONVENTIONAL)
         for L in lengths
     ]
     rk4_pia = [
-        shannon_two_quadrature(pia_profile.state_at(pia_profile.index_at(L)))
+        shannon_capacity(pia_profile.state_at(pia_profile.index_at(L)), Scenario.TWO_QUADRATURE)
         for L in lengths
     ]
     rk4_ratio = (
@@ -168,7 +168,7 @@ def test_criterion_5_gh_dominance_and_loss_only_oracle():
         for amps in (0, 1, 2, 4):
             plan = equidistant_saturating_plan(length, amps, 100.0, 0.2).plan
             out, _ = propagate(plan, conventional_input(100.0))
-            conventional = shannon_single_quadrature(out)
+            conventional = shannon_capacity(out, Scenario.CONVENTIONAL)
             gh = gh_capacity(plan).bits_per_mode
             if gh < conventional - 1e-6:
                 failures.append((length, amps, gh, conventional))
@@ -178,8 +178,8 @@ def test_criterion_5_gh_dominance_and_loss_only_oracle():
                     failures.append((length, amps, gh, oracle))
     identity = LinkPlan(0.2, 0.0, 100.0)
     gh_zero = gh_capacity(identity).bits_per_mode
-    conv_zero = shannon_single_quadrature(
-        propagate(identity, conventional_input(100.0))[0]
+    conv_zero = shannon_capacity(
+        propagate(identity, conventional_input(100.0))[0], Scenario.CONVENTIONAL
     )
     oracle_zero = entropy_g(100.0)
     ok = (

@@ -27,8 +27,7 @@ from qlink import (
     holevo_chi,
     plan_capacity,
     propagate,
-    shannon_single_quadrature,
-    shannon_two_quadrature,
+    shannon_capacity,
     vacuum_state,
 )
 import qlink.capacity as capacity
@@ -66,31 +65,34 @@ def loss_only_plan(length_km, nbar=100.0):
 
 class TestShannon:
     def test_unit_snr_gives_half_bit(self):
-        assert shannon_single_quadrature(QuadState(0.5, 0.0, 0.5, 0.5)) == pytest.approx(0.5)
+        state = QuadState(0.5, 0.0, 0.5, 0.5)
+        assert shannon_capacity(state, Scenario.CONVENTIONAL) == pytest.approx(0.5)
 
     def test_no_signal_no_information(self):
-        assert shannon_single_quadrature(vacuum_state()) == 0.0
+        assert shannon_capacity(vacuum_state(), Scenario.CONVENTIONAL) == 0.0
 
     @given(st.floats(0.0, 1e4), st.floats(0.01, 1.0))
     def test_loss_only_closed_form(self, nbar, tau):
         length = -math.log(tau) / ALPHA
         out, _ = propagate(loss_only_plan(length, nbar), conventional_input(nbar))
         expected = 0.5 * math.log2(1.0 + 4.0 * nbar * tau)
-        assert shannon_single_quadrature(out) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        assert shannon_capacity(out, Scenario.CONVENTIONAL) == pytest.approx(
+            expected, rel=1e-9, abs=1e-12)
 
     def test_two_quadrature_vacuum(self):
-        assert shannon_two_quadrature(vacuum_state()) == 0.0
+        assert shannon_capacity(vacuum_state(), Scenario.TWO_QUADRATURE) == 0.0
 
     @given(st.floats(0.0, 1e4), st.floats(0.5, 20.0))
     def test_two_quadrature_symmetric_reduces_to_single_log(self, sig, noise):
         state = QuadState(sig, sig, noise, noise)
         expected = math.log2(1.0 + sig / (noise + 0.5))
-        assert shannon_two_quadrature(state) == pytest.approx(expected, rel=1e-12)
+        assert shannon_capacity(state, Scenario.TWO_QUADRATURE) == pytest.approx(
+            expected, rel=1e-12)
 
     @given(quad_states(), st.floats(1.0, 100.0))
     def test_single_quadrature_invariant_under_output_psa(self, state, gain):
-        assert shannon_single_quadrature(apply_psa(state, gain)) == pytest.approx(
-            shannon_single_quadrature(state), rel=1e-12
+        assert shannon_capacity(apply_psa(state, gain), Scenario.CONVENTIONAL) == pytest.approx(
+            shannon_capacity(state, Scenario.CONVENTIONAL), rel=1e-12
         )
 
 
@@ -257,7 +259,7 @@ class TestGhCapacity:
     def test_dominates_conventional_shannon(self, length, amps):
         plan = equidistant_saturating_plan(length, amps, 100.0, 0.2).plan
         out, _ = propagate(plan, conventional_input(100.0))
-        conventional = shannon_single_quadrature(out)
+        conventional = shannon_capacity(out, Scenario.CONVENTIONAL)
         assert gh_capacity(plan).bits_per_mode >= conventional - 1e-6
 
     def test_achieving_input_reproduces_score_by_propagation(self):
@@ -771,6 +773,19 @@ class TestGhStructuredSearch:
         reference = gh_reference.gh_capacity(channel).bits_per_mode
         assert gh_capacity_for_channel(*arrays, nbar).bits_per_mode >= reference * (1.0 - 1e-12)
 
+    def test_end_rounded_out_of_budget_reaches_the_grid_reference(self):
+        # Rounding puts the upper end of the feasible squeezings out of budget
+        # (chi -inf there) while the optimum lies on it; golden section stopped
+        # 7.6e-11 relative short before such an end was scored one double in.
+        arrays, nbar = ((0.6236,), (0.0,), (3.0547,), (0.8724,)), 1.0
+        channel = _GhChannel(*arrays, nbar)
+        assert _water_filling(channel) is None
+        r_hi = min(math.asinh(1.0), 0.5 * math.log(2.0 * (3.0 - channel.x_lo)))
+        assert channel.chi(r_hi) == -math.inf
+        reference = gh_reference.gh_capacity(channel).bits_per_mode
+        assert reference == 0.15192089356911284
+        assert gh_capacity_for_channel(*arrays, nbar).bits_per_mode >= reference
+
     @pytest.mark.parametrize("kind, length, amps", [
         (AmpKind.PSA, 260.0, 2),  # the curve on which Q carries no signal
         (AmpKind.PIA, 150.0, 1),  # the interior optimum
@@ -883,7 +898,7 @@ class TestPlanCapacity:
         plan = loss_only_plan(50.0)
         out, _ = propagate(plan, conventional_input(100.0))
         assert plan_capacity(plan, Scenario.CONVENTIONAL).bits_per_mode == pytest.approx(
-            shannon_single_quadrature(out)
+            shannon_capacity(out, Scenario.CONVENTIONAL)
         )
         assert plan_capacity(plan, Scenario.GORDON_HOLEVO).bits_per_mode == pytest.approx(
             gh_capacity(plan).bits_per_mode

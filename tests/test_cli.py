@@ -19,7 +19,7 @@ from qlink import (
     channel_maps,
     continuum_states,
     distance_grid,
-    shannon_single_quadrature,
+    shannon_capacity,
 )
 from qlink import cli
 from qlink.capacity import gh_capacity_for_channel
@@ -481,7 +481,7 @@ class TestDistributedCommand:
             assert (scenario, kind, amps) == ("ConventionalSNL", "PSA", "inf")
             profile = integrate_psa(float(dist), 100.0, 0.2, 0.5)
             assert float(capacity) == pytest.approx(
-                shannon_single_quadrature(profile.final_state), rel=1e-8
+                shannon_capacity(profile.final_state, Scenario.CONVENTIONAL), rel=1e-8
             )
 
     def test_pia_conventional_row_is_the_dense_chain_limit(self, tmp_path):

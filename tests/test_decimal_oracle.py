@@ -1,12 +1,16 @@
-"""The Gordon-Holevo search checked against the decimal oracle."""
+"""The Gordon-Holevo search, the chain's channel maps and the optimizer's
+Shannon scores checked against the decimal oracle."""
 
 import math
+import sys
 from decimal import Decimal
 
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import decimal_oracle
 from conftest import gh_link_channels
+from qlink import AmpKind, Scenario, channel_checkpoints, optimize_plan
 from qlink.capacity import _GhChannel, _gh_search, _water_filling, gh_capacity_for_channel
 from qlink.linkchain import POWER_TOL
 
@@ -19,7 +23,10 @@ _STEPS = (1e-3, 1e-6)
 # moves chi by about 2e-16/(b*ln(1/b)) relative: at most 2.4e-13 from
 # b = 1e-4 on.  Below that the search's value drifts from the oracle's, and
 # below about 1e-16 it loses b altogether (CHANGES.md, FOUND on
-# ``_GhChannel.chi``).
+# ``_GhChannel.chi``).  At a large b float chi errs the other way: its
+# (b+1)*log1p(d/(b+1)) - b*log1p(d/b) cancels, by -1.5e-12 relative at
+# b = 4618 (CHANGES.md, FOUND on ``_chi``), so the 1e-12 bound below holds
+# on these draws, not at every b.
 _RESOLVED_EXCESS = Decimal("1e-4")
 
 
@@ -47,3 +54,41 @@ def test_returned_input_meets_the_budget_and_is_the_oracle_optimum(channel_data)
             if (0.0 <= p_near <= 1.0 and abs(r_near) < r_cap
                     and max(decimal_oracle.photons(maps, p_near, r_near, nbar)) <= slack):
                 assert decimal_oracle.chi(maps, p_near, r_near, nbar) <= exact * Decimal(1 + 1e-12)
+
+
+# Each Shannon scenario's reference input at budget nbar, and its oracle rate.
+_SHANNON = {
+    Scenario.CONVENTIONAL: (lambda nbar: (2.0 * nbar, 0.0, 0.5, 0.5),
+                            decimal_oracle.conventional_rate),
+    Scenario.TWO_QUADRATURE: (lambda nbar: (nbar, nbar, 0.5, 0.5),
+                              decimal_oracle.two_quadrature_rate),
+}
+_ALPHA = 0.2
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(AmpKind), st.sampled_from(list(_SHANNON)), st.floats(-3.0, 5.0),
+       st.floats(1.0, 2000.0), st.integers(0, 8))
+def test_chain_maps_and_shannon_scores_match_the_decimal_fold(kind, scenario, log_nbar,
+                                                               length, amps):
+    # The optimized plan's channel maps are the oracle's fold of its positions
+    # and gains, and its score is the oracle's rate of the reference input
+    # folded through it.  The maps carry one rounding per stage, so the add
+    # terms are held to 1e-14 of their size or of vacuum's 1/2, whichever is
+    # larger.
+    nbar = 10.0 ** log_nbar
+    best = optimize_plan(length, amps, nbar, _ALPHA, kind, scenario)
+    positions, gains = best.plan.positions, best.plan.gains
+    exact_maps = decimal_oracle.fold(_ALPHA, length, positions, gains, kind, (1, 1, 0, 0))
+    mult_i, add_i, mult_q, add_q = channel_checkpoints(best.plan)
+    assert len(mult_i) == len(exact_maps)
+    for k, (exact_mult_i, exact_mult_q, exact_add_i, exact_add_q) in enumerate(exact_maps):
+        for got, exact in ((mult_i[k], exact_mult_i), (mult_q[k], exact_mult_q)):
+            assert abs(Decimal(got) - exact) <= Decimal(1e-12) * exact
+        for got, exact in ((add_i[k], exact_add_i), (add_q[k], exact_add_q)):
+            assert abs(Decimal(got) - exact) <= Decimal(1e-14) * max(exact, Decimal("0.5"))
+    reference_input, rate = _SHANNON[scenario]
+    if best.score >= sys.float_info.min:
+        out = decimal_oracle.fold(_ALPHA, length, positions, gains, kind, reference_input(nbar))
+        exact = rate(out[-1])
+        assert abs(Decimal(best.score) - exact) <= Decimal(1e-12) * exact

@@ -15,8 +15,6 @@ from qlink import (
     mean_photon_number,
     scenario_input,
     shannon_capacity,
-    shannon_single_quadrature,
-    shannon_two_quadrature,
 )
 from qlink.capacity import gh_capacity_for_channel
 from qlink.distributed import (
@@ -213,22 +211,23 @@ class TestIntegratePia:
     def test_capacity_matches_approximation_at_range(self):
         for length in (1000.0, 3000.0, 5000.0):
             profile = integrate_pia(length, 100.0, step_km=0.25)
-            exact = shannon_two_quadrature(profile.final_state)
+            exact = shannon_capacity(profile.final_state, Scenario.TWO_QUADRATURE)
             assert exact == pytest.approx(approx_capacity_pia(length, 100.0), rel=0.05)
 
 
 class TestPsaVsPia:
     def test_pia_wins_short_range_psa_wins_long_range(self):
-        psa_short = shannon_single_quadrature(integrate_psa(10.0, 100.0).final_state)
-        pia_short = shannon_two_quadrature(integrate_pia(10.0, 100.0).final_state)
+        conv, two_q = Scenario.CONVENTIONAL, Scenario.TWO_QUADRATURE
+        psa_short = shannon_capacity(integrate_psa(10.0, 100.0).final_state, conv)
+        pia_short = shannon_capacity(integrate_pia(10.0, 100.0).final_state, two_q)
         assert pia_short > psa_short
-        psa_long = shannon_single_quadrature(integrate_psa(5000.0, 100.0, step_km=0.5).final_state)
-        pia_long = shannon_two_quadrature(integrate_pia(5000.0, 100.0, step_km=0.5).final_state)
+        psa_long = shannon_capacity(integrate_psa(5000.0, 100.0, step_km=0.5).final_state, conv)
+        pia_long = shannon_capacity(integrate_pia(5000.0, 100.0, step_km=0.5).final_state, two_q)
         assert pia_long < psa_long
 
     def test_psa_exact_capacity_tracks_approximation(self):
         profile = integrate_psa(2000.0, 100.0, step_km=0.25)
-        exact = shannon_single_quadrature(profile.final_state)
+        exact = shannon_capacity(profile.final_state, Scenario.CONVENTIONAL)
         assert exact == pytest.approx(approx_capacity_psa(2000.0, 100.0), rel=0.05)
 
 
@@ -284,7 +283,7 @@ class TestDistributedGh:
     def test_dominates_conventional_detection(self):
         profile = integrate_psa(100.0, 100.0, step_km=0.5, track_channel=True)
         gh = gh_capacity_at(profile).bits_per_mode
-        conventional = shannon_single_quadrature(profile.final_state)
+        conventional = shannon_capacity(profile.final_state, Scenario.CONVENTIONAL)
         assert gh >= conventional - 1e-6
 
     def test_interior_index_matches_shorter_integration(self):

@@ -26,7 +26,7 @@ from qlink import (
     mean_photon_number,
     plan_capacity,
     propagate,
-    shannon_single_quadrature,
+    shannon_capacity,
     symmetric_coherent_input,
 )
 from qlink import capacity, linkchain, optimizer, quadmodel
@@ -52,7 +52,7 @@ def spans(scorer, positions):
 
 def conventional_score(candidate):
     out, _ = propagate(candidate.plan, conventional_input(candidate.plan.nbar))
-    return shannon_single_quadrature(out)
+    return shannon_capacity(out, Scenario.CONVENTIONAL)
 
 
 def brute_force_single_amp(length_km, nbar, n_pos=60, n_gain=25):
@@ -68,7 +68,7 @@ def brute_force_single_amp(length_km, nbar, n_pos=60, n_gain=25):
             out, trace = propagate(plan, conventional_input(nbar))
             if check_power_constraint(trace, nbar):
                 continue
-            score = shannon_single_quadrature(out)
+            score = shannon_capacity(out, Scenario.CONVENTIONAL)
             if score > best[0]:
                 best = (score, pos, gain)
     return best

@@ -5,7 +5,6 @@ import hypothesis.strategies as st
 from qlink import (
     QuadState,
     conventional_input,
-    general_input,
     mean_photon_number,
     symmetric_coherent_input,
     vacuum_state,
@@ -38,24 +37,24 @@ def test_symmetric_coherent_input():
     assert mean_photon_number(state) == pytest.approx(100.0)
 
 
-def test_general_input_squeezed_boundary():
+def test_squeezed_state_at_heisenberg_boundary():
     # product exactly 1/4: minimum-uncertainty squeezed vacuum
-    state = general_input(0.0, 0.0, 0.25, 1.0)
+    state = QuadState(0.0, 0.0, 0.25, 1.0)
     assert state.noise_i * state.noise_q == pytest.approx(0.25)
 
 
-def test_general_input_rejects_sub_heisenberg():
+def test_state_below_heisenberg_is_refused():
     with pytest.raises(ValueError, match="Heisenberg"):
-        general_input(0.0, 0.0, 0.25, 0.9)
+        QuadState(0.0, 0.0, 0.25, 0.9)
 
 
-def test_general_input_rejects_negative_power():
+def test_negative_signal_power_is_refused():
     with pytest.raises(ValueError, match="signal"):
-        general_input(-1.0, 0.0, 0.5, 0.5)
+        QuadState(-1.0, 0.0, 0.5, 0.5)
 
 
 def test_mean_photon_number_examples():
-    assert mean_photon_number(general_input(10.0, 5.0, 0.5, 0.5)) == pytest.approx(7.5)
+    assert mean_photon_number(QuadState(10.0, 5.0, 0.5, 0.5)) == pytest.approx(7.5)
     assert mean_photon_number(QuadState(200.0, 0.0, 0.5, 0.5)) == pytest.approx(100.0)
     # thermal occupation comes straight out
     for n in (0.5, 3.0, 42.0):
