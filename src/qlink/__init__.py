@@ -3,33 +3,21 @@
 from .quadmodel import (
     QuadState,
     conventional_input,
-    mean_photon_number,
     symmetric_coherent_input,
-    vacuum_state,
 )
 from .linkchain import (
     AmpKind,
     LinkPlan,
     PropagationTrace,
-    apply_loss,
-    apply_pia,
-    apply_psa,
     attenuation_to_natural,
     channel_checkpoints,
-    check_power_constraint,
-    max_feasible_pia_gain,
-    max_feasible_psa_gain,
     propagate,
 )
 from .capacity import (
     CapacityResult,
     GHSearchError,
     Scenario,
-    entropy_g,
-    gaussian_state_entropy,
     gh_capacity,
-    holevo_chi,
-    plan_capacity,
     scenario_input,
     shannon_capacity,
 )
@@ -62,36 +50,24 @@ __all__ = [
     "Scenario",
     "SweepRow",
     "SweepTable",
-    "apply_loss",
-    "apply_pia",
-    "apply_psa",
     "approx_capacity_pia",
     "approx_capacity_psa",
     "attenuation_to_natural",
     "channel_checkpoints",
     "channel_maps",
-    "check_power_constraint",
     "continuum_states",
     "conventional_input",
     "distance_grid",
     "distributed_rows",
-    "entropy_g",
     "equidistant_saturating_plan",
-    "gaussian_state_entropy",
     "gh_capacity",
-    "holevo_chi",
-    "max_feasible_pia_gain",
-    "max_feasible_psa_gain",
-    "mean_photon_number",
     "optimize_plan",
-    "plan_capacity",
     "propagate",
     "psa_pia_crossover",
     "scenario_input",
     "shannon_capacity",
     "sweep_distance",
     "symmetric_coherent_input",
-    "vacuum_state",
 ]
 
 __version__ = "0.1.0"

@@ -16,8 +16,9 @@ from enum import Enum
 from itertools import starmap
 
 from .linkchain import (LinkPlan, POWER_TOL, _over_budget, _plan_fields, _spans, _walk,
-                        attenuation_to_natural, propagate)
+                        attenuation_to_natural)
 from .linkchain import channel_checkpoints  # noqa: F401 - patched by perfbench/traced_run.py
+from .linkchain import propagate  # noqa: F401 - patched by perfbench/traced_run.py
 from .quadmodel import (HEISENBERG_LIMIT, HEISENBERG_TOL, QuadState, check_moments,
                         conventional_input, symmetric_coherent_input)
 from .search import brent_maximize, golden_section_maximize
@@ -65,28 +66,12 @@ def shannon_capacity(state: tuple, scenario: Scenario) -> float:
     raise ValueError(f"{scenario.value} has no fixed input")
 
 
-def entropy_g(x: float) -> float:
-    """Entropy in bits of a thermal state with mean photon number ``x``."""
-    if not 0.0 <= x < math.inf:  # NaN fails too
-        raise ValueError(f"thermal photon number must be finite and non-negative, got {x}")
-    if x == 0.0:
-        return 0.0
-    return ((x + 1.0) * math.log1p(x) - x * math.log(x)) / _LN2
-
-
 def _symplectic(var_i: float, var_q: float) -> float:
     if var_i <= 0 or var_q <= 0:
         raise ValueError(f"variances must be positive, got ({var_i}, {var_q})")
     if var_i * var_q < HEISENBERG_LIMIT - HEISENBERG_TOL:
         raise ValueError(f"covariance product {var_i * var_q} lies below the Heisenberg limit")
     return math.sqrt(var_i * var_q)
-
-
-def gaussian_state_entropy(var_i: float, var_q: float) -> float:
-    """Von Neumann entropy of a single-mode Gaussian state with diagonal
-    covariance (var_i, var_q) in vacuum-=1/2 units."""
-    # The symplectic eigenvalue of a pure state may dip below 1/2 by rounding.
-    return entropy_g(max(_symplectic(var_i, var_q) - 0.5, 0.0))
 
 
 def _chi(n_i: float, n_q: float, sig_i: float, sig_q: float) -> float:
@@ -110,28 +95,12 @@ def _chi(n_i: float, n_q: float, sig_i: float, sig_q: float) -> float:
     return chi / _LN2
 
 
-def holevo_chi(
-    out_total: tuple[float, float], out_noise: tuple[float, float]
-) -> float:
-    """Holevo information of a Gaussian displacement ensemble.
-
-    ``out_total`` holds the per-quadrature variances of the ensemble-average
-    output state, ``out_noise`` those of a single (unmodulated) output.
-    """
-    if not (out_total[0] >= out_noise[0] - 1e-12 and out_total[1] >= out_noise[1] - 1e-12):
-        raise ValueError(
-            f"ensemble variances {out_total} must dominate noise variances {out_noise}"
-        )
-    return _chi(*out_noise, max(out_total[0] - out_noise[0], 0.0),
-                max(out_total[1] - out_noise[1], 0.0))
-
-
 def scenario_input(scenario: Scenario, nbar: float) -> QuadState:
     """Reference input carrying the full budget, shared by discrete chains
     and the continuum of either amplifier kind.  Gordon-Holevo plans are
-    kept feasible for the conventional input; the PSA continuum has no limit
-    for the symmetric one, as its feedback needs the I quadrature to
-    dominate."""
+    kept feasible for the conventional input.  The PSA continuum serves no
+    symmetric input: its closed-form maps are derived only for the
+    conventional input's feedback."""
     if scenario is Scenario.TWO_QUADRATURE:
         return symmetric_coherent_input(nbar)
     return conventional_input(nbar)
@@ -331,7 +300,7 @@ def gh_capacity(plan: LinkPlan) -> CapacityResult:
 def chain_gh_capacity(taus, alpha_db_per_km, length_km, nbar, positions, gains, kind):
     """``gh_capacity(LinkPlan(alpha_db_per_km, ..., kind))``, errors too, on raw tuples and
     the plan's span transmissions ``taus``: one walk gives the channel maps, one the winning
-    input's states for an audit that fails as ``propagate``, then ``check_power_constraint``."""
+    input's states, which get ``propagate``'s checks and then ``_over_budget``'s audit."""
     _plan_fields(alpha_db_per_km, length_km, nbar, positions, gains)
     _walk((1.0, 1.0, 0.0, 0.0), taus, gains, kind, record=(maps := [(1.0, 1.0, 0.0, 0.0)]))
     mult_i, mult_q, add_i, add_q = zip(*maps)
@@ -344,12 +313,3 @@ def chain_gh_capacity(taus, alpha_db_per_km, length_km, nbar, positions, gains, 
         raise GHSearchError(f"achieving input violates the photon budget at {(position, excess)}",
                             result.bits_per_mode)
     return result
-
-
-def plan_capacity(plan: LinkPlan, scenario: Scenario) -> CapacityResult:
-    """Capacity of a plan under the requested detection scenario."""
-    if scenario is Scenario.GORDON_HOLEVO:
-        return gh_capacity(plan)
-    state = scenario_input(scenario, plan.nbar)
-    out, _ = propagate(plan, state)
-    return CapacityResult(shannon_capacity(out, scenario), state)

@@ -183,8 +183,8 @@ def parse_config(argv: list[str]) -> RunConfig:
                          "budget margin")
     if (config.amps is None and config.command != "crossover" and config.kind is AmpKind.PSA
             and config.scenario is Scenario.TWO_QUADRATURE):
-        raise UsageError("psa with two-quadrature-snl has no continuum limit: the "
-                         "phase-sensitive feedback is singular for the symmetric input")
+        raise UsageError("psa with two-quadrature-snl has no continuum rows: the closed-form "
+                         "PSA maps are derived only for the conventional input's feedback")
     integrates_psa = config.command == "crossover" or (
         config.amps is None and config.kind is AmpKind.PSA)
     if integrates_psa and config.nbar == 0:

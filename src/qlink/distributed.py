@@ -108,8 +108,9 @@ def continuum_states(
     """States of the continuum at each position, from the reference input
     of ``scenario`` (``scenario_input``)."""
     if kind is _PSA and scenario is Scenario.TWO_QUADRATURE:
-        raise ValueError("psa with two-quadrature detection has no continuum limit: the "
-                         "phase-sensitive feedback is singular for the symmetric input")
+        raise ValueError("psa with two-quadrature detection has no continuum states: the "
+                         "closed-form PSA maps are derived only for the conventional input's "
+                         "feedback")
     sig_i, sig_q, noise_i, noise_q = scenario_input(scenario, nbar)
     return [QuadState(sig_i * mi, sig_q * mq, noise_i * mi + ai, noise_q * mq + aq)
             for mi, ai, mq, aq in zip(*channel_maps(kind, positions_km, nbar, alpha_db_per_km))]

@@ -133,7 +133,7 @@ def _walk(y, taus, gains, kind: AmpKind, nbar=None, start: int = 0, record=None)
             return sig_i, sig_q, noise_i, noise_q
         gain = gains[k]
         if nbar is not None:
-            photons = (sig_i + sig_q + noise_i + noise_q) / 2.0 - 0.5  # as mean_photon_number
+            photons = (sig_i + sig_q + noise_i + noise_q) / 2.0 - 0.5  # as _over_budget
             if photons > limit:
                 raise ValueError("state already exceeds the photon budget")
             if psa:
@@ -164,40 +164,11 @@ def _walk(y, taus, gains, kind: AmpKind, nbar=None, start: int = 0, record=None)
             record.append((sig_i, sig_q, noise_i, noise_q))
 
 
-def _ceiling(y: tuple, nbar: float, kind: AmpKind) -> float:
-    """The photon budget's gain ceiling for an amplifier that receives raw state ``y``."""
-    _walk(y, (1.0, 1.0), (math.inf,), kind, nbar, record=(record := []))
-    return record[1]
-
-
 def _fold(plan: LinkPlan, y) -> list[tuple]:
     """Raw tuples at the input and after every span and amplifier."""
     taus = _spans(attenuation_to_natural(plan.alpha_db_per_km), plan.length_km, plan.positions)
     _walk(y, taus, plan.gains, plan.kind, record=(points := [y]))
     return points
-
-
-def apply_loss(state: QuadState, tau: float) -> QuadState:
-    """Attenuate by power transmission ``tau``; loss mixes in vacuum noise."""
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"transmission must lie in (0, 1], got {tau}")
-    return QuadState(*_walk(state, (tau,), (), _PSA))
-
-
-def apply_psa(state: QuadState, gain: float) -> QuadState:
-    """Quantum-limited phase-sensitive amplifier: I quadrature multiplied by
-    ``gain``, Q quadrature divided by it, no excess noise."""
-    if gain < 1.0:
-        raise ValueError(f"amplifier gain must be >= 1, got {gain}")
-    return QuadState(*_walk(state, (1.0, 1.0), (gain,), _PSA))  # spans of transmission 1
-
-
-def apply_pia(state: QuadState, gain: float) -> QuadState:
-    """Quantum-limited phase-insensitive amplifier: both quadratures
-    multiplied by ``gain`` with (gain-1)/2 added noise each."""
-    if gain < 1.0:
-        raise ValueError(f"amplifier gain must be >= 1, got {gain}")
-    return QuadState(*_walk(state, (1.0, 1.0), (gain,), AmpKind.PIA))
 
 
 def propagate(plan: LinkPlan, state: QuadState) -> tuple[QuadState, PropagationTrace]:
@@ -208,38 +179,11 @@ def propagate(plan: LinkPlan, state: QuadState) -> tuple[QuadState, PropagationT
     return states[-1], PropagationTrace(positions, states)
 
 
-def check_power_constraint(trace: PropagationTrace, nbar: float) -> list[tuple[float, float]]:
-    """Audit the photon budget along a trace.
-
-    Returns (position, excess) for every trace entry whose mean photon number
-    exceeds the budget by more than the tolerance.  Loss only removes photons,
-    so checking the recorded points covers the whole discrete chain.
-    """
-    return [(trace.positions[k], excess) for k, excess in _over_budget(trace.states, nbar)]
-
-
 def _over_budget(states, nbar: float) -> list[tuple[int, float]]:
-    """(index, excess), in order, of each raw state over the budget ``nbar`` by > POWER_TOL."""
+    """(index, excess), in order, of each raw state over the budget ``nbar`` by > POWER_TOL.
+    Loss only removes photons, so the states after every span and amplifier cover a chain."""
     return [(k, excess) for k, (sig_i, sig_q, noise_i, noise_q) in enumerate(states)
             if (excess := (sig_i + sig_q + noise_i + noise_q) / 2.0 - 0.5 - nbar) > POWER_TOL]
-
-
-def max_feasible_psa_gain(state: QuadState, nbar: float) -> float:
-    """Largest PSA gain that keeps the mode at or below ``nbar`` photons.
-
-    Solves gain*(sig_i+noise_i) + (sig_q+noise_q)/gain = 2*nbar + 1 for the
-    larger root, i.e. the gain that lands exactly on the budget.
-    """
-    return _ceiling(state, nbar, AmpKind.PSA)
-
-
-def max_feasible_pia_gain(state: QuadState, nbar: float) -> float:
-    """Largest PIA gain that keeps the mode at or below ``nbar`` photons.
-
-    A PIA of gain G maps the photon number n to G*(n+1) - 1, so the budget is
-    reached at G = (nbar+1)/(n+1).
-    """
-    return _ceiling(state, nbar, AmpKind.PIA)
 
 
 def channel_checkpoints(plan: LinkPlan) -> tuple[list[float], ...]:

@@ -44,20 +44,9 @@ def check_moments(sig_i: float, sig_q: float, noise_i: float, noise_q: float) ->
     if product < HEISENBERG_LIMIT - HEISENBERG_TOL:
         raise ValueError(f"uncertainty product noise_i*noise_q = {product} "
                          f"is below the Heisenberg limit {HEISENBERG_LIMIT}")
-    if (sig_i + sig_q + noise_i + noise_q) / 2.0 - 0.5 < -HEISENBERG_TOL:  # as mean_photon_number
+    if (sig_i + sig_q + noise_i + noise_q) / 2.0 - 0.5 < -HEISENBERG_TOL:  # mean photon number
         raise ValueError(f"negative mean photon number for (sig_i, sig_q, noise_i, noise_q) = "
                          f"{(sig_i, sig_q, noise_i, noise_q)}")
-
-
-def mean_photon_number(state: QuadState) -> float:
-    """Mean photon number of the mode; vacuum carries zero photons."""
-    total = state.sig_i + state.sig_q + state.noise_i + state.noise_q
-    return total / 2.0 - 0.5
-
-
-def vacuum_state() -> QuadState:
-    """The empty field: no signal, vacuum noise in both quadratures."""
-    return QuadState(0.0, 0.0, VACUUM_VARIANCE, VACUUM_VARIANCE)
 
 
 def conventional_input(nbar: float) -> QuadState:

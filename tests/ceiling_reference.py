@@ -1,9 +1,9 @@
 """Reference arithmetic of the photon budget's gain ceiling.
 
-This is ``linkchain._ceiling`` as it clipped with the ``max`` builtin, with
-the same checks in the same order.  ``qlink.linkchain`` clips with a
-comparison instead; the tests hold the two equal with ``==``, NaN and ties
-included, and check that both raise the same errors.
+This is the ceiling that ``linkchain._walk`` computes before each amplifier,
+clipped with the ``max`` builtin, with the same checks in the same order.
+The walk clips with a comparison instead; the tests hold the two equal with
+``==``, NaN and ties included, and check that both raise the same errors.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ decimal maximum, so that no far-tail map under- or overflows.
 The discrete chain is folded here too, from a plan's positions and gains:
 loss, PSA and PIA stages on (sig_i, sig_q, noise_i, noise_q), which on the
 unit lane (1, 1, 0, 0) gives the exact channel maps, and both Shannon rates
-of a folded output.  The gains are taken as given, with no clipping to the
-photon budget's ceiling: a returned plan's gains are already repaired.
+of a folded output.  Given a photon budget, the fold clips each gain to
+[1, ceiling], the ceiling computed from its own folded state; without one it
+takes the gains as given, as a returned plan's gains are already repaired.
 """
 
 from __future__ import annotations
@@ -85,12 +86,31 @@ def chi(maps, p: float, r: float, nbar: float) -> Decimal:
         return value
 
 
+def ceiling(state, nbar: float, kind: str) -> Decimal:
+    """The largest gain, and at least 1, of an amplifier of ``kind`` ("PSA" or
+    "PIA") that leaves the mode ``state`` within the photon budget ``nbar``:
+    the larger root G of G*(sig_i + noise_i) + (sig_q + noise_q)/G =
+    2*nbar + 1 for a PSA, and (nbar + 1)/(n + 1) for a PIA, where n is the
+    state's photon number."""
+    sig_i, sig_q, noise_i, noise_q = state
+    with localcontext(CONTEXT):
+        nbar = Decimal(nbar)
+        if kind == "PSA":
+            power_i, power_q = sig_i + noise_i, sig_q + noise_q
+            target = 2 * nbar + 1
+            top = (target + (target * target - 4 * power_i * power_q).sqrt()) / (2 * power_i)
+        else:
+            top = (nbar + 1) / ((sig_i + sig_q + noise_i + noise_q + 1) / 2)
+        return max(top, Decimal(1))
+
+
 def fold(alpha_db_per_km: float, length_km: float, positions, gains, kind: str,
-         state) -> list[tuple[Decimal, Decimal, Decimal, Decimal]]:
+         state, nbar: float | None = None) -> list[tuple[Decimal, Decimal, Decimal, Decimal]]:
     """``state`` at the input and after every span and amplifier of the link
     whose amplifiers of ``kind`` ("PSA" or "PIA") sit at ``positions`` with
-    ``gains``; the last span, to ``length_km``, is unamplified.  A span of
-    length d transmits 10^(-alpha*d/10) of the power and mixes in vacuum."""
+    ``gains``, each clipped to [1, ``ceiling``] if a budget ``nbar`` is given;
+    the last span, to ``length_km``, is unamplified.  A span of length d
+    transmits 10^(-alpha*d/10) of the power and mixes in vacuum."""
     with localcontext(CONTEXT):
         alpha = Decimal(10).ln() * Decimal(alpha_db_per_km) / 10
         sig_i, sig_q, noise_i, noise_q = (Decimal(x) for x in state)
@@ -105,6 +125,9 @@ def fold(alpha_db_per_km: float, length_km: float, positions, gains, kind: str,
             if k == len(positions):
                 return points
             gain = Decimal(gains[k])
+            if nbar is not None:
+                top = ceiling((sig_i, sig_q, noise_i, noise_q), nbar, kind)
+                gain = min(max(gain, Decimal(1)), top)
             if kind == "PSA":
                 sig_i, sig_q = gain * sig_i, sig_q / gain
                 noise_i, noise_q = gain * noise_i, noise_q / gain

@@ -10,7 +10,8 @@ chain in one loop on four floats instead; the tests hold the two to equal
 The Gordon-Holevo capacity of a plan is composed here as objects: a
 validated ``LinkPlan``, its channel maps, the search, and the winning input
 propagated as ``QuadState``s into a ``PropagationTrace`` that the photon
-budget audit walks.  ``qlink`` scores it on raw tuples.
+budget audit walks.  ``qlink`` scores it on raw tuples.  ``plan_capacity``
+scores a plan under any scenario from these parts.
 """
 
 from __future__ import annotations
@@ -28,7 +29,18 @@ from qlink.linkchain import (
     PropagationTrace,
     attenuation_to_natural,
 )
-from qlink.quadmodel import QuadState, check_moments, mean_photon_number
+from qlink.quadmodel import QuadState, check_moments
+
+
+def mean_photon_number(state: QuadState) -> float:
+    """Mean photon number of the mode; vacuum carries zero photons."""
+    total = state.sig_i + state.sig_q + state.noise_i + state.noise_q
+    return total / 2.0 - 0.5
+
+
+def vacuum_state() -> QuadState:
+    """The empty field: no signal, vacuum noise in both quadratures."""
+    return QuadState(0.0, 0.0, 0.5, 0.5)
 
 
 def _loss(y: tuple, tau: float) -> tuple:
@@ -119,6 +131,15 @@ def gh_capacity(plan: LinkPlan) -> capacity.CapacityResult:
         raise GHSearchError(f"achieving input violates the photon budget at {violations[0]}",
                             result.bits_per_mode)
     return result
+
+
+def plan_capacity(plan: LinkPlan, scenario: Scenario) -> capacity.CapacityResult:
+    """Capacity of a plan under the requested detection scenario."""
+    if scenario is Scenario.GORDON_HOLEVO:
+        return gh_capacity(plan)
+    state = scenario_input(scenario, plan.nbar)
+    out, _ = propagate(plan, state)
+    return capacity.CapacityResult(shannon_capacity(out, scenario), state)
 
 
 class PlanScorer:

@@ -8,16 +8,11 @@ import time
 import numpy as np
 
 from qlink import (
-    apply_loss,
-    apply_pia,
-    apply_psa,
     attenuation_to_natural,
     conventional_input,
-    entropy_g,
     gh_capacity,
     propagate,
     shannon_capacity,
-    vacuum_state,
     QuadState,
     LinkPlan,
 )
@@ -26,7 +21,10 @@ from qlink.distributed import approx_capacity_pia, approx_capacity_psa
 from qlink.optimizer import equidistant_saturating_plan, optimize_plan
 from qlink.capacity import Scenario
 
+from chain_stages import apply_loss, apply_pia, apply_psa
+from gh_reference import entropy_g
 from rk4_oracle import integrate_pia, integrate_psa
+from stage_reference import vacuum_state
 
 ALPHA = attenuation_to_natural(0.2)
 

@@ -6,13 +6,14 @@ import sys
 from decimal import Decimal
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+import pytest
+from hypothesis import Phase, given, settings
 
 import decimal_oracle
 from conftest import gh_link_channels
 from qlink import AmpKind, Scenario, channel_checkpoints, optimize_plan
 from qlink.capacity import _GhChannel, _gh_search, _water_filling, gh_capacity_for_channel
-from qlink.linkchain import POWER_TOL
+from qlink.linkchain import POWER_TOL, _spans, _walk, attenuation_to_natural
 
 # Steps to the neighbouring inputs, in the split p and in the squeezing r
 # (the latter as shares of r_cap).
@@ -92,3 +93,27 @@ def test_chain_maps_and_shannon_scores_match_the_decimal_fold(kind, scenario, lo
         out = decimal_oracle.fold(_ALPHA, length, positions, gains, kind, reference_input(nbar))
         exact = rate(out[-1])
         assert abs(Decimal(best.score) - exact) <= Decimal(1e-12) * exact
+
+
+@pytest.mark.parametrize("kind", list(AmpKind))
+@settings(derandomize=True, max_examples=100, deadline=None,
+          phases=[Phase.explicit, Phase.generate])  # unshrunk: shrinking takes minutes
+@given(st.sampled_from(list(_SHANNON)), st.floats(-2.0, 5.0), st.floats(10.0, 3000.0),
+       st.integers(1, 8), st.floats(0.1, 0.3))
+def test_walk_ceilings_match_the_decimal_fold(kind, scenario, log_nbar, length, amps, alpha):
+    # Seed gains of inf ride every ceiling.  The walk records each ceiling
+    # before its amplifier, from its float state; the oracle folds the same
+    # link with its own gains clipped to its own ceilings, and computes each
+    # ceiling from its folded state.  Each kind's formula gets its own draws.
+    nbar = 10.0 ** log_nbar
+    positions = [length * k / (amps + 1) for k in range(1, amps + 1)]
+    reference_input = _SHANNON[scenario][0](nbar)
+    taus = _spans(attenuation_to_natural(alpha), length, positions)
+    _walk(reference_input, taus, [math.inf] * amps, kind, nbar, record=(record := []))
+    exact_points = decimal_oracle.fold(alpha, length, positions, [math.inf] * amps, kind,
+                                       reference_input, nbar)
+    ceilings = record[1::4]
+    assert len(ceilings) == amps
+    for k, got in enumerate(ceilings):
+        exact = decimal_oracle.ceiling(exact_points[2 * k + 1], nbar, kind)
+        assert abs(Decimal(got) - exact) <= Decimal(1e-13) * exact

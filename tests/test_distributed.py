@@ -3,7 +3,7 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 
 from qlink import (
     AmpKind,
@@ -12,7 +12,6 @@ from qlink import (
     attenuation_to_natural,
     conventional_input,
     equidistant_saturating_plan,
-    mean_photon_number,
     scenario_input,
     shannon_capacity,
 )
@@ -38,6 +37,7 @@ from rk4_oracle import (
     integrate_psa,
     state_at_position,
 )
+from stage_reference import mean_photon_number
 
 ALPHA = attenuation_to_natural(0.2)
 
@@ -254,6 +254,38 @@ class TestContinuumLimit:
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 0.02
 
+    @pytest.mark.parametrize("kind, scenario", CONTINUUM_PAIRS)
+    # unshrunk: shrinking the failures of a broken walk takes minutes
+    @settings(derandomize=True, max_examples=25, deadline=None,
+              phases=[Phase.explicit, Phase.generate])
+    @given(log_nbar=st.floats(-2.0, 4.0), alpha=st.floats(0.15, 0.25),
+           loss_share=st.floats(0.05, 1.0))
+    def test_two_richardson_steps_reach_the_continuum(self, kind, scenario, log_nbar, alpha,
+                                                      loss_share):
+        # An equidistant saturating chain of R amplifiers misses the continuum
+        # by a regular series in 1/R, so two Richardson steps from R, 2R and
+        # 4R, (8 f(4R) - 6 f(2R) + f(R))/3, leave an error of order R^-3 that
+        # falls 8x per doubling.  The loss runs up to 20 dB times
+        # max(1, nbar)^0.35: deeper, R = 128 spans are too long for the
+        # R^-3 term to lead.  Below 1e-7 at the R = 128 base, that term's
+        # coefficient is near a change of sign and the next order competes,
+        # so the fall is checked above it only.
+        nbar = 10.0 ** log_nbar
+        length = loss_share * 20.0 * max(1.0, nbar) ** 0.35 / alpha
+        (row,) = distributed_rows([length], nbar, alpha, kind, scenario)
+        limit = row.capacity_bits_per_mode
+        bits = {amps: equidistant_saturating_plan(length, amps, nbar, alpha, kind,
+                                                  scenario).score
+                for amps in (128, 256, 512, 1024)}
+
+        def error(base):
+            two_step = (8.0 * bits[4 * base] - 6.0 * bits[2 * base] + bits[base]) / 3.0
+            return abs(two_step - limit) / limit
+
+        assert error(256) <= (1e-6 if nbar <= 100.0 else 1e-5)
+        if error(128) >= 1e-7:
+            assert error(128) >= 6.0 * error(256)
+
 
 class TestStateAtPosition:
     def test_on_grid_positions_return_samples(self):
@@ -421,7 +453,7 @@ class TestClosedFormContinuum:
         assert len(checkpoint_positions(10.15, 0.1)) == 103
 
     def test_psa_two_quadrature_has_no_continuum(self):
-        with pytest.raises(ValueError, match="no continuum limit"):
+        with pytest.raises(ValueError, match="derived only for the conventional input"):
             continuum_states(AmpKind.PSA, Scenario.TWO_QUADRATURE, [1.0], 100.0)
 
     def test_psa_needs_a_positive_budget(self):

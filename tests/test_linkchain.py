@@ -8,24 +8,18 @@ from qlink import (
     AmpKind,
     LinkPlan,
     QuadState,
-    apply_loss,
-    apply_pia,
-    apply_psa,
     attenuation_to_natural,
     channel_checkpoints,
-    check_power_constraint,
     conventional_input,
-    max_feasible_pia_gain,
-    max_feasible_psa_gain,
-    mean_photon_number,
     propagate,
-    vacuum_state,
 )
-from qlink.linkchain import MAX_NBAR, _ceiling
+from qlink.linkchain import MAX_NBAR
 from qlink.quadmodel import HEISENBERG_LIMIT, HEISENBERG_TOL
 
 import ceiling_reference
+from chain_stages import apply_loss, apply_pia, apply_psa, ceiling, check_power_constraint
 from conftest import gains, quad_states, transmissions
+from stage_reference import mean_photon_number, vacuum_state
 
 
 def states_close(a: QuadState, b: QuadState, rel=1e-12, abs_=1e-12):
@@ -71,20 +65,11 @@ class TestStageOperations:
         out = apply_loss(QuadState(200.0, 0.0, 0.5, 0.5), 0.5)
         assert out == QuadState(100.0, 0.0, 0.5, 0.5)
 
-    def test_loss_rejects_bad_transmission(self):
-        for tau in (0.0, -0.1, 1.1):
-            with pytest.raises(ValueError):
-                apply_loss(vacuum_state(), tau)
-
     def test_psa_identity_and_examples(self):
         state = QuadState(3.0, 1.0, 0.7, 0.6)
         assert apply_psa(state, 1.0) == state
         assert apply_psa(vacuum_state(), 2.0) == QuadState(0.0, 0.0, 1.0, 0.25)
         assert apply_psa(QuadState(100.0, 0.0, 0.5, 0.5), 2.0) == QuadState(200.0, 0.0, 1.0, 0.25)
-
-    def test_psa_rejects_gain_below_one(self):
-        with pytest.raises(ValueError):
-            apply_psa(vacuum_state(), 0.9)
 
     def test_pia_identity_and_examples(self):
         state = QuadState(3.0, 1.0, 0.7, 0.6)
@@ -238,7 +223,7 @@ class TestPowerConstraint:
 
     def test_restoring_gain_is_boundary_feasible(self):
         state = apply_loss(conventional_input(100.0), 0.5)
-        gain = max_feasible_psa_gain(state, 100.0)
+        gain = ceiling(state, 100.0, AmpKind.PSA)
         plan = LinkPlan(
             0.2, 2 * math.log(2.0) / attenuation_to_natural(0.2), 100.0,
             [math.log(2.0) / attenuation_to_natural(0.2)], [gain],
@@ -249,7 +234,7 @@ class TestPowerConstraint:
     def test_overdriven_gain_is_flagged_at_the_amplifier(self):
         seg = math.log(2.0) / attenuation_to_natural(0.2)
         state = apply_loss(conventional_input(100.0), 0.5)
-        gain = max_feasible_psa_gain(state, 100.0)
+        gain = ceiling(state, 100.0, AmpKind.PSA)
         plan = LinkPlan(0.2, 2 * seg, 100.0, [seg], [1.01 * gain])
         _, trace = propagate(plan, conventional_input(100.0))
         violations = check_power_constraint(trace, 100.0)
@@ -262,52 +247,52 @@ class TestPowerConstraint:
 class TestFeasibleGain:
     def test_quadratic_root_value_and_restoration(self):
         state = QuadState(100.0, 0.0, 0.5, 0.5)
-        gain = max_feasible_psa_gain(state, 100.0)
+        gain = ceiling(state, 100.0, AmpKind.PSA)
         # frozen from the quadratic oracle G = (c + sqrt(c^2-4ab)) / (2a)
         assert gain == pytest.approx(1.9975093361076328, rel=1e-12)
         assert mean_photon_number(apply_psa(state, gain)) == pytest.approx(100.0, abs=1e-9)
 
     def test_vacuum_with_zero_budget(self):
-        assert max_feasible_psa_gain(vacuum_state(), 0.0) == 1.0
+        assert ceiling(vacuum_state(), 0.0, AmpKind.PSA) == 1.0
 
     def test_saturated_symmetric_state_gets_unit_gain(self):
         state = QuadState(0.0, 0.0, 10.5, 10.5)
-        assert max_feasible_psa_gain(state, 10.0) == pytest.approx(1.0, abs=1e-12)
+        assert ceiling(state, 10.0, AmpKind.PSA) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_state_over_budget(self):
         with pytest.raises(ValueError, match="budget"):
-            max_feasible_psa_gain(conventional_input(100.0), 50.0)
+            ceiling(conventional_input(100.0), 50.0, AmpKind.PSA)
 
     def test_psa_budget_above_max_nbar_is_refused(self):
         # (2*nbar + 1)**2 overflowed at 1e154, and the ceiling came out inf
         with pytest.raises(ValueError, match="MAX_NBAR"):
-            max_feasible_psa_gain(conventional_input(1e154), 1e154)
-        assert math.isfinite(max_feasible_psa_gain(conventional_input(MAX_NBAR), MAX_NBAR))
+            ceiling(conventional_input(1e154), 1e154, AmpKind.PSA)
+        assert math.isfinite(ceiling(conventional_input(MAX_NBAR), MAX_NBAR, AmpKind.PSA))
 
     def test_rejects_q_dominated_state(self):
         with pytest.raises(ValueError, match="quadrature"):
-            max_feasible_psa_gain(QuadState(0.0, 10.0, 0.5, 0.5), 100.0)
+            ceiling(QuadState(0.0, 10.0, 0.5, 0.5), 100.0, AmpKind.PSA)
 
     def test_checks_keep_their_order(self):
         # budget bound, then the photon count, then the quadrature balance,
         # then the root; the PIA ceiling has no budget bound
         with pytest.raises(ValueError, match="MAX_NBAR"):
-            max_feasible_psa_gain(QuadState(0.0, 400.0, 0.5, 0.5), 1e151)
+            ceiling(QuadState(0.0, 400.0, 0.5, 0.5), 1e151, AmpKind.PSA)
         with pytest.raises(ValueError, match="exceeds the photon budget"):
-            max_feasible_psa_gain(QuadState(0.0, 400.0, 0.5, 0.5), 100.0)
+            ceiling(QuadState(0.0, 400.0, 0.5, 0.5), 100.0, AmpKind.PSA)
         with pytest.raises(ValueError, match="no real gain"):
             # within POWER_TOL of the budget, balanced: the root is complex
-            max_feasible_psa_gain(QuadState(0.0, 0.0, 10.5 + 4e-10, 10.5 + 4e-10), 10.0)
-        assert max_feasible_pia_gain(vacuum_state(), 1e151) == 1e151 + 1.0
+            ceiling(QuadState(0.0, 0.0, 10.5 + 4e-10, 10.5 + 4e-10), 10.0, AmpKind.PSA)
+        assert ceiling(vacuum_state(), 1e151, AmpKind.PIA) == 1e151 + 1.0
 
     def test_pia_gain_restores_budget(self):
         state = apply_loss(symmetric(), 0.5)
-        gain = max_feasible_pia_gain(state, 100.0)
+        gain = ceiling(state, 100.0, AmpKind.PIA)
         assert mean_photon_number(apply_pia(state, gain)) == pytest.approx(100.0, abs=1e-9)
 
     def test_pia_gain_examples(self):
-        assert max_feasible_pia_gain(vacuum_state(), 1.0) == pytest.approx(2.0)
-        assert max_feasible_pia_gain(symmetric(), 100.0) == pytest.approx(1.0)
+        assert ceiling(vacuum_state(), 1.0, AmpKind.PIA) == pytest.approx(2.0)
+        assert ceiling(symmetric(), 100.0, AmpKind.PIA) == pytest.approx(1.0)
 
 
 def _ceiling_outcome(fn, y, nbar, kind):
@@ -320,7 +305,7 @@ def _ceiling_outcome(fn, y, nbar, kind):
 
 
 class TestCeilingReference:
-    """``_ceiling`` clips with a comparison; the ``max`` reference decides."""
+    """The walk's ceiling clips with a comparison; the ``max`` reference decides."""
 
     @given(quad_states(), st.floats(0.0, 2.0) | st.just(1.0), st.sampled_from(list(AmpKind)))
     def test_equals_the_max_reference_near_the_budget(self, state, share, kind):
@@ -328,13 +313,13 @@ class TestCeilingReference:
         # the clip to 1 and the photon-count check included
         nbar = share * mean_photon_number(state)
         y = tuple(state)
-        assert (_ceiling_outcome(_ceiling, y, nbar, kind)
+        assert (_ceiling_outcome(ceiling, y, nbar, kind)
                 == _ceiling_outcome(ceiling_reference.ceiling, y, nbar, kind))
 
     @given(quad_states(), st.floats(0.0, 1e6), st.sampled_from(list(AmpKind)))
     def test_equals_the_max_reference(self, state, nbar, kind):
         y = tuple(state)
-        assert (_ceiling_outcome(_ceiling, y, nbar, kind)
+        assert (_ceiling_outcome(ceiling, y, nbar, kind)
                 == _ceiling_outcome(ceiling_reference.ceiling, y, nbar, kind))
 
     @pytest.mark.parametrize("y, nbar, kind, expected", [
@@ -355,7 +340,7 @@ class TestCeilingReference:
         ((0.0, 0.0, 10.5 + 4e-10, 10.5 + 4e-10), 10.0, AmpKind.PSA, "ValueError: no real gain"),
     ])
     def test_edge_cases_equal_the_max_reference(self, y, nbar, kind, expected):
-        outcome = _ceiling_outcome(_ceiling, y, nbar, kind)
+        outcome = _ceiling_outcome(ceiling, y, nbar, kind)
         assert outcome.startswith(expected)
         assert outcome == _ceiling_outcome(ceiling_reference.ceiling, y, nbar, kind)
 

@@ -18,13 +18,8 @@ from qlink import (
     PropagationTrace,
     QuadState,
     Scenario,
-    apply_loss,
     attenuation_to_natural,
-    check_power_constraint,
     conventional_input,
-    max_feasible_psa_gain,
-    mean_photon_number,
-    plan_capacity,
     propagate,
     shannon_capacity,
     symmetric_coherent_input,
@@ -41,6 +36,9 @@ from qlink.optimizer import (
     optimize_plan,
     sweep_distance,
 )
+
+from chain_stages import apply_loss, ceiling, check_power_constraint
+from stage_reference import mean_photon_number, plan_capacity
 
 ALPHA = attenuation_to_natural(0.2)
 
@@ -61,9 +59,9 @@ def brute_force_single_amp(length_km, nbar, n_pos=60, n_gain=25):
     for i in range(1, n_pos):
         pos = length_km * i / n_pos
         before = apply_loss(conventional_input(nbar), math.exp(-ALPHA * pos))
-        ceiling = max_feasible_psa_gain(before, nbar)
+        top = ceiling(before, nbar, AmpKind.PSA)
         for j in range(1, n_gain + 1):
-            gain = 1.0 + (ceiling - 1.0) * j / n_gain
+            gain = 1.0 + (top - 1.0) * j / n_gain
             plan = LinkPlan(0.2, length_km, nbar, [pos], [gain])
             out, trace = propagate(plan, conventional_input(nbar))
             if check_power_constraint(trace, nbar):
@@ -85,7 +83,8 @@ class TestEquidistantSeed:
         cand = equidistant_saturating_plan(100.0, 1, 100.0, 0.2)
         assert cand.plan.positions == (50.0,)
         before = apply_loss(conventional_input(100.0), math.exp(-ALPHA * 50.0))
-        assert cand.plan.gains[0] == pytest.approx(max_feasible_psa_gain(before, 100.0), rel=1e-12)
+        assert cand.plan.gains[0] == pytest.approx(ceiling(before, 100.0, AmpKind.PSA),
+                                                   rel=1e-12)
 
     def test_all_amplifiers_restore_budget(self):
         cand = equidistant_saturating_plan(500.0, 4, 100.0, 0.2)
@@ -112,7 +111,7 @@ SHANNON_PAIRS = [(kind, scenario) for kind in AmpKind
 
 
 class TestPlanScorer:
-    """The scorer's own walk of the chain gives exactly the library's score."""
+    """The scorer's own walk of the chain gives exactly the reference's score."""
 
     @pytest.mark.parametrize("kind, scenario", SHANNON_PAIRS)
     @pytest.mark.parametrize("positions, gains, clipped", [

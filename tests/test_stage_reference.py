@@ -5,7 +5,8 @@ functions, and the optimizer's gain repair and Shannon trial as loops over
 them.  ``qlink`` walks the chain in one loop on four floats
 (``linkchain._walk``).  These tests hold every caller of the walk to the
 reference: equal ``float.hex`` outputs, and the same exception type and
-message.
+message.  Single stages and the budget audit reach the library through
+``chain_stages``, whose wrappers call ``_walk`` and ``_over_budget``.
 """
 
 import math
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import Phase, given, settings
 
 import stage_reference
+from chain_stages import apply_loss, apply_pia, apply_psa, check_power_constraint
 from conftest import quad_states
 from qlink import (
     AmpKind,
@@ -22,13 +24,8 @@ from qlink import (
     LinkPlan,
     QuadState,
     Scenario,
-    apply_loss,
-    apply_pia,
-    apply_psa,
     channel_checkpoints,
-    check_power_constraint,
     gh_capacity,
-    mean_photon_number,
     optimize_plan,
     propagate,
 )
@@ -125,7 +122,7 @@ class TestFold:
         gains = data.draw(st.lists(st.floats(1.0, 1e6), min_size=amps, max_size=amps))
         _, trace = propagate(LinkPlan(0.2, length, 100.0, positions, gains, kind),
                              data.draw(quad_states()))
-        photons = mean_photon_number(data.draw(st.sampled_from(trace.states)))
+        photons = stage_reference.mean_photon_number(data.draw(st.sampled_from(trace.states)))
         nbar = photons + data.draw(st.sampled_from([-1.0, -2e-9, 0.0, 5e-10, 2e-9, 1.0]))
         assert (outcome(check_power_constraint, trace, nbar)
                 == outcome(stage_reference.check_power_constraint, trace, nbar))

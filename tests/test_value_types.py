@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 import qlink
-from qlink import distributed
+from qlink import capacity, distributed, linkchain, quadmodel
 from qlink import (
     AmpKind,
     CapacityResult,
@@ -15,12 +15,11 @@ from qlink import (
     PlanCandidate,
     PropagationTrace,
     QuadState,
-    Scenario,
     SweepRow,
     SweepTable,
     conventional_input,
     equidistant_saturating_plan,
-    plan_capacity,
+    gh_capacity,
     propagate,
     sweep_distance,
 )
@@ -39,7 +38,7 @@ def _values():
         QuadState: QuadState(1.0, 0.0, 0.5, 0.5),
         LinkPlan: PLAN,
         PropagationTrace: propagate(PLAN, conventional_input(100.0))[1],
-        CapacityResult: plan_capacity(PLAN, Scenario.CONVENTIONAL),
+        CapacityResult: gh_capacity(PLAN),
         PlanCandidate: equidistant_saturating_plan(100.0, 1, 100.0, 0.2),
         SweepRow: table.rows[0],
         SweepTable: table,
@@ -114,6 +113,15 @@ RK4_ORACLE_NAMES = [
 ]
 
 
+# What left the library for the tests' helper and reference modules
+# (tests/chain_stages.py, stage_reference.py and gh_reference.py).
+TEST_HELPER_NAMES = [
+    "_ceiling", "apply_loss", "apply_pia", "apply_psa", "check_power_constraint", "entropy_g",
+    "gaussian_state_entropy", "holevo_chi", "max_feasible_pia_gain", "max_feasible_psa_gain",
+    "mean_photon_number", "plan_capacity", "vacuum_state",
+]
+
+
 def test_every_exported_name_resolves_once():
     assert len(set(qlink.__all__)) == len(qlink.__all__)
     assert [name for name in qlink.__all__ if not hasattr(qlink, name)] == []
@@ -123,6 +131,12 @@ def test_rk4_oracle_names_left_the_library():
     assert [name for name in RK4_ORACLE_NAMES if not hasattr(rk4_oracle, name)] == []
     assert [name for name in RK4_ORACLE_NAMES
             if hasattr(qlink, name) or hasattr(distributed, name)] == []
+
+
+def test_test_helper_names_left_the_library():
+    modules = (qlink, capacity, linkchain, quadmodel)
+    assert [name for name in TEST_HELPER_NAMES
+            if any(hasattr(module, name) for module in modules)] == []
 
 
 @pytest.mark.parametrize("moments, message", [
