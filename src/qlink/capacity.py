@@ -5,7 +5,8 @@ detection (the conventional Shannon rate), simultaneous two-quadrature
 detection (each quadrature pays an extra half unit of vacuum noise), and the
 quantum-optimal Gordon-Holevo rate of the induced phase-sensitive Gaussian
 channel, maximized over Gaussian input ensembles under the photon budget (in
-closed form or by one Brent search; a golden-section search is the fallback).
+closed form or by a root-find on chi's slope; a golden-section search is the
+fallback).
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from .linkchain import channel_checkpoints  # noqa: F401 - patched by perfbench/
 from .linkchain import propagate  # noqa: F401 - patched by perfbench/traced_run.py
 from .quadmodel import (HEISENBERG_LIMIT, HEISENBERG_TOL, QuadState, check_moments,
                         conventional_input, symmetric_coherent_input)
-from .search import brent_maximize, golden_section_maximize
+from .search import golden_section_maximize, illinois_maximize
 
 _LN2 = math.log(2.0)
+_HALF_LOG2E = 0.5 / _LN2
 
 
 class Scenario(str, Enum):
@@ -93,6 +95,29 @@ def _chi(n_i: float, n_q: float, sig_i: float, sig_q: float) -> float:
     chi = (rise * lead + (b + 1.0) * math.log1p(rise / (b + 1.0))
            - (b * math.log1p(rise / b) if b > 0.0 else 0.0))
     return chi / _LN2
+
+
+def _chi_partials(n_i: float, n_q: float, sig_i: float, sig_q: float) -> tuple[float, ...]:
+    """Partials of ``_chi`` in bits with respect to its four arguments, formed as
+    chi is, so that they keep their relative precision when the signal lies far
+    below the noise.  chi = g(b + d) - g(b) with g'(x) = log2(1 + 1/x), and a
+    state's nu changes by v_q/(2 nu) per unit of its variance v_i.  The noise
+    variances enter both states; g'(b + d) - g'(b) = -log2(1 + d/(b (b + 1 + d)))."""
+    t_i, t_q = n_i + sig_i, n_q + sig_q
+    nu, nu_t = math.sqrt(n_i * n_q), math.sqrt(t_i * t_q)
+    rise = (sig_i * n_q + sig_q * n_i + sig_i * sig_q) / (nu_t + nu)
+    b = nu - 0.5
+    b = b if b > 0.0 else 0.0
+    # g' is infinite at b + d = 0, where a root-find on the slope stops at its
+    # NaN; where b is clipped to 0, as in chi, the noise state's g' drops out
+    lead = math.log1p(1.0 / (b + rise)) * _HALF_LOG2E if b + rise > 0.0 else math.inf
+    spread = b * (b + 1.0 + rise)
+    drop = math.log1p(rise / spread) * _HALF_LOG2E / nu if spread > 0.0 else 0.0
+    # t_q/nu_t - n_q/nu and t_i/nu_t - n_i/nu, without their cancellation
+    cross = lead * (sig_q * n_i - sig_i * n_q)
+    lead /= nu_t
+    return (cross / (n_i * nu_t + t_i * nu) - drop * n_q,
+            -cross / (n_q * nu_t + t_q * nu) - drop * n_i, lead * t_q, lead * t_i)
 
 
 def scenario_input(scenario: Scenario, nbar: float) -> QuadState:
@@ -223,12 +248,37 @@ def _gh_search(channel: _GhChannel) -> tuple[float, float, float]:
     return channel.chi(r), channel.p, r
 
 
+def _curve(out: tuple, nbar: float, q_carries: bool):
+    """(chi(r), dchi/dr) along the squeezings r at which one quadrature, Q where
+    ``q_carries``, takes the whole signal budget B(r) = 2*nbar - 2*sinh(r)**2 of the
+    output map ``out``.  chi is 0 at r = +-r_cap, where B is 0, and positive between."""
+    mi, ai, mq, aq = out
+    gain_i, gain_q = (0.0, mq) if q_carries else (mi, 0.0)
+
+    def chi(r):
+        noise_i, noise_q, budget = _squeezed_floor(r, nbar)
+        budget = budget if budget > 0.0 else 0.0
+        return _chi(mi * noise_i + ai, mq * noise_q + aq, gain_i * budget, gain_q * budget)
+
+    def slope(r):
+        # chi's partials composed with d/dr of (e^{-2r}/2, e^{2r}/2, B),
+        # which is (-e^{-2r}, e^{2r}, -2 sinh 2r)
+        noise_i, noise_q, budget = _squeezed_floor(r, nbar)
+        d_n_i, d_n_q, d_s_i, d_s_q = _chi_partials(
+            mi * noise_i + ai, mq * noise_q + aq, gain_i * budget, gain_q * budget)
+        return (2.0 * (mq * noise_q * d_n_q - mi * noise_i * d_n_i)
+                + 2.0 * (noise_i - noise_q) * (gain_i * d_s_i + gain_q * d_s_q))
+
+    return chi, slope
+
+
 def _water_filling(channel: _GhChannel) -> tuple[float, float, float] | None:
     """(chi, p, r) of the optimum, or None for ``_gh_search``: the output's total
     variance product peaks at an input I variance X*, its noise product is least
     at a squeezing r*.  With both signal powers non-negative at (X*, r*) that is
     the optimum (Schaefer et al., PRL 111, 030503, 2013); else the quadrature
-    whose signal would go negative carries none, and a Brent search finds it.
+    whose signal would go negative carries none, and the optimum along that
+    ``_curve`` is the root of its slope, found by Illinois regula falsi.
     An X* outside [x_lo, x_hi] (its ends are inside) or NaN gives None."""
     (mi, ai, mq, aq), nbar = channel.out, channel.nbar
     if not (ai > 0.0 and aq > 0.0 and mi > 0.0 and mi * mq > 0.0):
@@ -241,14 +291,10 @@ def _water_filling(channel: _GhChannel) -> tuple[float, float, float] | None:
     x = 0.5 * total + (mi * aq - mq * ai) / (2.0 * mi * mq)
     noise_i, noise_q, _ = _squeezed_floor(r, nbar)
     if x < noise_i or x > total - noise_q:
-        gain_i, gain_q = (0.0, mq) if x < noise_i else (mi, 0.0)  # budget to Q or I alone
-        def curve(r):
-            noise_i, noise_q, budget = _squeezed_floor(r, nbar)
-            budget = budget if budget > 0.0 else 0.0
-            return _chi(mi * noise_i + ai, mq * noise_q + aq, gain_i * budget, gain_q * budget)
-        r = brent_maximize(curve, -r_cap, r_cap, _GH_R_TOL)[0]
+        q_carries = x < noise_i  # the budget goes to Q alone, or to I alone
+        r = illinois_maximize(*_curve(channel.out, nbar, q_carries), -r_cap, r_cap, _GH_R_TOL)[0]
         noise_i, noise_q, _ = _squeezed_floor(r, nbar)
-        x = noise_i if gain_i == 0.0 else total - noise_q
+        x = noise_i if q_carries else total - noise_q
     elif r != r_star:  # no signal power is left at the bound
         return None
     if not channel.x_lo <= x <= channel.x_hi:

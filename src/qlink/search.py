@@ -1,4 +1,5 @@
-"""Derivative-free 1-D line searches used by the capacity and plan optimizers."""
+"""1-D line searches used by the capacity and plan optimizers: golden section on
+the objective alone, and Illinois regula falsi where its slope is known."""
 
 from __future__ import annotations
 
@@ -43,42 +44,46 @@ def golden_section_maximize(
     return x, f(x)
 
 
-def brent_maximize(f: Callable[[float], float], lo: float, hi: float,
-                   xatol: float) -> tuple[float, float]:
-    """Maximize a unimodal ``f`` on (lo, hi) by Brent's bounded search (*Algorithms
-    for Minimization without Derivatives*, 1973, ch. 5) to within sqrt(eps)*|x|
-    + ``xatol``: parabolic steps, golden-section ones where those stall."""
+def illinois_maximize(f: Callable[[float], float], slope: Callable[[float], float],
+                      lo: float, hi: float, xatol: float) -> tuple[float, float]:
+    """Maximize ``f`` on [lo, hi] at the root of its ``slope``, which falls through 0
+    once there, by Illinois regula falsi (Dowell and Jarratt, BIT 11, 168, 1971).
+
+    The slope is never taken at the ends: it is assumed positive at ``lo`` and
+    negative at ``hi``, and bisection runs until both ends of the bracket carry a
+    slope, or wherever the slopes put a step outside the bracket.  The search stops
+    at a slope of 0 or NaN, or once the bracket or the last step is below
+    sqrt(eps)*|x| + ``xatol``/3, Brent's tolerance.  It returns the best ``f`` of
+    the last iterate and both bracket ends."""
     if hi < lo:
         raise ValueError(f"empty search interval [{lo}, {hi}]")
-    a, b = lo, hi
-    x = w = v = a + (1.0 - INV_PHI) * (b - a)
-    fx = fw = fv = -f(x)  # minimize -f
-    d = e = 0.0
+    if not xatol > 0.0:  # a zero tolerance never stops on adjacent doubles
+        raise ValueError(f"tolerance must be positive, got {xatol}")
+    a, b, fa, fb = lo, hi, math.nan, math.nan
+    x = 0.5 * (a + b)
+    moved = 0  # +1 after a slope that moved a, -1 after one that moved b
     while True:
-        m = 0.5 * (a + b)
+        fx = slope(x)
+        if fx > 0.0:
+            # the same end moved twice running: halve the other end's slope
+            fb, moved = (0.5 * fb if moved > 0 else fb), 1
+            a, fa = x, fx
+        elif fx < 0.0:
+            fa, moved = (0.5 * fa if moved < 0 else fa), -1
+            b, fb = x, fx
+        else:  # the root, or a NaN slope
+            break
         tol = _SQRT_EPS * abs(x) + xatol / 3.0
-        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
-            return x, -fx
-        # the parabola through (v, w, x) has its vertex at x + p/q
-        r = (x - w) * (fx - fv)
-        q = (x - v) * (fx - fw)
-        p = (x - v) * q - (x - w) * r
-        p, q = (-p, 2.0 * (q - r)) if q > r else (p, 2.0 * (r - q))
-        if abs(e) > tol and abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-            e, d = d, p / q
-            if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
-                d = tol if x <= m else -tol
-        else:
-            e = (b if x < m else a) - x
-            d = (1.0 - INV_PHI) * e
-        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu = -f(u)
-        if fu <= fx:
-            a, b = (a, x) if u < x else (x, b)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (u, b) if u < x else (a, u)
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+        # the chord's zero, stepped from the end of smaller slope, which keeps it
+        # inside the bracket when that slope is many orders below the other
+        last = x
+        x = a + fa * (b - a) / (fa - fb) if fa < -fb else b - fb * (b - a) / (fb - fa)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        if b - a < tol or abs(x - last) < tol:
+            break
+    best = x, f(x)
+    for end in (a, b):
+        if (value := f(end)) > best[1]:
+            best = end, value
+    return best

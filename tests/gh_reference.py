@@ -13,15 +13,20 @@ The Holevo information is also kept as the plain difference of two Gaussian
 state entropies (``gaussian_state_entropy``, from the thermal entropy
 ``entropy_g``), the textbook form that ``capacity._chi`` rewrites so that it
 keeps its precision when the signal lies far below the noise.
+
+``brent_maximize`` is Brent's bounded search, which found the optimum along the
+water filling's curve before ``capacity`` took the root of chi's slope there;
+the tests hold the root-find to Brent's value.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from qlink.capacity import _GH_R_TOL, _INFEASIBLE, CapacityResult, GHSearchError
 from qlink.quadmodel import HEISENBERG_LIMIT, HEISENBERG_TOL, QuadState
-from qlink.search import golden_section_maximize
+from qlink.search import _SQRT_EPS, INV_PHI, golden_section_maximize
 
 _LN2 = math.log(2.0)
 _GH_R_GRID = 33
@@ -122,3 +127,44 @@ def gh_capacity(channel):
     noise_i, noise_q, budget = squeezed_floor(r, channel.nbar)
     return CapacityResult(max(value, 0.0),
                           QuadState(p * budget, (1.0 - p) * budget, noise_i, noise_q))
+
+
+def brent_maximize(f: Callable[[float], float], lo: float, hi: float,
+                   xatol: float) -> tuple[float, float]:
+    """Maximize a unimodal ``f`` on (lo, hi) by Brent's bounded search (*Algorithms
+    for Minimization without Derivatives*, 1973, ch. 5) to within sqrt(eps)*|x|
+    + ``xatol``: parabolic steps, golden-section ones where those stall."""
+    if hi < lo:
+        raise ValueError(f"empty search interval [{lo}, {hi}]")
+    a, b = lo, hi
+    x = w = v = a + (1.0 - INV_PHI) * (b - a)
+    fx = fw = fv = -f(x)  # minimize -f
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol = _SQRT_EPS * abs(x) + xatol / 3.0
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            return x, -fx
+        # the parabola through (v, w, x) has its vertex at x + p/q
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        p, q = (-p, 2.0 * (q - r)) if q > r else (p, 2.0 * (r - q))
+        if abs(e) > tol and abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q
+            if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
+                d = tol if x <= m else -tol
+        else:
+            e = (b if x < m else a) - x
+            d = (1.0 - INV_PHI) * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = -f(u)
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qlink.search import brent_maximize, golden_section_maximize
+from qlink.search import golden_section_maximize, illinois_maximize
 
 
 def test_finds_the_peak_of_a_parabola():
@@ -26,41 +26,68 @@ def test_stops_when_the_tolerance_is_below_the_spacing_of_doubles():
     assert x == pytest.approx(1e12 + 0.3, abs=1e-3)
 
 
-@pytest.mark.parametrize("f, lo, hi, peak", [
-    (lambda x: -(x - 0.3) ** 2, 0.0, 1.0, 0.3),
-    (lambda x: math.sin(x), 0.0, 3.0, 0.5 * math.pi),
-    (lambda x: -math.cosh(x - 2.5), -3.0, 3.0, 2.5),
-    (lambda x: x * math.exp(-x), 0.0, 40.0, 1.0),
+@pytest.mark.parametrize("f, slope, lo, hi, peak", [
+    (lambda x: -(x - 0.3) ** 2, lambda x: -2.0 * (x - 0.3), 0.0, 1.0, 0.3),
+    (math.sin, math.cos, 0.0, 3.0, 0.5 * math.pi),
+    (lambda x: -math.cosh(x - 2.5), lambda x: -math.sinh(x - 2.5), -3.0, 3.0, 2.5),
+    # regula falsi without the Illinois halving keeps the far end for dozens of steps
+    (lambda x: x * math.exp(-x), lambda x: (1.0 - x) * math.exp(-x), 0.0, 40.0, 1.0),
 ])
-def test_brent_finds_the_peak_in_few_calls(f, lo, hi, peak):
-    calls = []
+def test_illinois_finds_the_peak_in_few_calls(f, slope, lo, hi, peak):
+    calls, slopes = [], []
 
     def counted(x):
         calls.append(x)
         return f(x)
 
-    x, fx = brent_maximize(counted, lo, hi, 1e-10)
+    x, fx = illinois_maximize(counted, lambda x: slopes.append(x) or slope(x), lo, hi, 1e-10)
     assert x == pytest.approx(peak, abs=1e-7)
     assert fx == f(x)
-    assert len(calls) <= 30
-    assert all(lo < c < hi for c in calls)
+    assert len(slopes) <= 15 and len(calls) == 3
+    assert all(lo < c < hi for c in slopes)
 
 
-def test_brent_walks_to_the_end_of_a_monotone_objective():
-    x, _ = brent_maximize(lambda x: x, -2.0, 2.0, 1e-10)
-    assert 2.0 - 1e-7 < x < 2.0
+def test_illinois_walks_to_the_end_of_a_monotone_objective():
+    x, _ = illinois_maximize(lambda x: x, lambda x: 1.0, -2.0, 2.0, 1e-10)
+    assert 2.0 - 1e-7 < x <= 2.0
 
 
-def test_brent_tolerance_is_relative_far_from_zero():
+def test_illinois_tolerance_is_relative_far_from_zero():
     # sqrt(eps)*|x| is 1.5e4 near 1e12, wider than the interval, so the
-    # first point already meets it
-    calls = []
-    x, _ = brent_maximize(lambda x: calls.append(x) or -(x - 1e12 - 0.3) ** 2,
-                          1e12, 1e12 + 1.0, 1e-12)
-    assert 1e12 < x < 1e12 + 1.0
-    assert len(calls) == 1
+    # first slope already meets it
+    slopes = []
+    x, _ = illinois_maximize(lambda x: -(x - 1e12 - 0.3) ** 2,
+                             lambda x: slopes.append(x) or -2.0 * (x - 1e12 - 0.3),
+                             1e12, 1e12 + 1.0, 1e-12)
+    assert 1e12 <= x <= 1e12 + 1.0
+    assert len(slopes) == 1
 
 
-def test_brent_refuses_an_empty_interval():
+def test_illinois_refuses_an_empty_interval():
     with pytest.raises(ValueError, match="empty search interval"):
-        brent_maximize(lambda x: x, 1.0, 0.0, 1e-10)
+        illinois_maximize(lambda x: x, lambda x: 1.0, 1.0, 0.0, 1e-10)
+
+
+@pytest.mark.parametrize("xatol", [0.0, -1e-10, math.nan])
+def test_illinois_refuses_a_tolerance_that_never_stops(xatol):
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        illinois_maximize(lambda x: x, lambda x: 1.0, 0.0, 1.0, xatol)
+
+
+@pytest.mark.parametrize("slope_value", [0.0, math.nan])
+def test_illinois_stops_at_a_zero_or_nan_slope(slope_value):
+    slopes = []
+    x, fx = illinois_maximize(lambda x: -x * x, lambda x: slopes.append(x) or slope_value,
+                              -1.0, 1.0, 1e-10)
+    assert x == 0.0 and slopes == [0.0]
+
+
+def test_illinois_steps_from_the_end_of_smaller_slope():
+    # The slope at the first iterate, 0, is 1e-20 of that at the next: a chord
+    # stepped from the far end rounds back onto 0, which leaves the root to
+    # bisection, 35 calls.
+    slopes = []
+    x, _ = illinois_maximize(lambda x: 1e-30 * x - 0.5e-10 * x * x,
+                             lambda x: slopes.append(x) or 1e-30 - 1e-10 * x, -1.0, 1.0, 1e-10)
+    assert abs(x - 1e-20) < 1e-10
+    assert len(slopes) <= 4
