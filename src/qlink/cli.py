@@ -39,7 +39,7 @@ _FLOAT_KEYS = ("nbar", "alpha_db_km", "l_min_km", "l_max_km", "l_step_km")
 # Bound on the worker pool used for independent grid points.
 _MAX_WORKERS = 8
 # Largest amplifier count.  Measured at 2000 km, whole runs: a PSA conventional point
-# takes 0.1 s at R=25 and 21.2 s at R=1000; a PSA Gordon-Holevo one 0.49 s at R=20,
+# takes 0.09 s at R=25 and 9-12 s at R=1000; a PSA Gordon-Holevo one 0.49 s at R=20,
 # 2.1 s at R=60 and 6.9 s at R=120 (mean of four runs), about R**1.5, in O(R) walks,
 # checks and searches.
 MAX_AMPS = 1000

@@ -10,6 +10,7 @@ at amplifier i walks on from the cached state after amplifier i - 1, over the
 cached spans and gains; it computes only the spans it moves and keeps only the
 raw output, checked as a ``QuadState``: the full walk's score, bit for bit.  A
 Gordon-Holevo trial scores the whole repaired chain on raw tuples, no ``LinkPlan``.
+A gain on its budget ceiling is searched only where a lower gain can score higher.
 """
 
 from __future__ import annotations
@@ -39,6 +40,15 @@ _MAX_SWEEPS = 200
 MAX_GRID_POINTS = 100_000
 # A sweep shares its points among worker processes from this many points on.
 _POOL_MIN_POINTS = 4
+# (kind, scenario) pairs whose Shannon rate never falls as any gain rises.  A gain trial
+# lowers gain i within [1, its ceiling], and the walk clips each later gain to its new
+# ceiling, so no gain rises: a gain on its ceiling is optimal up to rounding; unsearched.
+# PSA conventional: the I noise-to-signal ratio is n0/s0 + sum_j ((1 - tau_j)/2)/s_j, and
+# s_j grows with every gain before span j.  PIA two-quadrature: per quadrature, a PIA
+# keeps (n + 1/2)/s, and span j adds (1 - tau_j)/(tau_j s).  Left out: PSA two-quadrature
+# (Q is deamplified), PIA conventional (the PIA adds (G - 1)/2 to I) and Gordon-Holevo.
+_GAIN_MONOTONE = frozenset({(AmpKind.PSA, Scenario.CONVENTIONAL),
+                            (AmpKind.PIA, Scenario.TWO_QUADRATURE)})
 
 
 # A link plan and its score under a detection scenario.
@@ -123,8 +133,10 @@ def optimize_plan(
     """Locally optimal amplifier positions and gains.
 
     Coordinate descent over the interleaved position/gain coordinates with
-    golden-section line searches; deterministic for fixed inputs.  Returns
-    the seed when no coordinate move improves on it.
+    golden-section line searches; deterministic for fixed inputs.  A gain on
+    its ceiling is searched only where a lower gain can score higher: not for
+    PSA with conventional detection or PIA with two-quadrature detection.
+    Returns the seed when no coordinate move improves on it.
     """
     seed_candidate = equidistant_saturating_plan(
         length_km, amp_count, nbar, alpha_db_per_km, kind, scenario)
@@ -136,6 +148,7 @@ def optimize_plan(
     gains, ceilings, states, _, taus = scorer.repair_gains(positions, seed_candidate.plan.gains)
     current = seed_candidate.score
     trial, exp, alpha = scorer.trial_score, math.exp, scorer.alpha_nat  # once per descent
+    gain_monotone = (kind, scenario) in _GAIN_MONOTONE
     # A Gordon-Holevo optimum tends to hold a gain on its budget ceiling; a
     # position move at fixed gain leaves that ridge, so there the trial gain
     # follows the ceiling (repair_gains clips inf to it).  The conventional
@@ -178,6 +191,8 @@ def optimize_plan(
                     gains, ceilings, states, _, taus = scorer.repair_gains(positions, move_gains)
 
             ceiling = ceilings[i]
+            if gain_monotone and gains[i] == ceiling:
+                continue  # no lower gain scores higher; see _GAIN_MONOTONE
             key = ("gain", i, *positions, *gains[:i], *gains[i + 1 :])
             if ceiling - 1.0 > _PARAM_TOL and key not in searched:
                 searched.add(key)

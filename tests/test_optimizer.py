@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -334,6 +335,99 @@ class TestOptimizePlan:
         optimize_plan(100.0, 2, 100.0, 0.2, AmpKind.PSA, Scenario.GORDON_HOLEVO)
         assert len(fingerprints) > 4
         assert len(set(fingerprints)) == len(fingerprints)
+
+
+def plan_bits(candidate):
+    return (candidate.score.hex(), [x.hex() for x in candidate.plan.positions],
+            [g.hex() for g in candidate.plan.gains])
+
+
+def searched_coordinates(monkeypatch):
+    """The objectives' names ("eval_position", "eval_gain") of every line search
+    that ``optimize_plan`` runs from now on, in order."""
+    names, search = [], optimizer.golden_section_maximize
+    monkeypatch.setattr(optimizer, "golden_section_maximize",
+                        lambda f, lo, hi, tol: names.append(f.__name__) or search(f, lo, hi, tol))
+    return names
+
+
+class TestGainMonotonePairs:
+    """Where the Shannon rate never falls as a gain rises, the optimizer runs no
+    line search for a gain on its budget ceiling (``optimizer._GAIN_MONOTONE``)."""
+
+    MONOTONE = [(AmpKind.PSA, Scenario.CONVENTIONAL), (AmpKind.PIA, Scenario.TWO_QUADRATURE)]
+
+    def test_skipped_searches_change_no_bit(self, monkeypatch):
+        # 60 drawn links of both pairs: L 1-20,000 km, R 1-12, nbar 1e-3 to 1e5
+        # and 0.05-1 dB/km; the set emptied forces every gain search
+        names, rng, skipped = searched_coordinates(monkeypatch), random.Random(0), 0
+        for draw in range(60):
+            kind, scenario = self.MONOTONE[draw % 2]
+            args = (10.0 ** rng.uniform(0.0, math.log10(20000.0)), rng.randint(1, 12),
+                    10.0 ** rng.uniform(-3.0, 5.0), rng.uniform(0.05, 1.0), kind, scenario)
+            names.clear()
+            shipped = optimize_plan(*args)
+            searched = len(names)
+            with monkeypatch.context() as patch:
+                patch.setattr(optimizer, "_GAIN_MONOTONE", frozenset())
+                forced = optimize_plan(*args)
+            assert plan_bits(shipped) == plan_bits(forced), args
+            skipped += len(names) - 2 * searched  # the forced run's searches less the shipped
+        assert skipped > 0
+
+    @settings(max_examples=300, derandomize=True)
+    @given(st.sampled_from(sorted(optimizer._GAIN_MONOTONE)), st.integers(1, 12),
+           st.floats(1.0, 20000.0), st.floats(-3.0, 5.0), st.floats(0.05, 1.0), st.data())
+    def test_no_lower_gain_scores_higher_on_the_ceiling(self, pair, amps, length, log_nbar,
+                                                         alpha, data):
+        kind, scenario = pair
+        permille = data.draw(st.lists(st.integers(1, 999), min_size=amps, max_size=amps,
+                                      unique=True))
+        positions = [length * k / 1000.0 for k in sorted(permille)]
+        scorer = _PlanScorer(length, 10.0 ** log_nbar, alpha, kind, scenario)
+        gains, ceilings, states, _, taus = scorer.repair_gains(positions, [math.inf] * amps)
+        assert gains == ceilings
+        score = scorer.score(positions, gains)[0]
+        i = data.draw(st.integers(0, amps - 1))
+        lowered = 1.0 + (ceilings[i] - 1.0) * data.draw(st.floats(0.0, 1.0))
+        y = states[i - 1] if i else scorer.ref_input
+        # never above in exact arithmetic; a gain a few ulps below its ceiling can
+        # round to 1-3 ulps above (102 of 150,000 draws weighted toward such gains)
+        assert scorer.trial_score(positions, gains[:i] + [lowered] + gains[i + 1:], i, y,
+                                  taus) <= score + 8.0 * math.ulp(score)
+
+    @pytest.mark.parametrize("kind, scenario, length, amps, i", [
+        (AmpKind.PSA, Scenario.TWO_QUADRATURE, 10.0, 4, 0),  # the PSA deamplifies Q
+        (AmpKind.PIA, Scenario.CONVENTIONAL, 1.0, 1, 0),  # the PIA adds (G - 1)/2 to I
+    ])
+    def test_excluded_pair_has_a_lowered_gain_that_scores_higher(self, kind, scenario,
+                                                                 length, amps, i):
+        assert (kind, scenario) not in optimizer._GAIN_MONOTONE
+        seed = equidistant_saturating_plan(length, amps, 100.0, 0.2, kind, scenario)
+        scorer = _PlanScorer(length, 100.0, 0.2, kind, scenario)
+        gains, ceilings, states, _, taus = scorer.repair_gains(seed.plan.positions,
+                                                               seed.plan.gains)
+        assert gains[i] == ceilings[i] > 1.0
+        y = states[i - 1] if i else scorer.ref_input
+        lowered = gains[:i] + [1.0] + gains[i + 1:]
+        assert scorer.trial_score(seed.plan.positions, lowered, i, y, taus) > seed.score + 0.01
+
+    def test_gains_on_their_ceilings_run_only_position_searches(self, monkeypatch):
+        names = searched_coordinates(monkeypatch)
+        cand = optimize_plan(10.0, 4, 100.0, 0.2, AmpKind.PSA, Scenario.CONVENTIONAL)
+        scorer = _PlanScorer(10.0, 100.0, 0.2, AmpKind.PSA, Scenario.CONVENTIONAL)
+        gains, ceilings = scorer.repair_gains(cand.plan.positions, cand.plan.gains)[:2]
+        assert gains == ceilings
+        assert len(names) >= 4 and set(names) == {"eval_position"}
+        names.clear()
+        optimize_plan(10.0, 4, 100.0, 0.2, AmpKind.PSA, Scenario.TWO_QUADRATURE)
+        assert "eval_gain" in names
+
+    def test_a_gain_below_its_ceiling_is_still_searched(self, monkeypatch):
+        # at 1710 km a position move leaves a gain below its new ceiling
+        names = searched_coordinates(monkeypatch)
+        optimize_plan(1710.0, 8, 100.0, 0.2, AmpKind.PSA, Scenario.CONVENTIONAL)
+        assert "eval_gain" in names
 
 
 class TestSweep:
