@@ -249,16 +249,11 @@ def _gh_search(channel: _GhChannel) -> tuple[float, float, float]:
 
 
 def _curve(out: tuple, nbar: float, q_carries: bool):
-    """(chi(r), dchi/dr) along the squeezings r at which one quadrature, Q where
-    ``q_carries``, takes the whole signal budget B(r) = 2*nbar - 2*sinh(r)**2 of the
-    output map ``out``.  chi is 0 at r = +-r_cap, where B is 0, and positive between."""
+    """dchi/dr along the squeezings r at which one quadrature, Q where ``q_carries``,
+    takes the whole signal budget B(r) = 2*nbar - 2*sinh(r)**2 of the output map
+    ``out``.  chi is 0 at r = +-r_cap, where B is 0, and positive between."""
     mi, ai, mq, aq = out
     gain_i, gain_q = (0.0, mq) if q_carries else (mi, 0.0)
-
-    def chi(r):
-        noise_i, noise_q, budget = _squeezed_floor(r, nbar)
-        budget = budget if budget > 0.0 else 0.0
-        return _chi(mi * noise_i + ai, mq * noise_q + aq, gain_i * budget, gain_q * budget)
 
     def slope(r):
         # chi's partials composed with d/dr of (e^{-2r}/2, e^{2r}/2, B),
@@ -269,7 +264,7 @@ def _curve(out: tuple, nbar: float, q_carries: bool):
         return (2.0 * (mq * noise_q * d_n_q - mi * noise_i * d_n_i)
                 + 2.0 * (noise_i - noise_q) * (gain_i * d_s_i + gain_q * d_s_q))
 
-    return chi, slope
+    return slope
 
 
 def _water_filling(channel: _GhChannel) -> tuple[float, float, float] | None:
@@ -292,7 +287,8 @@ def _water_filling(channel: _GhChannel) -> tuple[float, float, float] | None:
     noise_i, noise_q, _ = _squeezed_floor(r, nbar)
     if x < noise_i or x > total - noise_q:
         q_carries = x < noise_i  # the budget goes to Q alone, or to I alone
-        r = illinois_maximize(*_curve(channel.out, nbar, q_carries), -r_cap, r_cap, _GH_R_TOL)[0]
+        r = illinois_maximize(channel.chi, _curve(channel.out, nbar, q_carries), -r_cap, r_cap,
+                              _GH_R_TOL)[0]
         noise_i, noise_q, _ = _squeezed_floor(r, nbar)
         x = noise_i if q_carries else total - noise_q
     elif r != r_star:  # no signal power is left at the bound

@@ -18,7 +18,7 @@ import sys
 from collections import namedtuple
 
 from .capacity import MAX_GH_NBAR, Scenario
-from .distributed import distributed_rows, psa_pia_crossover
+from .distributed import NoCrossingError, distributed_rows, psa_pia_crossover
 from .linkchain import MAX_NBAR, AmpKind
 from .optimizer import SweepTable, distance_grid, sweep_distance
 
@@ -39,9 +39,9 @@ _FLOAT_KEYS = ("nbar", "alpha_db_km", "l_min_km", "l_max_km", "l_step_km")
 # Bound on the worker pool used for independent grid points.
 _MAX_WORKERS = 8
 # Largest amplifier count.  Measured at 2000 km, whole runs: a PSA conventional point
-# takes 0.09 s at R=25 and 9-12 s at R=1000; a PSA Gordon-Holevo one 0.49 s at R=20,
-# 2.1 s at R=60 and 6.9 s at R=120 (mean of four runs), about R**1.5, in O(R) walks,
-# checks and searches.
+# takes 0.09 s at R=25 and 9-12 s at R=1000; a PSA Gordon-Holevo one 0.56 s at R=20,
+# 2.5 s at R=60 and 8.1 s at R=120 (CPU, mean of eight runs on 2 shared cores), about
+# R**1.5, in O(R) walks, checks and searches.
 MAX_AMPS = 1000
 # A '#' starts a comment at the start of a line or after whitespace.
 _COMMENT = re.compile(r"(?:^|\s)#")
@@ -211,7 +211,7 @@ def run(config: RunConfig) -> int:
         try:
             rows, crossing = psa_pia_crossover(config.l_min_km, config.l_max_km,
                                                config.l_step_km, config.nbar, config.alpha_db_km)
-        except ValueError as err:  # a range that brackets no crossing
+        except NoCrossingError as err:
             raise UsageError(err) from None
     elif config.amps is None:
         rows = distributed_rows(grid, config.nbar, config.alpha_db_km, config.kind,

@@ -20,6 +20,7 @@ from .capacity import Scenario, gh_capacity_for_channel, scenario_input, shannon
 from .linkchain import _PSA, MAX_NBAR, AmpKind, attenuation_to_natural
 from .optimizer import SweepRow, distance_grid
 from .quadmodel import QuadState
+from .search import illinois_root
 
 _LN2 = math.log(2.0)
 
@@ -151,14 +152,18 @@ def distributed_rows(
     return rows
 
 
+class NoCrossingError(ValueError):
+    """The distance range brackets no PSA/PIA crossover: a fault of the input."""
+
+
 def psa_pia_crossover(
     l_min_km: float, l_max_km: float, l_step_km: float, nbar: float,
     alpha_db_per_km: float = 0.2,
 ) -> tuple[list[SweepRow], float]:
     """Continuum PSA (conventional detection) and PIA (two-quadrature
     detection) rows on the distance grid, and the distance where their
-    capacities cross, bisected inside [l_min_km, l_max_km]; ``ValueError``
-    when that range brackets no crossing."""
+    capacities cross inside [l_min_km, l_max_km], found by ``illinois_root`` to
+    sqrt(eps) = 1.5e-8 of itself; ``NoCrossingError`` when that range brackets none."""
     pairs = ((AmpKind.PSA, Scenario.CONVENTIONAL), (AmpKind.PIA, Scenario.TWO_QUADRATURE))
 
     def rows_at(lengths: list[float]) -> list[list[SweepRow]]:
@@ -169,19 +174,14 @@ def psa_pia_crossover(
         (psa,), (pia,) = rows_at([length])
         return pia.capacity_bits_per_mode - psa.capacity_bits_per_mode
 
-    lo, hi = l_min_km, l_max_km
-    f_lo, f_hi = difference(lo), difference(hi)
+    f_lo, f_hi = difference(l_min_km), difference(l_max_km)
     if f_lo <= 0.0 or f_hi >= 0.0:
-        raise ValueError(f"no PSA/PIA crossover bracketed in [{lo}, {hi}] km "
-                         f"(difference {f_lo:.4g} -> {f_hi:.4g})")
-    # past about 8e12 km the midpoint can no longer split a 1e-3 km bracket
-    while hi - lo > 1e-3 and lo < (mid := 0.5 * (lo + hi)) < hi:
-        if difference(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+        raise NoCrossingError(f"no PSA/PIA crossover bracketed in [{l_min_km}, {l_max_km}] km "
+                              f"(difference {f_lo:.4g} -> {f_hi:.4g})")
+    # the search's own relative tolerance, sqrt(eps)*x, outweighs this positive xatol
+    crossing = illinois_root(difference, l_min_km, l_max_km, 1e-9 * l_min_km)[0]
     psa_rows, pia_rows = rows_at(distance_grid(l_min_km, l_max_km, l_step_km))
-    return psa_rows + pia_rows, 0.5 * (lo + hi)
+    return psa_rows + pia_rows, crossing
 
 
 def approx_capacity_psa(

@@ -5,11 +5,11 @@ fixed length and amplifier count.  The search is a deterministic coordinate
 descent with golden-section line searches, seeded from the equidistant plan
 whose gains restore the photon number exactly to the budget.  Iterates that
 overshoot the budget are repaired by scaling the offending gains down to the
-feasible boundary, which keeps the search connected.  A Shannon trial move
-at amplifier i walks on from the cached state after amplifier i - 1, over the
-cached spans and gains; it computes only the spans it moves and keeps only the
-raw output, checked as a ``QuadState``: the full walk's score, bit for bit.  A
-Gordon-Holevo trial scores the whole repaired chain on raw tuples, no ``LinkPlan``.
+feasible boundary, which keeps the search connected.  A trial move at
+amplifier i walks on from the cached state after amplifier i - 1, over the
+cached spans and gains, and computes only the spans it moves: the full walk's
+score, bit for bit.  A Shannon trial keeps only the raw output, checked as a
+``QuadState``; a Gordon-Holevo one searches its chain on raw tuples.
 A gain on its budget ceiling is searched only where a lower gain can score higher.
 """
 
@@ -82,21 +82,19 @@ class _PlanScorer:
         return LinkPlan(*self.link, positions, gains, self.kind)
 
     def score(self, positions, gains) -> tuple[float, list[float]]:
-        """Score repaired coordinates; returns (score, repaired gains)."""
-        gains, _, _, out, taus = self.repair_gains(positions, gains)
-        if self.gh:
-            result = chain_gh_capacity(taus, *self.link, positions, gains, self.kind)
-            return result.bits_per_mode, gains
-        check_moments(*out)
-        return shannon_capacity(out, self.scenario), gains
+        """(score, repaired gains) of coordinates: the trial from the input."""
+        gains, *_, taus = self.repair_gains(positions, gains)
+        return self.trial_score(positions, gains, 0, self.ref_input, taus), gains
 
     def trial_score(self, positions, gains, start, y, taus) -> float:
         """``score(...)[0]`` of coordinates repaired before amplifier ``start``, given
         the raw state ``y`` just after amplifier ``start - 1`` and ``taus``, the span
-        transmissions of ``positions``.  A Shannon trial walks on from ``y`` and keeps
-        only the output; a Gordon-Holevo trial is the whole ``score``."""
+        transmissions of ``positions``, by a walk on from ``y``.  A Shannon trial keeps
+        its output; a Gordon-Holevo trial searches the chain with the gains it clips."""
         if self.gh:
-            return self.score(positions, gains)[0]
+            _walk(y, taus, gains, self.kind, self.nbar, start, record=(record := []))
+            gains = [*gains[:start], *record[2::4]]
+            return chain_gh_capacity(taus, *self.link, positions, gains, self.kind).bits_per_mode
         y = _walk(y, taus, gains, self.kind, self.nbar, start)
         check_moments(*y)
         return shannon_capacity(y, self.scenario)

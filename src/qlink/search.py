@@ -1,5 +1,6 @@
-"""1-D line searches used by the capacity and plan optimizers: golden section on
-the objective alone, and Illinois regula falsi where its slope is known."""
+"""1-D searches: golden section on the objective alone, and Illinois regula falsi
+on a slope's root, which maximizes where the slope is the objective's and finds
+the PSA/PIA crossover where it is the capacities' difference."""
 
 from __future__ import annotations
 
@@ -44,17 +45,15 @@ def golden_section_maximize(
     return x, f(x)
 
 
-def illinois_maximize(f: Callable[[float], float], slope: Callable[[float], float],
-                      lo: float, hi: float, xatol: float) -> tuple[float, float]:
-    """Maximize ``f`` on [lo, hi] at the root of its ``slope``, which falls through 0
-    once there, by Illinois regula falsi (Dowell and Jarratt, BIT 11, 168, 1971).
-
+def illinois_root(slope: Callable[[float], float], lo: float, hi: float,
+                  xatol: float) -> tuple[float, float, float]:
+    """(x, a, b): the last iterate and bracket of Illinois regula falsi (Dowell and
+    Jarratt, BIT 11, 168, 1971) on a ``slope`` that falls through 0 once in [lo, hi].
     The slope is never taken at the ends: it is assumed positive at ``lo`` and
     negative at ``hi``, and bisection runs until both ends of the bracket carry a
     slope, or wherever the slopes put a step outside the bracket.  The search stops
     at a slope of 0 or NaN, or once the bracket or the last step is below
-    sqrt(eps)*|x| + ``xatol``/3, Brent's tolerance.  It returns the best ``f`` of
-    the last iterate and both bracket ends."""
+    sqrt(eps)*|x| + ``xatol``/3, Brent's tolerance."""
     if hi < lo:
         raise ValueError(f"empty search interval [{lo}, {hi}]")
     if not xatol > 0.0:  # a zero tolerance never stops on adjacent doubles
@@ -72,7 +71,7 @@ def illinois_maximize(f: Callable[[float], float], slope: Callable[[float], floa
             fa, moved = (0.5 * fa if moved < 0 else fa), -1
             b, fb = x, fx
         else:  # the root, or a NaN slope
-            break
+            return x, a, b
         tol = _SQRT_EPS * abs(x) + xatol / 3.0
         # the chord's zero, stepped from the end of smaller slope, which keeps it
         # inside the bracket when that slope is many orders below the other
@@ -81,9 +80,12 @@ def illinois_maximize(f: Callable[[float], float], slope: Callable[[float], floa
         if not a < x < b:
             x = 0.5 * (a + b)
         if b - a < tol or abs(x - last) < tol:
-            break
-    best = x, f(x)
-    for end in (a, b):
-        if (value := f(end)) > best[1]:
-            best = end, value
-    return best
+            return x, a, b
+
+
+def illinois_maximize(f: Callable[[float], float], slope: Callable[[float], float],
+                      lo: float, hi: float, xatol: float) -> tuple[float, float]:
+    """Maximize ``f`` on [lo, hi] at the root of its ``slope`` (``illinois_root``):
+    the best ``f`` of the last iterate and both bracket ends, as (argmax, max)."""
+    x, a, b = illinois_root(slope, lo, hi, xatol)
+    return max((x, f(x)), (a, f(a)), (b, f(b)), key=lambda point: point[1])  # first on ties

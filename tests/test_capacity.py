@@ -930,7 +930,7 @@ class TestGhCurveSearch:
         lo, hi = r - 1e-6 * r_cap, r + 1e-6 * r_cap
         out = tuple(a[-1] for a in arrays)
         for q_carries, p in ((True, 0.0), (False, 1.0)):
-            slope = _curve(out, nbar, q_carries)[1](r)
+            slope = _curve(out, nbar, q_carries)(r)
             central = ((decimal_oracle.chi(arrays, p, hi, nbar)
                         - decimal_oracle.chi(arrays, p, lo, nbar)) / (Decimal(hi) - Decimal(lo)))
             assert abs(Decimal(slope) - central) <= Decimal("1e-6") * abs(central)

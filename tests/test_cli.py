@@ -21,7 +21,7 @@ from qlink import (
     distance_grid,
     shannon_capacity,
 )
-from qlink import cli
+from qlink import cli, distributed
 from qlink.capacity import gh_capacity_for_channel
 from qlink.cli import MAX_AMPS, UsageError, main, parse_config
 from qlink.optimizer import SweepTable, sweep_distance
@@ -593,6 +593,23 @@ class TestCrossoverCommand:
         assert run_cli(["distributed", "--out", str(out)]) == 1
         assert "qlink: error: a library fault" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_crossover_runtime_errors_still_exit_1(self, tmp_path, capsys, monkeypatch):
+        # past the bracket check (two lengths, two rows each), a ValueError is a
+        # library fault, not the input's
+        rows, calls = distributed.distributed_rows, []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) > 4:
+                raise ValueError("a library fault")
+            return rows(*args)
+        monkeypatch.setattr(distributed, "distributed_rows", failing)
+        out = tmp_path / "nope.csv"
+        assert run_cli(["crossover", "--out", str(out)]) == 1
+        assert "qlink: error: a library fault" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "nope.csv.tmp").exists()
 
     def test_degenerate_range_is_usage_error(self):
         assert run_cli(["crossover", "--l-min-km", "100", "--l-max-km", "100"]) == 2

@@ -1,4 +1,5 @@
 import math
+import random
 
 import hypothesis.strategies as st
 import numpy as np
@@ -20,8 +21,10 @@ from qlink.distributed import (
     approx_capacity_pia,
     approx_capacity_psa,
     channel_maps,
+    NoCrossingError,
     continuum_states,
     distributed_rows,
+    psa_pia_crossover,
 )
 from qlink.linkchain import MAX_NBAR
 from qlink.quadmodel import HEISENBERG_LIMIT, HEISENBERG_TOL
@@ -486,3 +489,63 @@ class TestClosedFormContinuum:
                     assert math.isfinite(row.capacity_bits_per_mode)
                     assert row.capacity_bits_per_mode >= 0.0
         assert channel_maps(AmpKind.PIA, [1e25], nbar)[1][0] == nbar + 0.5
+
+
+def _crossover_difference(length, nbar, alpha_db_km):
+    """PIA two-quadrature minus PSA conventional continuum capacity at ``length``."""
+    (psa,) = distributed_rows([length], nbar, alpha_db_km, AmpKind.PSA, Scenario.CONVENTIONAL)
+    (pia,) = distributed_rows([length], nbar, alpha_db_km, AmpKind.PIA, Scenario.TWO_QUADRATURE)
+    return pia.capacity_bits_per_mode - psa.capacity_bits_per_mode
+
+
+def _bracketed_crossovers():
+    """(nbar, alpha dB/km, l_min, l_max) of those of 300 seeded draws whose range
+    brackets a crossing: nbar 1e-2..1e5, alpha 1e-2..3.2 dB/km, l_min 0.1..316 km
+    and l_max 3.2..1e4 times l_min, each log-uniform."""
+    rng, configs = random.Random(3), []
+    for _ in range(300):
+        nbar, alpha = 10.0 ** rng.uniform(-2.0, 5.0), 10.0 ** rng.uniform(-2.0, 0.5)
+        l_min = 10.0 ** rng.uniform(-1.0, 2.5)
+        l_max = l_min * 10.0 ** rng.uniform(0.5, 4.0)
+        if (_crossover_difference(l_min, nbar, alpha) > 0.0
+                > _crossover_difference(l_max, nbar, alpha)):
+            configs.append((nbar, alpha, l_min, l_max))
+    return configs
+
+
+class TestPsaPiaCrossover:
+    def test_rows_are_both_pairs_on_the_grid_and_the_crossing_is_bracketed(self):
+        rows, crossing = psa_pia_crossover(400.0, 1000.0, 300.0, 100.0)
+        grid = [400.0, 700.0, 1000.0]
+        assert rows == (distributed_rows(grid, 100.0, 0.2, AmpKind.PSA, Scenario.CONVENTIONAL)
+                        + distributed_rows(grid, 100.0, 0.2, AmpKind.PIA,
+                                           Scenario.TWO_QUADRATURE))
+        assert f"{crossing:.6g}" == "710.169"
+        assert _crossover_difference(crossing * (1.0 - 1e-7), 100.0, 0.2) > 0.0
+        assert _crossover_difference(crossing * (1.0 + 1e-7), 100.0, 0.2) < 0.0
+
+    @pytest.mark.parametrize("l_min, l_max", [(10.0, 50.0), (6000.0, 9000.0)])
+    def test_a_range_without_a_crossing_is_refused(self, l_min, l_max):
+        # PIA leads at 10-50 km and PSA at 6000-9000 km
+        with pytest.raises(NoCrossingError, match="no PSA/PIA crossover bracketed"):
+            psa_pia_crossover(l_min, l_max, 10.0, 100.0)
+        assert issubclass(NoCrossingError, ValueError)
+
+    def test_printed_crossing_is_the_roots(self):
+        # The CLI prints the crossing to 6 digits.  A bisection stopped at 1e-3 km
+        # printed 28 of these 69 wrong, and 9.35184 for 9.35212 km at nbar 3 on
+        # 1-100 km.
+        configs = _bracketed_crossovers()
+        assert len(configs) >= 50
+        wrong = []
+        for nbar, alpha, l_min, l_max in configs:
+            crossing = psa_pia_crossover(l_min, l_max, l_max - l_min, nbar, alpha)[1]
+            lo, hi = l_min, l_max  # bisected to adjacent doubles
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                if _crossover_difference(mid, nbar, alpha) > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            if f"{crossing:.6g}" not in (f"{lo:.6g}", f"{hi:.6g}"):
+                wrong.append((nbar, alpha, l_min, l_max, crossing, lo))
+        assert wrong == []

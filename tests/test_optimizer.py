@@ -109,6 +109,7 @@ class TestEquidistantSeed:
 
 SHANNON_PAIRS = [(kind, scenario) for kind in AmpKind
                  for scenario in (Scenario.CONVENTIONAL, Scenario.TWO_QUADRATURE)]
+GH_PAIRS = [(kind, Scenario.GORDON_HOLEVO) for kind in AmpKind]
 
 
 class TestPlanScorer:
@@ -174,12 +175,13 @@ class TestPlanScorer:
         assert str(trial.value) == str(built.value)
 
     @settings(max_examples=300)
-    @given(st.sampled_from(SHANNON_PAIRS), st.integers(1, 8), st.floats(10.0, 5000.0),
-           st.floats(-3.0, 5.0), st.data())
+    @given(st.sampled_from(SHANNON_PAIRS + GH_PAIRS), st.integers(1, 8),
+           st.floats(10.0, 5000.0), st.floats(-3.0, 5.0), st.data())
     def test_walk_from_cached_state_equals_full_walk(self, pair, amps, length, log_nbar, data):
         # The optimizer scores a trial move at amplifier i from the raw state
         # after amplifier i - 1 of the accepted plan; that must be the full
-        # walk's score, for gains below 1, above their ceiling and inf alike.
+        # walk's score, for gains below 1, above their ceiling and inf alike,
+        # and for a Gordon-Holevo search on the gains that walk repairs.
         kind, scenario = pair
         any_gain = st.floats(0.0, 1e12) | st.just(math.inf)
         permille = data.draw(st.lists(st.integers(1, 999), min_size=amps, max_size=amps,
@@ -239,9 +241,11 @@ class TestPlanScorer:
         assert len(built) == 4
 
     def test_gordon_holevo_trial_is_the_full_score(self):
+        # the trial's contract: the gains before ``start`` are repaired ones
         scorer = _PlanScorer(300.0, 100.0, 0.2, AmpKind.PSA, Scenario.GORDON_HOLEVO)
-        positions, gains = [35.0, 160.0, 250.0], [3.0, 0.5, math.inf]
-        states = scorer.repair_gains(positions, gains)[2]
+        positions = [35.0, 160.0, 250.0]
+        repaired, _, states, *_ = scorer.repair_gains(positions, [3.0, 0.5, math.inf])
+        gains = repaired[:2] + [math.inf]
         assert (scorer.trial_score(positions, gains, 2, states[1], spans(scorer, positions))
                 == scorer.score(positions, gains)[0])
 
