@@ -38,10 +38,10 @@ _FLOAT_KEYS = ("nbar", "alpha_db_km", "l_min_km", "l_max_km", "l_step_km")
 
 # Bound on the worker pool used for independent grid points.
 _MAX_WORKERS = 8
-# Largest amplifier count.  Measured at 2000 km, whole runs: a PSA conventional point
-# takes 0.09 s at R=25 and 9-12 s at R=1000; a PSA Gordon-Holevo one 0.56 s at R=20,
-# 2.5 s at R=60 and 8.1 s at R=120 (CPU, mean of eight runs on 2 shared cores), about
-# R**1.5, in O(R) walks, checks and searches.
+# Largest amplifier count.  Measured at 2000 km, whole runs, CPU on 2 shared cores: a PSA
+# conventional point takes 0.06 s at R=25 and 0.5-1.1 s at R=1000 (medians of 3-4 runs, each
+# after one without incumbent-started searches: 0.07 s and 7.9-14 s); a PSA Gordon-Holevo
+# one 0.56 s at R=20, 2.5 s at R=60 and 8.1 s at R=120 (mean of 8 runs), about R**1.5.
 MAX_AMPS = 1000
 # A '#' starts a comment at the start of a line or after whitespace.
 _COMMENT = re.compile(r"(?:^|\s)#")

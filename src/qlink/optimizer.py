@@ -43,6 +43,7 @@ _POOL_MIN_POINTS = 4
 # (kind, scenario) pairs whose Shannon rate never falls as any gain rises.  A gain trial
 # lowers gain i within [1, its ceiling], and the walk clips each later gain to its new
 # ceiling, so no gain rises: a gain on its ceiling is optimal up to rounding; unsearched.
+# Nor can a position moved downstream at fixed gain win: it raises span i's and i+1's terms.
 # PSA conventional: the I noise-to-signal ratio is n0/s0 + sum_j ((1 - tau_j)/2)/s_j, and
 # s_j grows with every gain before span j.  PIA two-quadrature: per quadrature, a PIA
 # keeps (n + 1/2)/s, and span j adds (1 - tau_j)/(tau_j s).  Left out: PSA two-quadrature
@@ -131,9 +132,10 @@ def optimize_plan(
     """Locally optimal amplifier positions and gains.
 
     Coordinate descent over the interleaved position/gain coordinates with
-    golden-section line searches; deterministic for fixed inputs.  A gain on
-    its ceiling is searched only where a lower gain can score higher: not for
-    PSA with conventional detection or PIA with two-quadrature detection.
+    golden-section line searches; deterministic for fixed inputs.  For PSA with
+    conventional detection and PIA with two-quadrature detection, no lower gain
+    scores higher: a gain on its ceiling is not searched, and each search starts
+    at its incumbent (``_GAIN_MONOTONE``).
     Returns the seed when no coordinate move improves on it.
     """
     seed_candidate = equidistant_saturating_plan(
@@ -181,7 +183,9 @@ def optimize_plan(
                     trial_taus[i + 1] = exp(-alpha * (right - x))
                     return trial(trial_positions, move_gains, i, y, trial_taus)
 
-                best_x, best_fx = golden_section_maximize(eval_position, lo, hi, _PARAM_TOL)
+                best_x, best_fx = golden_section_maximize(
+                    eval_position, lo, hi, _PARAM_TOL,
+                    (positions[i], current) if gain_monotone else None)
                 if best_fx > current:
                     moved = max(moved, abs(best_x - positions[i]))
                     positions[i] = best_x
@@ -200,7 +204,9 @@ def optimize_plan(
                     trial_gains[i] = g
                     return trial(positions, trial_gains, i, y, taus)
 
-                best_g, best_fg = golden_section_maximize(eval_gain, 1.0, ceiling, _PARAM_TOL)
+                best_g, best_fg = golden_section_maximize(
+                    eval_gain, 1.0, ceiling, _PARAM_TOL,
+                    (gains[i], current) if gain_monotone else None)
                 if best_fg > current:
                     moved = max(moved, abs(best_g - gains[i]))
                     trial_gains[i] = best_g

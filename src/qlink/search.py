@@ -16,15 +16,24 @@ def golden_section_maximize(
     lo: float,
     hi: float,
     tol: float = 1e-6,
+    incumbent: tuple[float, float] | None = None,
 ) -> tuple[float, float]:
     """Maximize ``f`` on [lo, hi] by golden-section search.
 
     Assumes a unimodal objective; returns (argmax, max).  The bracket is
     shrunk until its width falls below ``tol``, or until a step no longer
     narrows it because ``tol`` is below the spacing of doubles there.
+    An ``incumbent`` (x0, f(x0)) is returned if ``f`` exceeds f(x0) at neither
+    x0 - tol nor x0 + tol, each clipped into [lo, hi]: the peak then lies within
+    ``tol`` of x0.  Otherwise, or for an x0 outside [lo, hi], the search runs as
+    without one.
     """
     if hi < lo:
         raise ValueError(f"empty search interval [{lo}, {hi}]")
+    if incumbent is not None and lo <= incumbent[0] <= hi:
+        x0, f0 = incumbent
+        if f(max(lo, x0 - tol)) <= f0 and f(min(hi, x0 + tol)) <= f0:
+            return x0, f0
     a, b = lo, hi
     c = b - INV_PHI * (b - a)
     d = a + INV_PHI * (b - a)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -37,6 +38,7 @@ from qlink.optimizer import (
     optimize_plan,
     sweep_distance,
 )
+from qlink.search import golden_section_maximize
 
 from chain_stages import apply_loss, ceiling, check_power_constraint
 from stage_reference import mean_photon_number, plan_capacity
@@ -330,10 +332,10 @@ class TestOptimizePlan:
         fingerprints = []
         search = optimizer.golden_section_maximize
 
-        def recorded(f, lo, hi, tol):
+        def recorded(f, lo, hi, tol, incumbent=None):
             # f is pure, so scoring it at three fixed points changes nothing
             fingerprints.append((lo, hi, *(f(lo + k * (hi - lo) / 4.0) for k in (1, 2, 3))))
-            return search(f, lo, hi, tol)
+            return search(f, lo, hi, tol, incumbent)
 
         monkeypatch.setattr(optimizer, "golden_section_maximize", recorded)
         optimize_plan(100.0, 2, 100.0, 0.2, AmpKind.PSA, Scenario.GORDON_HOLEVO)
@@ -351,8 +353,25 @@ def searched_coordinates(monkeypatch):
     that ``optimize_plan`` runs from now on, in order."""
     names, search = [], optimizer.golden_section_maximize
     monkeypatch.setattr(optimizer, "golden_section_maximize",
-                        lambda f, lo, hi, tol: names.append(f.__name__) or search(f, lo, hi, tol))
+                        lambda f, lo, hi, tol, incumbent=None:
+                        names.append(f.__name__) or search(f, lo, hi, tol, incumbent))
     return names
+
+
+def from_incumbent(monkeypatch, seed_score):
+    """Give every line search that ``optimize_plan`` runs from now on the incumbent
+    that it passes a ``_GAIN_MONOTONE`` pair's: the coordinate searched, read from the
+    objective's copy of the coordinates, and the best score so far, from ``seed_score``."""
+    search, best = optimizer.golden_section_maximize, [seed_score]
+
+    def probed(f, lo, hi, tol, incumbent=None):
+        cells = inspect.getclosurevars(f).nonlocals
+        coordinates = cells["trial_positions" if "trial_positions" in cells else "trial_gains"]
+        x, fx = search(f, lo, hi, tol, (coordinates[cells["i"]], best[0]))
+        best[0] = max(best[0], fx)
+        return x, fx
+
+    monkeypatch.setattr(optimizer, "golden_section_maximize", probed)
 
 
 class TestGainMonotonePairs:
@@ -363,7 +382,8 @@ class TestGainMonotonePairs:
 
     def test_skipped_searches_change_no_bit(self, monkeypatch):
         # 60 drawn links of both pairs: L 1-20,000 km, R 1-12, nbar 1e-3 to 1e5
-        # and 0.05-1 dB/km; the set emptied forces every gain search
+        # and 0.05-1 dB/km; the set emptied forces every gain search, and each
+        # search still starts at its incumbent, as a search of these pairs does
         names, rng, skipped = searched_coordinates(monkeypatch), random.Random(0), 0
         for draw in range(60):
             kind, scenario = self.MONOTONE[draw % 2]
@@ -374,6 +394,7 @@ class TestGainMonotonePairs:
             searched = len(names)
             with monkeypatch.context() as patch:
                 patch.setattr(optimizer, "_GAIN_MONOTONE", frozenset())
+                from_incumbent(patch, equidistant_saturating_plan(*args).score)
                 forced = optimize_plan(*args)
             assert plan_bits(shipped) == plan_bits(forced), args
             skipped += len(names) - 2 * searched  # the forced run's searches less the shipped
@@ -427,10 +448,65 @@ class TestGainMonotonePairs:
         optimize_plan(10.0, 4, 100.0, 0.2, AmpKind.PSA, Scenario.TWO_QUADRATURE)
         assert "eval_gain" in names
 
+    def test_searches_started_at_their_incumbents_lose_nothing(self, monkeypatch):
+        # 64 drawn links of both pairs, every other one in the ranges above and the
+        # rest R=1 links of 1-200 km at nbar 1e-3 to 1, where the descent does leave
+        # the seed; the full searches are forced by dropping every incumbent
+        rng, search, beaten = random.Random(0), optimizer.golden_section_maximize, 0
+        for draw in range(64):
+            kind, scenario = self.MONOTONE[draw % 2]
+            if draw % 4 < 2:
+                link = (10.0 ** rng.uniform(0.0, math.log10(20000.0)), rng.randint(1, 12),
+                        10.0 ** rng.uniform(-3.0, 5.0))
+            else:
+                link = (rng.uniform(1.0, 200.0), 1, 10.0 ** rng.uniform(-3.0, 0.0))
+            args = (*link, rng.uniform(0.05, 1.0), kind, scenario)
+            shipped = optimize_plan(*args)
+            with monkeypatch.context() as patch:
+                patch.setattr(optimizer, "golden_section_maximize",
+                              lambda f, lo, hi, tol, incumbent=None: search(f, lo, hi, tol))
+                full = optimize_plan(*args)
+            assert shipped.score >= full.score * (1.0 - 1e-12), args
+            beaten += shipped.score > equidistant_saturating_plan(*args).score * (1.0 + 1e-6)
+        assert beaten > 0
+
+    def test_an_excluded_pair_has_a_line_search_that_the_probe_would_stop(self, monkeypatch):
+        # PSA Gordon-Holevo at 60 km, R=8, from the seed: amplifier 6's position with
+        # its gain on the ridge peaks twice; an incumbent on the bracket's upper end,
+        # against amplifier 7, is beaten by neither neighbour, yet the other peak is
+        # 0.065 bits higher
+        kind, scenario, i = AmpKind.PSA, Scenario.GORDON_HOLEVO, 6
+        assert (kind, scenario) not in optimizer._GAIN_MONOTONE
+        scorer = _PlanScorer(60.0, 100.0, 0.2, kind, scenario)
+        positions = list(equidistant_saturating_plan(60.0, 8, 100.0, 0.2, kind,
+                                                     scenario).plan.positions)
+        gains, _, states, _, taus = scorer.repair_gains(positions, [math.inf] * 8)
+        gains[i] = math.inf  # the ridge rule: the trial gain follows the ceiling
+        left, right = positions[i - 1], positions[i + 1]
+
+        def eval_position(x):
+            positions[i] = x
+            taus[i:i + 2] = (math.exp(-scorer.alpha_nat * (x - left)),
+                              math.exp(-scorer.alpha_nat * (right - x)))
+            return scorer.trial_score(positions, gains, i, states[i - 1], taus)
+
+        lo, hi, tol = left + 1e-6, right - 1e-6, optimizer._PARAM_TOL
+        incumbent = hi, eval_position(hi)
+        assert eval_position(hi - tol) <= incumbent[1]
+        assert golden_section_maximize(eval_position, lo, hi, tol, incumbent) == incumbent
+        assert golden_section_maximize(eval_position, lo, hi, tol)[1] >= incumbent[1] + 1e-6
+        # so the optimizer starts no search of this pair at its incumbent
+        passed, search = [], optimizer.golden_section_maximize
+        monkeypatch.setattr(optimizer, "golden_section_maximize",
+                            lambda f, lo, hi, tol, incumbent=None:
+                            passed.append(incumbent) or search(f, lo, hi, tol, incumbent))
+        optimize_plan(60.0, 8, 100.0, 0.2, kind, scenario)
+        assert len(passed) > 8 and set(passed) == {None}
+
     def test_a_gain_below_its_ceiling_is_still_searched(self, monkeypatch):
-        # at 1710 km a position move leaves a gain below its new ceiling
+        # at 4510 km a position move leaves a gain below its new ceiling
         names = searched_coordinates(monkeypatch)
-        optimize_plan(1710.0, 8, 100.0, 0.2, AmpKind.PSA, Scenario.CONVENTIONAL)
+        optimize_plan(4510.0, 8, 100.0, 0.2, AmpKind.PSA, Scenario.CONVENTIONAL)
         assert "eval_gain" in names
 
 

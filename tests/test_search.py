@@ -39,6 +39,69 @@ def test_stops_when_the_tolerance_is_below_the_spacing_of_doubles():
     assert x == pytest.approx(1e12 + 0.3, abs=1e-3)
 
 
+def _counted(f):
+    """``f`` with the points it is called at appended to the returned list."""
+    calls = []
+    return (lambda x: calls.append(x) or f(x)), calls
+
+
+def test_an_incumbent_that_no_neighbour_beats_is_returned_after_two_calls():
+    f, calls = _counted(lambda x: -(x - 0.3) ** 2)
+    assert golden_section_maximize(f, 0.0, 1.0, 1e-3, (0.3, 0.0)) == (0.3, 0.0)
+    assert calls == [0.3 - 1e-3, 0.3 + 1e-3]
+
+
+@pytest.mark.parametrize("x0, probe", [
+    (0.1, [0.1 - 1e-3, 0.1 + 1e-3]),  # the right neighbour beats it
+    (0.295, [0.295 - 1e-3, 0.295 + 1e-3]),
+    (0.31, [0.31 - 1e-3]),  # the left one does, and the right one is not scored
+    (0.9, [0.9 - 1e-3]),
+])
+def test_an_incumbent_that_a_neighbour_beats_gives_the_full_search(x0, probe):
+    # after the probe, the search runs as without an incumbent, bit for bit
+    f, calls = _counted(lambda x: -(x - 0.3) ** 2)
+    g, plain_calls = _counted(lambda x: -(x - 0.3) ** 2)
+    plain = golden_section_maximize(g, 0.0, 1.0, 1e-3)
+    assert golden_section_maximize(f, 0.0, 1.0, 1e-3, (x0, -(x0 - 0.3) ** 2)) == plain
+    assert calls == probe + plain_calls
+
+
+def test_the_neighbours_of_an_incumbent_on_an_end_are_clipped_to_the_bracket():
+    # a rising objective peaks on hi, as a gain on its ceiling does
+    f, calls = _counted(lambda x: x)
+    assert golden_section_maximize(f, 1.0, 2.0, 1e-3, (2.0, 2.0)) == (2.0, 2.0)
+    assert calls == [2.0 - 1e-3, 2.0]
+    f, calls = _counted(lambda x: -x)
+    assert golden_section_maximize(f, 1.0, 2.0, 1e-3, (1.0, -1.0)) == (1.0, -1.0)
+    assert calls == [1.0, 1.0 + 1e-3]
+    # a bracket narrower than tol: both neighbours are its ends
+    f, calls = _counted(lambda x: -(x - 1.5) ** 2)
+    assert golden_section_maximize(f, 1.4999, 1.5001, 1e-3, (1.5, 0.0)) == (1.5, 0.0)
+    assert calls == [1.4999, 1.5001]
+
+
+@pytest.mark.parametrize("x0", [-0.5, 1.5, math.nan])
+def test_an_incumbent_outside_the_bracket_is_ignored(x0):
+    # its neighbours say nothing about the peak in [lo, hi]: no probe, and the
+    # search runs as without an incumbent, even one scored above every point
+    f, calls = _counted(lambda x: -(x - 0.3) ** 2)
+    g, plain_calls = _counted(lambda x: -(x - 0.3) ** 2)
+    plain = golden_section_maximize(g, 0.0, 1.0, 1e-3)
+    assert golden_section_maximize(f, 0.0, 1.0, 1e-3, (x0, 1.0)) == plain
+    assert calls == plain_calls
+
+
+def test_a_nan_neighbour_gives_the_full_search():
+    def nan_left(x):
+        return math.nan if x < 0.3 else -(x - 0.3) ** 2
+
+    f, calls = _counted(nan_left)
+    g, plain_calls = _counted(nan_left)
+    plain = golden_section_maximize(g, 0.0, 1.0, 1e-3)
+    assert golden_section_maximize(f, 0.0, 1.0, 1e-3, (0.3, 0.0)) == plain
+    assert calls == [0.3 - 1e-3] + plain_calls
+
+
 @pytest.mark.parametrize("f, slope, lo, hi, peak", [
     (lambda x: -(x - 0.3) ** 2, lambda x: -2.0 * (x - 0.3), 0.0, 1.0, 0.3),
     (math.sin, math.cos, 0.0, 3.0, 0.5 * math.pi),
