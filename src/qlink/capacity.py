@@ -5,8 +5,8 @@ detection (the conventional Shannon rate), simultaneous two-quadrature
 detection (each quadrature pays an extra half unit of vacuum noise), and the
 quantum-optimal Gordon-Holevo rate of the induced phase-sensitive Gaussian
 channel, maximized over Gaussian input ensembles under the photon budget (in
-closed form or by a root-find on chi's slope; a golden-section search is the
-fallback).
+closed form or by a root-find on chi's slope, piece by piece where the budget
+or a degenerate map rules the plain solution out).
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from .linkchain import channel_checkpoints  # noqa: F401 - patched by perfbench/
 from .linkchain import propagate  # noqa: F401 - patched by perfbench/traced_run.py
 from .quadmodel import (HEISENBERG_LIMIT, HEISENBERG_TOL, QuadState, check_moments,
                         conventional_input, symmetric_coherent_input)
-from .search import golden_section_maximize, illinois_maximize
+from .search import golden_section_maximize  # noqa: F401 - patched by perfbench/traced_run.py
+from .search import illinois_maximize
 
 _LN2 = math.log(2.0)
 _HALF_LOG2E = 0.5 / _LN2
@@ -145,8 +146,7 @@ def _squeezed_floor(r: float, nbar: float) -> tuple[float, float, float]:
     The noise floor is a pure squeezed vacuum (product exactly 1/4) and the
     signal power is what the photon budget leaves, 2*nbar + 1 - cosh(2r),
     formed without cancellation so that tiny budgets keep it; negative means
-    the floor alone overshoots the budget.
-    """
+    the floor alone overshoots the budget."""
     return (0.5 * math.exp(-2.0 * r), 0.5 * math.exp(2.0 * r),
             2.0 * nbar - 2.0 * math.sinh(r) ** 2)
 
@@ -159,12 +159,11 @@ class _GhChannel:
     is affine in X alone.  The budget is therefore one interval
     [x_lo, x_hi] on X, found in one pass when the channel is built.  Each
     ``chi(r)`` is then O(1) scalar arithmetic that returns a float, so the
-    search calls it directly.  The final checkpoint is the channel output.
-    """
+    search calls it directly.  The final checkpoint is the channel output."""
 
     def __init__(self, mult_i, add_i, mult_q, add_q, nbar: float):
-        self.nbar = nbar
-        self.p = 0.0
+        self.nbar, self.p = nbar, 0.0
+        self.total, self.r_cap = 2.0 * nbar + 1.0, math.asinh(math.sqrt(nbar))  # cosh(2 r_cap) = T
         self.out = (float(mult_i[-1]), float(add_i[-1]),
                     float(mult_q[-1]), float(add_q[-1]))
         # Excess at X is excess0 + slope * X.  Search with half the audit
@@ -172,7 +171,7 @@ class _GhChannel:
         # with margin to spare.  A subnormal slope overflows its bound to
         # +-inf of the right sign; a bound that large lies outside [0, T]
         # anyway.
-        total, margin = 2.0 * nbar + 1.0, 0.5 * POWER_TOL
+        total, margin = self.total, 0.5 * POWER_TOL
         x_lo, x_hi = -math.inf, math.inf
         for mi, ai, mq, aq in zip(mult_i, add_i, mult_q, add_q):
             slope = 0.5 * (mi - mq)
@@ -214,40 +213,6 @@ class _GhChannel:
         return _chi(out_i, mq * noise_q + aq, mi * p * budget, mq * (1.0 - p) * budget)
 
 
-def _gh_search(channel: _GhChannel) -> tuple[float, float, float]:
-    """(chi, p, r) by golden section over the squeezings r that leave a feasible
-    split: X = e^{-2r}/2 <= x_hi at p = 0 and X = T - e^{2r}/2 >= x_lo at p = 1.
-    The fallback for degenerate maps, an r* clipped with no signal power left and
-    non-finite chi.  The tolerance shrinks with r_cap, so that budgets far below
-    1 keep their resolution; zero capacity gives r = 0 where that is feasible."""
-    total = 2.0 * channel.nbar + 1.0
-    r_cap = math.asinh(math.sqrt(channel.nbar))  # cosh(2 r_cap) = 2*nbar + 1
-    if channel.x_hi <= 0.0 or channel.x_lo >= total:
-        raise GHSearchError(_INFEASIBLE, -math.inf)
-    r_lo = max(-r_cap, -0.5 * math.log(2.0 * channel.x_hi))
-    r_hi = min(r_cap, 0.5 * math.log(2.0 * (total - channel.x_lo)))
-    if r_lo > r_hi:
-        raise GHSearchError(_INFEASIBLE, -math.inf)
-    r, value = golden_section_maximize(channel.chi, r_lo, r_hi, _GH_R_TOL * min(1.0, r_cap))
-    # Golden section nears an end or a corner (p = 0 with X on x_lo, p = 1 with X on
-    # x_hi) only linearly, so those are scored too, one double inward where rounding
-    # puts them out of budget; a tie keeps the search's r.
-    ends = [r_lo, r_hi]
-    if channel.x_lo > 0.0:
-        ends.append(-0.5 * math.log(2.0 * channel.x_lo))
-    if total - channel.x_hi > 0.0:
-        ends.append(0.5 * math.log(2.0 * (total - channel.x_hi)))
-    for end in ends:
-        if r_lo <= end <= r_hi:
-            if (end_value := channel.chi(end)) == -math.inf:
-                end_value = channel.chi(end := math.nextafter(end, r))
-            if end_value > value:
-                r, value = end, end_value
-    if value <= 0.0 and r_lo <= 0.0 <= r_hi:  # never an end, which rounding can put out of budget
-        r = 0.0
-    return channel.chi(r), channel.p, r
-
-
 def _curve(out: tuple, nbar: float, q_carries: bool):
     """dchi/dr along the squeezings r at which one quadrature, Q where ``q_carries``,
     takes the whole signal budget B(r) = 2*nbar - 2*sinh(r)**2 of the output map
@@ -267,42 +232,76 @@ def _curve(out: tuple, nbar: float, q_carries: bool):
     return slope
 
 
-def _water_filling(channel: _GhChannel) -> tuple[float, float, float] | None:
-    """(chi, p, r) of the optimum, or None for ``_gh_search``: the output's total
-    variance product peaks at an input I variance X*, its noise product is least
-    at a squeezing r*.  With both signal powers non-negative at (X*, r*) that is
-    the optimum (Schaefer et al., PRL 111, 030503, 2013); else the quadrature
-    whose signal would go negative carries none, and the optimum along that
-    ``_curve`` is the root of its slope, found by Illinois regula falsi.
-    An X* outside [x_lo, x_hi] (its ends are inside) or NaN gives None."""
-    (mi, ai, mq, aq), nbar = channel.out, channel.nbar
-    if not (ai > 0.0 and aq > 0.0 and mi > 0.0 and mi * mq > 0.0):
-        return None
-    total = 2.0 * nbar + 1.0
-    r_cap = math.asinh(math.sqrt(nbar))
-    # e^{4r*} = (mi*aq)/(ai*mq); an r* past +-r_cap is classified at the bound
-    r_star = 0.25 * (math.log(mi) + math.log(aq) - math.log(ai) - math.log(mq))
-    r = min(max(r_star, -r_cap), r_cap)
-    x = 0.5 * total + (mi * aq - mq * ai) / (2.0 * mi * mq)
-    noise_i, noise_q, _ = _squeezed_floor(r, nbar)
-    if x < noise_i or x > total - noise_q:
-        q_carries = x < noise_i  # the budget goes to Q alone, or to I alone
-        r = illinois_maximize(channel.chi, _curve(channel.out, nbar, q_carries), -r_cap, r_cap,
-                              _GH_R_TOL)[0]
+def _gh_optimum(channel: _GhChannel) -> tuple[float, float, float]:
+    """(chi, p, r) of the optimum.  chi = G(X) - H(r): the output's total variance product
+    peaks at an input I variance X*, its noise product is least at a squeezing r*.  With
+    both signal powers non-negative at (X*, r*) that is the optimum (Schaefer et al., PRL
+    111, 030503, 2013); else the quadrature whose signal would go negative carries none,
+    and the optimum along that ``_curve`` is the root of its slope.  Degenerate maps, an
+    r* clipped with no signal left, an X outside [x_lo, x_hi] or a NaN go to ``_gh_pieces``."""
+    (mi, ai, mq, aq), nbar, total, r_cap = channel.out, channel.nbar, channel.total, channel.r_cap
+    if ai > 0.0 and aq > 0.0 and mi > 0.0 and mi * mq > 0.0:
+        # e^{4r*} = (mi*aq)/(ai*mq); an r* past +-r_cap is classified at the bound
+        r_star = 0.25 * (math.log(mi) + math.log(aq) - math.log(ai) - math.log(mq))
+        r = min(max(r_star, -r_cap), r_cap)
+        x = x_star = 0.5 * total + (mi * aq - mq * ai) / (2.0 * mi * mq)
         noise_i, noise_q, _ = _squeezed_floor(r, nbar)
-        x = noise_i if q_carries else total - noise_q
-    elif r != r_star:  # no signal power is left at the bound
-        return None
-    if not channel.x_lo <= x <= channel.x_hi:
-        return None  # also a NaN X*
-    value = channel.chi(r)
-    return (value, channel.p, r) if -math.inf < value < math.inf else None
+        if x < noise_i or x > total - noise_q:
+            q_carries = x < noise_i  # the budget goes to Q alone, or to I alone
+            r = illinois_maximize(channel.chi, _curve(channel.out, nbar, q_carries),
+                                  -r_cap, r_cap, _GH_R_TOL)[0]
+            noise_i, noise_q, _ = _squeezed_floor(r, nbar)
+            x = noise_i if q_carries else total - noise_q
+        elif r != r_star:  # no signal power is left at the bound: not accepted
+            x = math.nan
+        if channel.x_lo <= x <= channel.x_hi and -math.inf < (value := channel.chi(r)) < math.inf:
+            return value, channel.p, r
+    else:  # a zero multiplier (its add term is then positive) puts X* at +-inf, a zero
+        # add term r* at +-inf; flat G or H gives NaN.  X* is scaled by the larger mult.
+        if mi >= mq:
+            x_star = 0.5 * total + (aq - ai * (mq / mi)) / (2.0 * mq) if mq > 0.0 else math.inf
+        else:
+            x_star = 0.5 * total + (aq * (mi / mq) - ai) / (2.0 * mi) if mi > 0.0 else -math.inf
+        logs = [math.log(v) if v > 0.0 else -math.inf for v in (mi, aq, ai, mq)]
+        r_star = 0.25 * (logs[0] + logs[1] - logs[2] - logs[3])
+    return _gh_pieces(channel, x_star, r_star)
+
+
+def _gh_pieces(channel: _GhChannel, x_star: float, r_star: float) -> tuple[float, float, float]:
+    """(chi, p, r) of the optimum over the squeezings r that leave a feasible split.  At
+    each r the best X is X* clamped to [max(e^{-2r}/2, x_lo), min(T - e^{2r}/2, x_hi)], so
+    the r at which a clamp end meets X*, x_lo or x_hi cut them into pieces.  On each, X is
+    fixed and r* (any r if NaN) clamped into it is best, or one quadrature takes the whole
+    budget and a ``_curve`` optimum clamped into it is; all three are scored."""
+    total, r_cap, x_lo, x_hi = channel.total, channel.r_cap, channel.x_lo, channel.x_hi
+    # X = e^{-2r}/2 <= x_hi at p = 0 and X = T - e^{2r}/2 >= x_lo at p = 1
+    if not (x_hi > 0.0 and x_lo < total and (r_lo := max(-r_cap, -0.5 * math.log(2.0 * x_hi)))
+            <= (r_hi := min(r_cap, 0.5 * math.log(2.0 * (total - x_lo))))):
+        raise GHSearchError(_INFEASIBLE, -math.inf)
+    xs = (x_star, x_lo, x_hi)
+    cuts = sorted(cut for cut in (r_lo, r_hi, *(-0.5 * math.log(2.0 * x) for x in xs if x > 0.0),
+                                  *(0.5 * math.log(2.0 * (total - x)) for x in xs if x < total))
+                  if r_lo <= cut <= r_hi)
+    rs = [0.0 if math.isnan(r_star) else r_star] + [
+        illinois_maximize(channel.chi, _curve(channel.out, channel.nbar, q_carries),
+                          -r_cap, r_cap, _GH_R_TOL)[0] for q_carries in (True, False)]
+    # r = 0, scored first, wins ties: zero capacity gives it where it is feasible
+    best = (channel.chi(0.0), channel.p, 0.0) if r_lo <= 0.0 <= r_hi else (-math.inf, 0.0, 0.0)
+    for a, b in zip(cuts, cuts[1:]):
+        for r in rs:  # an end that rounding puts out of budget steps 1, 2, 4, ... doubles in
+            r, mid = (a if r < a else b if r > b else r), 0.5 * (a + b)
+            value, step = channel.chi(r), math.nextafter(r, mid) - r
+            while value == -math.inf and r != mid:
+                r = r + step if abs(step) < abs(mid - r) else mid
+                value, step = channel.chi(r), 2.0 * step
+            if value > best[0]:
+                best = value, channel.p, r
+    return best
 
 
 def gh_capacity_for_channel(mult_i, add_i, mult_q, add_q, nbar: float) -> CapacityResult:
-    """Gordon-Holevo capacity of an affine Gaussian channel given its per-checkpoint
-    coefficient sequences (last checkpoint = output), by water filling or else one
-    golden-section search, both deterministic.  Maps of unequal or zero length,
+    """Gordon-Holevo capacity of an affine Gaussian channel given its per-checkpoint coefficient
+    sequences (last checkpoint = output), by ``_gh_optimum``.  Maps of unequal or zero length,
     negative or NaN budgets, and budgets above ``MAX_GH_NBAR`` raise ``ValueError``."""
     if not 0 < len(mult_i) == len(add_i) == len(mult_q) == len(add_q):
         raise ValueError("(mult_i, add_i, mult_q, add_q) need equal non-zero lengths, got "
@@ -324,7 +323,7 @@ def gh_capacity_for_channel(mult_i, add_i, mult_q, add_q, nbar: float) -> Capaci
     if nbar == 0:
         return CapacityResult(0.0, QuadState(0, 0, 0.5, 0.5))
     channel = _GhChannel(mult_i, add_i, mult_q, add_q, nbar)
-    chi, p, r = _water_filling(channel) or _gh_search(channel)
+    chi, p, r = _gh_optimum(channel)
     if not chi > -math.inf:  # a NaN photon count, from NaN maps, meets no budget either
         raise GHSearchError(_INFEASIBLE, -math.inf)
     noise_i, noise_q, budget = _squeezed_floor(r, nbar)

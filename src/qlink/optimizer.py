@@ -136,7 +136,8 @@ def optimize_plan(
     conventional detection and PIA with two-quadrature detection, no lower gain
     scores higher: a gain on its ceiling is not searched, and each search starts
     at its incumbent (``_GAIN_MONOTONE``).
-    Returns the seed when no coordinate move improves on it.
+    Returns the seed when no coordinate move improves on it, and the seed's positions
+    with every gain 1 where that pure-loss link scores higher.
     """
     seed_candidate = equidistant_saturating_plan(
         length_km, amp_count, nbar, alpha_db_per_km, kind, scenario)
@@ -215,6 +216,10 @@ def optimize_plan(
         if moved < _PARAM_TOL:
             break
 
+    # every gain 1 leaves the pure-loss link, which gain searches stopped at 1 + tol can miss
+    floor, ones = scorer.score(seed_candidate.plan.positions, [1.0] * amp_count)
+    if floor > current:
+        positions, gains, current = seed_candidate.plan.positions, ones, floor
     return PlanCandidate(scorer.plan(positions, gains), current)
 
 

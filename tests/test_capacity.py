@@ -32,10 +32,10 @@ from qlink.capacity import (
     _chi,
     _chi_partials,
     _curve,
-    _gh_search,
+    _gh_optimum,
+    _gh_pieces,
     _GhChannel,
     _squeezed_floor,
-    _water_filling,
     gh_capacity_for_channel,
 )
 from qlink.distributed import (
@@ -521,8 +521,19 @@ def _outcome(fn, *args):
 
 
 def _fallback_capacity(*arrays_and_nbar):
-    """``gh_capacity_for_channel`` with every channel left to ``_gh_search``."""
-    with mock.patch.object(capacity, "_water_filling", lambda channel: None):
+    """``gh_capacity_for_channel`` with every channel left to ``_gh_pieces``, at X*
+    and r* in the forms that hold for degenerate maps too."""
+    def pieces(channel):
+        (mi, ai, mq, aq), total = channel.out, channel.total
+        if mi >= mq:  # X* - T/2 = (mi*aq - mq*ai)/(2*mi*mq), scaled by the larger multiplier
+            x_star = 0.5 * total + (aq - ai * (mq / mi)) / (2.0 * mq) if mq > 0.0 else math.inf
+        else:
+            x_star = 0.5 * total + (aq * (mi / mq) - ai) / (2.0 * mi) if mi > 0.0 else -math.inf
+        logs = [math.log(v) if v > 0.0 else -math.inf for v in (mi, aq, ai, mq)]
+        r_star = 0.25 * (logs[0] + logs[1] - logs[2] - logs[3])
+        return _gh_pieces(channel, x_star, r_star)
+
+    with mock.patch.object(capacity, "_gh_optimum", pieces):
         return gh_capacity_for_channel(*arrays_and_nbar)
 
 
@@ -763,7 +774,7 @@ class TestGhStructuredSearch:
             return
         if not result.bits_per_mode >= grid * (1.0 - 1e-12):
             # float chi misranks the two inputs; the decimal oracle ranks them
-            _, p, r = _water_filling(channel := _GhChannel(*arrays, nbar)) or _gh_search(channel)
+            _, p, r = _gh_optimum(_GhChannel(*arrays, nbar))
             _, grid_p, grid_r = gh_reference.gh_search(_GhChannel(*arrays, nbar))
             found = decimal_oracle.chi(arrays, p, r, nbar)
             best = decimal_oracle.chi(arrays, grid_p, grid_r, nbar)
@@ -779,33 +790,44 @@ class TestGhStructuredSearch:
     ], ids=["lossless", "pia-1e6-km", "psa-1e4-km"])
     def test_degenerate_maps_take_the_fallback_search(self, arrays, nbar):
         channel = _GhChannel(*arrays, nbar)
-        assert _water_filling(channel) is None
         reference = gh_reference.gh_capacity(channel).bits_per_mode
         assert gh_capacity_for_channel(*arrays, nbar).bits_per_mode >= reference * (1.0 - 1e-12)
 
     def test_corner_optimum_reaches_the_grid_reference(self):
-        # The optimum puts X on x_hi at p = 1, a corner that golden section nears
-        # only linearly: it stopped 6.6e-10 relative short before the corners and
-        # ends were scored after it.  The subnormal Q multiplier leaves the map
-        # to the fallback search.
+        # The optimum puts X on x_hi at p = 1, a corner, which a golden-section
+        # search nears only linearly: it stopped 6.6e-10 relative short before
+        # the corners and ends were scored after it.  The subnormal Q multiplier
+        # leaves the map to the piecewise search, whose pieces end at corners.
         arrays, nbar = ((3.96,), (1.815,), (5e-324,), (1.849,)), 1.517
         channel = _GhChannel(*arrays, nbar)
-        assert _water_filling(channel) is None
         reference = gh_reference.gh_capacity(channel).bits_per_mode
         assert gh_capacity_for_channel(*arrays, nbar).bits_per_mode >= reference * (1.0 - 1e-12)
 
     def test_end_rounded_out_of_budget_reaches_the_grid_reference(self):
         # Rounding puts the upper end of the feasible squeezings out of budget
-        # (chi -inf there) while the optimum lies on it; golden section stopped
-        # 7.6e-11 relative short before such an end was scored one double in.
+        # (chi -inf there) while the optimum lies on it; a golden-section search
+        # stopped 7.6e-11 relative short before such an end was scored one
+        # double in.  The piecewise search steps such an end inward.
         arrays, nbar = ((0.6236,), (0.0,), (3.0547,), (0.8724,)), 1.0
         channel = _GhChannel(*arrays, nbar)
-        assert _water_filling(channel) is None
         r_hi = min(math.asinh(1.0), 0.5 * math.log(2.0 * (3.0 - channel.x_lo)))
         assert channel.chi(r_hi) == -math.inf
         reference = gh_reference.gh_capacity(channel).bits_per_mode
         assert reference == 0.15192089356911284
         assert gh_capacity_for_channel(*arrays, nbar).bits_per_mode >= reference
+
+    def test_corner_rounded_out_of_budget_for_several_doubles(self):
+        # The optimum is the corner where X on x_lo meets p = 1, the upper end
+        # of the feasible squeezings, and rounding puts that end and the next
+        # doubles below it out of budget.  A search that stepped in one double
+        # fell 7.8% short; a golden-section search, 3.8e-12 relative short.
+        arrays, nbar = ([0.6606], [0.3838], [0.6606], [0.3838]), 3.8939
+        arrays = _with_budget_end_at(arrays, nbar, 8.5349, upper=False)
+        channel = _GhChannel(*arrays, nbar)
+        r_hi = 0.5 * math.log(2.0 * (channel.total - channel.x_lo))
+        assert channel.chi(r_hi) == channel.chi(math.nextafter(r_hi, 0.0)) == -math.inf
+        reference = gh_reference.gh_capacity(channel).bits_per_mode
+        assert gh_capacity_for_channel(*arrays, nbar).bits_per_mode >= reference * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("kind, length, amps", [
         (AmpKind.PSA, 260.0, 2),  # the curve on which Q carries no signal
@@ -816,18 +838,36 @@ class TestGhStructuredSearch:
         # An X* on the budget interval, however close to its end, is the
         # optimum; one past the end is not, and the optimum lies on that end.
         arrays, nbar = _seed_channel(length, amps, kind), 100.0
-        _, p, r = _water_filling(_GhChannel(*arrays, nbar))
+        _, p, r = _gh_optimum(_GhChannel(*arrays, nbar))
         noise_i, _, budget = _squeezed_floor(r, nbar)
         x = noise_i + p * budget
         upper = x <= nbar + 0.5
-        for share, structured in ((1e-6, True), (1e-9, True), (-1e-9, False), (-1e-3, False)):
+        for share in (1e-6, 1e-9, -1e-9, -1e-3):
             end = x + (share if upper else -share) * (2.0 * nbar + 1.0)
             near = _with_budget_end_at(arrays, nbar, end, upper)
             channel = _GhChannel(*near, nbar)
-            assert (_water_filling(channel) is not None) is structured
             reference = gh_reference.gh_capacity(channel).bits_per_mode
             assert (gh_capacity_for_channel(*near, nbar).bits_per_mode
                     >= reference * (1.0 - 1e-12))
+
+    @pytest.mark.parametrize("share", [1e-3, 1e-1])
+    @pytest.mark.parametrize("upper", [True, False], ids=["upper-end", "lower-end"])
+    @pytest.mark.parametrize("kind, length, amps", [
+        (AmpKind.PIA, 150.0, 1), (AmpKind.PIA, 600.0, 3), (AmpKind.PSA, 60.0, 1)])
+    def test_budget_end_short_of_the_peak_keeps_the_least_noise(self, kind, length, amps,
+                                                                 upper, share):
+        # With X held on a budget end short of X*, chi = G(X) - H(r) moves with
+        # r through H alone, so r* is the optimum, to the bit.  A golden-section
+        # search over r landed 8.8e-10 to 1.1e-7 away from it.
+        arrays, nbar = _seed_channel(length, amps, kind), 100.0
+        mi, ai, mq, aq = _GhChannel(*arrays, nbar).out
+        r_star = 0.25 * (math.log(mi) + math.log(aq) - math.log(ai) - math.log(mq))
+        x_star = nbar + 0.5 + (mi * aq - mq * ai) / (2.0 * mi * mq)
+        near = _with_budget_end_at(arrays, nbar, x_star * (1.0 - share if upper else 1.0 + share),
+                                   upper)
+        assert _gh_optimum(_GhChannel(*near, nbar))[2] == r_star
+        achieving = gh_capacity_for_channel(*near, nbar).achieving_input
+        assert (achieving.noise_i, achieving.noise_q) == _squeezed_floor(r_star, nbar)[:2]
 
     def test_squeezing_past_the_budget_is_classified_at_the_bound(self):
         # The noise of the 260 km PSA seed plan is least at r* = 3.62, past
@@ -835,7 +875,7 @@ class TestGhStructuredSearch:
         channel = _GhChannel(*_seed_channel(260.0, 2, AmpKind.PSA), 100.0)
         mi, ai, mq, aq = channel.out
         assert 0.25 * math.log(mi * aq / (ai * mq)) > math.asinh(10.0) + 0.5
-        value, p, _ = _water_filling(channel)
+        value, p, _ = _gh_optimum(channel)
         assert p == 1.0
         assert value >= gh_reference.gh_search(channel)[0] * (1.0 - 1e-12)
 
@@ -871,7 +911,7 @@ class TestGhStructuredSearch:
 
 
 def _searched(arrays, nbar, curve_search=None):
-    """((chi, p, r), whether the water filling took its curve) of the search,
+    """((chi, p, r), whether the search took a curve) of ``_gh_optimum``,
     with ``curve_search(f, lo, hi, xatol)`` in place of the root-find if given."""
     taken = []
 
@@ -883,7 +923,7 @@ def _searched(arrays, nbar, curve_search=None):
 
     channel = _GhChannel(*arrays, nbar)
     with mock.patch.object(capacity, "illinois_maximize", search):
-        return _water_filling(channel) or _gh_search(channel), bool(taken)
+        return _gh_optimum(channel), bool(taken)
 
 
 class TestGhCurveSearch:

@@ -12,7 +12,7 @@ from hypothesis import Phase, given, settings
 import decimal_oracle
 from conftest import gh_link_channels
 from qlink import AmpKind, Scenario, channel_checkpoints, optimize_plan
-from qlink.capacity import _GhChannel, _gh_search, _water_filling, gh_capacity_for_channel
+from qlink.capacity import _GhChannel, _gh_optimum, gh_capacity_for_channel
 from qlink.linkchain import POWER_TOL, _spans, _walk, attenuation_to_natural
 
 # Steps to the neighbouring inputs, in the split p and in the squeezing r
@@ -40,7 +40,7 @@ def test_returned_input_meets_the_budget_and_is_the_oracle_optimum(channel_data)
     # budget does better.
     maps, nbar = channel_data
     channel = _GhChannel(*maps, nbar)
-    value, p, r = _water_filling(channel) or _gh_search(channel)
+    value, p, r = _gh_optimum(channel)
     assert gh_capacity_for_channel(*maps, nbar).bits_per_mode == max(value, 0.0)
     assert max(decimal_oracle.photons(maps, p, r, nbar)) <= Decimal(nbar) + Decimal(POWER_TOL)
     if decimal_oracle.noise_excess(maps, p, r, nbar) < _RESOLVED_EXCESS:

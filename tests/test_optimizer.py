@@ -291,6 +291,19 @@ class TestOptimizePlan:
         scores = [optimize_plan(300.0, r, 100.0, 0.2).score for r in (0, 1, 2)]
         assert scores[0] <= scores[1] + 1e-9 <= scores[2] + 2e-9
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.sampled_from([(kind, scenario) for kind in AmpKind for scenario in Scenario]),
+           st.floats(0.0, 2.0), st.integers(1, 8), st.floats(-3.0, 5.0))
+    def test_never_below_the_pure_loss_link(self, pair, log_length, amps, log_nbar):
+        # Amplifiers of gain 1 leave the pure-loss link, whose score the R = 0
+        # plan has; gain searches stopped at 1 + 6e-8 fell below it, by up to
+        # 1.25e-6 relative (PIA Gordon-Holevo at 1 km, R = 8).
+        kind, scenario = pair
+        length, nbar = 10.0 ** log_length, 10.0 ** log_nbar
+        floor = optimize_plan(length, 0, nbar, 0.2, kind, scenario).score
+        score = optimize_plan(length, amps, nbar, 0.2, kind, scenario).score
+        assert score >= floor - 4.0 * math.ulp(floor)
+
     def test_capacity_non_decreasing_in_budget(self):
         low = optimize_plan(200.0, 1, 50.0, 0.2).score
         high = optimize_plan(200.0, 1, 100.0, 0.2).score
