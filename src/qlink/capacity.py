@@ -16,8 +16,7 @@ from collections import deque, namedtuple
 from enum import Enum
 from itertools import starmap
 
-from .linkchain import (LinkPlan, POWER_TOL, _over_budget, _plan_fields, _spans, _walk,
-                        attenuation_to_natural)
+from .linkchain import LinkPlan, POWER_TOL, _over_budget, _spans, _walk, attenuation_to_natural
 from .linkchain import channel_checkpoints  # noqa: F401 - patched by perfbench/traced_run.py
 from .linkchain import propagate  # noqa: F401 - patched by perfbench/traced_run.py
 from .quadmodel import (HEISENBERG_LIMIT, HEISENBERG_TOL, QuadState, check_moments,
@@ -332,25 +331,25 @@ def gh_capacity_for_channel(mult_i, add_i, mult_q, add_q, nbar: float) -> Capaci
 
 
 def gh_capacity(plan: LinkPlan) -> CapacityResult:
-    """Gordon-Holevo capacity of a link plan: the output's Holevo information, maximized
-    over squeezed inputs within the photon budget at every point (``chain_gh_capacity``)."""
+    """Gordon-Holevo capacity of a link plan (``chain_gh_capacity``): the output's Holevo
+    information over squeezed inputs, whose winner's states get ``propagate``'s checks and
+    then ``_over_budget``'s audit of the photon budget at every point."""
     taus = _spans(attenuation_to_natural(plan.alpha_db_per_km), plan.length_km, plan.positions)
-    return chain_gh_capacity(taus, *plan)
-
-
-def chain_gh_capacity(taus, alpha_db_per_km, length_km, nbar, positions, gains, kind):
-    """``gh_capacity(LinkPlan(alpha_db_per_km, ..., kind))``, errors too, on raw tuples and
-    the plan's span transmissions ``taus``: one walk gives the channel maps, one the winning
-    input's states, which get ``propagate``'s checks and then ``_over_budget``'s audit."""
-    _plan_fields(alpha_db_per_km, length_km, nbar, positions, gains)
-    _walk((1.0, 1.0, 0.0, 0.0), taus, gains, kind, record=(maps := [(1.0, 1.0, 0.0, 0.0)]))
-    mult_i, mult_q, add_i, add_q = zip(*maps)
-    result = gh_capacity_for_channel(mult_i, add_i, mult_q, add_q, nbar)
-    _walk(result.achieving_input, taus, gains, kind, record=(states := [result.achieving_input]))
+    result = chain_gh_capacity(taus, plan.gains, plan.kind, plan.nbar)
+    _walk(result.achieving_input, taus, plan.gains, plan.kind,
+          record=(states := [result.achieving_input]))
     deque(starmap(check_moments, states[1:]), 0)  # each QuadState check, before any budget's
-    if violations := _over_budget(states, nbar):
+    if violations := _over_budget(states, plan.nbar):
         k, excess = violations[0]
-        position = (0.0, *sorted(positions * 2), length_km)[k]  # as propagate's trace
+        position = (0.0, *sorted(plan.positions * 2), plan.length_km)[k]  # as propagate's trace
         raise GHSearchError(f"achieving input violates the photon budget at {(position, excess)}",
                             result.bits_per_mode)
     return result
+
+
+def chain_gh_capacity(taus, gains, kind, nbar: float) -> CapacityResult:
+    """Gordon-Holevo search, unaudited, of the chain whose spans transmit ``taus`` and
+    whose amplifiers of one ``kind`` have ``gains``: one walk gives the channel maps."""
+    _walk((1.0, 1.0, 0.0, 0.0), taus, gains, kind, record=(maps := [(1.0, 1.0, 0.0, 0.0)]))
+    mult_i, mult_q, add_i, add_q = zip(*maps)
+    return gh_capacity_for_channel(mult_i, add_i, mult_q, add_q, nbar)

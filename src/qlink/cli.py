@@ -41,7 +41,7 @@ _MAX_WORKERS = 8
 # Largest amplifier count.  Measured at 2000 km, whole runs, CPU on 2 shared cores: a PSA
 # conventional point takes 0.06 s at R=25 and 0.5-1.1 s at R=1000 (medians of 3-4 runs, each
 # after one without incumbent-started searches: 0.07 s and 7.9-14 s); a PSA Gordon-Holevo
-# one 0.56 s at R=20, 2.5 s at R=60 and 8.1 s at R=120 (mean of 8 runs), about R**1.5.
+# one 0.37 s at R=20, 1.04 s at R=60 and 3.3 s at R=120 (medians of 6 runs), about R**1.2.
 MAX_AMPS = 1000
 # A '#' starts a comment at the start of a line or after whitespace.
 _COMMENT = re.compile(r"(?:^|\s)#")

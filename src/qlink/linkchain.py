@@ -45,25 +45,6 @@ def attenuation_to_natural(alpha_db_per_km: float) -> float:
     return math.log(10.0) * alpha_db_per_km / 10.0
 
 
-def _plan_fields(alpha_db_per_km, length_km, nbar, positions, gains) -> tuple:
-    """A ``LinkPlan``'s fields up to its gains, sequences as tuples, or ``ValueError``."""
-    if not length_km >= 0:
-        raise ValueError(f"total length must be non-negative, got {length_km}")
-    if not 0 <= nbar < math.inf:
-        raise ValueError(f"photon budget must be non-negative and finite, got {nbar}")
-    attenuation_to_natural(alpha_db_per_km)
-    positions, gains = tuple(positions), tuple(gains)
-    if len(positions) != len(gains):
-        raise ValueError("positions and gains must have equal length")
-    for prev, pos in zip((0.0, *positions), positions):
-        if not prev < pos < length_km:
-            raise ValueError(f"amplifier positions must be strictly increasing inside "
-                             f"(0, {length_km}), got {positions}")
-    if not all(1.0 <= gain < math.inf for gain in gains):
-        raise ValueError(f"amplifier gains must be >= 1 and finite, got {gains}")
-    return alpha_db_per_km, length_km, nbar, positions, gains
-
-
 class LinkPlan(namedtuple("LinkPlan", "alpha_db_per_km length_km nbar positions gains kind")):
     """A concrete link: attenuation, total length, photon budget, and the
     positions (km from the input) and gains of its amplifiers, all of one
@@ -77,8 +58,21 @@ class LinkPlan(namedtuple("LinkPlan", "alpha_db_per_km length_km nbar positions 
     def __new__(cls, alpha_db_per_km: float, length_km: float, nbar: float,
                 positions: tuple[float, ...] = (), gains: tuple[float, ...] = (),
                 kind: AmpKind = AmpKind.PSA):
-        return tuple.__new__(cls, (*_plan_fields(alpha_db_per_km, length_km, nbar, positions,
-                                                 gains), kind))
+        if not length_km >= 0:
+            raise ValueError(f"total length must be non-negative, got {length_km}")
+        if not 0 <= nbar < math.inf:
+            raise ValueError(f"photon budget must be non-negative and finite, got {nbar}")
+        attenuation_to_natural(alpha_db_per_km)
+        positions, gains = tuple(positions), tuple(gains)
+        if len(positions) != len(gains):
+            raise ValueError("positions and gains must have equal length")
+        for prev, pos in zip((0.0, *positions), positions):
+            if not prev < pos < length_km:
+                raise ValueError(f"amplifier positions must be strictly increasing inside "
+                                 f"(0, {length_km}), got {positions}")
+        if not all(1.0 <= gain < math.inf for gain in gains):
+            raise ValueError(f"amplifier gains must be >= 1 and finite, got {gains}")
+        return tuple.__new__(cls, (alpha_db_per_km, length_km, nbar, positions, gains, kind))
 
     _make = classmethod(lambda cls, values: cls(*values))  # so that _replace validates too
 

@@ -9,7 +9,8 @@ feasible boundary, which keeps the search connected.  A trial move at
 amplifier i walks on from the cached state after amplifier i - 1, over the
 cached spans and gains, and computes only the spans it moves: the full walk's
 score, bit for bit.  A Shannon trial keeps only the raw output, checked as a
-``QuadState``; a Gordon-Holevo one searches its chain on raw tuples.
+``QuadState``; a Gordon-Holevo one runs only the search.  Only the seed, the floor
+and the returned plan are scored by ``gh_capacity``, which audits the winning input.
 A gain on its budget ceiling is searched only where a lower gain can score higher.
 """
 
@@ -19,7 +20,7 @@ import math
 import os
 from collections import namedtuple
 
-from .capacity import Scenario, chain_gh_capacity, scenario_input, shannon_capacity
+from .capacity import Scenario, chain_gh_capacity, gh_capacity, scenario_input, shannon_capacity
 from .linkchain import (
     AmpKind,
     LinkPlan,
@@ -83,19 +84,21 @@ class _PlanScorer:
         return LinkPlan(*self.link, positions, gains, self.kind)
 
     def score(self, positions, gains) -> tuple[float, list[float]]:
-        """(score, repaired gains) of coordinates: the trial from the input."""
+        """(score, repaired gains) of coordinates: the trial from the input, or ``gh_capacity``."""
         gains, *_, taus = self.repair_gains(positions, gains)
+        if self.gh:
+            return gh_capacity(self.plan(positions, gains)).bits_per_mode, gains
         return self.trial_score(positions, gains, 0, self.ref_input, taus), gains
 
     def trial_score(self, positions, gains, start, y, taus) -> float:
         """``score(...)[0]`` of coordinates repaired before amplifier ``start``, given
         the raw state ``y`` just after amplifier ``start - 1`` and ``taus``, the span
         transmissions of ``positions``, by a walk on from ``y``.  A Shannon trial keeps
-        its output; a Gordon-Holevo trial searches the chain with the gains it clips."""
+        its output; a Gordon-Holevo trial searches the chain with the gains it clips, unaudited."""
         if self.gh:
             _walk(y, taus, gains, self.kind, self.nbar, start, record=(record := []))
             gains = [*gains[:start], *record[2::4]]
-            return chain_gh_capacity(taus, *self.link, positions, gains, self.kind).bits_per_mode
+            return chain_gh_capacity(taus, gains, self.kind, self.nbar).bits_per_mode
         y = _walk(y, taus, gains, self.kind, self.nbar, start)
         check_moments(*y)
         return shannon_capacity(y, self.scenario)
@@ -220,7 +223,10 @@ def optimize_plan(
     floor, ones = scorer.score(seed_candidate.plan.positions, [1.0] * amp_count)
     if floor > current:
         positions, gains, current = seed_candidate.plan.positions, ones, floor
-    return PlanCandidate(scorer.plan(positions, gains), current)
+    plan = scorer.plan(positions, gains)
+    if scorer.gh:
+        gh_capacity(plan)  # the audit that trials skip: raises if the winner's input is infeasible
+    return PlanCandidate(plan, current)
 
 
 CSV_HEADER = "distance_km,scenario,amp_kind,amp_count,capacity_bits_per_mode"

@@ -210,8 +210,8 @@ class TestPlanScorer:
 
     @pytest.mark.parametrize("kind", list(AmpKind))
     def test_gordon_holevo_scoring_builds_no_plan_or_trace(self, kind, monkeypatch):
-        # the repair's spans and gains feed one search, with the channel maps
-        # and the audit of its winner walked on raw tuples
+        # a trial's spans and gains feed one search, with the channel maps
+        # walked on raw tuples; only ``score`` builds the plan, to audit it
         scorer = _PlanScorer(300.0, 100.0, 0.2, kind, Scenario.GORDON_HOLEVO)
         positions, gains = [35.0, 160.0, 250.0], [3.0, 1.5, math.inf]
         states = scorer.repair_gains(positions, gains)[2]
@@ -234,13 +234,12 @@ class TestPlanScorer:
         built, new_state = [], QuadState.__new__
         monkeypatch.setattr(QuadState, "__new__",
                             lambda cls, *state: built.append(state) or new_state(cls, *state))
-        assert scorer.score(positions, gains)[0] == score
         for i in range(len(positions)):
             y = states[i - 1] if i else scorer.ref_input
             assert scorer.trial_score(positions, gains, i, y, spans(scorer, positions)) == score
-        # one search per scoring, on 2R + 2 checkpoints; its winner is the only QuadState
-        assert [len(maps[0]) for maps in searches] == [2 * len(positions) + 2] * 4
-        assert len(built) == 4
+        # one search per trial, on 2R + 2 checkpoints; its winner is the only QuadState
+        assert [len(maps[0]) for maps in searches] == [2 * len(positions) + 2] * 3
+        assert len(built) == 3
 
     def test_gordon_holevo_trial_is_the_full_score(self):
         # the trial's contract: the gains before ``start`` are repaired ones
@@ -354,6 +353,49 @@ class TestOptimizePlan:
         optimize_plan(100.0, 2, 100.0, 0.2, AmpKind.PSA, Scenario.GORDON_HOLEVO)
         assert len(fingerprints) > 4
         assert len(set(fingerprints)) == len(fingerprints)
+
+    def test_gordon_holevo_audits_only_the_seed_floor_and_result(self, monkeypatch):
+        # a trial runs only the search; the plans scored as plans are audited
+        audits, over_budget = [], capacity._over_budget
+        monkeypatch.setattr(capacity, "_over_budget",
+                            lambda states, nbar: audits.append(nbar) or over_budget(states, nbar))
+        optimize_plan(260.0, 8, 100.0, 0.2, AmpKind.PSA, Scenario.GORDON_HOLEVO)
+        assert len(audits) == 3
+
+    def test_only_an_infeasible_returned_winner_fails_the_point(self, monkeypatch):
+        # A search whose winner on one channel leaves the budget (at the input)
+        # changes nothing where a trial on that channel loses, and fails the
+        # point, as gh_capacity of the plan does, where that plan is returned.
+        args = (260.0, 8, 100.0, 0.2, AmpKind.PSA, Scenario.GORDON_HOLEVO)
+        search, bad, seen = capacity.gh_capacity_for_channel, [], []
+
+        def patched(*maps):
+            result = search(*maps)
+            seen.append(maps)
+            if maps in bad:
+                return result._replace(achieving_input=QuadState(201.0, 0.0, 0.5, 0.5))
+            return result
+
+        def channel(plan):
+            capacity.gh_capacity(plan)
+            return seen[-1]
+
+        monkeypatch.setattr(capacity, "gh_capacity_for_channel", patched)
+        expected = optimize_plan(*args)
+        trials = list(seen)
+        seed = equidistant_saturating_plan(*args).plan
+        audited = [channel(seed), channel(seed._replace(gains=(1.0,) * 8)),
+                   channel(expected.plan)]
+        bad.append(next(maps for maps in trials[len(trials) // 2:] if maps not in audited))
+        assert optimize_plan(*args) == expected
+        bad[:] = audited[-1:]
+        with pytest.raises(GHSearchError) as reference:
+            capacity.gh_capacity(expected.plan)
+        with pytest.raises(GHSearchError) as failed:
+            optimize_plan(*args)
+        assert str(failed.value) == str(reference.value)
+        assert failed.value.best_value == reference.value.best_value == expected.score
+        assert str(failed.value).startswith("achieving input violates the photon budget at (0.0, ")
 
 
 def plan_bits(candidate):
