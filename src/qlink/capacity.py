@@ -12,15 +12,12 @@ or a degenerate map rules the plain solution out).
 from __future__ import annotations
 
 import math
-from collections import deque, namedtuple
+from collections import namedtuple
 from enum import Enum
-from itertools import starmap
 
-from .linkchain import LinkPlan, POWER_TOL, _over_budget, _spans, _walk, attenuation_to_natural
-from .linkchain import channel_checkpoints  # noqa: F401 - patched by perfbench/traced_run.py
-from .linkchain import propagate  # noqa: F401 - patched by perfbench/traced_run.py
-from .quadmodel import (HEISENBERG_LIMIT, HEISENBERG_TOL, QuadState, check_moments,
-                        conventional_input, symmetric_coherent_input)
+from .linkchain import LinkPlan, POWER_TOL, _over_budget, _walk, channel_checkpoints, propagate
+from .quadmodel import (HEISENBERG_LIMIT, HEISENBERG_TOL, QuadState, conventional_input,
+                        symmetric_coherent_input)
 from .search import golden_section_maximize  # noqa: F401 - patched by perfbench/traced_run.py
 from .search import illinois_maximize
 
@@ -331,25 +328,22 @@ def gh_capacity_for_channel(mult_i, add_i, mult_q, add_q, nbar: float) -> Capaci
 
 
 def gh_capacity(plan: LinkPlan) -> CapacityResult:
-    """Gordon-Holevo capacity of a link plan (``chain_gh_capacity``): the output's Holevo
-    information over squeezed inputs, whose winner's states get ``propagate``'s checks and
-    then ``_over_budget``'s audit of the photon budget at every point."""
-    taus = _spans(attenuation_to_natural(plan.alpha_db_per_km), plan.length_km, plan.positions)
-    result = chain_gh_capacity(taus, plan.gains, plan.kind, plan.nbar)
-    _walk(result.achieving_input, taus, plan.gains, plan.kind,
-          record=(states := [result.achieving_input]))
-    deque(starmap(check_moments, states[1:]), 0)  # each QuadState check, before any budget's
-    if violations := _over_budget(states, plan.nbar):
+    """Gordon-Holevo capacity of a link plan: the search on ``channel_checkpoints``, whose
+    winner's states get ``propagate``'s checks and then ``_over_budget``'s audit of the
+    photon budget at every point."""
+    result = gh_capacity_for_channel(*channel_checkpoints(plan), plan.nbar)
+    _, trace = propagate(plan, result.achieving_input)
+    if violations := _over_budget(trace.states, plan.nbar):
         k, excess = violations[0]
-        position = (0.0, *sorted(plan.positions * 2), plan.length_km)[k]  # as propagate's trace
-        raise GHSearchError(f"achieving input violates the photon budget at {(position, excess)}",
-                            result.bits_per_mode)
+        raise GHSearchError(f"achieving input violates the photon budget at "
+                            f"{(trace.positions[k], excess)}", result.bits_per_mode)
     return result
 
 
 def chain_gh_capacity(taus, gains, kind, nbar: float) -> CapacityResult:
     """Gordon-Holevo search, unaudited, of the chain whose spans transmit ``taus`` and
-    whose amplifiers of one ``kind`` have ``gains``: one walk gives the channel maps."""
+    whose amplifiers of one ``kind`` have ``gains``: one walk gives the channel maps, as
+    four lists in the layout of ``channel_checkpoints``."""
     _walk((1.0, 1.0, 0.0, 0.0), taus, gains, kind, record=(maps := [(1.0, 1.0, 0.0, 0.0)]))
-    mult_i, mult_q, add_i, add_q = zip(*maps)
+    mult_i, mult_q, add_i, add_q = map(list, zip(*maps))
     return gh_capacity_for_channel(mult_i, add_i, mult_q, add_q, nbar)

@@ -177,6 +177,11 @@ def parse_config(argv: list[str]) -> RunConfig:
         raise UsageError(f"malformed value for 'l_step_km' (with --l-min-km {config.l_min_km:g}, "
                          f"--l-max-km {config.l_max_km:g}, --l-step-km {config.l_step_km:g}): "
                          f"{err}") from None
+    # other write errors (permissions, a full disk) surface only when the CSV is written
+    folder = os.path.dirname(config.out) or "."
+    if not config.out or os.path.isdir(config.out) or not os.path.isdir(folder):
+        raise UsageError(f"malformed value for 'out': must name a file in an existing "
+                         f"directory, got {config.out!r}")
     if (config.scenario is Scenario.GORDON_HOLEVO and config.command != "crossover"
             and config.nbar > MAX_GH_NBAR):
         raise UsageError(f"gordon-holevo runs need nbar <= {MAX_GH_NBAR:g}: above it "

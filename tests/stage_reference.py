@@ -10,7 +10,8 @@ chain in one loop on four floats instead; the tests hold the two to equal
 The Gordon-Holevo capacity of a plan is composed here as objects: a
 validated ``LinkPlan``, its channel maps, the search, and the winning input
 propagated as ``QuadState``s into a ``PropagationTrace`` that the photon
-budget audit walks.  ``qlink`` scores it on raw tuples.  ``plan_capacity``
+budget audit walks.  ``qlink``'s ``gh_capacity`` composes it so too; only
+the optimizer's trials search on raw tuples, unaudited.  ``plan_capacity``
 scores a plan under any scenario from these parts.
 """
 

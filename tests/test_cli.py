@@ -152,6 +152,22 @@ class TestParsing:
         assert run_cli(["sweep", "--config", str(conf)]) == 2
         assert "'alpha_db_km'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."])
+    def test_unwritable_out_is_usage_error_before_any_point(self, out, tmp_path, capsys,
+                                                            monkeypatch):
+        # a missing directory, or a directory itself, used to fail only after
+        # the whole sweep, with exit 1
+        def refused(*args, **kwargs):
+            raise AssertionError("a point was computed")
+
+        monkeypatch.setattr(cli, "sweep_distance", refused)
+        path = tmp_path / out
+        args = ["sweep", "--amps", "0", "--l-min-km", "10", "--l-max-km", "20", "--out", str(path)]
+        assert run_cli(args) == 2
+        assert "'out'" in capsys.readouterr().err
+        assert not Path(f"{path}.tmp").exists()
+        assert [p.name for p in tmp_path.iterdir()] == []
+
     @pytest.mark.parametrize("args", [
         ["sweep", "--amps", "inf"],
         ["distributed", "--kind", "psa"],

@@ -386,6 +386,11 @@ class TestOptimizePlan:
         seed = equidistant_saturating_plan(*args).plan
         audited = [channel(seed), channel(seed._replace(gains=(1.0,) * 8)),
                    channel(expected.plan)]
+        # the returned plan's channel, as its audit builds it, equals one that a
+        # trial searched, of the same type; else ``maps in bad`` would tell the
+        # two apart.  ``trials`` opens with the seed's audit and closes with the
+        # floor's and the returned plan's.
+        assert audited[-1] in trials[1:-2]
         bad.append(next(maps for maps in trials[len(trials) // 2:] if maps not in audited))
         assert optimize_plan(*args) == expected
         bad[:] = audited[-1:]
