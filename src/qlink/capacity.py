@@ -19,7 +19,7 @@ from .linkchain import LinkPlan, POWER_TOL, _over_budget, _walk, channel_checkpo
 from .quadmodel import (HEISENBERG_LIMIT, HEISENBERG_TOL, QuadState, conventional_input,
                         symmetric_coherent_input)
 from .search import golden_section_maximize  # noqa: F401 - patched by perfbench/traced_run.py
-from .search import illinois_maximize
+from .search import illinois_root
 
 _LN2 = math.log(2.0)
 _HALF_LOG2E = 0.5 / _LN2
@@ -154,11 +154,11 @@ class _GhChannel:
     every squeezing r and split p, so the photon excess at every checkpoint
     is affine in X alone.  The budget is therefore one interval
     [x_lo, x_hi] on X, found in one pass when the channel is built.  Each
-    ``chi(r)`` is then O(1) scalar arithmetic that returns a float, so the
-    search calls it directly.  The final checkpoint is the channel output."""
+    ``chi(r)`` is then O(1) scalar arithmetic that returns (chi, p) and
+    writes nothing.  The final checkpoint is the channel output."""
 
     def __init__(self, mult_i, add_i, mult_q, add_q, nbar: float):
-        self.nbar, self.p = nbar, 0.0
+        self.nbar = nbar
         self.total, self.r_cap = 2.0 * nbar + 1.0, math.asinh(math.sqrt(nbar))  # cosh(2 r_cap) = T
         self.out = (float(mult_i[-1]), float(add_i[-1]),
                     float(mult_q[-1]), float(add_q[-1]))
@@ -182,12 +182,12 @@ class _GhChannel:
             raise GHSearchError(_INFEASIBLE, -math.inf)
         self.x_lo, self.x_hi = x_lo, x_hi
 
-    def chi(self, r: float) -> float:
-        """Chi of the best feasible split at squeezing ``r``, or -inf when no
-        split meets the budget; a finite chi leaves its split in ``self.p``."""
+    def chi(self, r: float) -> tuple[float, float]:
+        """(chi, p) of the best feasible split p at squeezing ``r``, or (-inf, 0.0)
+        when no split meets the budget."""
         noise_i, noise_q, budget = _squeezed_floor(r, self.nbar)
         if budget <= 0.0:
-            return -math.inf
+            return -math.inf, 0.0
         # comparisons cost less than max/min calls and pick the same value,
         # NaN and ties included
         lo = (self.x_lo - noise_i) / budget
@@ -195,7 +195,7 @@ class _GhChannel:
         hi = (self.x_hi - noise_i) / budget
         hi = hi if hi < 1.0 else 1.0
         if lo > hi:
-            return -math.inf
+            return -math.inf, 0.0
         # chi grows with the product of the output variances,
         # (noise_out_i + mi*B*p) * (all_q - mq*B*p), a concave quadratic in p.
         mi, ai, mq, aq = self.out
@@ -205,8 +205,8 @@ class _GhChannel:
         peak = mi * all_q - mq * out_i
         p = peak / lever if lever > 0.0 else math.copysign(math.inf, peak)
         p = lo if lo > p else p
-        self.p = p = hi if hi < p else p
-        return _chi(out_i, mq * noise_q + aq, mi * p * budget, mq * (1.0 - p) * budget)
+        p = hi if hi < p else p
+        return _chi(out_i, mq * noise_q + aq, mi * p * budget, mq * (1.0 - p) * budget), p
 
 
 def _curve(out: tuple, nbar: float, q_carries: bool):
@@ -228,12 +228,19 @@ def _curve(out: tuple, nbar: float, q_carries: bool):
     return slope
 
 
+def _curve_optimum(channel: _GhChannel, q_carries: bool) -> tuple[float, float, float]:
+    """(chi, p, r): the first best ``chi`` at the slope root-find's iterate and bracket ends."""
+    x, a, b = illinois_root(_curve(channel.out, channel.nbar, q_carries),
+                            -channel.r_cap, channel.r_cap, _GH_R_TOL)
+    return max(((*channel.chi(r), r) for r in (x, a, b)), key=lambda point: point[0])
+
+
 def _gh_optimum(channel: _GhChannel) -> tuple[float, float, float]:
-    """(chi, p, r) of the optimum.  chi = G(X) - H(r): the output's total variance product
-    peaks at an input I variance X*, its noise product is least at a squeezing r*.  With
-    both signal powers non-negative at (X*, r*) that is the optimum (Schaefer et al., PRL
-    111, 030503, 2013); else the quadrature whose signal would go negative carries none,
-    and the optimum along that ``_curve`` is the root of its slope.  Degenerate maps, an
+    """(chi, p, r) of the optimum, as ``chi`` scored it.  chi = G(X) - H(r): the output's
+    total variance product peaks at an input I variance X*, its noise product is least at a
+    squeezing r*.  With both signal powers non-negative at (X*, r*) that is the optimum
+    (Schaefer et al., PRL 111, 030503, 2013); else the quadrature whose signal would go
+    negative carries none, and the optimum is ``_curve_optimum``'s.  Degenerate maps, an
     r* clipped with no signal left, an X outside [x_lo, x_hi] or a NaN go to ``_gh_pieces``."""
     (mi, ai, mq, aq), nbar, total, r_cap = channel.out, channel.nbar, channel.total, channel.r_cap
     if ai > 0.0 and aq > 0.0 and mi > 0.0 and mi * mq > 0.0:
@@ -244,14 +251,15 @@ def _gh_optimum(channel: _GhChannel) -> tuple[float, float, float]:
         noise_i, noise_q, _ = _squeezed_floor(r, nbar)
         if x < noise_i or x > total - noise_q:
             q_carries = x < noise_i  # the budget goes to Q alone, or to I alone
-            r = illinois_maximize(channel.chi, _curve(channel.out, nbar, q_carries),
-                                  -r_cap, r_cap, _GH_R_TOL)[0]
+            value, p, r = _curve_optimum(channel, q_carries)
             noise_i, noise_q, _ = _squeezed_floor(r, nbar)
             x = noise_i if q_carries else total - noise_q
         elif r != r_star:  # no signal power is left at the bound: not accepted
             x = math.nan
-        if channel.x_lo <= x <= channel.x_hi and -math.inf < (value := channel.chi(r)) < math.inf:
-            return value, channel.p, r
+        elif channel.x_lo <= x <= channel.x_hi:  # an X outside stops the test below before value
+            value, p = channel.chi(r)
+        if channel.x_lo <= x <= channel.x_hi and -math.inf < value < math.inf:
+            return value, p, r
     else:  # a zero multiplier (its add term is then positive) puts X* at +-inf, a zero
         # add term r* at +-inf; flat G or H gives NaN.  X* is scaled by the larger mult.
         if mi >= mq:
@@ -279,19 +287,18 @@ def _gh_pieces(channel: _GhChannel, x_star: float, r_star: float) -> tuple[float
                                   *(0.5 * math.log(2.0 * (total - x)) for x in xs if x < total))
                   if r_lo <= cut <= r_hi)
     rs = [0.0 if math.isnan(r_star) else r_star] + [
-        illinois_maximize(channel.chi, _curve(channel.out, channel.nbar, q_carries),
-                          -r_cap, r_cap, _GH_R_TOL)[0] for q_carries in (True, False)]
+        _curve_optimum(channel, q_carries)[2] for q_carries in (True, False)]
     # r = 0, scored first, wins ties: zero capacity gives it where it is feasible
-    best = (channel.chi(0.0), channel.p, 0.0) if r_lo <= 0.0 <= r_hi else (-math.inf, 0.0, 0.0)
+    best = (*channel.chi(0.0), 0.0) if r_lo <= 0.0 <= r_hi else (-math.inf, 0.0, 0.0)
     for a, b in zip(cuts, cuts[1:]):
         for r in rs:  # an end that rounding puts out of budget steps 1, 2, 4, ... doubles in
             r, mid = (a if r < a else b if r > b else r), 0.5 * (a + b)
-            value, step = channel.chi(r), math.nextafter(r, mid) - r
+            (value, p), step = channel.chi(r), math.nextafter(r, mid) - r
             while value == -math.inf and r != mid:
                 r = r + step if abs(step) < abs(mid - r) else mid
-                value, step = channel.chi(r), 2.0 * step
+                (value, p), step = channel.chi(r), 2.0 * step
             if value > best[0]:
-                best = value, channel.p, r
+                best = value, p, r
     return best
 
 
@@ -343,7 +350,7 @@ def gh_capacity(plan: LinkPlan) -> CapacityResult:
 def chain_gh_capacity(taus, gains, kind, nbar: float) -> CapacityResult:
     """Gordon-Holevo search, unaudited, of the chain whose spans transmit ``taus`` and
     whose amplifiers of one ``kind`` have ``gains``: one walk gives the channel maps, as
-    four lists in the layout of ``channel_checkpoints``."""
+    four tuples in the layout of ``channel_checkpoints``."""
     _walk((1.0, 1.0, 0.0, 0.0), taus, gains, kind, record=(maps := [(1.0, 1.0, 0.0, 0.0)]))
-    mult_i, mult_q, add_i, add_q = map(list, zip(*maps))
+    mult_i, mult_q, add_i, add_q = zip(*maps)
     return gh_capacity_for_channel(mult_i, add_i, mult_q, add_q, nbar)

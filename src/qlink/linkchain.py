@@ -180,9 +180,9 @@ def _over_budget(states, nbar: float) -> list[tuple[int, float]]:
             if (excess := (sig_i + sig_q + noise_i + noise_q) / 2.0 - 0.5 - nbar) > POWER_TOL]
 
 
-def channel_checkpoints(plan: LinkPlan) -> tuple[list[float], ...]:
+def channel_checkpoints(plan: LinkPlan) -> tuple[tuple[float, ...], ...]:
     """Channel maps (mult_i, add_i, mult_q, add_q) from the input to every
-    trace point of the plan, as four lists in the layout of
+    trace point of the plan, as four tuples in the layout of
     ``distributed.channel_maps``.
 
     A quadrature's signal power at a point is mult * (its input signal) and
@@ -190,5 +190,5 @@ def channel_checkpoints(plan: LinkPlan) -> tuple[list[float], ...]:
     visits exactly these states, which lets input ensembles be evaluated
     without re-folding the chain.
     """
-    mult_i, mult_q, add_i, add_q = map(list, zip(*_fold(plan, (1.0, 1.0, 0.0, 0.0))))
+    mult_i, mult_q, add_i, add_q = zip(*_fold(plan, (1.0, 1.0, 0.0, 0.0)))
     return mult_i, add_i, mult_q, add_q

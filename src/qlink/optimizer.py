@@ -265,21 +265,21 @@ class SweepTable(namedtuple("SweepTable", "rows")):
 
 
 def distance_grid(start: float, stop: float, step: float) -> list[float]:
-    """Distances start, start + step, ... up to ``stop`` (within 1e-9 steps),
-    each computed from its index; a step below the spacing of doubles, which
-    would repeat a distance, or a grid over ``MAX_GRID_POINTS`` raises."""
+    """Distances start, start + step, ... up to ``stop`` (within 1e-9 steps), each
+    computed from its index, until one reaches ``stop``; a step below the spacing of
+    doubles, which would repeat a distance, or a grid over ``MAX_GRID_POINTS`` raises."""
     if not (step > 0.0 and math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"grid needs finite ends and a positive step, got "
                          f"{start}, {stop}, {step}")
-    points = []
-    while (value := start + len(points) * step) <= stop + 1e-9 * step:
-        if points and value <= points[-1]:
+    points, last = [], -math.inf
+    while last < stop and (value := start + len(points) * step) <= stop + 1e-9 * step:
+        if value <= last:
             raise ValueError(f"step {step:g} km is below the spacing of doubles at "
                              f"{value:g} km, so the grid would repeat a distance")
         if len(points) == MAX_GRID_POINTS:
             raise ValueError(f"a grid of {(stop - start) / step + 1:.6g} points; at most "
                              f"{MAX_GRID_POINTS} are allowed")
-        points.append(value)
+        points.append(last := value)
     return points
 
 

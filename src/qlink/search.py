@@ -1,6 +1,6 @@
 """1-D searches: golden section on the objective alone, and Illinois regula falsi
-on a slope's root, which maximizes where the slope is the objective's and finds
-the PSA/PIA crossover where it is the capacities' difference."""
+on a slope's root, which finds chi's peak on a Gordon-Holevo curve (``capacity``
+scores it) and the PSA/PIA crossover where the slope is the capacities' difference."""
 
 from __future__ import annotations
 
@@ -90,11 +90,3 @@ def illinois_root(slope: Callable[[float], float], lo: float, hi: float,
             x = 0.5 * (a + b)
         if b - a < tol or abs(x - last) < tol:
             return x, a, b
-
-
-def illinois_maximize(f: Callable[[float], float], slope: Callable[[float], float],
-                      lo: float, hi: float, xatol: float) -> tuple[float, float]:
-    """Maximize ``f`` on [lo, hi] at the root of its ``slope`` (``illinois_root``):
-    the best ``f`` of the last iterate and both bracket ends, as (argmax, max)."""
-    x, a, b = illinois_root(slope, lo, hi, xatol)
-    return max((x, f(x)), (a, f(a)), (b, f(b)), key=lambda point: point[1])  # first on ties

@@ -107,9 +107,9 @@ def propagate(plan: LinkPlan, state: QuadState) -> tuple[QuadState, PropagationT
     return states[-1], PropagationTrace(tuple(positions), states)
 
 
-def channel_checkpoints(plan: LinkPlan) -> tuple[list[float], ...]:
+def channel_checkpoints(plan: LinkPlan) -> tuple[tuple[float, ...], ...]:
     _, points = _fold(plan, (1.0, 1.0, 0.0, 0.0))
-    mult_i, mult_q, add_i, add_q = (list(column) for column in zip(*points))
+    mult_i, mult_q, add_i, add_q = (tuple(column) for column in zip(*points))
     return mult_i, add_i, mult_q, add_q
 
 

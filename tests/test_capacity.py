@@ -47,7 +47,7 @@ from qlink.distributed import (
 from qlink.linkchain import POWER_TOL
 from qlink.optimizer import _PlanScorer, equidistant_saturating_plan, optimize_plan
 from qlink.quadmodel import HEISENBERG_LIMIT, HEISENBERG_TOL
-from qlink.search import illinois_maximize
+from qlink.search import illinois_root
 
 import decimal_oracle
 import gh_reference
@@ -454,8 +454,9 @@ class TestGhBudgetInterval:
         excess = _photons(arrays, r, p, nbar).max() - limit
         assume(abs(excess) > rounding)
         assert (channel.x_lo <= x <= channel.x_hi) == (excess <= 0.0)
-        if channel.chi(r) > -math.inf:
-            assert _photons(arrays, r, channel.p, nbar).max() <= limit + rounding
+        value, p = channel.chi(r)
+        if value > -math.inf:
+            assert _photons(arrays, r, p, nbar).max() <= limit + rounding
 
     @pytest.mark.parametrize("kind", [AmpKind.PSA, AmpKind.PIA])
     def test_interior_checkpoint_order_and_repeats_do_not_matter(self, kind):
@@ -548,12 +549,6 @@ def _noise_excess(arrays, state):
                      * (arrays[2][-1] * state.noise_q + arrays[3][-1])) - 0.5
 
 
-def _split(channel, r):
-    """(chi, p) from ``channel.chi``, as the reference's ``best_split`` gives it."""
-    chi = channel.chi(r)
-    return chi, channel.p if chi > -math.inf else 0.0
-
-
 class TestGhKernelOracle:
     @settings(max_examples=300)
     @given(st.one_of(budget_channels(), feasible_gh_channels()), st.floats(-1.0, 1.0))
@@ -574,7 +569,7 @@ class TestGhKernelOracle:
                 rs += [-0.5 * math.log(2.0 * x), 0.5 * math.log(2.0 * (total - x))]
         for r in rs:
             if -r_cap <= r <= r_cap:
-                assert (_outcome(_split, channel, r)
+                assert (_outcome(channel.chi, r)
                         == _outcome(gh_reference.best_split, channel, r))
         # The search no longer samples the reference's grid, so the outcomes
         # agree in kind, and the value where rounding does not rule it: output
@@ -619,7 +614,7 @@ class TestGhKernelOracle:
         # of them, that end, is out of budget by rounding.
         arrays = ([0.0, 0.0, 0.0], [0.0, 1.5, 1.0], [0.0, 3.0, 0.0], [0.0, 1.1875, 1.0])
         channel = _GhChannel(*arrays, 1.0)
-        assert channel.chi(0.5 * math.log(2.0 * (3.0 - channel.x_lo))) == -math.inf
+        assert channel.chi(0.5 * math.log(2.0 * (3.0 - channel.x_lo))) == (-math.inf, 0.0)
         result = gh_capacity_for_channel(*arrays, 1.0)
         assert result.bits_per_mode == 0.0 and result.achieving_input.noise_q < 0.5
 
@@ -811,7 +806,7 @@ class TestGhStructuredSearch:
         arrays, nbar = ((0.6236,), (0.0,), (3.0547,), (0.8724,)), 1.0
         channel = _GhChannel(*arrays, nbar)
         r_hi = min(math.asinh(1.0), 0.5 * math.log(2.0 * (3.0 - channel.x_lo)))
-        assert channel.chi(r_hi) == -math.inf
+        assert channel.chi(r_hi) == (-math.inf, 0.0)
         reference = gh_reference.gh_capacity(channel).bits_per_mode
         assert reference == 0.15192089356911284
         assert gh_capacity_for_channel(*arrays, nbar).bits_per_mode >= reference
@@ -825,7 +820,7 @@ class TestGhStructuredSearch:
         arrays = _with_budget_end_at(arrays, nbar, 8.5349, upper=False)
         channel = _GhChannel(*arrays, nbar)
         r_hi = 0.5 * math.log(2.0 * (channel.total - channel.x_lo))
-        assert channel.chi(r_hi) == channel.chi(math.nextafter(r_hi, 0.0)) == -math.inf
+        assert channel.chi(r_hi) == channel.chi(math.nextafter(r_hi, 0.0)) == (-math.inf, 0.0)
         reference = gh_reference.gh_capacity(channel).bits_per_mode
         assert gh_capacity_for_channel(*arrays, nbar).bits_per_mode >= reference * (1.0 - 1e-12)
 
@@ -879,12 +874,12 @@ class TestGhStructuredSearch:
         assert p == 1.0
         assert value >= gh_reference.gh_search(channel)[0] * (1.0 - 1e-12)
 
-    @pytest.mark.parametrize("kind, most_chi, most_slopes", [(AmpKind.PSA, 8, 12),
+    @pytest.mark.parametrize("kind, most_chi, most_slopes", [(AmpKind.PSA, 3, 12),
                                                              (AmpKind.PIA, 1, 0)])
     def test_sweep_gh_seed_plans_need_few_chi_calls(self, kind, most_chi, most_slopes):
         # the benchmark's GH sweep scores these ten seed plans, 50-500 km at
-        # R = 2; PSA takes the curve, a root-find on chi's slope, PIA the closed
-        # form, one chi call each
+        # R = 2; PSA takes the curve, a root-find on chi's slope whose iterate and
+        # bracket ends are scored once each, PIA the closed form, one chi call each
         for length in range(50, 501, 50):
             arrays = _seed_channel(float(length), 2, kind)
             calls, slopes = [], []
@@ -911,18 +906,20 @@ class TestGhStructuredSearch:
 
 
 def _searched(arrays, nbar, curve_search=None):
-    """((chi, p, r), whether the search took a curve) of ``_gh_optimum``,
-    with ``curve_search(f, lo, hi, xatol)`` in place of the root-find if given."""
+    """((chi, p, r), whether the search took a curve) of ``_gh_optimum``.  If given,
+    ``curve_search(f, lo, hi, xatol)`` maximizes chi in place of the root-find, whose
+    (iterate, bracket ends) become (argmax, argmax, argmax)."""
     taken = []
+    channel = _GhChannel(*arrays, nbar)
 
-    def search(f, slope, lo, hi, xatol):
+    def search(slope, lo, hi, xatol):
         taken.append(True)
         if curve_search is None:
-            return illinois_maximize(f, slope, lo, hi, xatol)
-        return curve_search(f, lo, hi, xatol)
+            return illinois_root(slope, lo, hi, xatol)
+        x = curve_search(lambda r: channel.chi(r)[0], lo, hi, xatol)[0]
+        return x, x, x
 
-    channel = _GhChannel(*arrays, nbar)
-    with mock.patch.object(capacity, "illinois_maximize", search):
+    with mock.patch.object(capacity, "illinois_root", search):
         return _gh_optimum(channel), bool(taken)
 
 
@@ -945,6 +942,49 @@ class TestGhCurveSearch:
         else:
             assert (decimal_oracle.chi(arrays, p, r, nbar)
                     >= decimal_oracle.chi(arrays, brent_p, brent_r, nbar) * (1 - Decimal("1e-12")))
+
+    @staticmethod
+    def _curve_taken(arrays, nbar):
+        """Whether ``_gh_optimum`` returns the optimum of one curve root-find.  It is
+        then, bit for bit, the first best (chi, p, r) of ``channel.chi`` at the
+        root-find's iterate and both bracket ends, each scored once, in that order,
+        with the split that scoring gave; and no ``chi`` call writes to the channel."""
+        channel = _GhChannel(*arrays, nbar)
+        fields = dict(vars(channel))
+        found = [v.hex() for v in _gh_optimum(channel)]
+        assert vars(channel) == fields
+        roots, scored, chi = [], [], _GhChannel.chi
+
+        def root(*args):
+            roots.append(illinois_root(*args))
+            return roots[-1]
+
+        with mock.patch.object(capacity, "illinois_root", root), \
+             mock.patch.object(_GhChannel, "chi", lambda self, r: scored.append(r) or chi(self, r)):
+            assert [v.hex() for v in _gh_optimum(channel)] == found
+        if len(roots) != 1:  # none, or the piecewise search's two after it
+            return False
+        assert scored == list(roots[0])
+        best = None
+        for r in roots[0]:
+            value, p = channel.chi(r)
+            if best is None or value > best[0]:
+                best = value, p, r
+        assert [v.hex() for v in best] == found
+        return True
+
+    @pytest.mark.parametrize("length", range(50, 501, 50))
+    def test_curve_optimum_is_the_first_best_of_three_scorings(self, length):
+        # every seed plan of the benchmark's PSA sweep but the 50 km one, whose
+        # optimum is the closed form, takes the curve
+        taken = self._curve_taken(_seed_channel(float(length), 2, AmpKind.PSA), 100.0)
+        assert taken == (length > 50)
+
+    @settings(max_examples=200, derandomize=True)
+    @given(curve_channels())
+    def test_curve_optimum_of_drawn_maps_is_the_first_best_of_three_scorings(self,
+                                                                            channel_data):
+        assume(self._curve_taken(*channel_data))
 
     @pytest.mark.parametrize("length", range(50, 501, 50))
     def test_sweep_gh_seed_plans_are_never_below_brent(self, length):

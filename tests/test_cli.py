@@ -229,18 +229,35 @@ class TestParsing:
         assert "at most 100000" in err
 
     @pytest.mark.parametrize("args", [
-        ["sweep", "--amps", "1", "--l-min-km", "1e17", "--l-max-km", "1e17", "--l-step-km", "1"],
-        ["optimize", "--amps", "1", "--l-min-km", "1e17", "--l-max-km", "1e17",
+        ["sweep", "--amps", "1", "--l-min-km", "1e17", "--l-max-km", "100000000000000064",
          "--l-step-km", "1"],
-        ["distributed", "--l-min-km", "1e6", "--l-max-km", "1e6", "--l-step-km", "1e-12"],
+        ["optimize", "--amps", "1", "--l-min-km", "1e17", "--l-max-km", "100000000000000064",
+         "--l-step-km", "1"],
+        ["distributed", "--l-min-km", "1e6", "--l-max-km", "1000000.000001",
+         "--l-step-km", "1e-12"],
     ])
     def test_step_below_the_spacing_of_doubles_is_usage_error(self, args, tmp_path, capsys):
-        # start + k * step rounds back to an earlier distance: sweep failed,
-        # optimize wrote 9 equal rows, distributed 1,106 rows of 10 distances
+        # start + k * step rounds back to an earlier distance short of
+        # --l-max-km, so the grid would repeat it
         out = tmp_path / "sub-ulp.csv"
         assert run_cli([*args, "--out", str(out)]) == 2
         assert "'l_step_km'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["optimize", "--amps", "2", "--l-min-km", "1e10", "--l-max-km", "1e10",
+         "--l-step-km", "1e-7"],
+        ["sweep", "--amps", "1", "--l-min-km", "1e17", "--l-max-km", "1e17", "--l-step-km", "1"],
+        ["distributed", "--l-min-km", "1e6", "--l-max-km", "1e6", "--l-step-km", "1e-12"],
+    ])
+    def test_one_point_grid_with_a_step_below_the_spacing_of_doubles_writes_one_row(
+            self, args, tmp_path):
+        # the step rounds the next distance back onto the only one: that
+        # repeats nothing, but exited 2 and blamed 'l_step_km'
+        out = tmp_path / "one.csv"
+        assert run_cli([*args, "--out", str(out)]) == 0
+        length = float(args[args.index("--l-min-km") + 1])
+        assert [float(row.split(",")[0]) for row in out.read_text().splitlines()[1:]] == [length]
 
     @pytest.mark.parametrize("length", ["1e-12", "1e-300"])
     def test_one_point_grid_of_a_tiny_length_writes_one_row(self, length, tmp_path):

@@ -764,12 +764,21 @@ class TestDistanceGrid:
             distance_grid(start, stop, step)
 
     @pytest.mark.parametrize("start, stop, step", [
-        (1e17, 1e17, 1.0), (1e12, 1e12, 1e-9), (1e6, 1e6 + 1e-6, 1e-12),
+        (1e17, 1e17 + 64.0, 1.0), (1e12, 1e12 + 1e-3, 1e-9), (1e6, 1e6 + 1e-6, 1e-12),
     ])
     def test_rejects_a_step_below_the_spacing_of_doubles(self, start, stop, step):
-        # start + k * step rounds back to start, so the grid would repeat it
+        # start + k * step rounds back to start short of ``stop``, so the grid
+        # would repeat it
         with pytest.raises(ValueError, match="spacing of doubles"):
             distance_grid(start, stop, step)
+
+    @pytest.mark.parametrize("start, step", [
+        (1e17, 1.0), (1e12, 1e-9), (1e10, 1e-7), (1e6, 1e-12),
+    ])
+    def test_one_point_grid_below_the_spacing_of_doubles_is_kept(self, start, step):
+        # start + step rounds back to start, but the grid has reached ``stop``:
+        # it was refused as a repeat although it repeats nothing
+        assert distance_grid(start, start, step) == [start]
 
     @pytest.mark.parametrize("start, stop, step", [
         (10.0, 20.0, 0.0), (10.0, 20.0, -1.0), (10.0, math.inf, 1.0), (math.nan, 20.0, 1.0),

@@ -2,20 +2,21 @@ import math
 
 import pytest
 
-from qlink.search import golden_section_maximize, illinois_maximize, illinois_root
+from qlink.search import golden_section_maximize, illinois_root
 
 
 def _root(f, slope, lo, hi, xatol):
-    """``illinois_root``'s iterate, called as ``illinois_maximize``: it lies inside
-    the bracket it returns, which lies inside [lo, hi]."""
+    """``illinois_root``'s iterate, called with an objective ``f`` that it never
+    scores: it lies inside the bracket it returns, which lies inside [lo, hi]."""
     x, a, b = illinois_root(slope, lo, hi, xatol)
     assert lo <= a <= x <= b <= hi
     return x, None
 
 
-# The Illinois cases run on the root search alone and on the maximizer around it.
-ILLINOIS = pytest.mark.parametrize("illinois", [illinois_maximize, _root],
-                                   ids=["maximize", "root"])
+# The Illinois cases run on the root search; the Gordon-Holevo search's scoring
+# of its iterate and bracket ends is tested in test_capacity.py
+# (TestGhCurveSearch::test_curve_optimum_is_the_first_best_of_three_scorings).
+ILLINOIS = pytest.mark.parametrize("illinois", [_root], ids=["root"])
 
 
 def test_finds_the_peak_of_a_parabola():
@@ -110,19 +111,13 @@ def test_a_nan_neighbour_gives_the_full_search():
     (lambda x: x * math.exp(-x), lambda x: (1.0 - x) * math.exp(-x), 0.0, 40.0, 1.0),
 ])
 def test_illinois_finds_the_peak_in_few_calls(f, slope, lo, hi, peak):
-    calls, slopes = [], []
-
-    def counted(x):
-        calls.append(x)
-        return f(x)
-
-    x, fx = illinois_maximize(counted, lambda x: slopes.append(x) or slope(x), lo, hi, 1e-10)
-    assert x == pytest.approx(peak, abs=1e-7)
-    assert fx == f(x)
-    assert len(slopes) <= 15 and len(calls) == 3
+    slopes = []
+    x, a, b = illinois_root(lambda x: slopes.append(x) or slope(x), lo, hi, 1e-10)
+    # the peak lies in the bracket, and the iterate within the tolerance of it
+    assert a <= peak <= b and x == pytest.approx(peak, abs=1e-7)
+    assert max(f(x), f(a), f(b)) == pytest.approx(f(peak), abs=1e-12)
+    assert len(slopes) <= 15
     assert all(lo < c < hi for c in slopes)
-    # the best of the root search's iterate and bracket ends
-    assert x in illinois_root(slope, lo, hi, 1e-10)
 
 
 @ILLINOIS
