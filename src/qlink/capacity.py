@@ -35,7 +35,7 @@ class Scenario(str, Enum):
 _CONVENTIONAL, _TWO_QUADRATURE = Scenario.CONVENTIONAL, Scenario.TWO_QUADRATURE
 
 
-CapacityResult = namedtuple("CapacityResult", "bits_per_mode achieving_input", defaults=(None,))
+CapacityResult = namedtuple("CapacityResult", "bits_per_mode achieving_input")
 
 
 class GHSearchError(RuntimeError):
@@ -157,11 +157,10 @@ class _GhChannel:
     ``chi(r)`` is then O(1) scalar arithmetic that returns (chi, p) and
     writes nothing.  The final checkpoint is the channel output."""
 
-    def __init__(self, mult_i, add_i, mult_q, add_q, nbar: float):
+    def __init__(self, maps, nbar: float):
         self.nbar = nbar
         self.total, self.r_cap = 2.0 * nbar + 1.0, math.asinh(math.sqrt(nbar))  # cosh(2 r_cap) = T
-        self.out = (float(mult_i[-1]), float(add_i[-1]),
-                    float(mult_q[-1]), float(add_q[-1]))
+        self.out = tuple(map(float, maps[-1]))
         # Excess at X is excess0 + slope * X.  Search with half the audit
         # tolerance so boundary optima survive the exact re-propagation audit
         # with margin to spare.  A subnormal slope overflows its bound to
@@ -169,7 +168,7 @@ class _GhChannel:
         # anyway.
         total, margin = self.total, 0.5 * POWER_TOL
         x_lo, x_hi = -math.inf, math.inf
-        for mi, ai, mq, aq in zip(mult_i, add_i, mult_q, add_q):
+        for mi, mq, ai, aq in maps:
             slope = 0.5 * (mi - mq)
             excess0 = 0.5 * (ai + aq) - 0.5 - nbar - margin + 0.5 * mq * total
             if slope < 0.0:  # max and min by comparisons, as in chi
@@ -198,7 +197,7 @@ class _GhChannel:
             return -math.inf, 0.0
         # chi grows with the product of the output variances,
         # (noise_out_i + mi*B*p) * (all_q - mq*B*p), a concave quadratic in p.
-        mi, ai, mq, aq = self.out
+        mi, mq, ai, aq = self.out
         out_i = mi * noise_i + ai
         all_q = mq * (budget + noise_q) + aq
         lever = 2.0 * budget * mi * mq  # 0 once mi*mq underflows, past ~1600 dB
@@ -213,7 +212,7 @@ def _curve(out: tuple, nbar: float, q_carries: bool):
     """dchi/dr along the squeezings r at which one quadrature, Q where ``q_carries``,
     takes the whole signal budget B(r) = 2*nbar - 2*sinh(r)**2 of the output map
     ``out``.  chi is 0 at r = +-r_cap, where B is 0, and positive between."""
-    mi, ai, mq, aq = out
+    mi, mq, ai, aq = out
     gain_i, gain_q = (0.0, mq) if q_carries else (mi, 0.0)
 
     def slope(r):
@@ -242,7 +241,7 @@ def _gh_optimum(channel: _GhChannel) -> tuple[float, float, float]:
     (Schaefer et al., PRL 111, 030503, 2013); else the quadrature whose signal would go
     negative carries none, and the optimum is ``_curve_optimum``'s.  Degenerate maps, an
     r* clipped with no signal left, an X outside [x_lo, x_hi] or a NaN go to ``_gh_pieces``."""
-    (mi, ai, mq, aq), nbar, total, r_cap = channel.out, channel.nbar, channel.total, channel.r_cap
+    (mi, mq, ai, aq), nbar, total, r_cap = channel.out, channel.nbar, channel.total, channel.r_cap
     if ai > 0.0 and aq > 0.0 and mi > 0.0 and mi * mq > 0.0:
         # e^{4r*} = (mi*aq)/(ai*mq); an r* past +-r_cap is classified at the bound
         r_star = 0.25 * (math.log(mi) + math.log(aq) - math.log(ai) - math.log(mq))
@@ -302,22 +301,23 @@ def _gh_pieces(channel: _GhChannel, x_star: float, r_star: float) -> tuple[float
     return best
 
 
-def gh_capacity_for_channel(mult_i, add_i, mult_q, add_q, nbar: float) -> CapacityResult:
-    """Gordon-Holevo capacity of an affine Gaussian channel given its per-checkpoint coefficient
-    sequences (last checkpoint = output), by ``_gh_optimum``.  Maps of unequal or zero length,
-    negative or NaN budgets, and budgets above ``MAX_GH_NBAR`` raise ``ValueError``."""
-    if not 0 < len(mult_i) == len(add_i) == len(mult_q) == len(add_q):
-        raise ValueError("(mult_i, add_i, mult_q, add_q) need equal non-zero lengths, got "
-                         f"{(len(mult_i), len(add_i), len(mult_q), len(add_q))}")
+def gh_capacity_for_channel(maps, nbar: float) -> CapacityResult:
+    """Gordon-Holevo capacity of an affine Gaussian channel given its channel map
+    (mult_i, mult_q, add_i, add_q) at each checkpoint (last checkpoint = output), by
+    ``_gh_optimum``.  No checkpoints, negative or NaN budgets, budgets above
+    ``MAX_GH_NBAR``, and a checkpoint of other than four entries (the output always,
+    every checkpoint once nbar > 0) raise ``ValueError``."""
+    if not len(maps):
+        raise ValueError("a channel needs at least one checkpoint, got none")
     if not nbar >= 0:
         raise ValueError(f"photon budget must be non-negative, got {nbar}")
     if nbar > MAX_GH_NBAR:
         raise ValueError(f"Gordon-Holevo capacity needs nbar <= MAX_GH_NBAR = {MAX_GH_NBAR:g}, "
                          f"got {nbar:g}: above it photon counts round past the search margin")
-    mi, ai, mq, aq = mult_i[-1], add_i[-1], mult_q[-1], add_q[-1]
-    if mi < 0.0 or ai < 0.0 or mq < 0.0 or aq < 0.0:
-        raise ValueError(f"the output map (mult_i, add_i, mult_q, add_q) = "
-                         f"({mi}, {ai}, {mq}, {aq}) must be non-negative")
+    mi, mq, ai, aq = maps[-1]
+    if mi < 0.0 or mq < 0.0 or ai < 0.0 or aq < 0.0:
+        raise ValueError(f"the output map (mult_i, mult_q, add_i, add_q) = "
+                         f"({mi}, {mq}, {ai}, {aq}) must be non-negative")
     # the output's variance product, least at the squeezing where the noise is least
     root = math.sqrt(mi * mq) / 2.0 + math.sqrt(ai * aq)
     if (least := root * root) < HEISENBERG_LIMIT - HEISENBERG_TOL:
@@ -325,7 +325,7 @@ def gh_capacity_for_channel(mult_i, add_i, mult_q, add_q, nbar: float) -> Capaci
                          f"Heisenberg limit {HEISENBERG_LIMIT}: no quantum channel")
     if nbar == 0:
         return CapacityResult(0.0, QuadState(0, 0, 0.5, 0.5))
-    channel = _GhChannel(mult_i, add_i, mult_q, add_q, nbar)
+    channel = _GhChannel(maps, nbar)
     chi, p, r = _gh_optimum(channel)
     if not chi > -math.inf:  # a NaN photon count, from NaN maps, meets no budget either
         raise GHSearchError(_INFEASIBLE, -math.inf)
@@ -338,7 +338,7 @@ def gh_capacity(plan: LinkPlan) -> CapacityResult:
     """Gordon-Holevo capacity of a link plan: the search on ``channel_checkpoints``, whose
     winner's states get ``propagate``'s checks and then ``_over_budget``'s audit of the
     photon budget at every point."""
-    result = gh_capacity_for_channel(*channel_checkpoints(plan), plan.nbar)
+    result = gh_capacity_for_channel(channel_checkpoints(plan), plan.nbar)
     _, trace = propagate(plan, result.achieving_input)
     if violations := _over_budget(trace.states, plan.nbar):
         k, excess = violations[0]
@@ -349,8 +349,7 @@ def gh_capacity(plan: LinkPlan) -> CapacityResult:
 
 def chain_gh_capacity(taus, gains, kind, nbar: float) -> CapacityResult:
     """Gordon-Holevo search, unaudited, of the chain whose spans transmit ``taus`` and
-    whose amplifiers of one ``kind`` have ``gains``: one walk gives the channel maps, as
-    four tuples in the layout of ``channel_checkpoints``."""
+    whose amplifiers of one ``kind`` have ``gains``: one walk of the unit lane records
+    the channel maps, as ``channel_checkpoints`` does."""
     _walk((1.0, 1.0, 0.0, 0.0), taus, gains, kind, record=(maps := [(1.0, 1.0, 0.0, 0.0)]))
-    mult_i, mult_q, add_i, add_q = zip(*maps)
-    return gh_capacity_for_channel(mult_i, add_i, mult_q, add_q, nbar)
+    return gh_capacity_for_channel(maps, nbar)

@@ -174,8 +174,8 @@ def parse_config(argv: list[str]) -> RunConfig:
     try:
         config.grid()
     except ValueError as err:
-        raise UsageError(f"malformed value for 'l_step_km' (with --l-min-km {config.l_min_km:g}, "
-                         f"--l-max-km {config.l_max_km:g}, --l-step-km {config.l_step_km:g}): "
+        raise UsageError(f"malformed value for 'l_step_km' (with --l-min-km {config.l_min_km!r}, "
+                         f"--l-max-km {config.l_max_km!r}, --l-step-km {config.l_step_km:g}): "
                          f"{err}") from None
     # other write errors (permissions, a full disk) surface only when the CSV is written
     folder = os.path.dirname(config.out) or "."

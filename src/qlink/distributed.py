@@ -9,7 +9,8 @@ photon number stays pinned at the budget, rather than by the constant-rate
 shortcut.  Under that feedback the system solves in closed form
 (``channel_maps``), which every continuum analysis uses.  The constant-rate
 capacity approximations are provided alongside for comparison.  Positions
-and channel maps are lists of Python floats.
+are a list of Python floats, and the channel map at each position is one
+tuple of floats in the layout of ``linkchain.channel_checkpoints``.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ def _mult_expm1(mult: float, x: float, log_sum: float) -> float:
 
 def channel_maps(
     kind: AmpKind, positions_km, nbar: float, alpha_db_per_km: float = 0.2
-) -> tuple[list[float], list[float], list[float], list[float]]:
-    """Exact channel maps (mult_i, add_i, mult_q, add_q) of the continuum
-    from its input to each position, as four lists over ``positions_km``.
+) -> list[tuple[float, float, float, float]]:
+    """Exact channel maps (mult_i, mult_q, add_i, add_q) of the continuum
+    from its input to each position, one tuple per entry of ``positions_km``.
 
     A quadrature's signal power at z is mult * (its input signal) and its
     noise variance mult * (input noise) + add.  With T = 2*nbar + 1 held by
@@ -62,11 +63,13 @@ def channel_maps(
     if not all(0.0 <= z < math.inf for z in zs):
         raise ValueError("positions must be finite and non-negative")
     alpha = attenuation_to_natural(alpha_db_per_km)
+    maps = []
     if kind is not _PSA:
         rate = -alpha / (nbar + 1.0)
-        mult = [math.exp(rate * z) for z in zs]
-        add = [-(nbar + 0.5) * math.expm1(rate * z) for z in zs]
-        return mult, add, mult, add
+        for z in zs:
+            mult, add = math.exp(rate * z), -(nbar + 0.5) * math.expm1(rate * z)
+            maps.append((mult, mult, add, add))
+        return maps
     total = 2.0 * nbar + 1.0
     k = 1.0 / total
     beta_sq = 2.0 * nbar / total
@@ -81,11 +84,10 @@ def channel_maps(
     # log(mult) = -(1 -+ beta) alpha z +- beta ell, log(mult) + e1 delta = ell
     # and log(mult) + e2 delta = -2 alpha z - ell are formed as such: none
     # cancels terms of size alpha z, so the maps keep their precision at any length.
-    maps = ([], [], [], [])
     one_minus_beta = k / (1.0 + beta)
-    # (mults, adds, d log(mult)/d(alpha z), d log(mult)/d ell, e1, e2) of I and Q
-    quadratures = ((*maps[:2], -one_minus_beta, beta, -0.5 * one_minus_beta, 0.5 * (1.0 + beta)),
-                   (*maps[2:], -(1.0 + beta), -beta, -0.5 * (1.0 + beta), 0.5 * one_minus_beta))
+    # (d log(mult)/d(alpha z), d log(mult)/d ell, e1, e2) of I and Q
+    quadratures = ((-one_minus_beta, beta, -0.5 * one_minus_beta, 0.5 * (1.0 + beta)),
+                   (-(1.0 + beta), -beta, -0.5 * (1.0 + beta), 0.5 * one_minus_beta))
     for z in zs:
         az = alpha * z
         grow = -math.expm1(-2.0 * az)
@@ -93,12 +95,14 @@ def channel_maps(
         # u - beta = k * grow / (u + beta), without cancellation
         ell = math.log1p(k * grow / ((u + beta) * (1.0 + beta)))
         delta = -2.0 * az - 2.0 * ell
-        for mults, adds, per_az, per_ell, e1, e2 in quadratures:
+        row = []
+        for per_az, per_ell, e1, e2 in quadratures:
             mult = math.exp(per_az * az + per_ell * ell)
-            mults.append(mult)
-            adds.append(-(root_k / 8.0) * (
+            row += mult, -(root_k / 8.0) * (
                 _mult_expm1(mult, e1 * delta, ell) / (e1 * root_t0)
-                - root_t0 * _mult_expm1(mult, e2 * delta, -2.0 * az - ell) / e2))
+                - root_t0 * _mult_expm1(mult, e2 * delta, -2.0 * az - ell) / e2)
+        mult_i, add_i, mult_q, add_q = row
+        maps.append((mult_i, mult_q, add_i, add_q))
     return maps
 
 
@@ -114,7 +118,7 @@ def continuum_states(
                          "feedback")
     sig_i, sig_q, noise_i, noise_q = scenario_input(scenario, nbar)
     return [QuadState(sig_i * mi, sig_q * mq, noise_i * mi + ai, noise_q * mq + aq)
-            for mi, ai, mq, aq in zip(*channel_maps(kind, positions_km, nbar, alpha_db_per_km))]
+            for mi, mq, ai, aq in channel_maps(kind, positions_km, nbar, alpha_db_per_km)]
 
 
 def distributed_rows(
@@ -142,14 +146,10 @@ def distributed_rows(
         return [SweepRow(length, scenario, kind, None, shannon_capacity(state, scenario))
                 for length, state in zip(grid, states)]
     # A row's checkpoints: the bound (PSA only), then its output map.
-    bound = [[1.0], [0.0], [0.0], [0.5]] if kind is _PSA else [[], [], [], []]
-    ends = channel_maps(kind, grid, nbar, alpha_db_per_km)
-    rows = []
-    for j, length in enumerate(grid):
-        maps = [first + [end[j]] for first, end in zip(bound, ends)]
-        bits = gh_capacity_for_channel(*maps, nbar).bits_per_mode
-        rows.append(SweepRow(length, scenario, kind, None, bits))
-    return rows
+    bound = [(1.0, 0.0, 0.0, 0.5)] if kind is _PSA else []
+    return [SweepRow(length, scenario, kind, None,
+                     gh_capacity_for_channel([*bound, end], nbar).bits_per_mode)
+            for length, end in zip(grid, channel_maps(kind, grid, nbar, alpha_db_per_km))]
 
 
 class NoCrossingError(ValueError):

@@ -2,15 +2,16 @@
 
 A link is its amplifiers' positions and gains, all of one kind; the passive
 fiber spans lie between consecutive positions, and the final span is
-unamplified.  Channel maps of every chain prefix (``channel_checkpoints``)
-have the layout of the continuum's ``distributed.channel_maps``.  Loss mixes
-each quadrature with vacuum; a phase-sensitive amplifier (PSA) multiplies the
-I quadrature by its gain and divides the Q quadrature, adding no excess
-noise; a phase-insensitive amplifier (PIA) multiplies both quadratures and
-adds the quantum-limited (gain-1)/2 noise per quadrature.  These stages and
-the photon budget's gain ceiling are written once, in one walk of the chain on
-four floats (``_walk``) that folds states and channel maps alike: a prefix's
-per-quadrature (mult, add) transforms like (sig, noise).
+unamplified.  Loss mixes each quadrature with vacuum; a phase-sensitive
+amplifier (PSA) multiplies the I quadrature by its gain and divides the Q
+quadrature, adding no excess noise; a phase-insensitive amplifier (PIA)
+multiplies both quadratures and adds the quantum-limited (gain-1)/2 noise per
+quadrature.  These stages and the photon budget's gain ceiling are written
+once, in one walk of the chain on four floats (``_walk``) that folds states
+and channel maps alike: a prefix's per-quadrature (mult, add) transforms like
+(sig, noise), so its channel map (mult_i, mult_q, add_i, add_q) is the raw
+state that the unit lane (1, 1, 0, 0) reaches (``channel_checkpoints``), in
+the layout of the continuum's ``distributed.channel_maps``.
 """
 
 from __future__ import annotations
@@ -180,15 +181,14 @@ def _over_budget(states, nbar: float) -> list[tuple[int, float]]:
             if (excess := (sig_i + sig_q + noise_i + noise_q) / 2.0 - 0.5 - nbar) > POWER_TOL]
 
 
-def channel_checkpoints(plan: LinkPlan) -> tuple[tuple[float, ...], ...]:
-    """Channel maps (mult_i, add_i, mult_q, add_q) from the input to every
-    trace point of the plan, as four tuples in the layout of
-    ``distributed.channel_maps``.
+def channel_checkpoints(plan: LinkPlan) -> list[tuple]:
+    """Channel maps (mult_i, mult_q, add_i, add_q) from the input to every
+    trace point of the plan, one tuple per point, as ``distributed.channel_maps``
+    gives them: the raw states of the unit lane (1, 1, 0, 0).
 
     A quadrature's signal power at a point is mult * (its input signal) and
     its noise variance mult * (input noise) + add; ``propagate(plan, s)``
     visits exactly these states, which lets input ensembles be evaluated
     without re-folding the chain.
     """
-    mult_i, mult_q, add_i, add_q = zip(*_fold(plan, (1.0, 1.0, 0.0, 0.0)))
-    return mult_i, add_i, mult_q, add_q
+    return _fold(plan, (1.0, 1.0, 0.0, 0.0))

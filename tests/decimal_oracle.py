@@ -52,12 +52,12 @@ def input_state(p: float, r: float, nbar: float) -> tuple[Decimal, Decimal, Deci
 
 def photons(maps, p: float, r: float, nbar: float) -> list[Decimal]:
     """Mean photon number at every checkpoint of the channel ``maps``
-    (mult_i, add_i, mult_q, add_q) for the input at (``p``, ``r``)."""
+    (mult_i, mult_q, add_i, add_q) for the input at (``p``, ``r``)."""
     sig_i, sig_q, noise_i, noise_q = input_state(p, r, nbar)
     with localcontext(CONTEXT):
         var_i, var_q = sig_i + noise_i, sig_q + noise_q
         return [(Decimal(mi) * var_i + Decimal(ai) + Decimal(mq) * var_q + Decimal(aq) - 1) / 2
-                for mi, ai, mq, aq in zip(*maps)]
+                for mi, mq, ai, aq in maps]
 
 
 def noise_excess(maps, p: float, r: float, nbar: float) -> Decimal:
@@ -65,7 +65,7 @@ def noise_excess(maps, p: float, r: float, nbar: float) -> Decimal:
     output noise's excess over vacuum, in units of its symplectic eigenvalue."""
     _, _, noise_i, noise_q = input_state(p, r, nbar)
     with localcontext(CONTEXT):
-        mi, ai, mq, aq = (Decimal(m[-1]) for m in maps)
+        mi, mq, ai, aq = map(Decimal, maps[-1])
         return ((mi * noise_i + ai) * (mq * noise_q + aq)).sqrt() - Decimal("0.5")
 
 
@@ -75,7 +75,7 @@ def chi(maps, p: float, r: float, nbar: float) -> Decimal:
     one unmodulated output."""
     sig_i, sig_q, noise_i, noise_q = input_state(p, r, nbar)
     with localcontext(CONTEXT):
-        mi, ai, mq, aq = (Decimal(m[-1]) for m in maps)
+        mi, mq, ai, aq = map(Decimal, maps[-1])
         out_i = mi * (noise_i + sig_i) + ai
         out_q = mq * (noise_q + sig_q) + aq
         total = g((out_i * out_q).sqrt() - Decimal("0.5"))

@@ -84,7 +84,7 @@ def best_split(channel, r):
     hi = min(1.0, (channel.x_hi - noise_i) / budget)
     if lo > hi:
         return -math.inf, 0.0
-    mi, ai, mq, aq = channel.out
+    mi, mq, ai, aq = channel.out
     noise_out = (mi * noise_i + ai, mq * noise_q + aq)
     all_q = mq * (budget + noise_q) + aq
     lever = 2.0 * budget * mi * mq

@@ -247,13 +247,8 @@ def gh_capacity_at(profile: OdeProfile, index: int = -1) -> CapacityResult:
     if profile.mult_i is None:
         raise ValueError("profile was integrated without channel tracking")
     stop = index % len(profile) + 1
-    return gh_capacity_for_channel(
-        profile.mult_i[:stop],
-        profile.add_i[:stop],
-        profile.mult_q[:stop],
-        profile.add_q[:stop],
-        profile.nbar,
-    )
+    maps = list(zip(profile.mult_i, profile.mult_q, profile.add_i, profile.add_q))
+    return gh_capacity_for_channel(maps[:stop], profile.nbar)
 
 
 def closed_form_psa(

@@ -107,10 +107,8 @@ def propagate(plan: LinkPlan, state: QuadState) -> tuple[QuadState, PropagationT
     return states[-1], PropagationTrace(tuple(positions), states)
 
 
-def channel_checkpoints(plan: LinkPlan) -> tuple[tuple[float, ...], ...]:
-    _, points = _fold(plan, (1.0, 1.0, 0.0, 0.0))
-    mult_i, mult_q, add_i, add_q = (tuple(column) for column in zip(*points))
-    return mult_i, add_i, mult_q, add_q
+def channel_checkpoints(plan: LinkPlan) -> list[tuple]:
+    return _fold(plan, (1.0, 1.0, 0.0, 0.0))[1]
 
 
 def check_power_constraint(trace: PropagationTrace, nbar: float) -> list[tuple[float, float]]:
@@ -125,7 +123,7 @@ def check_power_constraint(trace: PropagationTrace, nbar: float) -> list[tuple[f
 def gh_capacity(plan: LinkPlan) -> capacity.CapacityResult:
     """The search on the plan's channel maps, looked up in ``capacity`` at call time so
     that a test can replace it, then the audit of the winning input's trace."""
-    result = capacity.gh_capacity_for_channel(*channel_checkpoints(plan), plan.nbar)
+    result = capacity.gh_capacity_for_channel(channel_checkpoints(plan), plan.nbar)
     _, trace = propagate(plan, result.achieving_input)
     violations = check_power_constraint(trace, plan.nbar)
     if violations:

@@ -1,6 +1,5 @@
 import math
 import pickle
-import re
 import sys
 from decimal import Decimal
 from unittest import mock
@@ -275,11 +274,16 @@ class TestGhCapacity:
         assert chi == pytest.approx(result.bits_per_mode, rel=1e-9, abs=1e-12)
 
 
-def _grid_oracle(mult_i, add_i, mult_q, add_q, nbar, n_p=201, n_r=201):
+def _columns(maps):
+    """(mult_i, mult_q, add_i, add_q) of the channel ``maps``, each a numpy array
+    over the checkpoints."""
+    return np.asarray(maps, dtype=float).T
+
+
+def _grid_oracle(maps, nbar, n_p=201, n_r=201):
     """Best Holevo chi over a dense (split, squeezing) grid of inputs that
     keep every checkpoint within the photon budget."""
-    mult_i, add_i, mult_q, add_q = (np.asarray(a, dtype=float)
-                                    for a in (mult_i, add_i, mult_q, add_q))
+    mult_i, mult_q, add_i, add_q = _columns(maps)
     r_cap = 0.5 * math.acosh(2.0 * nbar + 1.0)
     splits = np.linspace(0.0, 1.0, n_p)
     best = -math.inf
@@ -334,18 +338,18 @@ class TestGhExactSearch:
     def test_discrete_beats_dense_grid_and_meets_budget(self, name):
         plan = DISCRETE_ORACLE_PLANS[name]()
         result = gh_capacity(plan)
-        assert result.bits_per_mode >= _grid_oracle(*channel_checkpoints(plan), plan.nbar) - 1e-12
+        assert result.bits_per_mode >= _grid_oracle(channel_checkpoints(plan), plan.nbar) - 1e-12
         _, trace = propagate(plan, result.achieving_input)
         assert check_power_constraint(trace, plan.nbar) == []
 
     @pytest.mark.parametrize("integrate", [integrate_psa, integrate_pia])
     def test_distributed_beats_dense_grid_and_meets_budget(self, integrate):
         profile = integrate(200.0, 100.0, 0.2, 0.5, track_channel=True)
-        arrays = (profile.mult_i, profile.add_i, profile.mult_q, profile.add_q)
+        maps = list(zip(profile.mult_i, profile.mult_q, profile.add_i, profile.add_q))
         result = gh_capacity_at(profile)
-        assert result.bits_per_mode >= _grid_oracle(*arrays, 100.0, n_p=101, n_r=101) - 1e-12
+        assert result.bits_per_mode >= _grid_oracle(maps, 100.0, n_p=101, n_r=101) - 1e-12
         state = result.achieving_input
-        mult_i, add_i, mult_q, add_q = (np.asarray(a) for a in arrays)
+        mult_i, mult_q, add_i, add_q = _columns(maps)
         photons = 0.5 * (mult_i * (state.sig_i + state.noise_i) + add_i
                          + mult_q * (state.sig_q + state.noise_q) + add_q) - 0.5
         assert photons.max() <= 100.0 + POWER_TOL
@@ -358,10 +362,10 @@ class TestGhExactSearch:
         assert result.bits_per_mode >= 0.0
 
 
-def _photons(arrays, r, p, nbar):
+def _photons(maps, r, p, nbar):
     """Photon count at every checkpoint for the input at squeezing r and
-    split p, straight from the four channel maps."""
-    mult_i, add_i, mult_q, add_q = (np.asarray(a, dtype=float) for a in arrays)
+    split p, straight from the channel maps."""
+    mult_i, mult_q, add_i, add_q = _columns(maps)
     noise_i, noise_q, budget = _squeezed_floor(r, nbar)
     return 0.5 * (mult_i * (noise_i + p * budget) + add_i
                   + mult_q * (noise_q + (1.0 - p) * budget) + add_q) - 0.5
@@ -369,7 +373,7 @@ def _photons(arrays, r, p, nbar):
 
 @st.composite
 def feasible_gh_channels(draw):
-    """(checkpoint arrays, nbar) of a plan whose amplifier gains are clipped
+    """(checkpoint maps, nbar) of a plan whose amplifier gains are clipped
     to keep the Gordon-Holevo reference input within the budget."""
     kind = draw(st.sampled_from([AmpKind.PSA, AmpKind.PIA]))
     amps = draw(st.integers(0, 6))
@@ -381,19 +385,23 @@ def feasible_gh_channels(draw):
     scorer = _PlanScorer(length, nbar, 0.2, kind, Scenario.GORDON_HOLEVO)
     gains = scorer.repair_gains(positions, raw_gains)[0]
     plan = LinkPlan(0.2, length, nbar, positions, gains, kind)
-    arrays = channel_checkpoints(plan)
+    maps = channel_checkpoints(plan)
     if draw(st.booleans()):  # the mirror image amplifies Q, so its checkpoints fall
-        arrays = (arrays[2], arrays[3], arrays[0], arrays[1])
-    return arrays, nbar
+        maps = _mirrored(maps)
+    return maps, nbar
 
 
-def _masked_budget_interval(mult_i, add_i, mult_q, add_q, nbar):
+def _mirrored(maps):
+    """The channel with its I and Q quadratures swapped at every checkpoint."""
+    return [(mq, mi, aq, ai) for mi, mq, ai, aq in maps]
+
+
+def _masked_budget_interval(maps, nbar):
     """(x_lo, x_hi) of the budget interval as numpy arrays and masks give it,
     or None when a flat checkpoint is over budget or the interval is empty:
     the oracle for the scalar loop in ``_GhChannel``."""
-    mult_i = np.asarray(mult_i, dtype=float)
-    mult_q = np.asarray(mult_q, dtype=float)
-    add_sum = np.asarray(add_i, dtype=float) + np.asarray(add_q, dtype=float)
+    mult_i, mult_q, add_i, add_q = _columns(maps)
+    add_sum = add_i + add_q
     slope = 0.5 * (mult_i - mult_q)
     excess0 = (0.5 * add_sum - 0.5 - nbar - 0.5 * POWER_TOL
                + 0.5 * mult_q * (2.0 * nbar + 1.0))
@@ -414,21 +422,21 @@ _MULTS = st.one_of(st.floats(0.0, 4.0),
 
 @st.composite
 def budget_channels(draw):
-    """(checkpoint lists, nbar) of arbitrary affine channels, feasible or not."""
+    """(checkpoint maps, nbar) of arbitrary affine channels, feasible or not."""
     n = draw(st.integers(1, 8))
     mult_i = draw(st.lists(_MULTS, min_size=n, max_size=n))
     mult_q = [m if draw(st.booleans()) else draw(_MULTS) for m in mult_i]
     add_i, add_q = (draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
                     for _ in range(2))
-    return (mult_i, add_i, mult_q, add_q), 10.0 ** draw(st.floats(-3.0, 5.0))
+    return list(zip(mult_i, mult_q, add_i, add_q)), 10.0 ** draw(st.floats(-3.0, 5.0))
 
 
 class TestGhBudgetInterval:
     @settings(max_examples=300)
     @given(feasible_gh_channels(), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.data())
     def test_interval_holds_exactly_the_budget(self, channel_data, r_share, p, data):
-        arrays, nbar = channel_data
-        channel = _GhChannel(*arrays, nbar)
+        maps, nbar = channel_data
+        channel = _GhChannel(maps, nbar)
         total = 2.0 * nbar + 1.0
         r_lo, r_hi = -0.5 * math.acosh(total), 0.5 * math.acosh(total)
         # half the draws put X next to an end of the interval, at a squeezing
@@ -451,46 +459,46 @@ class TestGhBudgetInterval:
         # photons.  Near a checkpoint of small slope that is wider than any
         # fixed distance in X, so draws that close to the limit are skipped.
         rounding = 8.0 * sys.float_info.epsilon * total
-        excess = _photons(arrays, r, p, nbar).max() - limit
+        excess = _photons(maps, r, p, nbar).max() - limit
         assume(abs(excess) > rounding)
         assert (channel.x_lo <= x <= channel.x_hi) == (excess <= 0.0)
         value, p = channel.chi(r)
         if value > -math.inf:
-            assert _photons(arrays, r, p, nbar).max() <= limit + rounding
+            assert _photons(maps, r, p, nbar).max() <= limit + rounding
 
     @pytest.mark.parametrize("kind", [AmpKind.PSA, AmpKind.PIA])
     def test_interior_checkpoint_order_and_repeats_do_not_matter(self, kind):
-        maps = np.array(channel_maps(kind, np.linspace(0.0, 3000.0, 30_001), 100.0))
-        shuffled = maps.copy()
-        shuffled[:, 1:-1] = maps[:, 1 + np.random.default_rng(0).permutation(29_999)]
-        repeated = np.concatenate([maps[:, :-1], maps[:, 1:-1], maps[:, -1:]], axis=1)
-        expected = gh_capacity_for_channel(*maps, 100.0)
+        maps = channel_maps(kind, np.linspace(0.0, 3000.0, 30_001), 100.0)
+        order = 1 + np.random.default_rng(0).permutation(29_999)
+        shuffled = [maps[0], *[maps[k] for k in order], maps[-1]]
+        repeated = maps[:-1] + maps[1:-1] + maps[-1:]
+        expected = gh_capacity_for_channel(maps, 100.0)
         for variant in (shuffled, repeated):
-            assert gh_capacity_for_channel(*variant, 100.0) == expected
+            assert gh_capacity_for_channel(variant, 100.0) == expected
 
-    @pytest.mark.parametrize("arrays", [
+    @pytest.mark.parametrize("maps", [
         # a flat checkpoint that doubles every input's photon count
-        ([1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [0.0, 0.0]),
+        [(1.0, 1.0, 0.0, 0.0), (2.0, 2.0, 0.0, 0.0)],
         # a rising checkpoint needs X <= T/3 and a falling one X >= 2T/3
-        ([1.0, 2.0, 0.5], [0.0, 0.0, 0.0], [1.0, 0.5, 2.0], [0.0, 0.0, 0.0]),
+        [(1.0, 1.0, 0.0, 0.0), (2.0, 0.5, 0.0, 0.0), (0.5, 2.0, 0.0, 0.0)],
     ])
-    def test_empty_interval_fails_before_the_search(self, arrays, monkeypatch):
+    def test_empty_interval_fails_before_the_search(self, maps, monkeypatch):
         calls = []
         monkeypatch.setattr(_GhChannel, "chi", lambda self, r: calls.append(r))
         with pytest.raises(GHSearchError) as err:
-            gh_capacity_for_channel(*arrays, 100.0)
+            gh_capacity_for_channel(maps, 100.0)
         assert err.value.best_value == -math.inf
         assert calls == []
 
-    @pytest.mark.parametrize("arrays", [
-        ([math.nan], [0.0], [1.0], [0.0]),
-        ([1.0], [math.nan], [1.0], [0.0]),
-        ([1.0], [0.0], [1.0], [math.nan]),
+    @pytest.mark.parametrize("maps", [
+        [(math.nan, 1.0, 0.0, 0.0)],
+        [(1.0, 1.0, math.nan, 0.0)],
+        [(1.0, 1.0, 0.0, math.nan)],
     ])
-    def test_nan_maps_are_infeasible(self, arrays):
+    def test_nan_maps_are_infeasible(self, maps):
         # chi is NaN at every squeezing, and a NaN photon count meets no budget
         with pytest.raises(GHSearchError) as err:
-            gh_capacity_for_channel(*arrays, 1.0)
+            gh_capacity_for_channel(maps, 1.0)
         assert err.value.best_value == -math.inf
 
     def test_budget_bound_keeps_rounding_within_the_search_margin(self):
@@ -503,13 +511,13 @@ class TestGhBudgetInterval:
     @settings(max_examples=300)
     @given(st.one_of(budget_channels(), feasible_gh_channels()))
     def test_interval_equals_the_masked_array_formula(self, channel_data):
-        arrays, nbar = channel_data
-        expected = _masked_budget_interval(*arrays, nbar)
+        maps, nbar = channel_data
+        expected = _masked_budget_interval(maps, nbar)
         if expected is None:
             with pytest.raises(GHSearchError):
-                _GhChannel(*arrays, nbar)
+                _GhChannel(maps, nbar)
         else:
-            channel = _GhChannel(*arrays, nbar)
+            channel = _GhChannel(maps, nbar)
             assert (channel.x_lo, channel.x_hi) == expected
 
 
@@ -521,11 +529,11 @@ def _outcome(fn, *args):
         return type(err), str(err)
 
 
-def _fallback_capacity(*arrays_and_nbar):
+def _fallback_capacity(maps, nbar):
     """``gh_capacity_for_channel`` with every channel left to ``_gh_pieces``, at X*
     and r* in the forms that hold for degenerate maps too."""
     def pieces(channel):
-        (mi, ai, mq, aq), total = channel.out, channel.total
+        (mi, mq, ai, aq), total = channel.out, channel.total
         if mi >= mq:  # X* - T/2 = (mi*aq - mq*ai)/(2*mi*mq), scaled by the larger multiplier
             x_star = 0.5 * total + (aq - ai * (mq / mi)) / (2.0 * mq) if mq > 0.0 else math.inf
         else:
@@ -535,7 +543,7 @@ def _fallback_capacity(*arrays_and_nbar):
         return _gh_pieces(channel, x_star, r_star)
 
     with mock.patch.object(capacity, "_gh_optimum", pieces):
-        return gh_capacity_for_channel(*arrays_and_nbar)
+        return gh_capacity_for_channel(maps, nbar)
 
 
 def _kind(outcome):
@@ -543,19 +551,19 @@ def _kind(outcome):
     return CapacityResult if isinstance(outcome, CapacityResult) else outcome[0]
 
 
-def _noise_excess(arrays, state):
+def _noise_excess(maps, state):
     """nu - 1/2 of the output noise for an input ``state``: its excess over vacuum."""
-    return math.sqrt((arrays[0][-1] * state.noise_i + arrays[1][-1])
-                     * (arrays[2][-1] * state.noise_q + arrays[3][-1])) - 0.5
+    mi, mq, ai, aq = maps[-1]
+    return math.sqrt((mi * state.noise_i + ai) * (mq * state.noise_q + aq)) - 0.5
 
 
 class TestGhKernelOracle:
     @settings(max_examples=300)
     @given(st.one_of(budget_channels(), feasible_gh_channels()), st.floats(-1.0, 1.0))
     def test_chi_and_capacity_equal_the_tuple_reference(self, channel_data, share):
-        arrays, nbar = channel_data
+        maps, nbar = channel_data
         try:
-            channel = _GhChannel(*arrays, nbar)
+            channel = _GhChannel(maps, nbar)
         except GHSearchError:
             assume(False)
         total = 2.0 * nbar + 1.0
@@ -575,9 +583,9 @@ class TestGhKernelOracle:
         # agree in kind, and the value where rounding does not rule it: output
         # noise clear of vacuum (test_never_below_the_grid_search) and a normal
         # double (a subnormal one keeps fewer digits than the bound).
-        result = _outcome(_fallback_capacity, *arrays, nbar)
+        result = _outcome(_fallback_capacity, maps, nbar)
         reference = _outcome(gh_reference.gh_capacity, channel)
-        mi, ai, mq, aq = channel.out
+        mi, mq, ai, aq = channel.out
         least = math.sqrt(mi * mq) / 2.0 + math.sqrt(ai * aq)
         if least * least < HEISENBERG_LIMIT - HEISENBERG_TOL:
             # The output breaks the Heisenberg limit for some inputs, its
@@ -596,32 +604,32 @@ class TestGhKernelOracle:
             middle = 0.5 * (r_lo + r_hi)
             assert _outcome(gh_reference.best_split, channel, middle)[0] != -math.inf
         elif (isinstance(reference, CapacityResult)
-              and _noise_excess(arrays, result.achieving_input) >= 1e-4
+              and _noise_excess(maps, result.achieving_input) >= 1e-4
               and reference.bits_per_mode >= sys.float_info.min):
             assert result.bits_per_mode >= reference.bits_per_mode * (1.0 - 1e-9)
 
     @pytest.mark.parametrize("nbar", [1e-6, 1.0, 100.0])
     def test_zero_capacity_returns_the_unsqueezed_input(self, nbar):
         # nothing reaches the output, so chi is 0 at every feasible r
-        arrays = ([1.0, 0.0], [0.0, 0.5], [1.0, 0.0], [0.0, 0.5])
-        result = gh_capacity_for_channel(*arrays, nbar)
-        assert result == gh_reference.gh_capacity(_GhChannel(*arrays, nbar))
+        maps = [(1.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.5, 0.5)]
+        result = gh_capacity_for_channel(maps, nbar)
+        assert result == gh_reference.gh_capacity(_GhChannel(maps, nbar))
         assert result.bits_per_mode == 0.0 and result.achieving_input.noise_i == 0.5
 
     def test_zero_capacity_off_the_unsqueezed_input_is_feasible(self):
         # Nothing reaches the output, and the middle checkpoint needs X >=
         # 2.896, which only squeezings r <= -0.784 reach.  The least squeezed
         # of them, that end, is out of budget by rounding.
-        arrays = ([0.0, 0.0, 0.0], [0.0, 1.5, 1.0], [0.0, 3.0, 0.0], [0.0, 1.1875, 1.0])
-        channel = _GhChannel(*arrays, 1.0)
+        maps = [(0.0, 0.0, 0.0, 0.0), (0.0, 3.0, 1.5, 1.1875), (0.0, 0.0, 1.0, 1.0)]
+        channel = _GhChannel(maps, 1.0)
         assert channel.chi(0.5 * math.log(2.0 * (3.0 - channel.x_lo))) == (-math.inf, 0.0)
-        result = gh_capacity_for_channel(*arrays, 1.0)
+        result = gh_capacity_for_channel(maps, 1.0)
         assert result.bits_per_mode == 0.0 and result.achieving_input.noise_q < 0.5
 
     @pytest.mark.parametrize("nbar", [0.5, 1.0, 10.0, MAX_GH_NBAR])
     def test_lossless_link_reaches_the_thermal_entropy(self, nbar):
         # every pure input reaches chi = g(nbar), up to rounding
-        bits = gh_capacity_for_channel([1.0], [0.0], [1.0], [0.0], nbar).bits_per_mode
+        bits = gh_capacity_for_channel([(1.0, 1.0, 0.0, 0.0)], nbar).bits_per_mode
         assert bits == pytest.approx(entropy_g(nbar), rel=1e-11)
 
 
@@ -635,9 +643,9 @@ class TestGhFallbackSearch:
             for nbar in (1e-6, 1.0, 100.0, 1e5):
                 for kind in (AmpKind.PSA, AmpKind.PIA):
                     maps = _seed_channel(300.0, 2, kind, nbar)
-                    result = _fallback_capacity(*maps, nbar)
+                    result = _fallback_capacity(maps, nbar)
                     assert results.setdefault((nbar, kind), result) == result
-                    reference = gh_reference.gh_capacity(_GhChannel(*maps, nbar))
+                    reference = gh_reference.gh_capacity(_GhChannel(maps, nbar))
                     assert result.bits_per_mode >= reference.bits_per_mode * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("nbar", [1e-300, 1e-200, 1e-100, 1e-50, 1e-20])
@@ -653,8 +661,8 @@ class TestGhFallbackSearch:
                                                Scenario.GORDON_HOLEVO).plan
             channels.append(channel_checkpoints(plan))
         for maps in channels:
-            result = _fallback_capacity(*maps, nbar)
-            reference = gh_reference.gh_capacity(_GhChannel(*maps, nbar))
+            result = _fallback_capacity(maps, nbar)
+            reference = gh_reference.gh_capacity(_GhChannel(maps, nbar))
             assert result.bits_per_mode >= reference.bits_per_mode * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("mirrored", [False, True], ids=["psa", "q-amplifying"])
@@ -667,20 +675,20 @@ class TestGhFallbackSearch:
         nbar = 100.0
         total, r_cap = 2.0 * nbar + 1.0, math.asinh(math.sqrt(nbar))
         edge = 0.5 * math.exp(-2.0 * r_cap * (1.0 - width))  # e^{-2|r|}/2, |r| = r_cap*(1-width)
-        arrays = _seed_channel(260.0, 2, AmpKind.PSA, nbar)
+        maps = _seed_channel(260.0, 2, AmpKind.PSA, nbar)
         if mirrored:
-            arrays = (arrays[2], arrays[3], arrays[0], arrays[1])
-            arrays = _with_budget_end_at(arrays, nbar, total - edge, upper=False)
+            maps = _mirrored(maps)
+            maps = _with_budget_end_at(maps, nbar, total - edge, upper=False)
             ends = (-r_cap, -r_cap * (1.0 - width))
         else:
-            arrays = _with_budget_end_at(arrays, nbar, edge, upper=True)
+            maps = _with_budget_end_at(maps, nbar, edge, upper=True)
             ends = (r_cap * (1.0 - width), r_cap)
-        channel = _GhChannel(*arrays, nbar)
+        channel = _GhChannel(maps, nbar)
         scan = [gh_reference.best_split(channel, ends[0] + k * (ends[1] - ends[0]) / 1000)[0]
                 for k in range(1001)]
         best = max(scan)
         assert best > 0.0 and scan.count(-math.inf) < 10  # the scan spans the feasible squeezings
-        assert gh_capacity_for_channel(*arrays, nbar).bits_per_mode >= best * (1.0 - 1e-12)
+        assert gh_capacity_for_channel(maps, nbar).bits_per_mode >= best * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("x_of, upper", [
         (lambda total, floor: 0.0, True),
@@ -695,15 +703,15 @@ class TestGhFallbackSearch:
         # the least noise variance of either quadrature is floor = e^{-2 r_cap}/2.
         nbar = 100.0
         total, floor = 2.0 * nbar + 1.0, 0.5 * math.exp(-2.0 * math.asinh(math.sqrt(nbar)))
-        arrays = _with_budget_end_at(([1.0], [0.0], [1.0], [0.0]), nbar, x_of(total, floor), upper)
-        channel = _GhChannel(*arrays, nbar)
+        maps = _with_budget_end_at([(1.0, 1.0, 0.0, 0.0)], nbar, x_of(total, floor), upper)
+        channel = _GhChannel(maps, nbar)
         assert channel.x_lo <= channel.x_hi
         with pytest.raises(GHSearchError) as err:
-            gh_capacity_for_channel(*arrays, nbar)
+            gh_capacity_for_channel(maps, nbar)
         assert err.value.best_value == -math.inf
 
 
-def _with_budget_end_at(arrays, nbar, x, upper):
+def _with_budget_end_at(maps, nbar, x, upper):
     """The channel with one more checkpoint, before the output, that puts
     the upper (slope 1) or the lower (slope -1) end of the budget interval
     at I variance ``x``."""
@@ -711,7 +719,7 @@ def _with_budget_end_at(arrays, nbar, x, upper):
         mult_i, add, mult_q = 2.0, nbar + 0.5 + 0.5 * POWER_TOL - x, 0.0
     else:
         mult_i, add, mult_q = 0.0, x - nbar - 0.5 + 0.5 * POWER_TOL, 2.0
-    return tuple([*a[:-1], c, a[-1]] for a, c in zip(arrays, (mult_i, add, mult_q, add)))
+    return [*maps[:-1], (mult_i, mult_q, add, add), maps[-1]]
 
 
 def _seed_channel(length, amps, kind, nbar=100.0):
@@ -735,10 +743,10 @@ def curve_channels(draw):
         shares = draw(st.lists(st.floats(0.0, 1.0), min_size=amps, max_size=amps))
         plan = LinkPlan(0.2, length, nbar, plan.positions,
                         [gain ** s for gain, s in zip(plan.gains, shares)], AmpKind.PSA)
-    arrays = channel_checkpoints(plan)
+    maps = channel_checkpoints(plan)
     if draw(st.booleans()):
-        arrays = (arrays[2], arrays[3], arrays[0], arrays[1])
-    return arrays, nbar
+        maps = _mirrored(maps)
+    return maps, nbar
 
 
 # A link whose output noise lies 4618 above vacuum, where float chi cancels
@@ -748,81 +756,82 @@ _FAR_MULT = [1.0, 0.9784530694926764, 0.9999977980825794, 7.271751743483416e-10,
              6.892166302473582e-06, 3.358735063270415e-06]
 _FAR_ADD = [0.0, 0.010773465253661796, 0.022020275165066307, 0.49999999965242425,
             9477.499996705677, 4618.892938679526]
+_FAR = [(mult, mult, add, add) for mult, add in zip(_FAR_MULT, _FAR_ADD)]
 
 
 class TestGhStructuredSearch:
     @settings(max_examples=200, derandomize=True)
     @given(st.one_of(feasible_gh_channels(), gh_link_channels()))
-    @example(((_FAR_MULT, _FAR_ADD, _FAR_MULT, _FAR_ADD), 1e4))
+    @example((_FAR, 1e4))
     def test_never_below_the_grid_search(self, channel_data):
-        arrays, nbar = channel_data
+        maps, nbar = channel_data
         try:
-            grid = gh_reference.gh_capacity(_GhChannel(*arrays, nbar)).bits_per_mode
+            grid = gh_reference.gh_capacity(_GhChannel(maps, nbar)).bits_per_mode
         except GHSearchError:
             assume(False)
-        result = gh_capacity_for_channel(*arrays, nbar)
+        result = gh_capacity_for_channel(maps, nbar)
         # Where the output noise lies within 1e-4 of vacuum, chi carries the
         # rounding of that excess, more than 1e-12 relative, and a search
         # that samples more points finds higher rounding
         # (test_decimal_oracle.py, _RESOLVED_EXCESS).
-        if _noise_excess(arrays, result.achieving_input) < 1e-4:
+        if _noise_excess(maps, result.achieving_input) < 1e-4:
             return
         if not result.bits_per_mode >= grid * (1.0 - 1e-12):
             # float chi misranks the two inputs; the decimal oracle ranks them
-            _, p, r = _gh_optimum(_GhChannel(*arrays, nbar))
-            _, grid_p, grid_r = gh_reference.gh_search(_GhChannel(*arrays, nbar))
-            found = decimal_oracle.chi(arrays, p, r, nbar)
-            best = decimal_oracle.chi(arrays, grid_p, grid_r, nbar)
+            _, p, r = _gh_optimum(_GhChannel(maps, nbar))
+            _, grid_p, grid_r = gh_reference.gh_search(_GhChannel(maps, nbar))
+            found = decimal_oracle.chi(maps, p, r, nbar)
+            best = decimal_oracle.chi(maps, grid_p, grid_r, nbar)
             assert found >= best * (1 - Decimal("1e-15"))
 
-    @pytest.mark.parametrize("arrays, nbar", [
+    @pytest.mark.parametrize("maps, nbar", [
         # lossless: a_i = a_q = 0, so the noise has no least squeezing
-        (([1.0], [0.0], [1.0], [0.0]), 10.0),
+        ([(1.0, 1.0, 0.0, 0.0)], 10.0),
         # the PIA continuum at 1e6 km: m_i = m_q = 9.6e-199, whose product underflows
         (channel_maps(AmpKind.PIA, [0.0, 1e6], 100.0), 100.0),
         # the PSA continuum at 1e4 km: the Q map has underflowed to 0
         (channel_maps(AmpKind.PSA, [0.0, 1e4], 100.0), 100.0),
     ], ids=["lossless", "pia-1e6-km", "psa-1e4-km"])
-    def test_degenerate_maps_take_the_fallback_search(self, arrays, nbar):
-        channel = _GhChannel(*arrays, nbar)
+    def test_degenerate_maps_take_the_fallback_search(self, maps, nbar):
+        channel = _GhChannel(maps, nbar)
         reference = gh_reference.gh_capacity(channel).bits_per_mode
-        assert gh_capacity_for_channel(*arrays, nbar).bits_per_mode >= reference * (1.0 - 1e-12)
+        assert gh_capacity_for_channel(maps, nbar).bits_per_mode >= reference * (1.0 - 1e-12)
 
     def test_corner_optimum_reaches_the_grid_reference(self):
         # The optimum puts X on x_hi at p = 1, a corner, which a golden-section
         # search nears only linearly: it stopped 6.6e-10 relative short before
         # the corners and ends were scored after it.  The subnormal Q multiplier
         # leaves the map to the piecewise search, whose pieces end at corners.
-        arrays, nbar = ((3.96,), (1.815,), (5e-324,), (1.849,)), 1.517
-        channel = _GhChannel(*arrays, nbar)
+        maps, nbar = [(3.96, 5e-324, 1.815, 1.849)], 1.517
+        channel = _GhChannel(maps, nbar)
         reference = gh_reference.gh_capacity(channel).bits_per_mode
-        assert gh_capacity_for_channel(*arrays, nbar).bits_per_mode >= reference * (1.0 - 1e-12)
+        assert gh_capacity_for_channel(maps, nbar).bits_per_mode >= reference * (1.0 - 1e-12)
 
     def test_end_rounded_out_of_budget_reaches_the_grid_reference(self):
         # Rounding puts the upper end of the feasible squeezings out of budget
         # (chi -inf there) while the optimum lies on it; a golden-section search
         # stopped 7.6e-11 relative short before such an end was scored one
         # double in.  The piecewise search steps such an end inward.
-        arrays, nbar = ((0.6236,), (0.0,), (3.0547,), (0.8724,)), 1.0
-        channel = _GhChannel(*arrays, nbar)
+        maps, nbar = [(0.6236, 3.0547, 0.0, 0.8724)], 1.0
+        channel = _GhChannel(maps, nbar)
         r_hi = min(math.asinh(1.0), 0.5 * math.log(2.0 * (3.0 - channel.x_lo)))
         assert channel.chi(r_hi) == (-math.inf, 0.0)
         reference = gh_reference.gh_capacity(channel).bits_per_mode
         assert reference == 0.15192089356911284
-        assert gh_capacity_for_channel(*arrays, nbar).bits_per_mode >= reference
+        assert gh_capacity_for_channel(maps, nbar).bits_per_mode >= reference
 
     def test_corner_rounded_out_of_budget_for_several_doubles(self):
         # The optimum is the corner where X on x_lo meets p = 1, the upper end
         # of the feasible squeezings, and rounding puts that end and the next
         # doubles below it out of budget.  A search that stepped in one double
         # fell 7.8% short; a golden-section search, 3.8e-12 relative short.
-        arrays, nbar = ([0.6606], [0.3838], [0.6606], [0.3838]), 3.8939
-        arrays = _with_budget_end_at(arrays, nbar, 8.5349, upper=False)
-        channel = _GhChannel(*arrays, nbar)
+        maps, nbar = [(0.6606, 0.6606, 0.3838, 0.3838)], 3.8939
+        maps = _with_budget_end_at(maps, nbar, 8.5349, upper=False)
+        channel = _GhChannel(maps, nbar)
         r_hi = 0.5 * math.log(2.0 * (channel.total - channel.x_lo))
         assert channel.chi(r_hi) == channel.chi(math.nextafter(r_hi, 0.0)) == (-math.inf, 0.0)
         reference = gh_reference.gh_capacity(channel).bits_per_mode
-        assert gh_capacity_for_channel(*arrays, nbar).bits_per_mode >= reference * (1.0 - 1e-12)
+        assert gh_capacity_for_channel(maps, nbar).bits_per_mode >= reference * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("kind, length, amps", [
         (AmpKind.PSA, 260.0, 2),  # the curve on which Q carries no signal
@@ -832,17 +841,17 @@ class TestGhStructuredSearch:
                                                                           amps):
         # An X* on the budget interval, however close to its end, is the
         # optimum; one past the end is not, and the optimum lies on that end.
-        arrays, nbar = _seed_channel(length, amps, kind), 100.0
-        _, p, r = _gh_optimum(_GhChannel(*arrays, nbar))
+        maps, nbar = _seed_channel(length, amps, kind), 100.0
+        _, p, r = _gh_optimum(_GhChannel(maps, nbar))
         noise_i, _, budget = _squeezed_floor(r, nbar)
         x = noise_i + p * budget
         upper = x <= nbar + 0.5
         for share in (1e-6, 1e-9, -1e-9, -1e-3):
             end = x + (share if upper else -share) * (2.0 * nbar + 1.0)
-            near = _with_budget_end_at(arrays, nbar, end, upper)
-            channel = _GhChannel(*near, nbar)
+            near = _with_budget_end_at(maps, nbar, end, upper)
+            channel = _GhChannel(near, nbar)
             reference = gh_reference.gh_capacity(channel).bits_per_mode
-            assert (gh_capacity_for_channel(*near, nbar).bits_per_mode
+            assert (gh_capacity_for_channel(near, nbar).bits_per_mode
                     >= reference * (1.0 - 1e-12))
 
     @pytest.mark.parametrize("share", [1e-3, 1e-1])
@@ -854,21 +863,21 @@ class TestGhStructuredSearch:
         # With X held on a budget end short of X*, chi = G(X) - H(r) moves with
         # r through H alone, so r* is the optimum, to the bit.  A golden-section
         # search over r landed 8.8e-10 to 1.1e-7 away from it.
-        arrays, nbar = _seed_channel(length, amps, kind), 100.0
-        mi, ai, mq, aq = _GhChannel(*arrays, nbar).out
+        maps, nbar = _seed_channel(length, amps, kind), 100.0
+        mi, mq, ai, aq = _GhChannel(maps, nbar).out
         r_star = 0.25 * (math.log(mi) + math.log(aq) - math.log(ai) - math.log(mq))
         x_star = nbar + 0.5 + (mi * aq - mq * ai) / (2.0 * mi * mq)
-        near = _with_budget_end_at(arrays, nbar, x_star * (1.0 - share if upper else 1.0 + share),
+        near = _with_budget_end_at(maps, nbar, x_star * (1.0 - share if upper else 1.0 + share),
                                    upper)
-        assert _gh_optimum(_GhChannel(*near, nbar))[2] == r_star
-        achieving = gh_capacity_for_channel(*near, nbar).achieving_input
+        assert _gh_optimum(_GhChannel(near, nbar))[2] == r_star
+        achieving = gh_capacity_for_channel(near, nbar).achieving_input
         assert (achieving.noise_i, achieving.noise_q) == _squeezed_floor(r_star, nbar)[:2]
 
     def test_squeezing_past_the_budget_is_classified_at_the_bound(self):
         # The noise of the 260 km PSA seed plan is least at r* = 3.62, past
         # r_cap = asinh(10) = 3.00; the optimum is where Q carries no signal.
-        channel = _GhChannel(*_seed_channel(260.0, 2, AmpKind.PSA), 100.0)
-        mi, ai, mq, aq = channel.out
+        channel = _GhChannel(_seed_channel(260.0, 2, AmpKind.PSA), 100.0)
+        mi, mq, ai, aq = channel.out
         assert 0.25 * math.log(mi * aq / (ai * mq)) > math.asinh(10.0) + 0.5
         value, p, _ = _gh_optimum(channel)
         assert p == 1.0
@@ -881,36 +890,39 @@ class TestGhStructuredSearch:
         # R = 2; PSA takes the curve, a root-find on chi's slope whose iterate and
         # bracket ends are scored once each, PIA the closed form, one chi call each
         for length in range(50, 501, 50):
-            arrays = _seed_channel(float(length), 2, kind)
+            maps = _seed_channel(float(length), 2, kind)
             calls, slopes = [], []
             with mock.patch.object(capacity, "_chi",
                                    lambda *args: calls.append(args) or _chi(*args)), \
                  mock.patch.object(capacity, "_chi_partials",
                                    lambda *args: slopes.append(args) or _chi_partials(*args)):
-                gh_capacity_for_channel(*arrays, 100.0)
+                gh_capacity_for_channel(maps, 100.0)
             assert len(calls) <= most_chi and len(slopes) <= most_slopes
 
-    @pytest.mark.parametrize("arrays", [
-        ([1.0, 1.0], [0.0, 0.0], [1.0], [0.0, 0.0]),
-        ([1.0], [0.0], [1.0], [0.0, 0.5]),
-        ([1.0], [], [1.0], [0.0]),
-        ([], [], [], []),
-    ])
     @pytest.mark.parametrize("nbar", [0.0, 100.0])
-    def test_maps_of_unequal_or_zero_length_are_refused(self, arrays, nbar):
-        # a shorter map silently cut the budget pass short, and empty maps
-        # raised a bare IndexError
-        lengths = str(tuple(len(a) for a in arrays))
-        with pytest.raises(ValueError, match=re.escape(lengths)):
-            gh_capacity_for_channel(*arrays, nbar)
+    def test_a_channel_without_checkpoints_is_refused(self, nbar):
+        with pytest.raises(ValueError, match="at least one checkpoint"):
+            gh_capacity_for_channel([], nbar)
+
+    @pytest.mark.parametrize("maps, budgets", [
+        ([(1.0, 1.0, 0.0)], [0.0, 100.0]),
+        ([(1.0, 1.0, 0.0, 0.0, 0.0)], [0.0, 100.0]),
+        # an interior checkpoint is read once there is a budget to hold
+        ([(1.0, 1.0, 0.0), (1.0, 1.0, 0.0, 0.0)], [100.0]),
+        ([(1.0, 1.0, 0.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0)], [100.0]),
+    ], ids=["output-of-3", "output-of-5", "interior-of-3", "interior-of-5"])
+    def test_a_checkpoint_of_other_than_four_entries_is_refused(self, maps, budgets):
+        for nbar in budgets:
+            with pytest.raises(ValueError, match="expected 4"):
+                gh_capacity_for_channel(maps, nbar)
 
 
-def _searched(arrays, nbar, curve_search=None):
+def _searched(maps, nbar, curve_search=None):
     """((chi, p, r), whether the search took a curve) of ``_gh_optimum``.  If given,
     ``curve_search(f, lo, hi, xatol)`` maximizes chi in place of the root-find, whose
     (iterate, bracket ends) become (argmax, argmax, argmax)."""
     taken = []
-    channel = _GhChannel(*arrays, nbar)
+    channel = _GhChannel(maps, nbar)
 
     def search(slope, lo, hi, xatol):
         taken.append(True)
@@ -924,32 +936,32 @@ def _searched(arrays, nbar, curve_search=None):
 
 
 class TestGhCurveSearch:
-    def _check_never_below_brent(self, arrays, nbar):
-        (value, p, r), _ = _searched(arrays, nbar)
-        (brent, brent_p, brent_r), _ = _searched(arrays, nbar, gh_reference.brent_maximize)
+    def _check_never_below_brent(self, maps, nbar):
+        (value, p, r), _ = _searched(maps, nbar)
+        (brent, brent_p, brent_r), _ = _searched(maps, nbar, gh_reference.brent_maximize)
         # Where the output noise rounds to vacuum, float chi has no noise term
         # (ROADMAP, far-tail GH rows).  Both searches then land within 1e-7 of
         # r = 0, 3e-6 to 1e-5 relative below the decimal optimum near
         # |r| = 0.003-0.01, and ranking them ranks rounding.
         noise_i, noise_q, _ = _squeezed_floor(r, nbar)
-        if _noise_excess(arrays, QuadState(0.0, 0.0, noise_i, noise_q)) <= 0.0:
+        if _noise_excess(maps, QuadState(0.0, 0.0, noise_i, noise_q)) <= 0.0:
             return
         # Where it lies within 1e-4 of vacuum, float chi carries the rounding of
         # that excess (test_decimal_oracle.py, _RESOLVED_EXCESS), so the decimal
         # oracle ranks the two inputs.
-        if decimal_oracle.noise_excess(arrays, p, r, nbar) >= Decimal("1e-4"):
+        if decimal_oracle.noise_excess(maps, p, r, nbar) >= Decimal("1e-4"):
             assert value >= brent * (1.0 - 1e-12)
         else:
-            assert (decimal_oracle.chi(arrays, p, r, nbar)
-                    >= decimal_oracle.chi(arrays, brent_p, brent_r, nbar) * (1 - Decimal("1e-12")))
+            assert (decimal_oracle.chi(maps, p, r, nbar)
+                    >= decimal_oracle.chi(maps, brent_p, brent_r, nbar) * (1 - Decimal("1e-12")))
 
     @staticmethod
-    def _curve_taken(arrays, nbar):
+    def _curve_taken(maps, nbar):
         """Whether ``_gh_optimum`` returns the optimum of one curve root-find.  It is
         then, bit for bit, the first best (chi, p, r) of ``channel.chi`` at the
         root-find's iterate and both bracket ends, each scored once, in that order,
         with the split that scoring gave; and no ``chi`` call writes to the channel."""
-        channel = _GhChannel(*arrays, nbar)
+        channel = _GhChannel(maps, nbar)
         fields = dict(vars(channel))
         found = [v.hex() for v in _gh_optimum(channel)]
         assert vars(channel) == fields
@@ -993,9 +1005,9 @@ class TestGhCurveSearch:
     @settings(max_examples=200, derandomize=True)
     @given(curve_channels())
     def test_never_below_brent(self, channel_data):
-        arrays, nbar = channel_data
-        assume(_searched(arrays, nbar)[1])
-        self._check_never_below_brent(arrays, nbar)
+        maps, nbar = channel_data
+        assume(_searched(maps, nbar)[1])
+        self._check_never_below_brent(maps, nbar)
 
     @settings(max_examples=100, derandomize=True)
     @given(curve_channels(), st.floats(-0.95, 0.95))
@@ -1003,33 +1015,33 @@ class TestGhCurveSearch:
         # Along both curves, the slope at r is the decimal chi's central
         # difference, where the output noise is resolved: within 1e-4 of vacuum
         # the float noise excess itself carries more than 1e-12 of rounding.
-        arrays, nbar = channel_data
+        maps, nbar = channel_data
         r_cap = math.asinh(math.sqrt(nbar))
         r = share * r_cap
-        assume(decimal_oracle.noise_excess(arrays, 0.0, r, nbar) >= Decimal("1e-4"))
+        assume(decimal_oracle.noise_excess(maps, 0.0, r, nbar) >= Decimal("1e-4"))
         lo, hi = r - 1e-6 * r_cap, r + 1e-6 * r_cap
-        out = tuple(a[-1] for a in arrays)
+        out = maps[-1]
         for q_carries, p in ((True, 0.0), (False, 1.0)):
             slope = _curve(out, nbar, q_carries)(r)
-            central = ((decimal_oracle.chi(arrays, p, hi, nbar)
-                        - decimal_oracle.chi(arrays, p, lo, nbar)) / (Decimal(hi) - Decimal(lo)))
+            central = ((decimal_oracle.chi(maps, p, hi, nbar)
+                        - decimal_oracle.chi(maps, p, lo, nbar)) / (Decimal(hi) - Decimal(lo)))
             assert abs(Decimal(slope) - central) <= Decimal("1e-6") * abs(central)
 
 
 class TestGhQuantumChannels:
-    @pytest.mark.parametrize("arrays, message", [
+    @pytest.mark.parametrize("maps, message", [
         # least variance product 15/64: the search found 2.88 bits here, the grid
         # reference a Heisenberg error at some squeezings
-        (([0.0], [0.5], [1.0], [0.46875]), r"least variance product 0\.234375"),
-        (([1.0], [-0.5], [1.0], [1.0]), "must be non-negative"),
-        (([1.0, 1.0], [0.5, 0.5], [1.0, 1.0], [0.5, -1.0]), "must be non-negative"),
+        ([(0.0, 1.0, 0.5, 0.46875)], r"least variance product 0\.234375"),
+        ([(1.0, 1.0, -0.5, 1.0)], "must be non-negative"),
+        ([(1.0, 1.0, 0.5, 0.5), (1.0, 1.0, 0.5, -1.0)], "must be non-negative"),
     ])
-    def test_non_quantum_output_is_refused_before_the_search(self, arrays, message,
+    def test_non_quantum_output_is_refused_before_the_search(self, maps, message,
                                                              monkeypatch):
         calls = []
         monkeypatch.setattr(_GhChannel, "chi", lambda self, r: calls.append(r))
         with pytest.raises(ValueError, match=message):
-            gh_capacity_for_channel(*arrays, 10.0)
+            gh_capacity_for_channel(maps, 10.0)
         assert calls == []
 
     @settings(max_examples=300)
@@ -1037,15 +1049,15 @@ class TestGhQuantumChannels:
     # a unit-gain amplifier leaves pure loss, whose product rounds to 1/4 - 6e-17
     @example((channel_checkpoints(LinkPlan(0.2, 50.0, 1.0, (2.3,), (1.0,))), 1.0))
     def test_link_channels_are_never_refused(self, channel_data):
-        arrays, nbar = channel_data
-        assert _kind(_outcome(gh_capacity_for_channel, *arrays, nbar)) is not ValueError
+        maps, nbar = channel_data
+        assert _kind(_outcome(gh_capacity_for_channel, maps, nbar)) is not ValueError
 
 
 class TestGhBudgetRange:
     @pytest.mark.parametrize("run", [
         lambda: optimize_plan(50.0, 4, 1e6, 0.2, AmpKind.PIA, Scenario.GORDON_HOLEVO),
         lambda: distributed_rows([100.0], 1e6, 0.2, AmpKind.PSA, Scenario.GORDON_HOLEVO),
-        lambda: gh_capacity_for_channel([1.0], [0.0], [1.0], [0.0], 1e6),
+        lambda: gh_capacity_for_channel([(1.0, 1.0, 0.0, 0.0)], 1e6),
     ], ids=["optimize_plan", "distributed_rows", "gh_capacity_for_channel"])
     def test_budget_above_bound_is_refused(self, run):
         # the first raised GHSearchError by chance of rounding, the second
@@ -1097,8 +1109,8 @@ class TestNonFiniteInputs:
         lambda: channel_maps(AmpKind.PIA, [10.0], NAN),
         lambda: channel_maps(AmpKind.PSA, [10.0, NAN], 100.0),
         lambda: channel_maps(AmpKind.PIA, [math.inf], 100.0),
-        lambda: gh_capacity_for_channel([1.0], [0.0], [1.0], [0.0], NAN),
-        lambda: gh_capacity_for_channel([1.0], [0.0], [1.0], [0.0], -1.0),
+        lambda: gh_capacity_for_channel([(1.0, 1.0, 0.0, 0.0)], NAN),
+        lambda: gh_capacity_for_channel([(1.0, 1.0, 0.0, 0.0)], -1.0),
         lambda: closed_form_psa(NAN, 100.0),
         lambda: closed_form_psa(100.0, NAN),
         lambda: approx_capacity_psa(NAN, 100.0),

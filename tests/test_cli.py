@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -202,7 +203,7 @@ class TestParsing:
         # 10.15 km: the 0.1 km lattice points 0 to 10.1 km, then 10.15 km itself
         length = distance_grid(10.0, 10.3, 0.15)[1]
         positions = np.append(np.arange(102) * 0.1, length)
-        expected = gh_capacity_for_channel(*channel_maps(AmpKind.PSA, positions, 100.0), 100.0)
+        expected = gh_capacity_for_channel(channel_maps(AmpKind.PSA, positions, 100.0), 100.0)
         assert rows[1][4] == f"{expected.bits_per_mode:.9g}"
 
     def test_gordon_holevo_last_distance_may_end_off_lattice(self, tmp_path):
@@ -243,6 +244,16 @@ class TestParsing:
         assert run_cli([*args, "--out", str(out)]) == 2
         assert "'l_step_km'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_step_error_prints_ends_that_round_trip(self, tmp_path, capsys):
+        # ':g' printed both ends as 1e+17, which reads as a one-point grid, and
+        # that grid is accepted
+        args = ["sweep", "--amps", "1", "--l-min-km", "1e17", "--l-max-km",
+                "100000000000000064", "--l-step-km", "1", "--out", str(tmp_path / "x.csv")]
+        assert run_cli(args) == 2
+        ends = re.search(r"--l-min-km (\S+), --l-max-km (\S+),", capsys.readouterr().err)
+        assert ends is not None
+        assert [float(end) for end in ends.groups()] == [1e17, 100000000000000064.0]
 
     @pytest.mark.parametrize("args", [
         ["optimize", "--amps", "2", "--l-min-km", "1e10", "--l-max-km", "1e10",

@@ -39,9 +39,9 @@ def test_returned_input_meets_the_budget_and_is_the_oracle_optimum(channel_data)
     # returned value, and no input next to it that meets the search's own
     # budget does better.
     maps, nbar = channel_data
-    channel = _GhChannel(*maps, nbar)
+    channel = _GhChannel(maps, nbar)
     value, p, r = _gh_optimum(channel)
-    assert gh_capacity_for_channel(*maps, nbar).bits_per_mode == max(value, 0.0)
+    assert gh_capacity_for_channel(maps, nbar).bits_per_mode == max(value, 0.0)
     assert max(decimal_oracle.photons(maps, p, r, nbar)) <= Decimal(nbar) + Decimal(POWER_TOL)
     if decimal_oracle.noise_excess(maps, p, r, nbar) < _RESOLVED_EXCESS:
         return
@@ -81,12 +81,12 @@ def test_chain_maps_and_shannon_scores_match_the_decimal_fold(kind, scenario, lo
     best = optimize_plan(length, amps, nbar, _ALPHA, kind, scenario)
     positions, gains = best.plan.positions, best.plan.gains
     exact_maps = decimal_oracle.fold(_ALPHA, length, positions, gains, kind, (1, 1, 0, 0))
-    mult_i, add_i, mult_q, add_q = channel_checkpoints(best.plan)
-    assert len(mult_i) == len(exact_maps)
-    for k, (exact_mult_i, exact_mult_q, exact_add_i, exact_add_q) in enumerate(exact_maps):
-        for got, exact in ((mult_i[k], exact_mult_i), (mult_q[k], exact_mult_q)):
+    maps = channel_checkpoints(best.plan)
+    assert len(maps) == len(exact_maps)
+    for got_map, exact_map in zip(maps, exact_maps):
+        for got, exact in zip(got_map[:2], exact_map[:2]):  # mult_i, mult_q
             assert abs(Decimal(got) - exact) <= Decimal(1e-12) * exact
-        for got, exact in ((add_i[k], exact_add_i), (add_q[k], exact_add_q)):
+        for got, exact in zip(got_map[2:], exact_map[2:]):  # add_i, add_q
             assert abs(Decimal(got) - exact) <= Decimal(1e-14) * max(exact, Decimal("0.5"))
     reference_input, rate = _SHANNON[scenario]
     if best.score >= sys.float_info.min:

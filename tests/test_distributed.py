@@ -339,15 +339,15 @@ class TestClosedFormContinuum:
         # What a row at `length` is computed from: the output state for a
         # Shannon row, the output channel map for a Gordon-Holevo one.
         profile = _rk4(kind, scenario, length, nbar, step)
-        exact = [float(m[0]) for m in channel_maps(kind, [length], nbar)]
+        (exact,) = channel_maps(kind, [length], nbar)
         if scenario is Scenario.GORDON_HOLEVO:
-            got = [float(m[-1]) for m in (profile.mult_i, profile.add_i,
-                                          profile.mult_q, profile.add_q)]
+            got = [float(m[-1]) for m in (profile.mult_i, profile.mult_q,
+                                          profile.add_i, profile.add_q)]
             want = exact
         else:
             got = profile.final_state
             sig_i, sig_q, noise_i, noise_q = scenario_input(scenario, nbar)
-            mult_i, add_i, mult_q, add_q = exact
+            mult_i, mult_q, add_i, add_q = exact
             want = (sig_i * mult_i, sig_q * mult_q, noise_i * mult_i + add_i,
                     noise_q * mult_q + add_q)
         return max(abs(g - w) / abs(w) for g, w in zip(got, want) if w != 0.0)
@@ -393,20 +393,33 @@ class TestClosedFormContinuum:
         # off relative, and the noise product 4e-13 below 1/4.
         nbar, z = 1e4, 2.5e-4
         oracle = integrate_psa(z, nbar, 0.2, z, track_channel=True)
-        maps = [float(m[0]) for m in channel_maps(AmpKind.PSA, [z], nbar)]
-        want = [float(m[-1]) for m in (oracle.mult_i, oracle.add_i,
-                                       oracle.mult_q, oracle.add_q)]
-        assert maps == pytest.approx(want, rel=1e-12, abs=0.0)
+        (maps,) = channel_maps(AmpKind.PSA, [z], nbar)
+        want = [float(m[-1]) for m in (oracle.mult_i, oracle.mult_q,
+                                       oracle.add_i, oracle.add_q)]
+        assert list(maps) == pytest.approx(want, rel=1e-12, abs=0.0)
         (state,) = continuum_states(AmpKind.PSA, Scenario.CONVENTIONAL, [z], nbar)
         assert state.noise_i * state.noise_q >= HEISENBERG_LIMIT - HEISENBERG_TOL
+
+    @pytest.mark.parametrize("kind, scenario", [p for p in CONTINUUM_PAIRS
+                                                if p[1] is not Scenario.GORDON_HOLEVO])
+    def test_states_are_the_maps_applied_to_the_reference_input(self, kind, scenario):
+        # one (mult_i, mult_q, add_i, add_q) tuple per position
+        positions = [0.0, 0.5, 100.0, 2500.0, 20000.0]
+        maps = channel_maps(kind, positions, 100.0)
+        assert len(maps) == len(positions)
+        assert all(type(m) is tuple and len(m) == 4 for m in maps)
+        sig_i, sig_q, noise_i, noise_q = scenario_input(scenario, 100.0)
+        assert continuum_states(kind, scenario, positions, 100.0) == [
+            (sig_i * mi, sig_q * mq, noise_i * mi + ai, noise_q * mq + aq)
+            for mi, mq, ai, aq in maps]
 
     @given(nbar_exp=st.floats(-6.0, 5.0), z=st.floats(0.0, 20000.0),
            kind=st.sampled_from([AmpKind.PSA, AmpKind.PIA]))
     def test_budget_slope_lies_between_zero_and_one_half(self, nbar_exp, z, kind):
         # distributed_rows holds the Gordon-Holevo budget with one checkpoint
         # of slope 1/2 because no position has a steeper one
-        mult_i, _, mult_q, _ = channel_maps(kind, [z], 10.0 ** nbar_exp)
-        slope = 0.5 * (float(mult_i[0]) - float(mult_q[0]))
+        ((mult_i, mult_q, _, _),) = channel_maps(kind, [z], 10.0 ** nbar_exp)
+        slope = 0.5 * (mult_i - mult_q)
         if kind is AmpKind.PIA:
             assert slope == 0.0
         else:
@@ -444,7 +457,7 @@ class TestClosedFormContinuum:
         for nbar in (1e-6, 1e-3, 0.1, 1.0, 3.2, 100.0, 1e3, 1e4, 1e5):
             rows = distributed_rows(lengths, nbar, 0.2, kind, Scenario.GORDON_HOLEVO)
             lattice = [gh_capacity_for_channel(
-                *channel_maps(kind, checkpoint_positions(length, 0.1), nbar), nbar)
+                channel_maps(kind, checkpoint_positions(length, 0.1), nbar), nbar)
                 for length in lengths]
             assert ([row.capacity_bits_per_mode for row in rows]
                     == [result.bits_per_mode for result in lattice])
@@ -462,7 +475,7 @@ class TestClosedFormContinuum:
     def test_psa_needs_a_positive_budget(self):
         with pytest.raises(ValueError, match="photon budget"):
             channel_maps(AmpKind.PSA, [1.0], 0.0)
-        assert channel_maps(AmpKind.PIA, [1.0], 0.0)[1][0] == pytest.approx(
+        assert channel_maps(AmpKind.PIA, [1.0], 0.0)[0][2] == pytest.approx(
             -0.5 * math.expm1(-ALPHA))
 
     @pytest.mark.parametrize("kind", [AmpKind.PSA, AmpKind.PIA])
@@ -470,25 +483,25 @@ class TestClosedFormContinuum:
         # at 1e215 the PSA add map's divisor underflowed and the map went infinite
         with pytest.raises(ValueError, match="MAX_NBAR"):
             channel_maps(kind, [10.0], 1e215)
-        mult_i, add_i, mult_q, add_q = channel_maps(kind, [10.0], MAX_NBAR)
-        assert all(np.isfinite(m).all() for m in (mult_i, add_i, mult_q, add_q))
+        (maps,) = channel_maps(kind, [10.0], MAX_NBAR)
+        assert all(math.isfinite(m) for m in maps)
 
     @pytest.mark.parametrize("nbar", [1e-3, 1.0, 1e4])
     def test_psa_maps_and_rows_stay_on_their_far_limit_at_any_loss(self, nbar):
         # alpha*z was once capped at 1e9; the maps cancel no exponents of size
         # alpha*z, so they settle and stay there, up to alpha*z = inf (1e307
         # km at 100 dB/km), and every row there is finite and non-negative.
-        settled = channel_maps(AmpKind.PSA, [1e8 / ALPHA], nbar)
+        (settled,) = channel_maps(AmpKind.PSA, [1e8 / ALPHA], nbar)
         edge = 1e9 / ALPHA
         for positions, alpha_db in (([edge * (1.0 - 1e-9), edge * (1.0 + 1e-9), 1e22], 0.2),
                                     ([1e307], 100.0)):
-            for got, want in zip(channel_maps(AmpKind.PSA, positions, nbar, alpha_db), settled):
-                assert got == pytest.approx([want[0]] * len(got), rel=1e-6, abs=0.0)
+            for got in channel_maps(AmpKind.PSA, positions, nbar, alpha_db):
+                assert got == pytest.approx(settled, rel=1e-6, abs=0.0)
             for scenario in (Scenario.CONVENTIONAL, Scenario.GORDON_HOLEVO):
                 for row in distributed_rows(positions, nbar, alpha_db, AmpKind.PSA, scenario):
                     assert math.isfinite(row.capacity_bits_per_mode)
                     assert row.capacity_bits_per_mode >= 0.0
-        assert channel_maps(AmpKind.PIA, [1e25], nbar)[1][0] == nbar + 0.5
+        assert channel_maps(AmpKind.PIA, [1e25], nbar)[0][2] == nbar + 0.5
 
 
 def _crossover_difference(length, nbar, alpha_db_km):

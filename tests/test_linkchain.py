@@ -209,8 +209,8 @@ class TestPropagate:
         )
         _, trace = propagate(plan, state)
         maps = channel_checkpoints(plan)
-        assert all(len(column) == len(trace.states) for column in maps)
-        for (mult_i, add_i, mult_q, add_q), tstate in zip(zip(*maps), trace.states):
+        assert len(maps) == len(trace.states)
+        for (mult_i, mult_q, add_i, add_q), tstate in zip(maps, trace.states):
             mapped = QuadState(mult_i * state.sig_i, mult_q * state.sig_q,
                                mult_i * state.noise_i + add_i, mult_q * state.noise_q + add_q)
             assert states_close(mapped, tstate, rel=1e-10, abs_=1e-10)

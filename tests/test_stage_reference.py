@@ -114,6 +114,21 @@ class TestFold:
                 == outcome(stage_reference.channel_checkpoints, plan))
 
     @derandomized
+    @given(kinds, st.integers(0, 12), st.floats(1.0, 20000.0), st.data())
+    def test_checkpoints_are_the_unit_lane_states_of_the_reference_fold(self, kind, amps,
+                                                                         length, data):
+        # one (mult_i, mult_q, add_i, add_q) tuple per trace point: the raw
+        # state that the unit lane (1, 1, 0, 0) reaches there
+        positions = data.draw(positions_of(length, amps))
+        gains = data.draw(st.lists(st.floats(1.0, 1e12), min_size=amps, max_size=amps))
+        plan = LinkPlan(0.2, length, 100.0, positions, gains, kind)
+        trace_positions, lane = stage_reference._fold(plan, (1.0, 1.0, 0.0, 0.0))
+        maps = channel_checkpoints(plan)
+        assert len(maps) == len(trace_positions) == 2 * amps + 2
+        assert all(type(m) is tuple and len(m) == 4 for m in maps)
+        assert hexed(maps) == hexed(lane)
+
+    @derandomized
     @given(kinds, st.integers(0, 8), st.floats(1.0, 5000.0), st.data())
     def test_power_audit_equals_the_reference(self, kind, amps, length, data):
         # budgets on a traced state's photon count and just either side of

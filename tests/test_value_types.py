@@ -79,6 +79,13 @@ def test_tuple_types_unpack_and_equal_same_valued_tuples():
     assert PLAN == (0.2, 100.0, 100.0, (40.0,), (2.0,), AmpKind.PIA)
 
 
+def test_capacity_result_needs_its_achieving_input():
+    # every result carries the input that achieves it; there is no default
+    with pytest.raises(TypeError):
+        CapacityResult(1.0)
+    assert CapacityResult(1.0, None) == (1.0, None)
+
+
 def test_link_plan_hash_and_equality():
     same = LinkPlan(0.2, 100.0, 100.0, (40.0,), (2.0,), AmpKind.PIA)
     assert same == PLAN and hash(same) == hash(PLAN)
