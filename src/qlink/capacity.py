@@ -305,8 +305,7 @@ def gh_capacity_for_channel(maps, nbar: float) -> CapacityResult:
     """Gordon-Holevo capacity of an affine Gaussian channel given its channel map
     (mult_i, mult_q, add_i, add_q) at each checkpoint (last checkpoint = output), by
     ``_gh_optimum``.  No checkpoints, negative or NaN budgets, budgets above
-    ``MAX_GH_NBAR``, and a checkpoint of other than four entries (the output always,
-    every checkpoint once nbar > 0) raise ``ValueError``."""
+    ``MAX_GH_NBAR``, and a checkpoint of other than four entries raise ``ValueError``."""
     if not len(maps):
         raise ValueError("a channel needs at least one checkpoint, got none")
     if not nbar >= 0:
@@ -323,7 +322,9 @@ def gh_capacity_for_channel(maps, nbar: float) -> CapacityResult:
     if (least := root * root) < HEISENBERG_LIMIT - HEISENBERG_TOL:
         raise ValueError(f"the output's least variance product {least} lies below the "
                          f"Heisenberg limit {HEISENBERG_LIMIT}: no quantum channel")
-    if nbar == 0:
+    if nbar == 0:  # no search unpacks the checkpoints, so their length is checked here
+        if any(len(checkpoint) != 4 for checkpoint in maps):
+            raise ValueError("expected 4 entries (mult_i, mult_q, add_i, add_q) in every checkpoint")
         return CapacityResult(0.0, QuadState(0, 0, 0.5, 0.5))
     channel = _GhChannel(maps, nbar)
     chi, p, r = _gh_optimum(channel)

@@ -39,8 +39,8 @@ _FLOAT_KEYS = ("nbar", "alpha_db_km", "l_min_km", "l_max_km", "l_step_km")
 # Bound on the worker pool used for independent grid points.
 _MAX_WORKERS = 8
 # Largest amplifier count.  Measured at 2000 km, whole runs, CPU on 2 shared cores: a PSA
-# conventional point takes 0.06 s at R=25 and 0.5-1.1 s at R=1000 (medians of 3-4 runs, each
-# after one without incumbent-started searches: 0.07 s and 7.9-14 s); a PSA Gordon-Holevo
+# conventional point takes 0.06 s at R=25 and 0.5-1.1 s at R=1000 (medians of 3-4 runs); a
+# PIA conventional one 0.10 s at R=1000 (its closed form, median of 5); a PSA Gordon-Holevo
 # one 0.37 s at R=20, 1.04 s at R=60 and 3.3 s at R=120 (medians of 6 runs), about R**1.2.
 MAX_AMPS = 1000
 # A '#' starts a comment at the start of a line or after whitespace.

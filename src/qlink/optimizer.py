@@ -1,17 +1,17 @@
 """Amplifier placement and gain optimization under the photon budget.
 
-The decision variables are the amplifier positions and gains of a link of
-fixed length and amplifier count.  The search is a deterministic coordinate
-descent with golden-section line searches, seeded from the equidistant plan
-whose gains restore the photon number exactly to the budget.  Iterates that
-overshoot the budget are repaired by scaling the offending gains down to the
-feasible boundary, which keeps the search connected.  A trial move at
-amplifier i walks on from the cached state after amplifier i - 1, over the
-cached spans and gains, and computes only the spans it moves: the full walk's
-score, bit for bit.  A Shannon trial keeps only the raw output, checked as a
-``QuadState``; a Gordon-Holevo one runs only the search.  Only the seed, the floor
-and the returned plan are scored by ``gh_capacity``, which audits the winning input.
-A gain on its budget ceiling is searched only where a lower gain can score higher.
+The decision variables are the amplifier positions and gains of a link of fixed
+length and amplifier count.  A PIA Shannon plan has a closed form.  Other plans come
+from a deterministic coordinate descent with golden-section line searches, seeded
+from the equidistant plan whose gains restore the photon number exactly to the
+budget.  Iterates that overshoot the budget are repaired by scaling the offending
+gains down to the feasible boundary, which keeps the search connected.  A trial move
+at amplifier i walks on from the cached state after amplifier i - 1, over the cached
+spans and gains, and computes only the spans it moves: the full walk's score, bit
+for bit.  A Shannon trial keeps only the raw output, checked as a ``QuadState``; a
+Gordon-Holevo one runs only the search.  Only the seed, the floor and the returned
+plan are scored by ``gh_capacity``, which audits the winning input.  A gain on its
+budget ceiling is searched only where a lower gain can score higher.
 """
 
 from __future__ import annotations
@@ -45,12 +45,9 @@ _POOL_MIN_POINTS = 4
 # lowers gain i within [1, its ceiling], and the walk clips each later gain to its new
 # ceiling, so no gain rises: a gain on its ceiling is optimal up to rounding; unsearched.
 # Nor can a position moved downstream at fixed gain win: it raises span i's and i+1's terms.
-# PSA conventional: the I noise-to-signal ratio is n0/s0 + sum_j ((1 - tau_j)/2)/s_j, and
-# s_j grows with every gain before span j.  PIA two-quadrature: per quadrature, a PIA
-# keeps (n + 1/2)/s, and span j adds (1 - tau_j)/(tau_j s).  Left out: PSA two-quadrature
-# (Q is deamplified), PIA conventional (the PIA adds (G - 1)/2 to I) and Gordon-Holevo.
-_GAIN_MONOTONE = frozenset({(AmpKind.PSA, Scenario.CONVENTIONAL),
-                            (AmpKind.PIA, Scenario.TWO_QUADRATURE)})
+# PSA conventional: the I noise-to-signal ratio is n0/s0 + sum_j ((1 - tau_j)/2)/s_j, and s_j
+# grows with each gain before span j.  Left out: PSA two-quadrature (Q shrinks), Gordon-Holevo.
+_GAIN_MONOTONE = frozenset({(AmpKind.PSA, Scenario.CONVENTIONAL)})
 
 
 # A link plan and its score under a detection scenario.
@@ -134,13 +131,13 @@ def optimize_plan(
 ) -> PlanCandidate:
     """Locally optimal amplifier positions and gains.
 
-    Coordinate descent over the interleaved position/gain coordinates with
-    golden-section line searches; deterministic for fixed inputs.  For PSA with
-    conventional detection and PIA with two-quadrature detection, no lower gain
-    scores higher: a gain on its ceiling is not searched, and each search starts
-    at its incumbent (``_GAIN_MONOTONE``).
-    Returns the seed when no coordinate move improves on it, and the seed's positions
-    with every gain 1 where that pure-loss link scores higher.
+    PIA Shannon pairs take a closed form: R equal spans (Jensen), the last ln 2/alpha
+    longer for conventional detection (tau_L = tau/2) and equal for two-quadrature (the
+    seed), every gain on its ceiling.  Other pairs take a deterministic coordinate descent
+    over the interleaved position/gain coordinates with golden-section line searches; for
+    PSA conventional a gain on its ceiling is not searched and each search starts at its
+    incumbent (``_GAIN_MONOTONE``).  Returns the seed when neither improves on it, and the
+    seed's positions with every gain 1 where that pure-loss link scores higher.
     """
     seed_candidate = equidistant_saturating_plan(
         length_km, amp_count, nbar, alpha_db_per_km, kind, scenario)
@@ -148,76 +145,84 @@ def optimize_plan(
         return seed_candidate
 
     scorer = _PlanScorer(length_km, nbar, alpha_db_per_km, kind, scenario)
-    positions = list(seed_candidate.plan.positions)
-    gains, ceilings, states, _, taus = scorer.repair_gains(positions, seed_candidate.plan.gains)
+    positions, gains = list(seed_candidate.plan.positions), seed_candidate.plan.gains
     current = seed_candidate.score
-    trial, exp, alpha = scorer.trial_score, math.exp, scorer.alpha_nat  # once per descent
-    gain_monotone = (kind, scenario) in _GAIN_MONOTONE
-    # A Gordon-Holevo optimum tends to hold a gain on its budget ceiling; a
-    # position move at fixed gain leaves that ridge, so there the trial gain
-    # follows the ceiling (repair_gains clips inf to it).  The conventional
-    # scenarios keep fixed-gain moves, which the ridge rule only slows.
-    # Each line search is keyed by everything its objective and bracket read.
-    # Scoring is deterministic and ``current`` never falls, so a repeated
-    # search's best value is still at most ``current``: it cannot move.
-    searched = set()
+    if kind is AmpKind.PIA and not scorer.gh:  # the closed form; d = 0 gives the seed
+        d = math.log(2.0) / scorer.alpha_nat if scenario is Scenario.CONVENTIONAL else 0.0
+        closed = [i * (length_km - d) / (amp_count + 1) for i in range(1, amp_count + 1)]
+        if d and all(a < b for a, b in zip([0.0, *closed], closed)):  # L > d, no repeats
+            score, closed_gains = scorer.score(closed, [math.inf] * amp_count)
+            if score > current:
+                positions, gains, current = closed, closed_gains, score
+    else:
+        gains, ceilings, states, _, taus = scorer.repair_gains(positions, gains)
+        trial, exp, alpha = scorer.trial_score, math.exp, scorer.alpha_nat  # once per descent
+        gain_monotone = (kind, scenario) in _GAIN_MONOTONE
+        # A Gordon-Holevo optimum tends to hold a gain on its budget ceiling; a
+        # position move at fixed gain leaves that ridge, so there the trial gain
+        # follows the ceiling (repair_gains clips inf to it).  The conventional
+        # scenarios keep fixed-gain moves, which the ridge rule only slows.
+        # Each line search is keyed by everything its objective and bracket read.
+        # Scoring is deterministic and ``current`` never falls, so a repeated
+        # search's best value is still at most ``current``: it cannot move.
+        searched = set()
 
-    for _ in range(_MAX_SWEEPS):
-        moved = 0.0
-        for i in range(amp_count):
-            # A move at amplifier i leaves the chain before it unchanged, so
-            # each trial walks on from the raw state after amplifier i - 1.
-            y = states[i - 1] if i else scorer.ref_input
-            # one double clear of each neighbour even where doubles are sparser
-            left = positions[i - 1] if i > 0 else 0.0
-            right = positions[i + 1] if i + 1 < amp_count else length_km
-            lo = max(left + _POSITION_GAP_KM, math.nextafter(left, math.inf))
-            hi = min(right - _POSITION_GAP_KM, math.nextafter(right, -math.inf))
-            move_gains = list(gains)
-            if scorer.gh and ceilings[i] - gains[i] <= _PARAM_TOL:
-                move_gains[i] = math.inf
-            key = ("position", i, *positions[:i], *positions[i + 1 :], *move_gains)
-            if hi > lo and key not in searched:
-                searched.add(key)
-                trial_positions, trial_taus = list(positions), list(taus)
+        for _ in range(_MAX_SWEEPS):
+            moved = 0.0
+            for i in range(amp_count):
+                # A move at amplifier i leaves the chain before it unchanged, so
+                # each trial walks on from the raw state after amplifier i - 1.
+                y = states[i - 1] if i else scorer.ref_input
+                # one double clear of each neighbour even where doubles are sparser
+                left = positions[i - 1] if i > 0 else 0.0
+                right = positions[i + 1] if i + 1 < amp_count else length_km
+                lo = max(left + _POSITION_GAP_KM, math.nextafter(left, math.inf))
+                hi = min(right - _POSITION_GAP_KM, math.nextafter(right, -math.inf))
+                move_gains = list(gains)
+                if scorer.gh and ceilings[i] - gains[i] <= _PARAM_TOL:
+                    move_gains[i] = math.inf
+                key = ("position", i, *positions[:i], *positions[i + 1 :], *move_gains)
+                if hi > lo and key not in searched:
+                    searched.add(key)
+                    trial_positions, trial_taus = list(positions), list(taus)
 
-                def eval_position(x: float) -> float:
-                    trial_positions[i] = x
-                    trial_taus[i] = exp(-alpha * (x - left))
-                    trial_taus[i + 1] = exp(-alpha * (right - x))
-                    return trial(trial_positions, move_gains, i, y, trial_taus)
+                    def eval_position(x: float) -> float:
+                        trial_positions[i] = x
+                        trial_taus[i] = exp(-alpha * (x - left))
+                        trial_taus[i + 1] = exp(-alpha * (right - x))
+                        return trial(trial_positions, move_gains, i, y, trial_taus)
 
-                best_x, best_fx = golden_section_maximize(
-                    eval_position, lo, hi, _PARAM_TOL,
-                    (positions[i], current) if gain_monotone else None)
-                if best_fx > current:
-                    moved = max(moved, abs(best_x - positions[i]))
-                    positions[i] = best_x
-                    current = best_fx
-                    gains, ceilings, states, _, taus = scorer.repair_gains(positions, move_gains)
+                    best_x, best_fx = golden_section_maximize(
+                        eval_position, lo, hi, _PARAM_TOL,
+                        (positions[i], current) if gain_monotone else None)
+                    if best_fx > current:
+                        moved = max(moved, abs(best_x - positions[i]))
+                        positions[i] = best_x
+                        current = best_fx
+                        gains, ceilings, states, _, taus = scorer.repair_gains(positions, move_gains)
 
-            ceiling = ceilings[i]
-            if gain_monotone and gains[i] == ceiling:
-                continue  # no lower gain scores higher; see _GAIN_MONOTONE
-            key = ("gain", i, *positions, *gains[:i], *gains[i + 1 :])
-            if ceiling - 1.0 > _PARAM_TOL and key not in searched:
-                searched.add(key)
-                trial_gains = list(gains)
+                ceiling = ceilings[i]
+                if gain_monotone and gains[i] == ceiling:
+                    continue  # no lower gain scores higher; see _GAIN_MONOTONE
+                key = ("gain", i, *positions, *gains[:i], *gains[i + 1 :])
+                if ceiling - 1.0 > _PARAM_TOL and key not in searched:
+                    searched.add(key)
+                    trial_gains = list(gains)
 
-                def eval_gain(g: float) -> float:
-                    trial_gains[i] = g
-                    return trial(positions, trial_gains, i, y, taus)
+                    def eval_gain(g: float) -> float:
+                        trial_gains[i] = g
+                        return trial(positions, trial_gains, i, y, taus)
 
-                best_g, best_fg = golden_section_maximize(
-                    eval_gain, 1.0, ceiling, _PARAM_TOL,
-                    (gains[i], current) if gain_monotone else None)
-                if best_fg > current:
-                    moved = max(moved, abs(best_g - gains[i]))
-                    trial_gains[i] = best_g
-                    current = best_fg
-                    gains, ceilings, states, _, taus = scorer.repair_gains(positions, trial_gains)
-        if moved < _PARAM_TOL:
-            break
+                    best_g, best_fg = golden_section_maximize(
+                        eval_gain, 1.0, ceiling, _PARAM_TOL,
+                        (gains[i], current) if gain_monotone else None)
+                    if best_fg > current:
+                        moved = max(moved, abs(best_g - gains[i]))
+                        trial_gains[i] = best_g
+                        current = best_fg
+                        gains, ceilings, states, _, taus = scorer.repair_gains(positions, trial_gains)
+            if moved < _PARAM_TOL:
+                break
 
     # every gain 1 leaves the pure-loss link, which gain searches stopped at 1 + tol can miss
     floor, ones = scorer.score(seed_candidate.plan.positions, [1.0] * amp_count)

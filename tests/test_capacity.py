@@ -907,9 +907,9 @@ class TestGhStructuredSearch:
     @pytest.mark.parametrize("maps, budgets", [
         ([(1.0, 1.0, 0.0)], [0.0, 100.0]),
         ([(1.0, 1.0, 0.0, 0.0, 0.0)], [0.0, 100.0]),
-        # an interior checkpoint is read once there is a budget to hold
-        ([(1.0, 1.0, 0.0), (1.0, 1.0, 0.0, 0.0)], [100.0]),
-        ([(1.0, 1.0, 0.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0)], [100.0]),
+        # an interior checkpoint too, with or without a budget to hold
+        ([(1.0, 1.0, 0.0), (1.0, 1.0, 0.0, 0.0)], [0.0, 100.0]),
+        ([(1.0, 1.0, 0.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0)], [0.0, 100.0]),
     ], ids=["output-of-3", "output-of-5", "interior-of-3", "interior-of-5"])
     def test_a_checkpoint_of_other_than_four_entries_is_refused(self, maps, budgets):
         for nbar in budgets:

@@ -40,6 +40,10 @@ derandomized = settings(derandomize=True, max_examples=150, deadline=None,
                         phases=[Phase.explicit, Phase.generate])
 
 kinds = st.sampled_from([AmpKind.PSA, AmpKind.PIA])
+# the (kind, scenario) pairs that the optimizer's coordinate descent searches: a PIA
+# Shannon plan takes a closed form and runs no trial
+SEARCHED_PAIRS = [(kind, scenario) for kind in AmpKind for scenario in Scenario
+                  if kind is AmpKind.PSA or scenario is Scenario.GORDON_HOLEVO]
 # from no photons up to and past MAX_NBAR, and the budget's edge cases
 budgets = (st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e)
            | st.floats(6.0, 152.0).map(lambda e: 10.0 ** e)
@@ -222,13 +226,13 @@ class TestRepairAndTrials:
         assert got == outcome(reference.trial_score, positions, gains, 1, y)
 
     @settings(derandomized, max_examples=12)
-    @given(kinds, st.sampled_from(list(Scenario)), st.integers(1, 4),
-           st.floats(50.0, 3000.0), st.floats(-2.0, 3.0))
-    def test_optimizer_trials_equal_the_reference(self, kind, scenario, amps, length,
-                                                   log_nbar):
+    @given(st.sampled_from(SEARCHED_PAIRS), st.integers(1, 4), st.floats(50.0, 3000.0),
+           st.floats(-2.0, 3.0))
+    def test_optimizer_trials_equal_the_reference(self, pair, amps, length, log_nbar):
         # Every trial of a real descent, position and gain moves alike, with
         # the spans the optimizer rewrote: the reference walks the trial's
         # positions from the same state.
+        kind, scenario = pair
         nbar = 10.0 ** log_nbar
         reference = stage_reference.PlanScorer(length, nbar, 0.2, kind, scenario)
         trial_score = _PlanScorer.trial_score
