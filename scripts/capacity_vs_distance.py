@@ -14,6 +14,7 @@ import time
 
 from qlink import (
     AmpKind,
+    InputError,
     Scenario,
     SweepRow,
     SweepTable,
@@ -45,16 +46,20 @@ def main() -> int:
         parser.error(f"--l-step-km {args.l_step_km:g} to --l-max-km {args.l_max_km:g}: {err}")
 
     rows: list[SweepRow] = []
-    for scenario in (Scenario.CONVENTIONAL, Scenario.GORDON_HOLEVO):
-        for amps in args.amps:
-            started = time.time()
-            table = sweep_distance(grid, amps, args.nbar, args.alpha_db_km,
-                                   AmpKind.PSA, scenario, max_workers=8)
-            rows.extend(table.rows)
-            print(f"{scenario.value} R={amps}: {time.time() - started:.1f}s",
-                  file=sys.stderr)
-        rows.extend(distributed_rows(grid, args.nbar, args.alpha_db_km, AmpKind.PSA, scenario))
-        print(f"{scenario.value} R=inf done", file=sys.stderr)
+    try:
+        for scenario in (Scenario.CONVENTIONAL, Scenario.GORDON_HOLEVO):
+            for amps in args.amps:
+                started = time.time()
+                table = sweep_distance(grid, amps, args.nbar, args.alpha_db_km,
+                                       AmpKind.PSA, scenario, max_workers=8)
+                rows.extend(table.rows)
+                print(f"{scenario.value} R={amps}: {time.time() - started:.1f}s",
+                      file=sys.stderr)
+            rows.extend(distributed_rows(grid, args.nbar, args.alpha_db_km, AmpKind.PSA,
+                                         scenario))
+            print(f"{scenario.value} R=inf done", file=sys.stderr)
+    except InputError as err:  # a budget, attenuation or pair that the library refuses
+        parser.error(str(err))
 
     lines = SweepTable(rows).sort().csv_lines()
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

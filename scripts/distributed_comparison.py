@@ -11,7 +11,7 @@ psa_ode, psa_approx, pia_ode, pia_approx:
 import argparse
 import sys
 
-from qlink import AmpKind, Scenario, distance_grid, distributed_rows
+from qlink import AmpKind, InputError, Scenario, distance_grid, distributed_rows
 from qlink.distributed import approx_capacity_pia, approx_capacity_psa
 
 
@@ -31,9 +31,13 @@ def main() -> int:
 
     lines = ["distance_km,nbar,curve,capacity_bits_per_mode"]
     for nbar in args.nbar:
-        psa = distributed_rows(grid, nbar, args.alpha_db_km, AmpKind.PSA, Scenario.CONVENTIONAL)
-        pia = distributed_rows(grid, nbar, args.alpha_db_km, AmpKind.PIA,
-                               Scenario.TWO_QUADRATURE)
+        try:
+            psa = distributed_rows(grid, nbar, args.alpha_db_km, AmpKind.PSA,
+                                   Scenario.CONVENTIONAL)
+            pia = distributed_rows(grid, nbar, args.alpha_db_km, AmpKind.PIA,
+                                   Scenario.TWO_QUADRATURE)
+        except InputError as err:  # a budget or attenuation that the library refuses
+            parser.error(str(err))
         for length, psa_row, pia_row in zip(grid, psa, pia):
             values = {
                 "psa_ode": psa_row.capacity_bits_per_mode,

@@ -1,6 +1,7 @@
 """Capacity of multispan optical links with quantum-limited amplification."""
 
 from .quadmodel import (
+    InputError,
     QuadState,
     conventional_input,
     symmetric_coherent_input,
@@ -43,6 +44,7 @@ __all__ = [
     "AmpKind",
     "CapacityResult",
     "GHSearchError",
+    "InputError",
     "LinkPlan",
     "PlanCandidate",
     "PropagationTrace",

@@ -16,8 +16,8 @@ from collections import namedtuple
 from enum import Enum
 
 from .linkchain import LinkPlan, POWER_TOL, _over_budget, _walk, channel_checkpoints, propagate
-from .quadmodel import (HEISENBERG_LIMIT, HEISENBERG_TOL, QuadState, conventional_input,
-                        symmetric_coherent_input)
+from .quadmodel import (HEISENBERG_LIMIT, HEISENBERG_TOL, InputError, QuadState,
+                        conventional_input, symmetric_coherent_input)
 from .search import golden_section_maximize  # noqa: F401 - patched by perfbench/traced_run.py
 from .search import illinois_root
 
@@ -304,15 +304,14 @@ def _gh_pieces(channel: _GhChannel, x_star: float, r_star: float) -> tuple[float
 def gh_capacity_for_channel(maps, nbar: float) -> CapacityResult:
     """Gordon-Holevo capacity of an affine Gaussian channel given its channel map
     (mult_i, mult_q, add_i, add_q) at each checkpoint (last checkpoint = output), by
-    ``_gh_optimum``.  No checkpoints, negative or NaN budgets, budgets above
-    ``MAX_GH_NBAR``, and a checkpoint of other than four entries raise ``ValueError``."""
+    ``_gh_optimum``.  Negative or NaN budgets and budgets above ``MAX_GH_NBAR`` raise
+    ``InputError``; no checkpoints, or one of other than four entries, ``ValueError``."""
     if not len(maps):
         raise ValueError("a channel needs at least one checkpoint, got none")
-    if not nbar >= 0:
-        raise ValueError(f"photon budget must be non-negative, got {nbar}")
-    if nbar > MAX_GH_NBAR:
-        raise ValueError(f"Gordon-Holevo capacity needs nbar <= MAX_GH_NBAR = {MAX_GH_NBAR:g}, "
-                         f"got {nbar:g}: above it photon counts round past the search margin")
+    if not 0 <= nbar <= MAX_GH_NBAR:
+        raise InputError(f"Gordon-Holevo capacity needs 0 <= nbar <= {MAX_GH_NBAR:g} "
+                         f"(MAX_GH_NBAR, past which photon counts round beyond the search "
+                         f"margin), got {nbar:g}")
     mi, mq, ai, aq = maps[-1]
     if mi < 0.0 or mq < 0.0 or ai < 0.0 or aq < 0.0:
         raise ValueError(f"the output map (mult_i, mult_q, add_i, add_q) = "

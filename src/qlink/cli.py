@@ -4,8 +4,9 @@ limit and the PSA/PIA crossover search, all emitting one CSV schema.
 Configuration comes from flags, optionally layered over a flat key=value
 config file (flags win).  The resolved configuration is echoed to stderr so
 every run is reproducible from its log.  The CLI parses and prints only: the
-library builds and bounds the grid, sizes the worker pool and runs every
-per-point loop.
+library builds and bounds the grid, sizes the worker pool, runs every
+per-point loop and owns each rule on the physics' input; ``main`` reports
+its ``InputError``, like the CLI's own refusals, with exit 2.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import re
 import sys
 from collections import namedtuple
 
-from .capacity import MAX_GH_NBAR, Scenario
-from .distributed import NoCrossingError, distributed_rows, psa_pia_crossover
-from .linkchain import MAX_NBAR, AmpKind
+from .capacity import Scenario
+from .distributed import distributed_rows, psa_pia_crossover
+from .linkchain import AmpKind
 from .optimizer import SweepTable, distance_grid, sweep_distance
+from .quadmodel import InputError
 
 # Read only by perfbench/traced_run.py, which still wraps these names of the
 # retired RK4 integrators; its counters for them read 0.  The tracer's
@@ -47,13 +49,9 @@ MAX_AMPS = 1000
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # unknown or malformed flags: exit 2 from main
-        raise UsageError(message)
+        raise InputError(message)
 
 
 class RunConfig(namedtuple("RunConfig", "command nbar alpha_db_km l_min_km l_max_km l_step_km "
@@ -74,7 +72,7 @@ def _coerce(key: str, value: str):
         if key in _FLOAT_KEYS:
             number = float(value)
             if not math.isfinite(number):
-                raise UsageError(f"malformed value for '{key}': must be finite, got {value!r}")
+                raise InputError(f"malformed value for '{key}': must be finite, got {value!r}")
             return number
         if key == "seed":
             return int(value)
@@ -85,7 +83,7 @@ def _coerce(key: str, value: str):
             if amps < 0:
                 raise ValueError
             if amps > MAX_AMPS:
-                raise UsageError(f"malformed value for 'amps': must be at most MAX_AMPS = "
+                raise InputError(f"malformed value for 'amps': must be at most MAX_AMPS = "
                                  f"{MAX_AMPS}, got {amps}")
             return amps
         if key == "kind":
@@ -98,9 +96,11 @@ def _coerce(key: str, value: str):
             return value
         if key == "out":
             return value
+    except InputError:
+        raise
     except (ValueError, KeyError):
-        raise UsageError(f"malformed value for '{key}': {value!r}") from None
-    raise UsageError(f"unknown configuration key '{key}'")
+        raise InputError(f"malformed value for '{key}': {value!r}") from None
+    raise InputError(f"unknown configuration key '{key}'")
 
 
 def _read_config_file(path: str) -> dict:
@@ -112,11 +112,11 @@ def _read_config_file(path: str) -> dict:
                 if not line:
                     continue
                 if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+                    raise InputError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
                 key, _, value = line.partition("=")
                 values[key.strip()] = _coerce(key.strip(), value.strip())
     except OSError as err:
-        raise UsageError(f"cannot read config file {path}: {err}") from err
+        raise InputError(f"cannot read config file {path}: {err}") from err
     return values
 
 
@@ -153,49 +153,28 @@ def parse_config(argv: list[str]) -> RunConfig:
     if args.command is not None:
         merged["command"] = args.command
     if "command" not in merged:
-        raise UsageError("no command given (sweep|optimize|distributed|crossover)")
+        raise InputError("no command given (sweep|optimize|distributed|crossover)")
     if merged["command"] == "distributed":
         merged["amps"] = None
 
     config = RunConfig(**merged)
-    if not 0 <= config.nbar <= MAX_NBAR:
-        raise UsageError(f"malformed value for 'nbar': must lie in [0, MAX_NBAR = "
-                         f"{MAX_NBAR:g}], got {config.nbar}")
-    if config.alpha_db_km <= 0:
-        raise UsageError(f"malformed value for 'alpha_db_km': must be > 0, got {config.alpha_db_km}")
     # amplifiers spaced evenly over a subnormal length would coincide
     if not config.l_min_km >= sys.float_info.min:
-        raise UsageError(f"malformed value for 'l_min_km': must be >= {sys.float_info.min:g}, "
+        raise InputError(f"malformed value for 'l_min_km': must be >= {sys.float_info.min:g}, "
                          f"got {config.l_min_km}")
     if config.amps is None and config.command == "optimize":
-        raise UsageError("--amps inf is only valid for the distributed/sweep commands")
-    if config.command == "crossover" and config.l_max_km <= config.l_min_km:
-        raise UsageError("crossover needs l_min_km < l_max_km to bracket the crossing")
+        raise InputError("--amps inf is only valid for the distributed/sweep commands")
     try:
         config.grid()
     except ValueError as err:
-        raise UsageError(f"malformed value for 'l_step_km' (with --l-min-km {config.l_min_km!r}, "
+        raise InputError(f"malformed value for 'l_step_km' (with --l-min-km {config.l_min_km!r}, "
                          f"--l-max-km {config.l_max_km!r}, --l-step-km {config.l_step_km:g}): "
                          f"{err}") from None
     # other write errors (permissions, a full disk) surface only when the CSV is written
     folder = os.path.dirname(config.out) or "."
     if not config.out or os.path.isdir(config.out) or not os.path.isdir(folder):
-        raise UsageError(f"malformed value for 'out': must name a file in an existing "
+        raise InputError(f"malformed value for 'out': must name a file in an existing "
                          f"directory, got {config.out!r}")
-    if (config.scenario is Scenario.GORDON_HOLEVO and config.command != "crossover"
-            and config.nbar > MAX_GH_NBAR):
-        raise UsageError(f"gordon-holevo runs need nbar <= {MAX_GH_NBAR:g}: above it "
-                         "photon counts round by more than a tenth of the search's "
-                         "budget margin")
-    if (config.amps is None and config.command != "crossover" and config.kind is AmpKind.PSA
-            and config.scenario is Scenario.TWO_QUADRATURE):
-        raise UsageError("psa with two-quadrature-snl has no continuum rows: the closed-form "
-                         "PSA maps are derived only for the conventional input's feedback")
-    integrates_psa = config.command == "crossover" or (
-        config.amps is None and config.kind is AmpKind.PSA)
-    if integrates_psa and config.nbar == 0:
-        raise UsageError("distributed PSA needs nbar > 0: its feedback gain is singular "
-                         "without signal power")
 
     for key, value in zip(RunConfig._fields, config):
         if key == "amps":
@@ -213,11 +192,8 @@ def run(config: RunConfig) -> int:
     grid = config.grid()
     crossing = None
     if config.command == "crossover":
-        try:
-            rows, crossing = psa_pia_crossover(config.l_min_km, config.l_max_km,
-                                               config.l_step_km, config.nbar, config.alpha_db_km)
-        except NoCrossingError as err:
-            raise UsageError(err) from None
+        rows, crossing = psa_pia_crossover(config.l_min_km, config.l_max_km,
+                                           config.l_step_km, config.nbar, config.alpha_db_km)
     elif config.amps is None:
         rows = distributed_rows(grid, config.nbar, config.alpha_db_km, config.kind,
                                 config.scenario)
@@ -247,7 +223,7 @@ def run(config: RunConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         return run(parse_config(sys.argv[1:] if argv is None else argv))
-    except UsageError as err:
+    except InputError as err:
         print(f"qlink: usage error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # noqa: BLE001 - boundary: report and set exit status

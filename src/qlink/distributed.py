@@ -20,7 +20,7 @@ import math
 from .capacity import Scenario, gh_capacity_for_channel, scenario_input, shannon_capacity
 from .linkchain import _PSA, MAX_NBAR, AmpKind, attenuation_to_natural
 from .optimizer import SweepRow, distance_grid
-from .quadmodel import QuadState
+from .quadmodel import InputError, QuadState
 from .search import illinois_root
 
 _LN2 = math.log(2.0)
@@ -49,16 +49,14 @@ def channel_maps(
     Every term is formed without cancellation or overflow, so the states
     keep the Heisenberg product, and a flat output its photon count, from
     nbar = 1e-300 to 1e8 at every length.
-    Budgets above ``MAX_NBAR`` are refused: past about 1e215 the divisor
-    e1 * root_t0 underflows to 0 and the add maps become infinite.  So are
-    NaN budgets, and positions that are negative, infinite or NaN.
+    ``InputError`` refuses negative and NaN budgets, budgets above ``MAX_NBAR``
+    (past about 1e215 the divisor e1 * root_t0 underflows to 0 and the add maps
+    become infinite) and PSA at nbar = 0, where its feedback gain is singular;
+    ``ValueError``, positions that are negative, infinite or NaN.
     """
-    if not nbar >= 0 or (kind is _PSA and nbar == 0):
-        raise ValueError(f"photon budget must be non-negative, and positive for "
-                         f"distributed PSA; got {nbar}")
-    if nbar > MAX_NBAR:
-        raise ValueError(f"continuum channel maps need nbar <= MAX_NBAR = {MAX_NBAR:g}, "
-                         f"got {nbar:g}")
+    if not 0 <= nbar <= MAX_NBAR or (kind is _PSA and nbar == 0):
+        raise InputError(f"continuum photon budget must lie in [0, MAX_NBAR = {MAX_NBAR:g}], "
+                         f"with nbar > 0 for distributed PSA; got {nbar:g}")
     zs = [float(z) for z in positions_km]
     if not all(0.0 <= z < math.inf for z in zs):
         raise ValueError("positions must be finite and non-negative")
@@ -111,9 +109,10 @@ def continuum_states(
     alpha_db_per_km: float = 0.2,
 ) -> list[QuadState]:
     """States of the continuum at each position, from the reference input
-    of ``scenario`` (``scenario_input``)."""
+    of ``scenario`` (``scenario_input``); ``InputError`` for PSA with
+    two-quadrature detection."""
     if kind is _PSA and scenario is Scenario.TWO_QUADRATURE:
-        raise ValueError("psa with two-quadrature detection has no continuum states: the "
+        raise InputError("psa with two-quadrature-snl has no continuum states: the "
                          "closed-form PSA maps are derived only for the conventional input's "
                          "feedback")
     sig_i, sig_q, noise_i, noise_q = scenario_input(scenario, nbar)
@@ -139,8 +138,6 @@ def distributed_rows(
     its I signal at most 2*nbar), so the checkpoint (1, 0, 0, 1/2) of slope
     1/2, which passes I and replaces Q by vacuum, bounds every z in (0, L].
     """
-    if not grid:
-        return []
     if scenario is not Scenario.GORDON_HOLEVO:
         states = continuum_states(kind, scenario, grid, nbar, alpha_db_per_km)
         return [SweepRow(length, scenario, kind, None, shannon_capacity(state, scenario))
@@ -152,10 +149,6 @@ def distributed_rows(
             for length, end in zip(grid, channel_maps(kind, grid, nbar, alpha_db_per_km))]
 
 
-class NoCrossingError(ValueError):
-    """The distance range brackets no PSA/PIA crossover: a fault of the input."""
-
-
 def psa_pia_crossover(
     l_min_km: float, l_max_km: float, l_step_km: float, nbar: float,
     alpha_db_per_km: float = 0.2,
@@ -163,7 +156,8 @@ def psa_pia_crossover(
     """Continuum PSA (conventional detection) and PIA (two-quadrature
     detection) rows on the distance grid, and the distance where their
     capacities cross inside [l_min_km, l_max_km], found by ``illinois_root`` to
-    sqrt(eps) = 1.5e-8 of itself; ``NoCrossingError`` when that range brackets none."""
+    sqrt(eps) = 1.5e-8 of itself; ``InputError`` when that range is empty or
+    brackets none."""
     pairs = ((AmpKind.PSA, Scenario.CONVENTIONAL), (AmpKind.PIA, Scenario.TWO_QUADRATURE))
 
     def rows_at(lengths: list[float]) -> list[list[SweepRow]]:
@@ -174,10 +168,12 @@ def psa_pia_crossover(
         (psa,), (pia,) = rows_at([length])
         return pia.capacity_bits_per_mode - psa.capacity_bits_per_mode
 
+    if not l_min_km < l_max_km:
+        raise InputError("crossover needs l_min_km < l_max_km to bracket the crossing")
     f_lo, f_hi = difference(l_min_km), difference(l_max_km)
     if f_lo <= 0.0 or f_hi >= 0.0:
-        raise NoCrossingError(f"no PSA/PIA crossover bracketed in [{l_min_km}, {l_max_km}] km "
-                              f"(difference {f_lo:.4g} -> {f_hi:.4g})")
+        raise InputError(f"no PSA/PIA crossover bracketed in [{l_min_km}, {l_max_km}] km "
+                         f"(difference {f_lo:.4g} -> {f_hi:.4g})")
     # the search's own relative tolerance, sqrt(eps)*x, outweighs this positive xatol
     crossing = illinois_root(difference, l_min_km, l_max_km, 1e-9 * l_min_km)[0]
     psa_rows, pia_rows = rows_at(distance_grid(l_min_km, l_max_km, l_step_km))

@@ -20,7 +20,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from .quadmodel import QuadState
+from .quadmodel import InputError, QuadState
 
 # Slack used when auditing the photon budget along a chain.
 POWER_TOL = 1e-9
@@ -40,9 +40,10 @@ _PSA = AmpKind.PSA
 
 
 def attenuation_to_natural(alpha_db_per_km: float) -> float:
-    """Convert a dB/km attenuation value to a per-km natural-log coefficient."""
+    """Convert a dB/km attenuation value to a per-km natural-log coefficient;
+    ``InputError`` unless it is positive and finite."""
     if not 0 < alpha_db_per_km < math.inf:
-        raise ValueError(f"attenuation must be positive and finite, got {alpha_db_per_km}")
+        raise InputError(f"attenuation must be positive and finite, got {alpha_db_per_km}")
     return math.log(10.0) * alpha_db_per_km / 10.0
 
 

@@ -22,6 +22,7 @@ from collections import namedtuple
 
 from .capacity import Scenario, chain_gh_capacity, gh_capacity, scenario_input, shannon_capacity
 from .linkchain import (
+    MAX_NBAR,
     AmpKind,
     LinkPlan,
     _spans,
@@ -29,7 +30,7 @@ from .linkchain import (
     attenuation_to_natural,
     propagate,  # noqa: F401 - unused here; kept as a patch point for perfbench/traced_run.py
 )
-from .quadmodel import check_moments
+from .quadmodel import InputError, check_moments
 from .search import golden_section_maximize
 
 # Amplifiers are kept strictly inside the link and strictly ordered.
@@ -81,11 +82,12 @@ class _PlanScorer:
         return LinkPlan(*self.link, positions, gains, self.kind)
 
     def score(self, positions, gains) -> tuple[float, list[float]]:
-        """(score, repaired gains) of coordinates: the trial from the input, or ``gh_capacity``."""
-        gains, *_, taus = self.repair_gains(positions, gains)
+        """(score, repaired gains) of coordinates: the repair's own output, or ``gh_capacity``."""
+        gains, _, _, out, _ = self.repair_gains(positions, gains)
         if self.gh:
             return gh_capacity(self.plan(positions, gains)).bits_per_mode, gains
-        return self.trial_score(positions, gains, 0, self.ref_input, taus), gains
+        check_moments(*out)
+        return shannon_capacity(out, self.scenario), gains
 
     def trial_score(self, positions, gains, start, y, taus) -> float:
         """``score(...)[0]`` of coordinates repaired before amplifier ``start``, given
@@ -349,7 +351,11 @@ def sweep_distance(
 ) -> SweepTable:
     """Optimize one plan per grid distance; rows, each with its plan, come back in
     grid order.  From four points on, up to ``max_workers`` processes (one per CPU)
-    share them: the caller and forked children (serial without ``os.fork``)."""
+    share them: the caller and forked children (serial without ``os.fork``).
+    ``InputError``, on an empty grid too: a budget outside [0, ``MAX_NBAR``], a bad attenuation."""
+    if not 0 <= nbar <= MAX_NBAR:
+        raise InputError(f"photon budget must lie in [0, MAX_NBAR = {MAX_NBAR:g}], got {nbar:g}")
+    attenuation_to_natural(alpha_db_per_km)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("distance grid must be strictly increasing")
     if any(length <= 0 for length in grid):

@@ -18,6 +18,10 @@ HEISENBERG_LIMIT = 0.25
 HEISENBERG_TOL = 1e-12
 
 
+class InputError(ValueError):
+    """A fault of the input, not of the library: the CLI and the scripts exit 2 on it."""
+
+
 class QuadState(namedtuple("QuadState", "sig_i sig_q noise_i noise_q")):
     """Second moments of one optical mode: per-quadrature signal power and
     noise variance, an immutable tuple in that order."""
@@ -51,16 +55,16 @@ def check_moments(sig_i: float, sig_q: float, noise_i: float, noise_q: float) ->
 
 def conventional_input(nbar: float) -> QuadState:
     """Ideal laser input carrying ``nbar`` photons, all modulation in the I
-    quadrature, vacuum noise in both quadratures."""
+    quadrature, vacuum noise in both quadratures; ``InputError`` if ``nbar < 0``."""
     if nbar < 0:
-        raise ValueError(f"mean photon number must be non-negative, got {nbar}")
+        raise InputError(f"mean photon number must be non-negative, got {nbar}")
     return QuadState(2.0 * nbar, 0.0, VACUUM_VARIANCE, VACUUM_VARIANCE)
 
 
 def symmetric_coherent_input(nbar: float) -> QuadState:
     """Coherent input with the photon budget split evenly between both
-    quadratures (used by two-quadrature detection scenarios)."""
+    quadratures, for two-quadrature detection; ``InputError`` if ``nbar < 0``."""
     if nbar < 0:
-        raise ValueError(f"mean photon number must be non-negative, got {nbar}")
+        raise InputError(f"mean photon number must be non-negative, got {nbar}")
     return QuadState(nbar, nbar, VACUUM_VARIANCE, VACUUM_VARIANCE)
 

@@ -15,16 +15,19 @@ from hypothesis import example, given, settings
 
 from qlink import (
     AmpKind,
+    InputError,
     Scenario,
     attenuation_to_natural,
     channel_maps,
     continuum_states,
     distance_grid,
+    distributed_rows,
+    psa_pia_crossover,
     shannon_capacity,
 )
 from qlink import cli, distributed
 from qlink.capacity import gh_capacity_for_channel
-from qlink.cli import MAX_AMPS, UsageError, main, parse_config
+from qlink.cli import MAX_AMPS, main, parse_config
 from qlink.optimizer import SweepTable, sweep_distance
 from qlink.quadmodel import HEISENBERG_LIMIT, HEISENBERG_TOL
 
@@ -286,7 +289,7 @@ class TestParsing:
     @pytest.mark.parametrize("command", ["sweep", "optimize"])
     def test_amp_count_above_its_bound_is_usage_error(self, command):
         # parsed only: a count over the bound is never run
-        with pytest.raises(UsageError, match="MAX_AMPS"):
+        with pytest.raises(InputError, match="MAX_AMPS"):
             parse_config([command, "--amps", str(MAX_AMPS + 1)])
         assert parse_config([command, "--amps", str(MAX_AMPS)]).amps == MAX_AMPS
 
@@ -383,6 +386,70 @@ class TestParsing:
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[1].split(",")[3] == "inf"
+
+
+# The CLI's default grid, which the runs below use.
+_GRID = distance_grid(10.0, 5000.0, 10.0)
+_PSA, _PIA = AmpKind.PSA, AmpKind.PIA
+_CONV, _TWO_Q, _GH = Scenario.CONVENTIONAL, Scenario.TWO_QUADRATURE, Scenario.GORDON_HOLEVO
+# (command line, the library call that the run makes) of each rule that moved out of
+# the CLI's parser: budgets, the attenuation, the pairs served and the crossover range
+_REFUSALS = [
+    (["distributed", "--nbar", "-1"],
+     lambda: distributed_rows(_GRID, -1.0, 0.2, _PSA, _CONV)),
+    (["sweep", "--amps", "inf", "--nbar", "-1"],
+     lambda: distributed_rows(_GRID, -1.0, 0.2, _PSA, _CONV)),
+    (["crossover", "--nbar", "-1"], lambda: psa_pia_crossover(10.0, 5000.0, 10.0, -1.0)),
+    (["sweep", "--amps", "0", "--nbar", "-1"],
+     lambda: sweep_distance(_GRID, 0, -1.0, 0.2)),
+    (["sweep", "--amps", "2", "--kind", "pia", "--nbar", "1e200"],
+     lambda: sweep_distance(_GRID, 2, 1e200, 0.2, _PIA)),
+    (["distributed", "--kind", "pia", "--nbar", "1e151"],
+     lambda: distributed_rows(_GRID, 1e151, 0.2, _PIA, _CONV)),
+    (["crossover", "--alpha-db-km", "0"],
+     lambda: psa_pia_crossover(10.0, 5000.0, 10.0, 100.0, 0.0)),
+    (["sweep", "--amps", "1", "--alpha-db-km", "-0.2"],
+     lambda: sweep_distance(_GRID, 1, 100.0, -0.2)),
+    (["distributed", "--alpha-db-km", "0"],
+     lambda: distributed_rows(_GRID, 100.0, 0.0, _PSA, _CONV)),
+    (["sweep", "--amps", "4", "--scenario", "gordon-holevo", "--nbar", "1e6",
+      "--l-min-km", "10", "--l-max-km", "40"],  # pooled
+     lambda: sweep_distance([10.0, 20.0, 30.0, 40.0], 4, 1e6, 0.2, _PSA, _GH)),
+    (["distributed", "--kind", "pia", "--scenario", "gordon-holevo", "--nbar", "1e6"],
+     lambda: distributed_rows(_GRID, 1e6, 0.2, _PIA, _GH)),
+    (["distributed", "--kind", "psa", "--scenario", "two-quadrature-snl"],
+     lambda: distributed_rows(_GRID, 100.0, 0.2, _PSA, _TWO_Q)),
+    (["distributed", "--nbar", "0"], lambda: distributed_rows(_GRID, 0.0, 0.2, _PSA, _CONV)),
+    (["crossover", "--nbar", "0"], lambda: psa_pia_crossover(10.0, 5000.0, 10.0, 0.0)),
+    (["crossover", "--l-min-km", "1000", "--l-max-km", "400"],
+     lambda: psa_pia_crossover(1000.0, 400.0, 10.0, 100.0)),
+    (["crossover", "--l-min-km", "10", "--l-max-km", "50"],
+     lambda: psa_pia_crossover(10.0, 50.0, 10.0, 100.0)),
+    # an empty grid computes no point, yet its budget and attenuation are checked
+    (["sweep", "--alpha-db-km", "0", "--l-min-km", "100", "--l-max-km", "50"],
+     lambda: sweep_distance([], 0, 100.0, 0.0)),
+    (["distributed", "--nbar", "-1", "--l-min-km", "100", "--l-max-km", "50"],
+     lambda: distributed_rows([], -1.0, 0.2, _PSA, _CONV)),
+]
+
+
+class TestInputRules:
+    """Each rule on the physics' input is the library's: the CLI exits 2 with
+    the message of the ``InputError`` that its library call raises."""
+
+    @pytest.mark.parametrize("args, library", _REFUSALS,
+                             ids=[" ".join(args) for args, _ in _REFUSALS])
+    def test_the_cli_reports_the_library_refusal(self, args, library, tmp_path, capsys):
+        with pytest.raises(InputError) as refused:
+            library()
+        out = tmp_path / "refused.csv"
+        assert run_cli([*args, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert not (tmp_path / "refused.csv.tmp").exists()
+        # the resolved configuration is echoed first, as for every run
+        err = capsys.readouterr().err
+        assert err.startswith("# command=")
+        assert err.endswith(f"\nqlink: usage error: {refused.value}\n")
 
 
 class TestSweepCommand:
@@ -717,8 +784,8 @@ class TestWithoutNumpy:
 
 
 _FUZZ_COMMANDS = ["sweep", "optimize", "distributed", "crossover"]
-_FUZZ_NBARS = ["0", "1e-300", "1e-6", "1", "100", "1e5", "1e6", "1e150"]
-_FUZZ_ALPHAS = ["1e-12", "1e-6", "0.2", "10", "100"]
+_FUZZ_NBARS = ["-1", "0", "1e-300", "1e-6", "1", "100", "1e5", "1e6", "1e150"]
+_FUZZ_ALPHAS = ["0", "1e-12", "1e-6", "0.2", "10", "100"]
 _FUZZ_SCENARIOS = ["conventional-snl", "two-quadrature-snl", "gordon-holevo"]
 
 
@@ -761,6 +828,10 @@ class TestCommandLineFuzz:
                    "--l-min-km", "1e7", "--l-max-km", "1e7"])
     @example(args=["distributed", "--nbar", "1e-300", "--alpha-db-km", "100",
                    "--l-min-km", "10214", "--l-max-km", "11755", "--l-step-km", "1541"])
+    # a negative budget must be refused before the continuum builds its input
+    @example(args=["distributed", "--nbar", "-1"])
+    @example(args=["crossover", "--nbar", "-1"])
+    @example(args=["sweep", "--amps", "inf", "--nbar", "-1"])
     def test_exit_status_and_rows(self, args):
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "fuzz.csv"

@@ -21,7 +21,7 @@ from qlink.distributed import (
     approx_capacity_pia,
     approx_capacity_psa,
     channel_maps,
-    NoCrossingError,
+    InputError,
     continuum_states,
     distributed_rows,
     psa_pia_crossover,
@@ -540,9 +540,9 @@ class TestPsaPiaCrossover:
     @pytest.mark.parametrize("l_min, l_max", [(10.0, 50.0), (6000.0, 9000.0)])
     def test_a_range_without_a_crossing_is_refused(self, l_min, l_max):
         # PIA leads at 10-50 km and PSA at 6000-9000 km
-        with pytest.raises(NoCrossingError, match="no PSA/PIA crossover bracketed"):
+        with pytest.raises(InputError, match="no PSA/PIA crossover bracketed"):
             psa_pia_crossover(l_min, l_max, 10.0, 100.0)
-        assert issubclass(NoCrossingError, ValueError)
+        assert issubclass(InputError, ValueError)
 
     def test_printed_crossing_is_the_roots(self):
         # The CLI prints the crossing to 6 digits.  A bisection stopped at 1e-3 km

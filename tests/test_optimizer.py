@@ -154,6 +154,22 @@ class TestPlanScorer:
             assert scorer.trial_score(positions, gains, i, y, spans(scorer, positions)) == score
 
     @pytest.mark.parametrize("kind, scenario", SHANNON_PAIRS)
+    @pytest.mark.parametrize("gains", [[3.0, 1.5, 8.0], [3.0, 1.5, math.inf], [1e6] * 3])
+    def test_shannon_scoring_walks_the_chain_once(self, kind, scenario, gains, monkeypatch):
+        # the repair's walk ends at the output; a second walk from the input with
+        # the repaired gains, each already within its ceiling, gave the same bits
+        scorer = _PlanScorer(300.0, 100.0, 0.2, kind, scenario)
+        positions = [35.0, 160.0, 250.0]
+        repaired = scorer.repair_gains(positions, gains)[0]
+        rewalked = scorer.trial_score(positions, repaired, 0, scorer.ref_input,
+                                      spans(scorer, positions))
+        walks, walk = [], optimizer._walk
+        monkeypatch.setattr(optimizer, "_walk", lambda *a, **k: walks.append(a) or walk(*a, **k))
+        score, score_gains = scorer.score(positions, gains)
+        assert (score.hex(), score_gains) == (rewalked.hex(), repaired)
+        assert len(walks) == 1
+
+    @pytest.mark.parametrize("kind, scenario", SHANNON_PAIRS)
     @pytest.mark.parametrize("moments, message", [
         ((-1.0, 0.0, 0.5, 0.5), "signal powers must be non-negative"),
         ((0.0, math.nan, 0.5, 0.5), "signal powers must be non-negative"),

@@ -51,6 +51,25 @@ def test_script_refuses_a_grid_over_its_bound(script, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("script, args", [
+    # computed the conventional curves, then died in the Gordon-Holevo budget check
+    ("capacity_vs_distance.py", ["--nbar", "1e6", "--amps", "1", "--l-max-km", "100",
+                                 "--l-step-km", "100"]),
+    # died in the distributed PSA feedback's budget check
+    ("distributed_comparison.py", ["--nbar", "0", "--l-max-km", "100", "--l-step-km", "100"]),
+])
+def test_script_reports_a_refused_input_as_a_usage_error(script, args, tmp_path):
+    out = tmp_path / "out.csv"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args, "--out", str(out)],
+        cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert f"{script}: error: " in done.stderr
+    assert not out.exists()
+
+
 def test_benchmark_tracer_finds_its_patch_points():
     # perfbench/traced_run.py wraps library functions by attribute name; run
     # its installer in a fresh interpreter so the patches stay there.
